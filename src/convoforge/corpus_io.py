@@ -20,7 +20,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import (
     CountMismatchError,
@@ -146,6 +146,25 @@ def _require_file(directory: Path, name: str) -> Path:
     return target
 
 
+def _read_json_object(directory: Path, name: str) -> dict:
+    path = _require_file(directory, name)
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MalformedRecordError(f"{name}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(value, dict):
+        raise MalformedRecordError(f"{name}: top-level value is not an object")
+    return value
+
+
+def _meta_by_id(directory: Path, name: str) -> Iterator[tuple[str, dict]]:
+    """The (id, meta) pairs of speakers.json or conversations.json."""
+    for object_id, payload in _read_json_object(directory, name).items():
+        if not isinstance(payload, dict):
+            raise MalformedRecordError(f"{name}: record {object_id!r} is not an object")
+        yield object_id, payload.get("meta", {})
+
+
 def _parse_utterance_line(line: str, line_number: int) -> Utterance:
     try:
         record = json.loads(line)
@@ -195,11 +214,7 @@ def load(path: str | Path) -> Corpus:
     if not directory.is_dir():
         raise MissingFileError(f"not a corpus directory: {directory}")
 
-    manifest_path = _require_file(directory, MANIFEST_FILE)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"{MANIFEST_FILE}: invalid JSON ({exc.msg})") from exc
+    manifest = _read_json_object(directory, MANIFEST_FILE)
     version = str(manifest.get("format_version", ""))
     major = version.split(".", 1)[0]
     if major != FORMAT_VERSION.split(".", 1)[0]:
@@ -207,21 +222,11 @@ def load(path: str | Path) -> Corpus:
 
     corpus = Corpus(meta=manifest.get("corpus_meta", {}))
 
-    speakers_path = _require_file(directory, SPEAKERS_FILE)
-    try:
-        speakers = json.loads(speakers_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"{SPEAKERS_FILE}: invalid JSON ({exc.msg})") from exc
-    for sid, payload in speakers.items():
-        corpus.speakers[sid] = Speaker(id=sid, meta=payload.get("meta", {}))
+    for sid, meta in _meta_by_id(directory, SPEAKERS_FILE):
+        corpus.speakers[sid] = Speaker(id=sid, meta=meta)
 
-    conversations_path = _require_file(directory, CONVERSATIONS_FILE)
-    try:
-        conversations = json.loads(conversations_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"{CONVERSATIONS_FILE}: invalid JSON ({exc.msg})") from exc
-    for cid, payload in conversations.items():
-        corpus.conversations[cid] = Conversation(id=cid, meta=payload.get("meta", {}))
+    for cid, meta in _meta_by_id(directory, CONVERSATIONS_FILE):
+        corpus.conversations[cid] = Conversation(id=cid, meta=meta)
 
     utterances_path = _require_file(directory, UTTERANCES_FILE)
     with open(utterances_path, encoding="utf-8") as fh:

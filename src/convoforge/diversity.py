@@ -38,26 +38,31 @@ def _unigram_distribution(counts: dict[str, int]) -> dict[str, float]:
     return {term: count / total for term, count in counts.items()}
 
 
-def speaker_distributions(
-    corpus: Corpus, speaker_id: str, min_tokens_per_convo: int = 1
-) -> list[dict[str, float]]:
-    """One unigram distribution per conversation the speaker spoke in,
-    skipping conversations where they produced fewer than
-    min_tokens_per_convo tokens. Requires the "tokens" annotation."""
-    per_convo: dict[str, dict[str, int]] = {}
+def _token_counts_by_speaker(
+    corpus: Corpus, speaker_id: Optional[str] = None
+) -> dict[str, dict[str, dict[str, int]]]:
+    """speaker -> conversation -> lowercased term counts, from one pass over
+    the utterances in corpus order (all speakers, or only ``speaker_id``)."""
+    grouped: dict[str, dict[str, dict[str, int]]] = {}
     for utt in corpus.utterances.values():
-        if utt.speaker_id != speaker_id:
+        if speaker_id is not None and utt.speaker_id != speaker_id:
             continue
         stored = utt.meta.get("tokens")
         if stored is None:
             raise MissingAnnotationError(
                 f"utterance {utt.id!r} has no 'tokens' annotation; run a tokenizer first"
             )
-        counts = per_convo.setdefault(utt.conversation_id, {})
+        counts = grouped.setdefault(utt.speaker_id, {}).setdefault(utt.conversation_id, {})
         for sentence in stored:
             for tok in sentence:
                 tok = tok.lower()
                 counts[tok] = counts.get(tok, 0) + 1
+    return grouped
+
+
+def _distributions(
+    per_convo: dict[str, dict[str, int]], min_tokens_per_convo: int
+) -> list[dict[str, float]]:
     return [
         _unigram_distribution(counts)
         for counts in per_convo.values()
@@ -65,11 +70,22 @@ def speaker_distributions(
     ]
 
 
+def speaker_distributions(
+    corpus: Corpus, speaker_id: str, min_tokens_per_convo: int = 1
+) -> list[dict[str, float]]:
+    """One unigram distribution per conversation the speaker spoke in,
+    skipping conversations where they produced fewer than
+    min_tokens_per_convo tokens. Requires the "tokens" annotation."""
+    per_convo = _token_counts_by_speaker(corpus, speaker_id).get(speaker_id, {})
+    return _distributions(per_convo, min_tokens_per_convo)
+
+
 def compute_diversity(corpus: Corpus, min_tokens_per_convo: int = 1) -> Corpus:
     """Annotate every speaker with their diversity score under
     "convo_diversity": {"value": float or None, "n_conversations": int}."""
+    grouped = _token_counts_by_speaker(corpus)
     for speaker in corpus.speakers.values():
-        distributions = speaker_distributions(corpus, speaker.id, min_tokens_per_convo)
+        distributions = _distributions(grouped.get(speaker.id, {}), min_tokens_per_convo)
         n = len(distributions)
         value: Optional[float] = None
         if n >= 2:

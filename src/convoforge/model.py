@@ -229,17 +229,18 @@ def traverse(corpus: Corpus, conversation_id: str, order: str = "bfs") -> list[U
             queue.extend(children.get(utt.id, []))
         return out
 
+    # Explicit stack, so reply chains deeper than the recursion limit work.
+    # Postorder is the reverse of a preorder that takes children last-first.
+    postorder = order == "dfs_postorder"
     out = []
-
-    def walk(utt: Utterance) -> None:
-        if order == "dfs_preorder":
-            out.append(utt)
-        for child in children.get(utt.id, []):
-            walk(child)
-        if order == "dfs_postorder":
-            out.append(utt)
-
-    walk(root)
+    stack = [root]
+    while stack:
+        utt = stack.pop()
+        out.append(utt)
+        kids = children.get(utt.id, [])
+        stack.extend(kids if postorder else reversed(kids))
+    if postorder:
+        out.reverse()
     return out
 
 

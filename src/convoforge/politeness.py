@@ -6,6 +6,10 @@ and every marker list live in data/politeness_markers.txt; its section
 order fixes the key order of every extracted vector, and the file declares
 per-strategy matching scope (anywhere / sentence-initial / utterance-
 initial / non-initial).
+
+Matching is one pass over the tokens: the inventory is compiled into an
+index from each entry's first token to the entries it starts, so the cost
+is linear in tokens rather than in tokens times entries.
 """
 
 from __future__ import annotations
@@ -73,30 +77,54 @@ def strategy_names() -> list[str]:
     return [s.name for s in inventory()]
 
 
-def _matches_at(tokens: list[str], position: int, entry: tuple[str, ...]) -> bool:
-    if position + len(entry) > len(tokens):
-        return False
-    return all(tokens[position + k] == entry[k] for k in range(len(entry)))
+# One index hit: (position of the strategy in the inventory, its scope, entry).
+_Hit = tuple[int, str, tuple[str, ...]]
 
 
-def _count_strategy(sentences: list[list[str]], strategy: Strategy) -> int:
-    count = 0
-    for index, sentence in enumerate(sentences):
-        if strategy.scope == "utterance_initial" and index > 0:
-            break
+def _compile_index(strategies: tuple[Strategy, ...]) -> dict[str, tuple[_Hit, ...]]:
+    """Map each entry's first token to every entry it starts, in inventory order.
+
+    Duplicate entries and entries that prefix one another (``i`` and
+    ``i think``) stay separate hits, so counts remain occurrences.
+    """
+    index: dict[str, list[_Hit]] = {}
+    for position, strategy in enumerate(strategies):
         for entry in strategy.entries:
-            if strategy.scope in ("sentence_initial", "utterance_initial"):
-                if _matches_at(sentence, 0, entry):
-                    count += 1
-            elif strategy.scope == "anywhere":
-                for pos in range(len(sentence)):
-                    if _matches_at(sentence, pos, entry):
-                        count += 1
-            else:  # non_initial
-                for pos in range(1, len(sentence)):
-                    if _matches_at(sentence, pos, entry):
-                        count += 1
-    return count
+            index.setdefault(entry[0], []).append((position, strategy.scope, entry))
+    return {token: tuple(hits) for token, hits in index.items()}
+
+
+@lru_cache(maxsize=1)
+def _marker_index() -> dict[str, tuple[_Hit, ...]]:
+    return _compile_index(inventory())
+
+
+def _count_markers(
+    sentences: list[list[str]],
+    strategies: tuple[Strategy, ...],
+    index: dict[str, tuple[_Hit, ...]],
+) -> dict[str, int]:
+    """Count each strategy over lowercased sentences, keyed in inventory order.
+
+    ``index`` must be ``_compile_index(strategies)``.
+    """
+    counts = [0] * len(strategies)
+    for sentence_index, sentence in enumerate(sentences):
+        for pos, token in enumerate(sentence):
+            hits = index.get(token)
+            if hits is None:
+                continue
+            for position, scope, entry in hits:
+                if scope == "anywhere":
+                    in_scope = True
+                elif scope == "non_initial":
+                    in_scope = pos > 0
+                else:  # sentence_initial, or utterance_initial: first sentence only
+                    in_scope = pos == 0 and (scope == "sentence_initial" or sentence_index == 0)
+                if in_scope and (len(entry) == 1
+                                 or tuple(sentence[pos:pos + len(entry)]) == entry):
+                    counts[position] += 1
+    return {strategy.name: count for strategy, count in zip(strategies, counts)}
 
 
 def extract_strategies(utterance: Utterance) -> dict[str, int]:
@@ -110,7 +138,7 @@ def extract_strategies(utterance: Utterance) -> dict[str, int]:
             f"utterance {utterance.id!r} has no 'tokens' annotation; run a tokenizer first"
         )
     sentences = [[tok.lower() for tok in sentence] for sentence in stored]
-    return {s.name: _count_strategy(sentences, s) for s in inventory()}
+    return _count_markers(sentences, inventory(), _marker_index())
 
 
 def summarize_politeness(

@@ -2,7 +2,8 @@
 
 Nothing here calls into the library's traversal or graph code: traversals
 are recomputed straight from reply_to fields, and graph statistics by
-exhaustive enumeration of node pairs and triples. Unit and acceptance
+exhaustive enumeration of node pairs and triples, and politeness counts
+by trying every marker entry at every token position. Unit and acceptance
 tests compare library output against these.
 """
 
@@ -97,3 +98,36 @@ def ref_motifs(nodes, edges) -> dict:
         "motif_incoming_star": in_star,
         "motif_transitive": transitive,
     }
+
+
+def _matches_at(tokens, position, entry):
+    if position + len(entry) > len(tokens):
+        return False
+    return all(tokens[position + k] == entry[k] for k in range(len(entry)))
+
+
+def _count_strategy(sentences, strategy):
+    count = 0
+    for index, sentence in enumerate(sentences):
+        if strategy.scope == "utterance_initial" and index > 0:
+            break
+        for entry in strategy.entries:
+            if strategy.scope in ("sentence_initial", "utterance_initial"):
+                if _matches_at(sentence, 0, entry):
+                    count += 1
+            elif strategy.scope == "anywhere":
+                for pos in range(len(sentence)):
+                    if _matches_at(sentence, pos, entry):
+                        count += 1
+            else:  # non_initial
+                for pos in range(1, len(sentence)):
+                    if _matches_at(sentence, pos, entry):
+                        count += 1
+    return count
+
+
+def ref_politeness(sentences, strategies):
+    """Strategy counts by trying every entry of every strategy at every
+    position its scope allows; sentences are token lists in any case."""
+    lowered = [[tok.lower() for tok in sentence] for sentence in sentences]
+    return {s.name: _count_strategy(lowered, s) for s in strategies}

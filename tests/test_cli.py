@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -47,6 +48,15 @@ class TestValidate:
 
     def test_nonexistent_path_exits_2(self, tmp_path):
         assert main(["--corpus", str(tmp_path / "missing"), "validate"]) == 2
+
+    @pytest.mark.parametrize("name", ["manifest.json", "speakers.json",
+                                      "conversations.json"])
+    def test_json_file_that_is_not_an_object_exits_2(self, tmp_path, name, capsys):
+        target = tmp_path / "toy"
+        shutil.copytree(toy_movie_path(), target)
+        (target / name).write_text("[]")
+        assert main(["--corpus", str(target), "validate"]) == 2
+        assert name in capsys.readouterr().err
 
     def test_missing_corpus_flag_exits_2(self, capsys):
         assert main(["validate"]) == 2

@@ -11,7 +11,9 @@ from convoforge import (
     compute_diversity,
     jensen_shannon,
 )
+from convoforge.diversity import speaker_distributions
 from convoforge.errors import MissingAnnotationError
+from helpers import random_corpus
 
 LN2 = math.log(2)
 
@@ -117,6 +119,27 @@ class TestComputeDiversity:
             corpus = compute_diversity(speaker_corpus(texts))
             value = score(corpus)["value"]
             assert 0.0 <= value <= LN2 + 1e-12
+
+    def test_one_pass_equals_per_speaker_path(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            corpus = random_corpus(rng)
+            Tokenizer().transform(corpus)
+            for min_tokens in (1, 3):
+                compute_diversity(corpus, min_tokens)
+                for speaker in corpus.speakers.values():
+                    distributions = speaker_distributions(corpus, speaker.id, min_tokens)
+                    n = len(distributions)
+                    expected = None
+                    if n >= 2:
+                        # Left-to-right float sum, as compute_diversity does.
+                        total = 0.0
+                        for i in range(n):
+                            for j in range(i + 1, n):
+                                total += jensen_shannon(distributions[i], distributions[j])
+                        expected = total / (n * (n - 1) // 2)
+                    assert speaker.meta["convo_diversity"] == \
+                        {"value": expected, "n_conversations": n}
 
 
 class TestTransformer:

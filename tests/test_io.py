@@ -1,5 +1,6 @@
 import json
 import random
+import shutil
 
 import pytest
 
@@ -16,6 +17,7 @@ from convoforge import (
     save,
 )
 from convoforge.corpus_io import ImportMapping
+from convoforge.datasets import toy_movie_path
 from convoforge.errors import (
     CountMismatchError,
     IntegrityViolationError,
@@ -146,6 +148,25 @@ class TestSaveLoad:
         (tmp_path / "c" / "speakers.json").unlink()
         with pytest.raises(MissingFileError):
             load(tmp_path / "c")
+
+    @pytest.mark.parametrize("name", ["manifest.json", "speakers.json",
+                                      "conversations.json"])
+    def test_json_file_that_is_not_an_object(self, tmp_path, name):
+        target = tmp_path / "toy"
+        shutil.copytree(toy_movie_path(), target)
+        (target / name).write_text("[]")
+        with pytest.raises(MalformedRecordError, match=name):
+            load(target)
+
+    @pytest.mark.parametrize("name", ["speakers.json", "conversations.json"])
+    def test_record_that_is_not_an_object(self, tmp_path, name):
+        target = tmp_path / "toy"
+        shutil.copytree(toy_movie_path(), target)
+        records = json.loads((target / name).read_text())
+        records[next(iter(records))] = []
+        (target / name).write_text(json.dumps(records))
+        with pytest.raises(MalformedRecordError, match=name):
+            load(target)
 
     def test_round_trip_randomized(self, tmp_path):
         rng = random.Random(2024)

@@ -97,6 +97,15 @@ class TestTraverse:
             else:
                 assert ids == ["u0", "u1", "u2"]
 
+    def test_deep_chain_does_not_recurse(self):
+        depth = 3000
+        ids = [f"u{i}" for i in range(depth)]
+        corpus = build_corpus(
+            [utt(ids[0])] + [utt(ids[i], reply=ids[i - 1]) for i in range(1, depth)]
+        )
+        assert [u.id for u in traverse(corpus, "c0", "dfs_preorder")] == ids
+        assert [u.id for u in traverse(corpus, "c0", "dfs_postorder")] == ids[::-1]
+
     def test_star_sibling_order_by_timestamp(self):
         corpus = build_corpus([
             utt("u0", ts=1),

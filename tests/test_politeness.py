@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from convoforge import (
@@ -8,7 +10,14 @@ from convoforge import (
     summarize_politeness,
 )
 from convoforge.errors import EmptySelectionError, MissingAnnotationError
-from convoforge.politeness import strategy_names
+from convoforge.politeness import (
+    _compile_index,
+    _count_markers,
+    _parse_inventory,
+    inventory,
+    strategy_names,
+)
+from reference import ref_politeness
 
 
 def tokenized_utterance(text, uid="u"):
@@ -151,3 +160,85 @@ class TestSummarize:
         ):
             combined = (a_vals[0] * n_a + b_vals[0] * n_b) / (n_a + n_b)
             assert combined == pytest.approx(whole_vals[0], abs=1e-12), name
+
+
+def marker_vocabulary():
+    words = {tok for s in inventory() for entry in s.entries for tok in entry}
+    return sorted(words) + ["zebra", "lamp", "", "'", "thankful", "pleased"]
+
+
+def random_sentences(rng, vocabulary):
+    def token():
+        word = rng.choice(vocabulary)
+        roll = rng.random()
+        if roll < 0.15:
+            return word.upper()
+        if roll < 0.3:
+            return word.capitalize()
+        return word
+
+    return [
+        [token() for _ in range(rng.randint(0, 9))]
+        for _ in range(rng.randint(0, 4))
+    ]
+
+
+def utterance_with_tokens(sentences):
+    utt = Utterance("u", "s", "c", "")
+    utt.meta["tokens"] = sentences
+    return utt
+
+
+# Every scope, a duplicated entry, prefix-overlapping entries, and
+# multi-word entries that can run past the sentence end.
+SYNTHETIC_MARKERS = """
+[first_any anywhere]
+i
+i think
+i
+a b c
+[first_sentence sentence_initial]
+i think
+a b
+a b
+[first_utterance utterance_initial]
+i
+a b c d
+[later non_initial]
+i think
+b c
+c
+"""
+
+
+class TestIndexEquivalence:
+    def test_bundled_inventory_matches_oracle(self):
+        rng = random.Random(20131)
+        vocabulary = marker_vocabulary()
+        for _ in range(1000):
+            sentences = random_sentences(rng, vocabulary)
+            got = extract_strategies(utterance_with_tokens(sentences))
+            expected = ref_politeness(sentences, inventory())
+            assert got == expected, sentences
+            assert list(got) == list(expected)
+
+    def test_synthetic_inventory_matches_oracle(self):
+        strategies = _parse_inventory(SYNTHETIC_MARKERS)
+        index = _compile_index(strategies)
+        rng = random.Random(7)
+        vocabulary = ["i", "I", "think", "a", "b", "c", "d", "x"]
+        for _ in range(3000):
+            sentences = random_sentences(rng, vocabulary)
+            lowered = [[tok.lower() for tok in s] for s in sentences]
+            got = _count_markers(lowered, strategies, index)
+            expected = ref_politeness(sentences, strategies)
+            assert got == expected, sentences
+            assert list(got) == list(expected)
+
+    def test_synthetic_inventory_hand_counts(self):
+        strategies = _parse_inventory(SYNTHETIC_MARKERS)
+        sentences = [["i", "think", "a", "b"], ["a", "b", "c"], ["x", "i", "think"]]
+        counts = _count_markers(sentences, strategies, _compile_index(strategies))
+        # "a b" ends the first sentence, so "a b c" runs past it: no match.
+        assert counts == {"first_any": 7, "first_sentence": 3,
+                          "first_utterance": 1, "later": 3}
