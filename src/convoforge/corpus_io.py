@@ -18,6 +18,9 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import os
+import shutil
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -30,6 +33,7 @@ from .errors import (
     MalformedRecordError,
     MissingColumnError,
     MissingFileError,
+    UnserializableValueError,
     UnsupportedVersionError,
 )
 from .model import Conversation, Corpus, Speaker, Utterance, build_corpus, check_integrity
@@ -40,6 +44,7 @@ MANIFEST_FILE = "manifest.json"
 UTTERANCES_FILE = "utterances.jsonl"
 SPEAKERS_FILE = "speakers.json"
 CONVERSATIONS_FILE = "conversations.json"
+CORPUS_FILES = (MANIFEST_FILE, UTTERANCES_FILE, SPEAKERS_FILE, CONVERSATIONS_FILE)
 
 # Canonical field names understood by the tabular importer/exporter.
 TABULAR_FIELDS = ("id", "speaker_id", "conversation_id", "reply_to", "timestamp", "text")
@@ -101,40 +106,110 @@ def _utterance_record(utt: Utterance) -> dict:
     }
 
 
+def _meta_owners(corpus: Corpus) -> Iterator[tuple[str, dict]]:
+    """Every metadata table with its owner's name, in the order save writes them."""
+    yield "corpus", corpus.meta
+    for utt in corpus.utterances.values():
+        yield f"utterance {utt.id!r}", utt.meta
+    for sid, spk in corpus.speakers.items():
+        yield f"speaker {sid!r}", spk.meta
+    for cid, convo in corpus.conversations.items():
+        yield f"conversation {cid!r}", convo.meta
+
+
+def _to_json(value, corpus: Corpus, **layout) -> str:
+    """json.dumps refusing what standard JSON cannot hold; the error names
+    the first meta key of ``corpus`` at fault."""
+    try:
+        return json.dumps(value, ensure_ascii=False, allow_nan=False, **layout)
+    except (TypeError, ValueError):
+        for owner, meta in _meta_owners(corpus):
+            for key, item in meta.items():
+                try:
+                    json.dumps({key: item}, allow_nan=False)
+                except (TypeError, ValueError) as exc:
+                    raise UnserializableValueError(
+                        f"{owner} meta key {key!r} cannot be saved as JSON: {exc}"
+                    ) from None
+        raise
+
+
+def _write_files(corpus: Corpus, directory: Path) -> None:
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "utterance_count": len(corpus.utterances),
+        "conversation_count": len(corpus.conversations),
+        "speaker_count": len(corpus.speakers),
+        "corpus_meta": corpus.meta,
+    }
+    (directory / MANIFEST_FILE).write_text(
+        _to_json(manifest, corpus, indent=2) + "\n", encoding="utf-8"
+    )
+    with open(directory / UTTERANCES_FILE, "w", encoding="utf-8", newline="\n") as fh:
+        for utt in corpus.utterances.values():
+            fh.write(_to_json(_utterance_record(utt), corpus, separators=(",", ":")))
+            fh.write("\n")
+    speakers = {sid: {"meta": spk.meta} for sid, spk in corpus.speakers.items()}
+    (directory / SPEAKERS_FILE).write_text(
+        _to_json(speakers, corpus, indent=2) + "\n", encoding="utf-8"
+    )
+    conversations = {cid: {"meta": convo.meta} for cid, convo in corpus.conversations.items()}
+    (directory / CONVERSATIONS_FILE).write_text(
+        _to_json(conversations, corpus, indent=2) + "\n", encoding="utf-8"
+    )
+
+
+def _replace_directory(staging: Path, directory: Path) -> None:
+    if not directory.exists():
+        os.rename(staging, directory)
+        return
+    shutil.copymode(directory, staging)
+    retired = staging.with_suffix(".old")
+    os.rename(directory, retired)
+    try:
+        os.rename(staging, directory)
+    except OSError:
+        os.rename(retired, directory)
+        raise
+    # The new corpus is in place; a leftover copy of the old one is no
+    # reason to report the save as failed.
+    shutil.rmtree(retired, ignore_errors=True)
+
+
 def save(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus directory; refuses to persist an invalid corpus."""
+    """Write the corpus directory; refuses to persist an invalid corpus.
+
+    The files are written into a temporary sibling directory, which then
+    takes the place of ``path``: a save that fails leaves what was there.
+    An existing ``path`` may hold nothing but corpus files. Metadata that
+    standard JSON cannot hold (NaN, Infinity, sets, ...) is refused.
+    """
     report = check_integrity(corpus)
     if not report.ok:
         raise IntegrityViolationError(
             f"refusing to save corpus with {len(report.violations)} integrity violations",
             violations=report.violations,
         )
-    directory = Path(path)
+    # Resolved, so that a symlinked directory is replaced at its target.
+    directory = Path(path).resolve()
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "utterance_count": len(corpus.utterances),
-            "conversation_count": len(corpus.conversations),
-            "speaker_count": len(corpus.speakers),
-            "corpus_meta": corpus.meta,
-        }
-        (directory / MANIFEST_FILE).write_text(
-            json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
-        with open(directory / UTTERANCES_FILE, "w", encoding="utf-8", newline="\n") as fh:
-            for utt in corpus.utterances.values():
-                fh.write(json.dumps(_utterance_record(utt), ensure_ascii=False,
-                                    separators=(",", ":")))
-                fh.write("\n")
-        speakers = {sid: {"meta": spk.meta} for sid, spk in corpus.speakers.items()}
-        (directory / SPEAKERS_FILE).write_text(
-            json.dumps(speakers, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
-        conversations = {cid: {"meta": convo.meta} for cid, convo in corpus.conversations.items()}
-        (directory / CONVERSATIONS_FILE).write_text(
-            json.dumps(conversations, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
+        if directory.exists():
+            if not directory.is_dir():
+                raise IoFailureError(f"cannot write corpus to {directory}: not a directory")
+            foreign = sorted(set(os.listdir(directory)) - set(CORPUS_FILES))
+            if foreign:
+                raise IoFailureError(
+                    f"refusing to replace {directory}: it holds {foreign[0]!r}, "
+                    "which is not a corpus file"
+                )
+        directory.parent.mkdir(parents=True, exist_ok=True)
+        staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}.tmp")
+        staging.mkdir()
+        try:
+            _write_files(corpus, staging)
+            _replace_directory(staging, directory)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
     except OSError as exc:
         raise IoFailureError(f"cannot write corpus to {directory}: {exc}") from exc
 

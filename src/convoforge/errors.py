@@ -58,6 +58,10 @@ class IntegrityViolationError(ConvoForgeError):
         self.violations = violations or []
 
 
+class UnserializableValueError(ConvoForgeError):
+    """A metadata value standard JSON cannot hold, such as NaN, Infinity or a set."""
+
+
 class MissingFileError(ConvoForgeError):
     pass
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     MissingLabelError,
     UnsupportedVersionError,
 )
-from .model import Corpus, speaker_history, traverse
+from .model import Corpus, _speaker_histories, traverse
 from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer
 
@@ -55,20 +55,23 @@ class Vocabulary:
         return ordered
 
 
-def _object_tokens(corpus: Corpus, level: str, obj) -> list[str]:
+def _words(utterances) -> list[str]:
+    return [tok for utt in utterances for sentence in utterance_tokens(utt) for tok in sentence]
+
+
+def _documents(corpus: Corpus, level: str, objects: list) -> Iterator[list[str]]:
+    """The tokens of each object, in order: conversation documents follow
+    traversal order and speaker documents speaker_history order."""
     if level == "utterance":
-        utts = [obj]
+        groups = ([obj] for obj in objects)
     elif level == "conversation":
-        utts = traverse(corpus, obj.id, "bfs")
+        groups = (traverse(corpus, obj.id, "bfs") for obj in objects)
     elif level == "speaker":
-        utts = speaker_history(corpus, obj.id)
+        histories = _speaker_histories(corpus)
+        groups = (histories.get(obj.id, []) for obj in objects)
     else:
         raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
-    tokens: list[str] = []
-    for utt in utts:
-        for sentence in utterance_tokens(utt):
-            tokens.extend(sentence)
-    return tokens
+    return (_words(utterances) for utterances in groups)
 
 
 def _level_objects(corpus: Corpus, level: str) -> list:
@@ -96,8 +99,7 @@ def fit_vocabulary(
         raise EmptySelectionError(f"no {level}s selected")
     total: dict[str, int] = {}
     doc_freq: dict[str, int] = {}
-    for obj in objects:
-        tokens = _object_tokens(corpus, level, obj)
+    for tokens in _documents(corpus, level, objects):
         if lowercase:
             tokens = [t.lower() for t in tokens]
         for tok in tokens:
@@ -303,14 +305,15 @@ class Classifier(Transformer):
             corpus, self.level, selector=lambda o: self.label_key in o.meta,
             min_df=self.min_df, max_terms=self.max_terms,
         )
-        X = [vectorize(self.vocab, _object_tokens(corpus, self.level, o)) for o in labelled]
+        X = [vectorize(self.vocab, doc) for doc in _documents(corpus, self.level, labelled)]
         y = [1.0 if o.meta[self.label_key] else 0.0 for o in labelled]
         self.model = train_classifier(X, y, n_features=self.vocab.size, l2=self.l2,
                                       epochs=self.epochs, learning_rate=self.learning_rate)
 
     def _transform(self, corpus: Corpus) -> None:
-        for obj in _level_objects(corpus, self.level):
-            counts = vectorize(self.vocab, _object_tokens(corpus, self.level, obj))
+        objects = _level_objects(corpus, self.level)
+        for obj, doc in zip(objects, _documents(corpus, self.level, objects)):
+            counts = vectorize(self.vocab, doc)
             labels, scores = predict(self.model, [counts])
             self._annotate(obj.meta, "prediction", bool(labels[0]),
                            f"{self.level} {obj.id}")
@@ -359,7 +362,7 @@ class Forecaster(Transformer):
         vectors = []
         running: dict[int, float] = {}
         for utt in traverse(corpus, conversation_id, "bfs"):
-            for i, value in vectorize(self.vocab, _object_tokens(corpus, "utterance", utt)).items():
+            for i, value in vectorize(self.vocab, _words([utt])).items():
                 running[i] = running.get(i, 0.0) + value
             vectors.append(dict(running))
         return vectors

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     CrossConversationReplyError,
@@ -257,6 +257,16 @@ def speaker_history(corpus: Corpus, speaker_id: str) -> list[Utterance]:
     return owned
 
 
+def _speaker_histories(corpus: Corpus) -> dict[str, list[Utterance]]:
+    """speaker_history of every speaker with an utterance, in one pass."""
+    histories: dict[str, list[Utterance]] = {}
+    for utt in corpus.utterances.values():
+        histories.setdefault(utt.speaker_id, []).append(utt)
+    for owned in histories.values():
+        owned.sort(key=_sibling_key)
+    return histories
+
+
 def check_integrity(corpus: Corpus) -> IntegrityReport:
     """Validate every structural invariant; violations are data, not errors.
 
@@ -332,7 +342,3 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
 
     return report
 
-
-def select_utterances(corpus: Corpus, predicate: Callable[[Utterance], bool]) -> list[Utterance]:
-    """Utterances matching a predicate, in corpus insertion order."""
-    return [u for u in corpus.utterances.values() if predicate(u)]

@@ -18,9 +18,11 @@ import logging
 import re
 import string
 import unicodedata
+from collections import deque
 from dataclasses import dataclass
 
-from .model import Corpus, Utterance, traverse
+from .errors import NoRootError
+from .model import Corpus, Utterance, _children_map
 from .transform import SummaryTable, Transformer
 
 logger = logging.getLogger(__name__)
@@ -183,27 +185,6 @@ class Tokenizer(Transformer):
                            f"utterance {utt.id}")
 
 
-def _merge_pair(corpus: Corpus, parent: Utterance, child: Utterance) -> None:
-    parent.text = parent.text + "\n" + child.text
-    for key, value in child.meta.items():
-        if key in parent.meta:
-            if parent.meta[key] != value:
-                logger.warning(
-                    "merge_consecutive: keeping %r's value for meta key %r, dropping %r's",
-                    parent.id, key, child.id,
-                )
-        else:
-            parent.meta[key] = value
-    stamps = [t for t in (parent.timestamp, child.timestamp) if t is not None]
-    parent.timestamp = min(stamps) if stamps else None
-    for utt in corpus.utterances.values():
-        if utt.reply_to == child.id:
-            utt.reply_to = parent.id
-    convo = corpus.conversations[child.conversation_id]
-    convo.utterance_ids.remove(child.id)
-    del corpus.utterances[child.id]
-
-
 def merge_consecutive(corpus: Corpus) -> Corpus:
     """Fold every utterance that is its parent's only child and shares the
     parent's speaker into that parent, repeatedly, until no pair is left.
@@ -212,21 +193,44 @@ def merge_consecutive(corpus: Corpus) -> Corpus:
     merges key-wise with the parent winning, and the earliest timestamp is
     kept. Branch points never merge. Structural: utterances are removed.
     """
-    for conversation_id in list(corpus.conversations):
-        while True:
-            merged = False
-            for utt in traverse(corpus, conversation_id, "bfs"):
-                children = [
-                    corpus.utterances[uid]
-                    for uid in corpus.conversations[conversation_id].utterance_ids
-                    if corpus.utterances[uid].reply_to == utt.id
-                ]
-                if len(children) == 1 and children[0].speaker_id == utt.speaker_id:
-                    _merge_pair(corpus, utt, children[0])
-                    merged = True
-                    break
-            if not merged:
-                break
+    for convo in corpus.conversations.values():
+        roots = [corpus.utterances[uid] for uid in convo.utterance_ids
+                 if corpus.utterances[uid].reply_to is None]
+        if len(roots) != 1:
+            raise NoRootError(f"conversation {convo.id!r} does not have exactly one root")
+        children = _children_map(corpus, convo.utterance_ids)
+        folded: set[str] = set()
+        # Each node absorbs its whole same-speaker chain before the walk goes
+        # below it, so a chain always folds top-down into its top utterance.
+        queue = deque(roots)
+        while queue:
+            parent = queue.popleft()
+            kids = children.get(parent.id, [])
+            texts = [parent.text]
+            while len(kids) == 1 and kids[0].speaker_id == parent.speaker_id:
+                child = kids[0]
+                texts.append(child.text)
+                for key, value in child.meta.items():
+                    if key not in parent.meta:
+                        parent.meta[key] = value
+                    elif parent.meta[key] != value:
+                        logger.warning(
+                            "merge_consecutive: keeping %r's value for meta key %r, "
+                            "dropping %r's", parent.id, key, child.id,
+                        )
+                if child.timestamp is not None and (
+                        parent.timestamp is None or child.timestamp < parent.timestamp):
+                    parent.timestamp = child.timestamp
+                kids = children.pop(child.id, [])
+                for grandchild in kids:
+                    grandchild.reply_to = parent.id
+                folded.add(child.id)
+            parent.text = "\n".join(texts)
+            queue.extend(kids)
+        if folded:
+            convo.utterance_ids = [uid for uid in convo.utterance_ids if uid not in folded]
+            for uid in folded:
+                del corpus.utterances[uid]
     return corpus
 
 

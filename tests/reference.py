@@ -4,10 +4,15 @@ Nothing here calls into the library's traversal or graph code: traversals
 are recomputed straight from reply_to fields, and graph statistics by
 exhaustive enumeration of node pairs and triples, and politeness counts
 by trying every marker entry at every token position. Unit and acceptance
-tests compare library output against these.
+tests compare library output against these. ref_merge_consecutive is the
+original fold-and-restart implementation of merge_consecutive, walking the
+tree with ref_bfs.
 """
 
+import logging
 from itertools import combinations, permutations
+
+logger = logging.getLogger(__name__)
 
 
 def _key(utt):
@@ -131,3 +136,45 @@ def ref_politeness(sentences, strategies):
     position its scope allows; sentences are token lists in any case."""
     lowered = [[tok.lower() for tok in sentence] for sentence in sentences]
     return {s.name: _count_strategy(lowered, s) for s in strategies}
+
+
+def _ref_merge_pair(corpus, parent, child):
+    parent.text = parent.text + "\n" + child.text
+    for key, value in child.meta.items():
+        if key in parent.meta:
+            if parent.meta[key] != value:
+                logger.warning(
+                    "merge_consecutive: keeping %r's value for meta key %r, dropping %r's",
+                    parent.id, key, child.id,
+                )
+        else:
+            parent.meta[key] = value
+    stamps = [t for t in (parent.timestamp, child.timestamp) if t is not None]
+    parent.timestamp = min(stamps) if stamps else None
+    for utt in corpus.utterances.values():
+        if utt.reply_to == child.id:
+            utt.reply_to = parent.id
+    convo = corpus.conversations[child.conversation_id]
+    convo.utterance_ids.remove(child.id)
+    del corpus.utterances[child.id]
+
+
+def ref_merge_consecutive(corpus):
+    """Fold the first foldable pair found by a breadth-first walk, then
+    start the walk again, until no same-speaker only child is left."""
+    for conversation_id in list(corpus.conversations):
+        while True:
+            merged = False
+            for utt in ref_bfs(corpus.utterances_in(conversation_id)):
+                children = [
+                    corpus.utterances[uid]
+                    for uid in corpus.conversations[conversation_id].utterance_ids
+                    if corpus.utterances[uid].reply_to == utt.id
+                ]
+                if len(children) == 1 and children[0].speaker_id == utt.speaker_id:
+                    _ref_merge_pair(corpus, utt, children[0])
+                    merged = True
+                    break
+            if not merged:
+                break
+    return corpus

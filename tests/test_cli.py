@@ -123,6 +123,23 @@ class TestRun:
                      "conversations.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_output_equal_to_input(self, tmp_path, chain_dir, capsys):
+        config = self.make_config(tmp_path, [{"name": "tokenizer"}], chain_dir, chain_dir)
+        assert main(["--quiet", "run", str(config)]) == 0
+        from convoforge import load
+        assert all("tokens" in u.meta for u in load(chain_dir).utterances.values())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chain", "pipeline.json"]
+
+    def test_non_finite_meta_exits_1_and_writes_nothing(self, tmp_path, chain_dir, capsys):
+        lines = (chain_dir / "utterances.jsonl").read_text().splitlines()
+        lines[1] = lines[1].replace('"meta":{}', '"meta":{"score":NaN}')
+        (chain_dir / "utterances.jsonl").write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "out"
+        config = self.make_config(tmp_path, [{"name": "tokenizer"}], chain_dir, out_dir)
+        assert main(["--quiet", "run", str(config)]) == 1
+        assert "utterance 'u1' meta key 'score'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chain", "pipeline.json"]
+
     def test_unknown_stage_exits_2_naming_it(self, tmp_path, capsys):
         config = self.make_config(
             tmp_path, [{"name": "definitely_not_real"}], toy_movie_path(),

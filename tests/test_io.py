@@ -16,16 +16,19 @@ from convoforge import (
     merge,
     save,
 )
+from convoforge import corpus_io
 from convoforge.corpus_io import ImportMapping
 from convoforge.datasets import toy_movie_path
 from convoforge.errors import (
     CountMismatchError,
     IntegrityViolationError,
+    IoFailureError,
     IrreconcilableCollisionError,
     MalformedRecordError,
     MissingColumnError,
     MissingFileError,
     UnsupportedVersionError,
+    UnserializableValueError,
 )
 from helpers import corpus_equal_strict, random_corpus
 
@@ -175,6 +178,79 @@ class TestSaveLoad:
             target = tmp_path / f"r{i}"
             save(corpus, target)
             assert corpus_equal_strict(load(target), corpus)
+
+
+class TestAtomicSave:
+    def saved(self, tmp_path):
+        target = tmp_path / "c"
+        save(small_corpus(), target)
+        return target
+
+    def bigger_corpus(self):
+        corpus = small_corpus()
+        extra = Utterance("u3", "bob", "c1", "more", "u2", 7, {"k": 1})
+        corpus.utterances["u3"] = extra
+        corpus.conversations["c1"].utterance_ids.append("u3")
+        return corpus
+
+    def test_failure_mid_write_keeps_previous_corpus(self, tmp_path, monkeypatch):
+        target = self.saved(tmp_path)
+        calls = []
+        original = corpus_io._utterance_record
+
+        def failing(utt):
+            calls.append(utt.id)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return original(utt)
+
+        monkeypatch.setattr(corpus_io, "_utterance_record", failing)
+        with pytest.raises(IoFailureError, match="disk full"):
+            save(self.bigger_corpus(), target)
+        assert corpus_equal_strict(load(target), small_corpus())
+        assert [p.name for p in tmp_path.iterdir()] == ["c"]
+
+    def test_unserializable_meta_writes_nothing(self, tmp_path):
+        target = self.saved(tmp_path)
+        corpus = self.bigger_corpus()
+        corpus.utterances["u3"].meta["tags"] = {"a", "b"}
+        with pytest.raises(UnserializableValueError, match="'u3'.*'tags'"):
+            save(corpus, target)
+        with pytest.raises(UnserializableValueError):
+            save(corpus, tmp_path / "fresh")
+        assert corpus_equal_strict(load(target), small_corpus())
+        assert [p.name for p in tmp_path.iterdir()] == ["c"]
+
+    @pytest.mark.parametrize("owner, value", [
+        ("corpus", float("nan")), ("speaker", float("inf")),
+        ("conversation", [1.0, float("-inf")]), ("utterance", {"k": float("nan")}),
+    ])
+    def test_non_finite_float_is_refused(self, tmp_path, owner, value):
+        corpus = small_corpus()
+        meta, name = {
+            "corpus": (corpus.meta, "corpus"),
+            "speaker": (corpus.speakers["bob"].meta, "speaker 'bob'"),
+            "conversation": (corpus.conversations["c1"].meta, "conversation 'c1'"),
+            "utterance": (corpus.utterances["u1"].meta, "utterance 'u1'"),
+        }[owner]
+        meta["score"] = value
+        with pytest.raises(UnserializableValueError, match=f"{name} meta key 'score'"):
+            save(corpus, tmp_path / "c")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refuses_to_replace_directory_with_other_files(self, tmp_path):
+        target = self.saved(tmp_path)
+        (target / "notes.txt").write_text("keep me")
+        with pytest.raises(IoFailureError, match="notes.txt"):
+            save(self.bigger_corpus(), target)
+        assert (target / "notes.txt").read_text() == "keep me"
+        assert corpus_equal_strict(load(target), small_corpus())
+
+    def test_replaces_previous_corpus(self, tmp_path):
+        target = self.saved(tmp_path)
+        save(self.bigger_corpus(), target)
+        assert corpus_equal_strict(load(target), self.bigger_corpus())
+        assert [p.name for p in tmp_path.iterdir()] == ["c"]
 
 
 class TestMerge:

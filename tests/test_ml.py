@@ -1,4 +1,5 @@
 import copy
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from convoforge import (
     train_classifier,
     vectorize,
 )
+from convoforge import ml
 from convoforge.errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
@@ -25,6 +27,8 @@ from convoforge.errors import (
     UnsupportedVersionError,
 )
 from convoforge.ml import logistic_gradient, logistic_loss
+from convoforge.model import speaker_history
+from helpers import random_corpus
 
 
 def tokenized(texts):
@@ -287,3 +291,28 @@ class TestClassifierTransformer:
         corpus = build_corpus([Utterance("u", "s", "c", "hello")])
         with pytest.raises(EmptySelectionError):
             Classifier(label_key="missing").fit(corpus)
+
+
+class TestSpeakerDocuments:
+    def speaker_predictions(self, corpus):
+        Classifier("label", level="speaker", epochs=20).fit_transform(corpus)
+        return [(s.meta["prediction"], s.meta["prediction_score"])
+                for s in corpus.speakers.values()]
+
+    def test_matches_per_speaker_history(self, monkeypatch):
+        rng = random.Random(11)
+        compared = 0
+        for _ in range(40):
+            corpus = random_corpus(rng, max_utterances=40)
+            if len(corpus.speakers) < 2:
+                continue
+            for i, spk in enumerate(corpus.speakers.values()):
+                spk.meta["label"] = i % 2 == 0
+            expected = copy.deepcopy(corpus)
+            with monkeypatch.context() as patched:
+                patched.setattr(ml, "_speaker_histories", lambda c: {
+                    sid: speaker_history(c, sid) for sid in c.speakers})
+                expected_predictions = self.speaker_predictions(expected)
+            assert self.speaker_predictions(corpus) == expected_predictions
+            compared += 1
+        assert compared > 20

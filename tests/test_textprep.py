@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -11,7 +12,8 @@ from convoforge import (
     merge_consecutive,
     tokenize,
 )
-from helpers import random_corpus
+from helpers import corpus_equal_strict, random_corpus
+from reference import ref_merge_consecutive
 
 
 class TestCleanText:
@@ -180,3 +182,100 @@ class TestMergeConsecutive:
 
     def test_transformer_is_structural(self):
         assert MergeConsecutive.structural is True
+
+
+def chain_corpus(rng: random.Random, max_utterances: int = 60):
+    """Mostly chains, two or three speakers, and meta drawn from a few shared
+    keys and values, so that folds are long and meta conflicts are common."""
+    speakers = [f"s{i}" for i in range(rng.randint(2, 3))]
+    utterances = []
+    total = rng.randint(1, max_utterances)
+    index = 0
+    while total > 0:
+        size = rng.randint(1, min(20, total))
+        total -= size
+        cid = f"c{index}"
+        index += 1
+        convo = []
+        for j in range(size):
+            parent = None
+            if j:
+                parent = convo[-1] if rng.random() < 0.8 else rng.choice(convo)
+            speaker = rng.choice(speakers)
+            if parent is not None and rng.random() < 0.7:
+                speaker = parent.speaker_id
+            meta = {rng.choice("abcd"): rng.choice([0, 1, "x"]) for _ in range(rng.randint(0, 3))}
+            convo.append(Utterance(
+                id=f"{cid}_u{j}", speaker_id=speaker, conversation_id=cid,
+                text=f"t{j}", reply_to=parent.id if parent else None,
+                timestamp=rng.randint(0, 50) if rng.random() < 0.7 else None, meta=meta))
+        utterances.extend(convo)
+    return build_corpus(utterances)
+
+
+class TestMergeMatchesReference:
+    def fold_both(self, corpus, caplog):
+        expected = copy.deepcopy(corpus)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            ref_merge_consecutive(expected)
+        expected_messages = sorted(caplog.messages)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            merge_consecutive(corpus)
+        return expected, expected_messages, sorted(caplog.messages)
+
+    def assert_same(self, corpus, caplog):
+        expected, expected_messages, messages = self.fold_both(corpus, caplog)
+        assert corpus_equal_strict(corpus, expected)
+        assert list(corpus.utterances) == list(expected.utterances)
+        for cid, convo in corpus.conversations.items():
+            assert convo.utterance_ids == expected.conversations[cid].utterance_ids
+        for uid, utt in corpus.utterances.items():
+            assert list(utt.meta) == list(expected.utterances[uid].meta)
+        assert messages == expected_messages
+        return messages
+
+    def test_random_corpora(self, caplog):
+        rng = random.Random(303)
+        for _ in range(200):
+            self.assert_same(random_corpus(rng, max_utterances=40), caplog)
+
+    def test_chain_heavy_corpora_with_meta_conflicts(self, caplog):
+        rng = random.Random(304)
+        folds = warned = 0
+        for _ in range(200):
+            corpus = chain_corpus(rng)
+            before = len(corpus.utterances)
+            warned += len(self.assert_same(corpus, caplog))
+            folds += before - len(corpus.utterances)
+        assert folds > 1000 and warned > 100
+
+    def test_long_single_speaker_chain_folds_to_one(self):
+        n = 20_000
+        corpus = build_corpus(
+            utt(f"u{i}", "A", reply=f"u{i - 1}" if i else None, ts=n - i, text=str(i))
+            for i in range(n)
+        )
+        merge_consecutive(corpus)
+        assert list(corpus.utterances) == ["u0"]
+        assert corpus.conversations["c0"].utterance_ids == ["u0"]
+        merged = corpus.utterances["u0"]
+        assert merged.text == "\n".join(str(i) for i in range(n))
+        assert merged.timestamp == 1
+
+    def test_chain_below_branch_point(self, caplog):
+        corpus = build_corpus([
+            utt("r", "A", text="root", ts=1),
+            utt("a1", "A", reply="r", text="a1", ts=2, meta={"k": 1}),
+            utt("a2", "A", reply="a1", text="a2", ts=3, meta={"k": 2, "j": 3}),
+            utt("a3", "A", reply="a2", text="a3", ts=4),
+            utt("b", "B", reply="a3", text="b", ts=5),
+            utt("c", "A", reply="r", text="c", ts=6),
+        ])
+        messages = self.assert_same(corpus, caplog)
+        assert list(corpus.utterances) == ["r", "a1", "b", "c"]
+        assert corpus.utterances["a1"].text == "a1\na2\na3"
+        assert corpus.utterances["a1"].meta == {"k": 1, "j": 3}
+        assert corpus.utterances["b"].reply_to == "a1"
+        assert len(messages) == 1 and "'a2'" in messages[0]
