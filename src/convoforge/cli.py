@@ -32,7 +32,7 @@ from .errors import (
 from .fightingwords import fit_fw, summarize_fw
 from .filters import build_meta_predicate
 from .hyperconvo import HyperConvo
-from .model import check_integrity, traverse
+from .model import traverse
 from .politeness import PolitenessStrategies
 from .registry import create_transformer
 from .textprep import Tokenizer
@@ -73,15 +73,11 @@ def _emit_table(table, export_path=None, delimiter="\t") -> None:
 def cmd_validate(args) -> int:
     if not args.corpus:
         raise MissingFileError("no corpus directory given; use --corpus DIR")
+    # load() runs check_integrity and raises with every violation it finds.
     try:
-        corpus = corpus_io.load(args.corpus)
+        corpus_io.load(args.corpus)
     except IntegrityViolationError as exc:
         for violation in exc.violations:
-            print(violation)
-        return 1
-    report = check_integrity(corpus)
-    if not report.ok:
-        for violation in report.violations:
             print(violation)
         return 1
     if not args.quiet:
@@ -95,11 +91,10 @@ def cmd_stats(args) -> int:
     sizes = []
     for convo in corpus.conversations.values():
         sizes.append(len(convo.utterance_ids))
-        by_id = {u.id: u for u in corpus.utterances_in(convo.id)}
         depth = {}
         longest = 0
         for utt in traverse(corpus, convo.id, "bfs"):
-            depth[utt.id] = 1 if utt.reply_to is None else depth[by_id[utt.reply_to].id] + 1
+            depth[utt.id] = 1 if utt.reply_to is None else depth[utt.reply_to] + 1
             longest = max(longest, depth[utt.id])
         depths.append(longest)
     n = len(sizes)

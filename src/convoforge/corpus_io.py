@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 import os
 import shutil
 import uuid
@@ -45,6 +46,21 @@ UTTERANCES_FILE = "utterances.jsonl"
 SPEAKERS_FILE = "speakers.json"
 CONVERSATIONS_FILE = "conversations.json"
 CORPUS_FILES = (MANIFEST_FILE, UTTERANCES_FILE, SPEAKERS_FILE, CONVERSATIONS_FILE)
+
+
+def _finite_float(literal: str) -> float:
+    # Called for NaN, Infinity and -Infinity, and for every float literal,
+    # since one such as 1e999 overflows to infinity.
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {literal}")
+    return value
+
+
+# Shared by every corpus file. Standard JSON has no NaN or Infinity and
+# save() refuses to write them, so load() refuses to read them.
+_DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
+
 
 # Canonical field names understood by the tabular importer/exporter.
 TABULAR_FIELDS = ("id", "speaker_id", "conversation_id", "reply_to", "timestamp", "text")
@@ -224,9 +240,11 @@ def _require_file(directory: Path, name: str) -> Path:
 def _read_json_object(directory: Path, name: str) -> dict:
     path = _require_file(directory, name)
     try:
-        value = json.loads(path.read_text(encoding="utf-8"))
+        value = _DECODER.decode(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(f"{name}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:
+        raise MalformedRecordError(f"{name}: {exc}") from exc
     if not isinstance(value, dict):
         raise MalformedRecordError(f"{name}: top-level value is not an object")
     return value
@@ -242,10 +260,14 @@ def _meta_by_id(directory: Path, name: str) -> Iterator[tuple[str, dict]]:
 
 def _parse_utterance_line(line: str, line_number: int) -> Utterance:
     try:
-        record = json.loads(line)
+        record = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(
             f"line {line_number}: invalid JSON ({exc.msg})", line_number=line_number
+        ) from exc
+    except ValueError as exc:
+        raise MalformedRecordError(
+            f"{UTTERANCES_FILE} line {line_number}: {exc}", line_number=line_number
         ) from exc
     if not isinstance(record, dict):
         raise MalformedRecordError(f"line {line_number}: record is not an object",

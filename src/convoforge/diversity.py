@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .errors import MissingAnnotationError
 from .model import Corpus
+from .textprep import stored_tokens
 from .transform import SummaryTable, Transformer
 
 ANNOTATION_KEY = "convo_diversity"
@@ -47,13 +47,8 @@ def _token_counts_by_speaker(
     for utt in corpus.utterances.values():
         if speaker_id is not None and utt.speaker_id != speaker_id:
             continue
-        stored = utt.meta.get("tokens")
-        if stored is None:
-            raise MissingAnnotationError(
-                f"utterance {utt.id!r} has no 'tokens' annotation; run a tokenizer first"
-            )
         counts = grouped.setdefault(utt.speaker_id, {}).setdefault(utt.conversation_id, {})
-        for sentence in stored:
+        for sentence in stored_tokens(utt):
             for tok in sentence:
                 tok = tok.lower()
                 counts[tok] = counts.get(tok, 0) + 1
@@ -104,23 +99,19 @@ class SpeakerDiversity(Transformer):
     """Transformer wrapper around compute_diversity()."""
 
     name = "speaker_diversity"
+    level = "speaker"
+    annotation_key = ANNOTATION_KEY
 
     def __init__(self, min_tokens_per_convo: int = 1):
-        super().__init__(min_tokens_per_convo=min_tokens_per_convo)
+        super().__init__()
         self.min_tokens_per_convo = min_tokens_per_convo
 
     def _transform(self, corpus: Corpus) -> None:
         compute_diversity(corpus, self.min_tokens_per_convo)
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
-        rows = []
-        for speaker in corpus.speakers.values():
-            score = speaker.meta.get(ANNOTATION_KEY)
-            if score is None:
-                raise MissingAnnotationError(
-                    f"speaker {speaker.id!r} lacks {ANNOTATION_KEY!r}; run transform first"
-                )
-            rows.append((speaker.id, score["value"], score["n_conversations"]))
+        rows = [(speaker.id, score["value"], score["n_conversations"])
+                for speaker, score in self._annotations(corpus)]
         # Highest diversity first; unscored speakers last, ties by id.
         rows.sort(key=lambda r: (r[1] is None, -(r[1] or 0.0), r[0]))
         table = SummaryTable(columns=["diversity", "n_conversations"], label_header="speaker")

@@ -144,10 +144,7 @@ def fit_fw(
     n2 = float(y2.sum())
 
     if background is not None:
-        bg_counts: dict[str, int] = {}
-        for utt in background.utterances.values():
-            for gram in _ngrams(_word_tokens(utt), ngram_max):
-                bg_counts[gram] = bg_counts.get(gram, 0) + 1
+        bg_counts = _count_class(list(background.utterances.values()), ngram_max)
         # Add-one smoothing keeps every prior strictly positive.
         raw = np.array([bg_counts.get(t, 0) + 1 for t in vocab], dtype=float)
         total = alpha_total if alpha_total is not None else alpha * len(vocab)
@@ -173,17 +170,13 @@ def summarize_fw(model: Optional[FwModel], top_k: int = 10) -> SummaryTable:
     """Top class-1 terms (descending z) then top class-2 terms (ascending z)."""
     if model is None:
         raise NotFittedError("fighting words model is not fitted")
-    by_class1 = sorted(range(len(model.vocab)),
-                       key=lambda i: (-model.zscores[i], model.vocab[i]))
-    by_class2 = sorted(range(len(model.vocab)),
-                       key=lambda i: (model.zscores[i], model.vocab[i]))
+    ranking = model.ranking()
+    # Re-sorted rather than reversed, so that ties stay in term order.
+    by_class2 = sorted(ranking, key=lambda row: (row[3], row[0]))
     table = SummaryTable(columns=["class", "y1", "y2", "zscore"], label_header="term")
-    for i in by_class1[:top_k]:
-        table.add_row(model.vocab[i],
-                      ["class1", int(model.y1[i]), int(model.y2[i]), float(model.zscores[i])])
-    for i in by_class2[:top_k]:
-        table.add_row(model.vocab[i],
-                      ["class2", int(model.y1[i]), int(model.y2[i]), float(model.zscores[i])])
+    for label, rows in (("class1", ranking), ("class2", by_class2)):
+        for term, y1, y2, z in rows[:top_k]:
+            table.add_row(term, [label, y1, y2, z])
     return table
 
 
@@ -201,7 +194,7 @@ class FightingWords(Transformer):
 
     def __init__(self, class1, class2, ngram_max: int = 1, min_count: int = 1,
                  alpha: float = 0.01, top_k: int = 10):
-        super().__init__(ngram_max=ngram_max, min_count=min_count, alpha=alpha, top_k=top_k)
+        super().__init__()
         self._class1 = class1
         self._class2 = class2
         self.ngram_max = ngram_max

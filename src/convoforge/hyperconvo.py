@@ -129,6 +129,8 @@ class HyperConvo(Transformer):
     """Annotates each conversation with its response-structure features."""
 
     name = "hyperconvo"
+    level = "conversation"
+    annotation_key = ANNOTATION_KEY
 
     def _transform(self, corpus: Corpus) -> None:
         for convo in corpus.conversations.values():
@@ -137,14 +139,7 @@ class HyperConvo(Transformer):
                            f"conversation {convo.id}")
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
-        from .errors import MissingAnnotationError
-
-        table = SummaryTable(columns=list(FEATURE_NAMES), label_header="conversation")
-        for convo in corpus.conversations.values():
-            features = convo.meta.get(ANNOTATION_KEY)
-            if features is None:
-                raise MissingAnnotationError(
-                    f"conversation {convo.id!r} lacks {ANNOTATION_KEY!r}; run transform first"
-                )
+        table = SummaryTable(columns=list(FEATURE_NAMES), label_header=self.level)
+        for convo, features in self._annotations(corpus):
             table.add_row(convo.id, [features[name] for name in FEATURE_NAMES])
         return table

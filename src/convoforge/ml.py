@@ -25,13 +25,11 @@ from .errors import (
     MissingLabelError,
     UnsupportedVersionError,
 )
-from .model import Corpus, _speaker_histories, traverse
+from .model import LEVELS, Corpus, Utterance, _level_objects, _speaker_histories, traverse
 from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer
 
 MODEL_FORMAT_VERSION = "1.0"
-
-LEVELS = ("utterance", "conversation", "speaker")
 
 
 @dataclass
@@ -72,16 +70,6 @@ def _documents(corpus: Corpus, level: str, objects: list) -> Iterator[list[str]]
     else:
         raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
     return (_words(utterances) for utterances in groups)
-
-
-def _level_objects(corpus: Corpus, level: str) -> list:
-    if level == "utterance":
-        return list(corpus.utterances.values())
-    if level == "conversation":
-        return list(corpus.conversations.values())
-    if level == "speaker":
-        return list(corpus.speakers.values())
-    raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
 
 
 def fit_vocabulary(
@@ -277,13 +265,12 @@ class Classifier(Transformer):
 
     name = "classifier"
     requires_fit = True
+    annotation_key = "prediction"
 
     def __init__(self, label_key: str, level: str = "utterance", min_df: int = 1,
                  max_terms: Optional[int] = None, l2: float = 0.01,
                  epochs: int = 200, learning_rate: float = 0.5):
-        super().__init__(label_key=label_key, level=level, min_df=min_df,
-                         max_terms=max_terms, l2=l2, epochs=epochs,
-                         learning_rate=learning_rate)
+        super().__init__()
         self.label_key = label_key
         self.level = level
         self.min_df = min_df
@@ -315,21 +302,15 @@ class Classifier(Transformer):
         for obj, doc in zip(objects, _documents(corpus, self.level, objects)):
             counts = vectorize(self.vocab, doc)
             labels, scores = predict(self.model, [counts])
-            self._annotate(obj.meta, "prediction", bool(labels[0]),
+            self._annotate(obj.meta, self.annotation_key, bool(labels[0]),
                            f"{self.level} {obj.id}")
             obj.meta["prediction_score"] = float(scores[0])
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
-        from .errors import MissingAnnotationError
-
         table = SummaryTable(columns=["prediction", "prediction_score"],
                              label_header=self.level)
-        for obj in _level_objects(corpus, self.level):
-            if "prediction" not in obj.meta:
-                raise MissingAnnotationError(
-                    f"{self.level} {obj.id!r} lacks predictions; run transform first"
-                )
-            table.add_row(obj.id, [obj.meta["prediction"], obj.meta["prediction_score"]])
+        for obj, prediction in self._annotations(corpus):
+            table.add_row(obj.id, [prediction, obj.meta["prediction_score"]])
         return table
 
 
@@ -344,11 +325,12 @@ class Forecaster(Transformer):
 
     name = "forecaster"
     requires_fit = True
+    level = "conversation"
+    annotation_key = "forecast_final"
 
     def __init__(self, label_key: str, min_df: int = 1, max_terms: Optional[int] = None,
                  l2: float = 0.01, epochs: int = 200, learning_rate: float = 0.5):
-        super().__init__(label_key=label_key, min_df=min_df, max_terms=max_terms,
-                         l2=l2, epochs=epochs, learning_rate=learning_rate)
+        super().__init__()
         self.label_key = label_key
         self.min_df = min_df
         self.max_terms = max_terms
@@ -358,14 +340,17 @@ class Forecaster(Transformer):
         self.vocab: Optional[Vocabulary] = None
         self.model: Optional[LinearModel] = None
 
-    def _prefix_vectors(self, corpus: Corpus, conversation_id: str) -> list[dict[int, float]]:
-        vectors = []
+    def _prefix_vectors(self, corpus: Corpus,
+                        conversation_id: str) -> list[tuple[Utterance, dict[int, float]]]:
+        """Each utterance in traversal order with the bag-of-words of the
+        prefix that ends at it."""
+        pairs = []
         running: dict[int, float] = {}
         for utt in traverse(corpus, conversation_id, "bfs"):
             for i, value in vectorize(self.vocab, _words([utt])).items():
                 running[i] = running.get(i, 0.0) + value
-            vectors.append(dict(running))
-        return vectors
+            pairs.append((utt, dict(running)))
+        return pairs
 
     def _fit(self, corpus: Corpus) -> None:
         labels: dict[str, float] = {}
@@ -380,7 +365,7 @@ class Forecaster(Transformer):
         X: list[dict[int, float]] = []
         y: list[float] = []
         for convo_id, label in labels.items():
-            for vector in self._prefix_vectors(corpus, convo_id):
+            for _, vector in self._prefix_vectors(corpus, convo_id):
                 X.append(vector)
                 y.append(label)
         self.model = train_classifier(X, y, n_features=self.vocab.size, l2=self.l2,
@@ -388,23 +373,15 @@ class Forecaster(Transformer):
 
     def _transform(self, corpus: Corpus) -> None:
         for convo in corpus.conversations.values():
-            utts = traverse(corpus, convo.id, "bfs")
-            vectors = self._prefix_vectors(corpus, convo.id)
             last_score = None
-            for utt, vector in zip(utts, vectors):
+            for utt, vector in self._prefix_vectors(corpus, convo.id):
                 _, scores = predict(self.model, [vector])
                 last_score = float(scores[0])
                 self._annotate(utt.meta, "forecast", last_score, f"utterance {utt.id}")
-            convo.meta["forecast_final"] = last_score
+            convo.meta[self.annotation_key] = last_score
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
-        from .errors import MissingAnnotationError
-
-        table = SummaryTable(columns=["forecast_final"], label_header="conversation")
-        for convo in corpus.conversations.values():
-            if "forecast_final" not in convo.meta:
-                raise MissingAnnotationError(
-                    f"conversation {convo.id!r} lacks forecasts; run transform first"
-                )
-            table.add_row(convo.id, [convo.meta["forecast_final"]])
+        table = SummaryTable(columns=[self.annotation_key], label_header=self.level)
+        for convo, forecast in self._annotations(corpus):
+            table.add_row(convo.id, [forecast])
         return table

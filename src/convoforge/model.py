@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import (
+    ConvoForgeError,
     CrossConversationReplyError,
     CycleDetectedError,
     DanglingReplyError,
     DuplicateIdError,
+    IntegrityViolationError,
     MultipleRootsError,
     NoRootError,
     UnknownConversationError,
@@ -28,6 +30,8 @@ from .errors import (
 )
 
 TRAVERSAL_ORDERS = ("bfs", "dfs_preorder", "dfs_postorder")
+
+LEVELS = ("utterance", "conversation", "speaker")
 
 
 @dataclass
@@ -113,11 +117,10 @@ def build_corpus(
 
     Speakers not in ``speakers`` are auto-created with empty metadata unless
     ``strict_speakers`` is set, in which case an unregistered speaker_id is an
-    error. Raises on any structural defect: duplicate ids, dangling or
-    cross-conversation replies, cycles, and conversations without exactly one
-    root.
+    error. Raises on any structural defect: duplicate or empty ids, then the
+    first violation check_integrity reports (dangling or cross-conversation
+    replies, cycles, conversations without exactly one root).
     """
-    utterances = list(utterances)
     corpus = Corpus(meta=dict(corpus_meta) if corpus_meta else {})
 
     for spk in speakers or []:
@@ -125,6 +128,7 @@ def build_corpus(
             raise DuplicateIdError(f"duplicate speaker id: {spk.id!r}")
         corpus.speakers[spk.id] = spk
 
+    # A dict cannot hold a duplicate, so id checks happen during assembly.
     for utt in utterances:
         if not utt.id:
             raise DuplicateIdError("utterance with empty id")
@@ -143,37 +147,40 @@ def build_corpus(
             corpus.conversations[utt.conversation_id] = convo
         convo.utterance_ids.append(utt.id)
 
-    for utt in utterances:
-        if utt.reply_to is None:
-            continue
-        parent = corpus.utterances.get(utt.reply_to)
-        if parent is None:
-            raise DanglingReplyError(f"{utt.id!r} replies to unknown utterance {utt.reply_to!r}")
-        if parent.conversation_id != utt.conversation_id:
-            raise CrossConversationReplyError(
-                f"{utt.id!r} (conversation {utt.conversation_id!r}) replies to "
-                f"{utt.reply_to!r} (conversation {parent.conversation_id!r})"
-            )
-
-    for convo in corpus.conversations.values():
-        members = [corpus.utterances[uid] for uid in convo.utterance_ids]
-        roots = [u for u in members if u.reply_to is None]
-        if not roots:
-            raise NoRootError(f"conversation {convo.id!r} has no root utterance")
-        if len(roots) > 1:
-            raise MultipleRootsError(
-                f"conversation {convo.id!r} has multiple roots: "
-                + ", ".join(sorted(u.id for u in roots))
-            )
-        reached = _reachable_from(corpus, roots[0].id, convo.utterance_ids)
-        if len(reached) != len(members):
-            stranded = sorted(set(convo.utterance_ids) - reached)
-            raise CycleDetectedError(
-                f"conversation {convo.id!r} has utterances unreachable from the root "
-                f"(cycle): {', '.join(stranded)}"
-            )
-
+    report = check_integrity(corpus)
+    if not report.ok:
+        raise _structure_error(corpus, report)
     return corpus
+
+
+def _structure_error(corpus: Corpus, report: IntegrityReport) -> ConvoForgeError:
+    """The exception build_corpus raises for the first violation of ``report``."""
+    first = report.violations[0]
+    code, ids = first.code, first.ids
+    if code == "DanglingReply":
+        return DanglingReplyError(f"{ids[0]!r} replies to unknown utterance {ids[1]!r}")
+    if code == "CrossConversationReply":
+        child, parent = corpus.utterances[ids[0]], corpus.utterances[ids[1]]
+        return CrossConversationReplyError(
+            f"{child.id!r} (conversation {child.conversation_id!r}) replies to "
+            f"{parent.id!r} (conversation {parent.conversation_id!r})"
+        )
+    if code == "NoRoot":
+        return NoRootError(f"conversation {ids[0]!r} has no root utterance")
+    if code == "MultipleRoots":
+        return MultipleRootsError(
+            f"conversation {ids[0]!r} has multiple roots: " + ", ".join(ids[1:])
+        )
+    if code == "CycleDetected":
+        return CycleDetectedError(
+            f"conversation {ids[0]!r} has utterances unreachable from the root "
+            f"(cycle): {', '.join(ids[1:])}"
+        )
+    return IntegrityViolationError(
+        f"corpus fails integrity checks ({len(report.violations)} violations); "
+        f"first: {first.code} {first.ids}",
+        violations=report.violations,
+    )
 
 
 def _children_map(corpus: Corpus, utterance_ids: Iterable[str]) -> dict[str, list[Utterance]]:
@@ -185,6 +192,15 @@ def _children_map(corpus: Corpus, utterance_ids: Iterable[str]) -> dict[str, lis
     for kids in children.values():
         kids.sort(key=_sibling_key)
     return children
+
+
+def _root_of(corpus: Corpus, convo: Conversation) -> Utterance:
+    """The conversation's one root; NoRootError when it has none or several."""
+    roots = [corpus.utterances[uid] for uid in convo.utterance_ids
+             if corpus.utterances[uid].reply_to is None]
+    if len(roots) != 1:
+        raise NoRootError(f"conversation {convo.id!r} does not have exactly one root")
+    return roots[0]
 
 
 def _reachable_from(corpus: Corpus, root_id: str, utterance_ids: Iterable[str]) -> set[str]:
@@ -213,11 +229,7 @@ def traverse(corpus: Corpus, conversation_id: str, order: str = "bfs") -> list[U
     if convo is None:
         raise UnknownConversationError(f"unknown conversation: {conversation_id!r}")
 
-    members = [corpus.utterances[uid] for uid in convo.utterance_ids]
-    roots = [u for u in members if u.reply_to is None]
-    if len(roots) != 1:
-        raise NoRootError(f"conversation {conversation_id!r} does not have exactly one root")
-    root = roots[0]
+    root = _root_of(corpus, convo)
     children = _children_map(corpus, convo.utterance_ids)
 
     if order == "bfs":
@@ -265,6 +277,17 @@ def _speaker_histories(corpus: Corpus) -> dict[str, list[Utterance]]:
     for owned in histories.values():
         owned.sort(key=_sibling_key)
     return histories
+
+
+def _level_objects(corpus: Corpus, level: str) -> list:
+    """Every utterance, conversation or speaker of the corpus, in insertion order."""
+    if level == "utterance":
+        return list(corpus.utterances.values())
+    if level == "conversation":
+        return list(corpus.conversations.values())
+    if level == "speaker":
+        return list(corpus.speakers.values())
+    raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
 
 
 def check_integrity(corpus: Corpus) -> IntegrityReport:

@@ -19,9 +19,10 @@ from functools import lru_cache
 from importlib import resources
 from typing import Callable, Optional
 
-from .errors import EmptySelectionError, MissingAnnotationError
+from .errors import EmptySelectionError
 from .model import Corpus, Utterance
-from .transform import SummaryTable, Transformer
+from .textprep import stored_tokens
+from .transform import SummaryTable, Transformer, _require_annotations
 
 ANNOTATION_KEY = "politeness_strategies"
 
@@ -132,12 +133,7 @@ def extract_strategies(utterance: Utterance) -> dict[str, int]:
 
     Requires the "tokens" annotation; counts are occurrences, not presence.
     """
-    stored = utterance.meta.get("tokens")
-    if stored is None:
-        raise MissingAnnotationError(
-            f"utterance {utterance.id!r} has no 'tokens' annotation; run a tokenizer first"
-        )
-    sentences = [[tok.lower() for tok in sentence] for sentence in stored]
+    sentences = [[tok.lower() for tok in sentence] for sentence in stored_tokens(utterance)]
     return _count_markers(sentences, inventory(), _marker_index())
 
 
@@ -150,15 +146,11 @@ def summarize_politeness(
     ]
     if not selected:
         raise EmptySelectionError("no utterances selected")
-    for utt in selected:
-        if ANNOTATION_KEY not in utt.meta:
-            raise MissingAnnotationError(
-                f"utterance {utt.id!r} lacks {ANNOTATION_KEY!r}; run transform first"
-            )
+    vectors = [v for _, v in _require_annotations(selected, "utterance", ANNOTATION_KEY)]
     table = SummaryTable(columns=["mean"], label_header="strategy")
     n = len(selected)
     for name in strategy_names():
-        total = sum(u.meta[ANNOTATION_KEY][name] for u in selected)
+        total = sum(vector[name] for vector in vectors)
         table.add_row(name, [total / n])
     return table
 

@@ -1,13 +1,13 @@
 """Name -> transformer registry backing pipeline configs and the CLI.
 
-Each entry declares its required and optional constructor parameters so a
-config file can be validated before any corpus is touched.
+A config's parameters for a stage are the keyword arguments of its
+transformer's constructor, so a config file can be validated against the
+constructor signature before any corpus is touched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import inspect
 
 from .diversity import SpeakerDiversity
 from .fightingwords import FightingWords
@@ -17,56 +17,34 @@ from .politeness import PolitenessStrategies
 from .textprep import MergeConsecutive, TextCleaner, Tokenizer
 from .transform import SpeakerMixAnnotator, Transformer
 
-
-@dataclass(frozen=True)
-class TransformerSpec:
-    factory: Callable[..., Transformer]
-    required: frozenset[str] = frozenset()
-    optional: frozenset[str] = frozenset()
-
-
-REGISTRY: dict[str, TransformerSpec] = {
-    "text_cleaner": TransformerSpec(TextCleaner, optional=frozenset({"overwrite_text"})),
-    "tokenizer": TransformerSpec(Tokenizer),
-    "merge_consecutive": TransformerSpec(MergeConsecutive),
-    "politeness": TransformerSpec(PolitenessStrategies),
-    "hyperconvo": TransformerSpec(HyperConvo),
-    "speaker_diversity": TransformerSpec(
-        SpeakerDiversity, optional=frozenset({"min_tokens_per_convo"})
-    ),
-    "speaker_mix": TransformerSpec(
+REGISTRY: dict[str, type[Transformer]] = {
+    cls.name: cls
+    for cls in (
+        TextCleaner,
+        Tokenizer,
+        MergeConsecutive,
+        PolitenessStrategies,
+        HyperConvo,
+        SpeakerDiversity,
         SpeakerMixAnnotator,
-        required=frozenset({"speaker_key"}),
-        optional=frozenset({"output_key"}),
-    ),
-    "fighting_words": TransformerSpec(
         FightingWords,
-        required=frozenset({"class1", "class2"}),
-        optional=frozenset({"ngram_max", "min_count", "alpha", "top_k"}),
-    ),
-    "classifier": TransformerSpec(
         Classifier,
-        required=frozenset({"label_key"}),
-        optional=frozenset({"level", "min_df", "max_terms", "l2", "epochs",
-                            "learning_rate"}),
-    ),
-    "forecaster": TransformerSpec(
         Forecaster,
-        required=frozenset({"label_key"}),
-        optional=frozenset({"min_df", "max_terms", "l2", "epochs", "learning_rate"}),
-    ),
+    )
 }
 
 
 def create_transformer(name: str, params: dict) -> Transformer:
     """Instantiate a registered transformer, validating parameter names."""
-    spec = REGISTRY.get(name)
-    if spec is None:
+    cls = REGISTRY.get(name)
+    if cls is None:
         raise ValueError(f"unknown transformer {name!r}; known: {sorted(REGISTRY)}")
-    missing = spec.required - set(params)
+    accepted = inspect.signature(cls).parameters
+    required = {p for p, spec in accepted.items() if spec.default is inspect.Parameter.empty}
+    missing = required - set(params)
     if missing:
         raise ValueError(f"{name}: missing required parameters {sorted(missing)}")
-    unknown = set(params) - spec.required - spec.optional
+    unknown = set(params) - set(accepted)
     if unknown:
         raise ValueError(f"{name}: unknown parameters {sorted(unknown)}")
-    return spec.factory(**params)
+    return cls(**params)

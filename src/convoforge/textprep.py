@@ -21,8 +21,8 @@ import unicodedata
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import NoRootError
-from .model import Corpus, Utterance, _children_map
+from .errors import MissingAnnotationError
+from .model import Corpus, Utterance, _children_map, _root_of
 from .transform import SummaryTable, Transformer
 
 logger = logging.getLogger(__name__)
@@ -140,6 +140,16 @@ def tokenize(text: str) -> TokenAnnotation:
     return TokenAnnotation(sentences=sentences)
 
 
+def stored_tokens(utt: Utterance) -> list[list[str]]:
+    """Token sentences from the "tokens" annotation, which must be present."""
+    stored = utt.meta.get("tokens")
+    if stored is None:
+        raise MissingAnnotationError(
+            f"utterance {utt.id!r} has no 'tokens' annotation; run a tokenizer first"
+        )
+    return stored
+
+
 def utterance_tokens(utt: Utterance) -> list[list[str]]:
     """Token sentences for an utterance: stored annotation if present,
     otherwise tokenized on the fly from clean_text meta or raw text."""
@@ -159,7 +169,7 @@ class TextCleaner(Transformer):
     name = "text_cleaner"
 
     def __init__(self, overwrite_text: bool = False):
-        super().__init__(overwrite_text=overwrite_text)
+        super().__init__()
         self.overwrite_text = overwrite_text
 
     def _transform(self, corpus: Corpus) -> None:
@@ -194,15 +204,12 @@ def merge_consecutive(corpus: Corpus) -> Corpus:
     kept. Branch points never merge. Structural: utterances are removed.
     """
     for convo in corpus.conversations.values():
-        roots = [corpus.utterances[uid] for uid in convo.utterance_ids
-                 if corpus.utterances[uid].reply_to is None]
-        if len(roots) != 1:
-            raise NoRootError(f"conversation {convo.id!r} does not have exactly one root")
+        root = _root_of(corpus, convo)
         children = _children_map(corpus, convo.utterance_ids)
         folded: set[str] = set()
         # Each node absorbs its whole same-speaker chain before the walk goes
         # below it, so a chain always folds top-down into its top utterance.
-        queue = deque(roots)
+        queue = deque([root])
         while queue:
             parent = queue.popleft()
             kids = children.get(parent.id, [])

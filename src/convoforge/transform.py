@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .errors import MissingAnnotationError, NotFittedError, PipelineStageError
-from .model import Corpus
+from .model import Corpus, _level_objects
 
 logger = logging.getLogger(__name__)
 
@@ -55,19 +55,37 @@ class SummaryTable:
         return self.to_delimited()
 
 
+def _require_annotations(objects: list, level: str, key: str) -> list[tuple]:
+    """(object, annotation under ``key``) for every object, or
+    MissingAnnotationError naming the first ``level`` object without one."""
+    pairs = []
+    for obj in objects:
+        value = obj.meta.get(key)
+        if value is None:
+            raise MissingAnnotationError(
+                f"{level} {obj.id!r} lacks {key!r}; run transform first"
+            )
+        pairs.append((obj, value))
+    return pairs
+
+
 class Transformer:
     """Base class; subclasses override _fit/_transform/summarize as needed.
 
     ``requires_fit`` gates transform() behind a successful fit();
     ``structural`` marks transformers allowed to alter the utterance tree.
+    A summarize() that reads back the annotation under ``annotation_key`` on
+    every ``level`` object gets it from _annotations(). A registered
+    transformer's config parameters are its constructor's parameters.
     """
 
     name = "transformer"
     requires_fit = False
     structural = False
+    level = "utterance"
+    annotation_key = ""
 
-    def __init__(self, **config):
-        self.config = config
+    def __init__(self):
         self.fitted = not self.requires_fit
 
     def fit(self, corpus: Corpus) -> "Transformer":
@@ -94,6 +112,10 @@ class Transformer:
 
     def _transform(self, corpus: Corpus) -> None:
         raise NotImplementedError
+
+    def _annotations(self, corpus: Corpus) -> list[tuple]:
+        return _require_annotations(_level_objects(corpus, self.level), self.level,
+                                    self.annotation_key)
 
     @staticmethod
     def _annotate(meta: dict, key: str, value, owner: str) -> None:
@@ -131,11 +153,12 @@ class SpeakerMixAnnotator(Transformer):
     value of a speaker metadata key (e.g. mixed-gender casts)."""
 
     name = "speaker_mix"
+    level = "conversation"
 
     def __init__(self, speaker_key: str, output_key: str = "mixed"):
-        super().__init__(speaker_key=speaker_key, output_key=output_key)
+        super().__init__()
         self.speaker_key = speaker_key
-        self.output_key = output_key
+        self.annotation_key = output_key
 
     def _transform(self, corpus: Corpus) -> None:
         for convo in corpus.conversations.values():
@@ -145,15 +168,11 @@ class SpeakerMixAnnotator(Transformer):
                 value = corpus.speakers[utt.speaker_id].meta.get(self.speaker_key)
                 if value is not None:
                     values.add(value)
-            self._annotate(convo.meta, self.output_key, len(values) >= 2,
+            self._annotate(convo.meta, self.annotation_key, len(values) >= 2,
                            f"conversation {convo.id}")
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
-        table = SummaryTable(columns=[self.output_key], label_header="conversation")
-        for convo in corpus.conversations.values():
-            if self.output_key not in convo.meta:
-                raise MissingAnnotationError(
-                    f"conversation {convo.id!r} lacks {self.output_key!r}; run transform first"
-                )
-            table.add_row(convo.id, [convo.meta[self.output_key]])
+        table = SummaryTable(columns=[self.annotation_key], label_header=self.level)
+        for convo, mixed in self._annotations(corpus):
+            table.add_row(convo.id, [mixed])
         return table

@@ -6,11 +6,24 @@ exhaustive enumeration of node pairs and triples, and politeness counts
 by trying every marker entry at every token position. Unit and acceptance
 tests compare library output against these. ref_merge_consecutive is the
 original fold-and-restart implementation of merge_consecutive, walking the
-tree with ref_bfs.
+tree with ref_bfs. ref_build_corpus is the original build_corpus, which
+checked the tree rules itself instead of through check_integrity.
 """
 
 import logging
+from collections import deque
 from itertools import combinations, permutations
+
+from convoforge import Conversation, Corpus, Speaker
+from convoforge.errors import (
+    CrossConversationReplyError,
+    CycleDetectedError,
+    DanglingReplyError,
+    DuplicateIdError,
+    MultipleRootsError,
+    NoRootError,
+    UnknownSpeakerError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -177,4 +190,79 @@ def ref_merge_consecutive(corpus):
                     break
             if not merged:
                 break
+    return corpus
+
+
+def _ref_reachable_from(root_id, members):
+    children = _children_of(members)
+    seen = {root_id}
+    queue = deque([root_id])
+    while queue:
+        uid = queue.popleft()
+        for child in children.get(uid, []):
+            if child.id not in seen:
+                seen.add(child.id)
+                queue.append(child.id)
+    return seen
+
+
+def ref_build_corpus(utterances, speakers=None, corpus_meta=None, strict_speakers=False):
+    """build_corpus as it was before it raised check_integrity's first
+    violation: every tree rule checked here, in this order."""
+    utterances = list(utterances)
+    corpus = Corpus(meta=dict(corpus_meta) if corpus_meta else {})
+
+    for spk in speakers or []:
+        if spk.id in corpus.speakers:
+            raise DuplicateIdError(f"duplicate speaker id: {spk.id!r}")
+        corpus.speakers[spk.id] = spk
+
+    for utt in utterances:
+        if not utt.id:
+            raise DuplicateIdError("utterance with empty id")
+        if utt.id in corpus.utterances:
+            raise DuplicateIdError(f"duplicate utterance id: {utt.id!r}")
+        corpus.utterances[utt.id] = utt
+        if utt.speaker_id not in corpus.speakers:
+            if strict_speakers:
+                raise UnknownSpeakerError(
+                    f"utterance {utt.id!r} names unregistered speaker {utt.speaker_id!r}"
+                )
+            corpus.speakers[utt.speaker_id] = Speaker(id=utt.speaker_id)
+        convo = corpus.conversations.get(utt.conversation_id)
+        if convo is None:
+            convo = Conversation(id=utt.conversation_id)
+            corpus.conversations[utt.conversation_id] = convo
+        convo.utterance_ids.append(utt.id)
+
+    for utt in utterances:
+        if utt.reply_to is None:
+            continue
+        parent = corpus.utterances.get(utt.reply_to)
+        if parent is None:
+            raise DanglingReplyError(f"{utt.id!r} replies to unknown utterance {utt.reply_to!r}")
+        if parent.conversation_id != utt.conversation_id:
+            raise CrossConversationReplyError(
+                f"{utt.id!r} (conversation {utt.conversation_id!r}) replies to "
+                f"{utt.reply_to!r} (conversation {parent.conversation_id!r})"
+            )
+
+    for convo in corpus.conversations.values():
+        members = [corpus.utterances[uid] for uid in convo.utterance_ids]
+        roots = [u for u in members if u.reply_to is None]
+        if not roots:
+            raise NoRootError(f"conversation {convo.id!r} has no root utterance")
+        if len(roots) > 1:
+            raise MultipleRootsError(
+                f"conversation {convo.id!r} has multiple roots: "
+                + ", ".join(sorted(u.id for u in roots))
+            )
+        reached = _ref_reachable_from(roots[0].id, members)
+        if len(reached) != len(members):
+            stranded = sorted(set(convo.utterance_ids) - reached)
+            raise CycleDetectedError(
+                f"conversation {convo.id!r} has utterances unreachable from the root "
+                f"(cycle): {', '.join(stranded)}"
+            )
+
     return corpus

@@ -130,14 +130,14 @@ class TestRun:
         assert all("tokens" in u.meta for u in load(chain_dir).utterances.values())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["chain", "pipeline.json"]
 
-    def test_non_finite_meta_exits_1_and_writes_nothing(self, tmp_path, chain_dir, capsys):
+    def test_non_finite_meta_exits_2_and_writes_nothing(self, tmp_path, chain_dir, capsys):
         lines = (chain_dir / "utterances.jsonl").read_text().splitlines()
         lines[1] = lines[1].replace('"meta":{}', '"meta":{"score":NaN}')
         (chain_dir / "utterances.jsonl").write_text("\n".join(lines) + "\n")
         out_dir = tmp_path / "out"
         config = self.make_config(tmp_path, [{"name": "tokenizer"}], chain_dir, out_dir)
-        assert main(["--quiet", "run", str(config)]) == 1
-        assert "utterance 'u1' meta key 'score'" in capsys.readouterr().err
+        assert main(["--quiet", "run", str(config)]) == 2
+        assert "utterances.jsonl line 2: non-finite number NaN" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["chain", "pipeline.json"]
 
     def test_unknown_stage_exits_2_naming_it(self, tmp_path, capsys):

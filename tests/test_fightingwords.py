@@ -151,6 +151,22 @@ class TestSummarize:
         labels = [label for label, _ in table.rows]
         assert labels[:2] == sorted(model.vocab)
 
+    def test_tied_z_rows_stay_in_term_order_in_both_classes(self):
+        corpus = build_corpus([
+            Utterance("u1", "s1", "c1", "d c b a x x", None, 1, {"cls": 1}),
+            Utterance("u2", "s2", "c2", "z y w x", None, 2, {"cls": 2}),
+        ])
+        model = fit_fw(corpus, by_cls(1), by_cls(2))
+        assert summarize_fw(model, top_k=3).to_delimited() == (
+            "term\tclass\ty1\ty2\tzscore\n"
+            "a\tclass1\t1\t0\t0.437382\n"
+            "b\tclass1\t1\t0\t0.437382\n"
+            "c\tclass1\t1\t0\t0.437382\n"
+            "w\tclass2\t0\t1\t-0.527077\n"
+            "y\tclass2\t0\t1\t-0.527077\n"
+            "z\tclass2\t0\t1\t-0.527077"
+        )
+
     def test_ordering_matches_sign_of_golden_z(self):
         model = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2))
         table = summarize_fw(model, top_k=1)

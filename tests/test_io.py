@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import shutil
 
 import pytest
@@ -43,6 +44,30 @@ def small_corpus():
         [Speaker("ann", {"age": 30}), Speaker("bob")],
         corpus_meta={"title": "small"},
     )
+
+
+NON_FINITE_LITERALS = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"]
+
+
+def write_meta_literal(directory, name, literal):
+    """Put a raw JSON number literal into one metadata table of a saved
+    small_corpus(): corpus meta, speaker 'ann', conversation 'c0' or
+    utterance 'u1' (line 2 of utterances.jsonl)."""
+    path = directory / name
+    if name == "utterances.jsonl":
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["meta"]["bad"] = "SENTINEL"
+        lines[1] = json.dumps(record)
+        text = "\n".join(lines) + "\n"
+    else:
+        document = json.loads(path.read_text())
+        meta = {"manifest.json": lambda d: d["corpus_meta"],
+                "speakers.json": lambda d: d["ann"]["meta"],
+                "conversations.json": lambda d: d["c0"]["meta"]}[name](document)
+        meta["bad"] = "SENTINEL"
+        text = json.dumps(document)
+    path.write_text(text.replace('"SENTINEL"', literal))
 
 
 class TestSaveLoad:
@@ -170,6 +195,23 @@ class TestSaveLoad:
         (target / name).write_text(json.dumps(records))
         with pytest.raises(MalformedRecordError, match=name):
             load(target)
+
+    @pytest.mark.parametrize("name", ["utterances.jsonl", "manifest.json", "speakers.json",
+                                      "conversations.json"])
+    @pytest.mark.parametrize("literal", NON_FINITE_LITERALS)
+    def test_non_finite_number_is_refused(self, tmp_path, name, literal):
+        save(small_corpus(), tmp_path / "c")
+        write_meta_literal(tmp_path / "c", name, literal)
+        with pytest.raises(MalformedRecordError, match=f"{name}.*{re.escape(literal)}") as err:
+            load(tmp_path / "c")
+        if name == "utterances.jsonl":
+            assert err.value.line_number == 2
+            assert "line 2" in str(err.value)
+
+    def test_largest_finite_float_loads(self, tmp_path):
+        save(small_corpus(), tmp_path / "c")
+        write_meta_literal(tmp_path / "c", "utterances.jsonl", "-1.7976931348623157e308")
+        assert load(tmp_path / "c").utterances["u1"].meta["bad"] == -1.7976931348623157e308
 
     def test_round_trip_randomized(self, tmp_path):
         rng = random.Random(2024)
@@ -329,6 +371,17 @@ class TestTabular:
         )
         with pytest.raises(MalformedRecordError):
             import_tabular(path, mapping)
+
+    def test_empty_speaker_id_cell_is_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,who,conv,body\nr1,,x,hello\n")
+        mapping = ImportMapping(
+            column_for={"id": "id", "speaker_id": "who",
+                        "conversation_id": "conv", "text": "body"}
+        )
+        with pytest.raises(IntegrityViolationError) as err:
+            import_tabular(path, mapping)
+        assert [v.code for v in err.value.violations] == ["EmptyId"]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from convoforge.errors import (
     UnknownSpeakerError,
 )
 from helpers import random_corpus
-from reference import ref_bfs, ref_dfs
+from reference import ref_bfs, ref_build_corpus, ref_dfs
 
 
 def utt(uid, conv="c0", reply=None, ts=None, speaker="s", text=""):
@@ -85,6 +86,88 @@ class TestBuildCorpus:
         corpus = build_corpus([utt("u0", speaker="s")], [Speaker("s")],
                               strict_speakers=True)
         assert "s" in corpus.speakers
+
+
+def defective_inputs(rng, n_defects):
+    """build_corpus arguments: a random forest of 2-4 conversations with
+    ``n_defects`` structural defects drawn with repetition."""
+    speaker_ids = [f"s{i}" for i in range(rng.randint(1, 4))]
+    utterances = []
+    for c in range(rng.randint(2, 4)):
+        ids = [f"c{c}_u{j}" for j in range(rng.randint(1, 6))]
+        for j, uid in enumerate(ids):
+            utterances.append(utt(uid, conv=f"c{c}", reply=rng.choice(ids[:j]) if j else None,
+                                  ts=rng.choice([None, rng.randint(0, 5)]),
+                                  speaker=rng.choice(speaker_ids)))
+    speakers = [Speaker(sid) for sid in speaker_ids] if rng.random() < 0.5 else None
+    strict = False
+    for k in range(n_defects):
+        defect = rng.choice(["dangling", "cross", "no_root", "multiple_roots", "cycle",
+                             "empty_id", "duplicate_id", "unknown_speaker"])
+        victim = rng.choice(utterances)
+        members = [u for u in utterances if u.conversation_id == victim.conversation_id]
+        if defect == "dangling":
+            victim.reply_to = f"ghost{k}"
+        elif defect == "cross":
+            victim.reply_to = rng.choice(
+                [u for u in utterances if u.conversation_id != victim.conversation_id]).id
+        elif defect == "no_root":
+            for member in members:
+                if member.reply_to is None:
+                    member.reply_to = rng.choice(members).id
+        elif defect == "multiple_roots":
+            utterances.append(utt(f"r{k}", conv=victim.conversation_id, speaker="s0"))
+        elif defect == "cycle":
+            ring = [f"y{k}_{i}" for i in range(rng.randint(1, 3))]
+            utterances.extend(utt(uid, conv=victim.conversation_id, speaker="s0",
+                                  reply=ring[i - 1]) for i, uid in enumerate(ring))
+        elif defect == "empty_id":
+            victim.id = ""
+        elif defect == "duplicate_id":
+            utterances.append(utt(victim.id, conv=rng.choice(["c0", "c1"]), speaker="s0"))
+            if speakers and rng.random() < 0.5:
+                speakers.append(Speaker(rng.choice(speaker_ids)))
+        else:
+            strict = True
+            victim.speaker_id = "stranger"
+    if rng.random() < 0.5:
+        rng.shuffle(utterances)
+    return utterances, speakers, strict
+
+
+def build_outcome(build, utterances, speakers, strict):
+    utterances, speakers = copy.deepcopy((utterances, speakers))
+    try:
+        return build(utterances, speakers, strict_speakers=strict)
+    except Exception as exc:  # compared by type and message below
+        return (type(exc), str(exc))
+
+
+class TestBuildCorpusMatchesReference:
+    """build_corpus raises check_integrity's first violation; the original
+    build_corpus checked each tree rule itself. Outcomes must be identical."""
+
+    def test_single_and_multiple_defects(self):
+        rng = random.Random(404)
+        raised = set()
+        for i in range(2000):
+            args = defective_inputs(rng, 1 if i % 2 == 0 else rng.randint(1, 3))
+            expected = build_outcome(ref_build_corpus, *args)
+            assert build_outcome(build_corpus, *args) == expected, (i, expected)
+            if isinstance(expected, tuple):
+                raised.add(expected[0])
+        assert raised == {DuplicateIdError, DanglingReplyError, CrossConversationReplyError,
+                          NoRootError, MultipleRootsError, CycleDetectedError,
+                          UnknownSpeakerError}
+
+    def test_valid_inputs(self):
+        rng = random.Random(405)
+        for _ in range(200):
+            args = defective_inputs(rng, 0)
+            built = build_outcome(build_corpus, *args)
+            assert built == build_outcome(ref_build_corpus, *args)
+            assert list(built.conversations) == list(
+                build_outcome(ref_build_corpus, *args).conversations)
 
 
 class TestTraverse:

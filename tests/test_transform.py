@@ -3,9 +3,13 @@ import copy
 import pytest
 
 from convoforge import (
+    Classifier,
     FightingWords,
+    Forecaster,
+    HyperConvo,
     Pipeline,
     PolitenessStrategies,
+    SpeakerDiversity,
     SpeakerMixAnnotator,
     SummaryTable,
     TextCleaner,
@@ -20,6 +24,7 @@ from convoforge.errors import (
     NotFittedError,
     PipelineStageError,
 )
+from convoforge.registry import REGISTRY, create_transformer
 
 
 def two_class_corpus():
@@ -86,6 +91,74 @@ class TestTransformerContract:
     def test_summarize_untransformed_raises(self):
         with pytest.raises(MissingAnnotationError):
             PolitenessStrategies().summarize(two_class_corpus())
+
+
+@pytest.mark.parametrize("transformer, owner, key", [
+    (SpeakerMixAnnotator(speaker_key="gender"), "conversation", "mixed"),
+    (HyperConvo(), "conversation", "hyperconvo"),
+    (SpeakerDiversity(), "speaker", "convo_diversity"),
+    (Classifier(label_key="x"), "utterance", "prediction"),
+    (Classifier(label_key="x", level="conversation"), "conversation", "prediction"),
+    (Classifier(label_key="x", level="speaker"), "speaker", "prediction"),
+    (Forecaster(label_key="x"), "conversation", "forecast_final"),
+    (PolitenessStrategies(), "utterance", "politeness_strategies"),
+], ids=lambda value: getattr(value, "name", None))
+def test_summarize_before_transform_names_object_and_key(transformer, owner, key):
+    corpus = load_toy_movie()
+    with pytest.raises(MissingAnnotationError, match=f"^{owner} '.*' lacks '{key}'"):
+        transformer.summarize(corpus)
+
+
+class TestRegistry:
+    # (required, optional) constructor parameters of every registered stage.
+    PARAMETERS = {
+        "text_cleaner": (set(), {"overwrite_text"}),
+        "tokenizer": (set(), set()),
+        "merge_consecutive": (set(), set()),
+        "politeness": (set(), set()),
+        "hyperconvo": (set(), set()),
+        "speaker_diversity": (set(), {"min_tokens_per_convo"}),
+        "speaker_mix": ({"speaker_key"}, {"output_key"}),
+        "fighting_words": ({"class1", "class2"}, {"ngram_max", "min_count", "alpha", "top_k"}),
+        "classifier": ({"label_key"}, {"level", "min_df", "max_terms", "l2", "epochs",
+                                       "learning_rate"}),
+        "forecaster": ({"label_key"}, {"min_df", "max_terms", "l2", "epochs", "learning_rate"}),
+    }
+
+    @staticmethod
+    def full_params(name):
+        required, optional = TestRegistry.PARAMETERS[name]
+        defaults = {"overwrite_text": False, "min_tokens_per_convo": 1, "output_key": "mixed",
+                    "ngram_max": 1, "min_count": 1, "alpha": 0.01, "top_k": 10,
+                    "level": "utterance", "min_df": 1, "max_terms": None, "l2": 0.01,
+                    "epochs": 200, "learning_rate": 0.5}
+        return {**{p: "x=1" for p in required}, **{p: defaults[p] for p in optional}}
+
+    def test_names(self):
+        assert list(REGISTRY) == list(self.PARAMETERS)
+
+    @pytest.mark.parametrize("name", list(PARAMETERS))
+    def test_every_parameter_accepted(self, name):
+        stage = create_transformer(name, self.full_params(name))
+        assert type(stage) is REGISTRY[name] and stage.name == name
+
+    @pytest.mark.parametrize("name", list(PARAMETERS))
+    def test_unknown_parameter_rejected(self, name):
+        with pytest.raises(ValueError, match=rf"^{name}: unknown parameters \['bogus'\]$"):
+            create_transformer(name, {**self.full_params(name), "bogus": 1})
+
+    @pytest.mark.parametrize("name", list(PARAMETERS))
+    def test_missing_required_parameter_rejected(self, name):
+        for missing in self.PARAMETERS[name][0]:
+            params = self.full_params(name)
+            del params[missing]
+            with pytest.raises(ValueError, match=rf"^{name}: missing required parameters "
+                                                 rf"\['{missing}'\]$"):
+                create_transformer(name, params)
+
+    def test_unknown_transformer_rejected(self):
+        with pytest.raises(ValueError, match="unknown transformer 'nope'; known: "):
+            create_transformer("nope", {})
 
 
 class TestSummaryTable:
