@@ -238,7 +238,11 @@ def _require_file(directory: Path, name: str) -> Path:
 
 
 def _read_json_object(directory: Path, name: str) -> dict:
-    path = _require_file(directory, name)
+    return _decode_object(_require_file(directory, name), name)
+
+
+def _decode_object(path: Path, name: str) -> dict:
+    """The JSON object in the file at path; errors name the file as name."""
     try:
         value = _DECODER.decode(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

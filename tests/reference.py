@@ -8,22 +8,35 @@ tests compare library output against these. ref_merge_consecutive is the
 original fold-and-restart implementation of merge_consecutive, walking the
 tree with ref_bfs. ref_build_corpus is the original build_corpus, which
 checked the tree rules itself instead of through check_integrity.
+ref_fit_vocabulary and ref_vectorize are the original counting loops,
+ref_train_classifier and ref_predict the original dense logistic
+regression, which built the full rows × features matrix, and
+ref_classify and ref_forecast the original Classifier and Forecaster on
+top of them: one predict per object, and one cumulative bag-of-words copy
+per conversation prefix.
 """
 
 import logging
 from collections import deque
 from itertools import combinations, permutations
+from typing import Optional
+
+import numpy as np
 
 from convoforge import Conversation, Corpus, Speaker
 from convoforge.errors import (
     CrossConversationReplyError,
     CycleDetectedError,
     DanglingReplyError,
+    DegenerateLabelsError,
+    DimensionMismatchError,
     DuplicateIdError,
     MultipleRootsError,
     NoRootError,
     UnknownSpeakerError,
 )
+from convoforge.ml import LinearModel, Vocabulary, _documents, _words
+from convoforge.model import _level_objects
 
 logger = logging.getLogger(__name__)
 
@@ -266,3 +279,174 @@ def ref_build_corpus(utterances, speakers=None, corpus_meta=None, strict_speaker
             )
 
     return corpus
+
+
+def ref_fit_vocabulary(corpus, level="utterance", selector=None, min_df=1, max_terms=None,
+                       lowercase=True):
+    objects = [o for o in _level_objects(corpus, level) if selector is None or selector(o)]
+    total: dict[str, int] = {}
+    doc_freq: dict[str, int] = {}
+    for tokens in _documents(corpus, level, objects):
+        if lowercase:
+            tokens = [t.lower() for t in tokens]
+        for tok in tokens:
+            total[tok] = total.get(tok, 0) + 1
+        for tok in set(tokens):
+            doc_freq[tok] = doc_freq.get(tok, 0) + 1
+    terms = [t for t in total if doc_freq[t] >= min_df]
+    terms.sort(key=lambda t: (-total[t], t))
+    if max_terms is not None:
+        terms = terms[:max_terms]
+    return Vocabulary(
+        index={t: i for i, t in enumerate(terms)},
+        doc_freq={t: doc_freq[t] for t in terms},
+        config={"min_df": min_df, "max_terms": max_terms, "lowercase": lowercase},
+    )
+
+
+def ref_vectorize(vocab, tokens) -> dict[int, float]:
+    lowercase = vocab.config.get("lowercase", True)
+    counts: dict[int, float] = {}
+    for tok in tokens:
+        if lowercase:
+            tok = tok.lower()
+        i = vocab.index.get(tok)
+        if i is not None:
+            counts[i] = counts.get(i, 0.0) + 1.0
+    return counts
+
+
+def ref_to_dense(X, n_features: Optional[int]) -> np.ndarray:
+    if isinstance(X, np.ndarray):
+        dense = np.asarray(X, dtype=float)
+        if dense.ndim == 1:
+            dense = dense.reshape(1, -1)
+        return dense
+    if n_features is None:
+        raise DimensionMismatchError("n_features is required for sparse inputs")
+    dense = np.zeros((len(X), n_features), dtype=float)
+    for row, counts in enumerate(X):
+        for i, value in counts.items():
+            if i >= n_features:
+                raise DimensionMismatchError(
+                    f"feature index {i} out of range for {n_features} features"
+                )
+            dense[row, i] = value
+    return dense
+
+
+def _ref_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    expz = np.exp(z[~positive])
+    out[~positive] = expz / (1.0 + expz)
+    return out
+
+
+def ref_logistic_loss(weights: np.ndarray, Xb: np.ndarray, y: np.ndarray, l2: float) -> float:
+    """Mean log-loss plus (l2/2)||w||^2, bias excluded from the penalty;
+    Xb carries the bias as its last column of ones."""
+    z = Xb @ weights
+    per_example = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
+    penalty = 0.5 * l2 * float(np.dot(weights[:-1], weights[:-1]))
+    return float(per_example.mean() + penalty)
+
+
+def ref_logistic_gradient(weights: np.ndarray, Xb: np.ndarray, y: np.ndarray,
+                          l2: float) -> np.ndarray:
+    z = Xb @ weights
+    grad = Xb.T @ (_ref_sigmoid(z) - y) / len(y)
+    grad[:-1] += l2 * weights[:-1]
+    return grad
+
+
+def ref_train_classifier(X, y, n_features: Optional[int] = None, l2: float = 1.0,
+                         epochs: int = 100, learning_rate: float = 0.1,
+                         decay: float = 0.0) -> LinearModel:
+    y = np.asarray(y, dtype=float)
+    if len(y) < 2:
+        raise DegenerateLabelsError("need at least two training examples")
+    if len(set(y.tolist())) < 2:
+        raise DegenerateLabelsError("training labels are all identical")
+    dense = ref_to_dense(X, n_features)
+    if len(dense) != len(y):
+        raise DimensionMismatchError(f"{len(dense)} rows vs {len(y)} labels")
+    Xb = np.hstack([dense, np.ones((len(dense), 1))])
+
+    weights = np.zeros(Xb.shape[1], dtype=float)
+    trace = [ref_logistic_loss(weights, Xb, y, l2)]
+    for epoch in range(epochs):
+        step = learning_rate / (1.0 + decay * epoch)
+        weights = weights - step * ref_logistic_gradient(weights, Xb, y, l2)
+        trace.append(ref_logistic_loss(weights, Xb, y, l2))
+    return LinearModel(
+        weights=weights,
+        config={"l2": l2, "epochs": epochs, "learning_rate": learning_rate, "decay": decay},
+        loss_trace=trace,
+    )
+
+
+def ref_predict(model: LinearModel, X) -> tuple[np.ndarray, np.ndarray]:
+    dense = ref_to_dense(X, model.n_features)
+    if dense.shape[1] != model.n_features:
+        raise DimensionMismatchError(
+            f"{dense.shape[1]} features vs model's {model.n_features}"
+        )
+    scores = _ref_sigmoid(dense @ model.weights[:-1] + model.weights[-1])
+    tiny = np.finfo(float).tiny
+    scores = np.clip(scores, tiny, 1.0 - np.finfo(float).epsneg)
+    return scores >= 0.5, scores
+
+
+def ref_classify(corpus, label_key, level, min_df=1, max_terms=None, l2=0.01,
+                 epochs=200, learning_rate=0.5):
+    """The dense Classifier: trained on the labelled objects of the level,
+    then predicting one object at a time. Returns the model and
+    {object id: (label, score)} for every object of the level."""
+    labelled = [o for o in _level_objects(corpus, level) if label_key in o.meta]
+    vocab = ref_fit_vocabulary(corpus, level, selector=lambda o: label_key in o.meta,
+                               min_df=min_df, max_terms=max_terms)
+    X = [ref_vectorize(vocab, doc) for doc in _documents(corpus, level, labelled)]
+    y = [1.0 if o.meta[label_key] else 0.0 for o in labelled]
+    model = ref_train_classifier(X, y, n_features=vocab.size, l2=l2, epochs=epochs,
+                                 learning_rate=learning_rate)
+    objects = _level_objects(corpus, level)
+    predictions = {}
+    for obj, doc in zip(objects, _documents(corpus, level, objects)):
+        labels, scores = ref_predict(model, [ref_vectorize(vocab, doc)])
+        predictions[obj.id] = (bool(labels[0]), float(scores[0]))
+    return model, predictions
+
+
+def ref_prefix_vectors(corpus, vocab, conversation_id):
+    """Each utterance in breadth-first order with a copy of the cumulative
+    bag-of-words of the prefix that ends at it."""
+    pairs = []
+    running: dict[int, float] = {}
+    for utt in ref_bfs(corpus.utterances_in(conversation_id)):
+        for i, value in ref_vectorize(vocab, _words([utt])).items():
+            running[i] = running.get(i, 0.0) + value
+        pairs.append((utt, dict(running)))
+    return pairs
+
+
+def ref_forecast(corpus, label_key, min_df=1, max_terms=None, l2=0.01, epochs=200,
+                 learning_rate=0.5):
+    """The dense Forecaster: one training row per conversation prefix, then
+    one predict per prefix. Returns the model, {utterance id: forecast} and
+    {conversation id: forecast_final}."""
+    vocab = ref_fit_vocabulary(corpus, "utterance", min_df=min_df, max_terms=max_terms)
+    X, y = [], []
+    for convo in corpus.conversations.values():
+        for _, vector in ref_prefix_vectors(corpus, vocab, convo.id):
+            X.append(vector)
+            y.append(1.0 if convo.meta[label_key] else 0.0)
+    model = ref_train_classifier(X, y, n_features=vocab.size, l2=l2, epochs=epochs,
+                                 learning_rate=learning_rate)
+    forecasts, finals = {}, {}
+    for convo in corpus.conversations.values():
+        for utt, vector in ref_prefix_vectors(corpus, vocab, convo.id):
+            _, scores = ref_predict(model, [vector])
+            forecasts[utt.id] = finals[convo.id] = float(scores[0])
+    return model, forecasts, finals

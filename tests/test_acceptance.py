@@ -32,7 +32,7 @@ from convoforge import (
 from convoforge.cli import main
 from convoforge.datasets import load_toy_movie, toy_movie_path
 from convoforge.hyperconvo import extract_features
-from convoforge.ml import logistic_gradient, logistic_loss
+from convoforge.ml import _csr_rows, logistic_gradient, logistic_loss
 from convoforge.politeness import strategy_names
 from helpers import corpus_equal_strict, random_corpus
 from reference import ref_bfs, ref_dfs, ref_motifs, ref_reciprocity
@@ -172,7 +172,7 @@ def test_classifier_gradient_and_separable_accuracy():
     for _ in range(20):
         n = int(rng.integers(2, 21))
         v = int(rng.integers(1, 11))
-        Xb = np.hstack([rng.normal(size=(n, v)), np.ones((n, 1))])
+        Xb = _csr_rows(np.hstack([rng.normal(size=(n, v)), np.ones((n, 1))]), None)
         y = rng.integers(0, 2, size=n).astype(float)
         if len(set(y.tolist())) < 2:
             y[0] = 1.0 - y[0]

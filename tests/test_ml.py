@@ -1,5 +1,7 @@
 import copy
+import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -22,13 +24,17 @@ from convoforge.errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
     EmptySelectionError,
+    MalformedRecordError,
     MissingLabelError,
     NotFittedError,
+    UnserializableValueError,
     UnsupportedVersionError,
 )
-from convoforge.ml import logistic_gradient, logistic_loss
-from convoforge.model import speaker_history
+from convoforge.ml import LinearModel, logistic_gradient, logistic_loss
+from convoforge.model import LEVELS, _level_objects, speaker_history
+from convoforge.textprep import utterance_tokens
 from helpers import random_corpus
+from reference import ref_classify, ref_fit_vocabulary, ref_forecast, ref_vectorize
 
 
 def tokenized(texts):
@@ -77,6 +83,24 @@ class TestVectorize:
         assert vectorize(vocab, []) == {}
         assert vectorize(vocab, ["zz", "qq"]) == {}
 
+    def test_matches_counting_loops_on_random_corpora(self):
+        rng = random.Random(53)
+        for i in range(60):
+            corpus = random_corpus(rng, max_utterances=40)
+            level = LEVELS[i % len(LEVELS)]
+            params = {"min_df": 1 + i % 3, "max_terms": None if i % 2 else 5,
+                      "lowercase": i % 5 != 0}
+            vocab = fit_vocabulary(corpus, level, **params)
+            expected = ref_fit_vocabulary(corpus, level, **params)
+            assert list(vocab.index.items()) == list(expected.index.items())
+            assert list(vocab.doc_freq.items()) == list(expected.doc_freq.items())
+            assert vocab.config == expected.config
+            for utt in corpus.utterances.values():
+                tokens = [tok for sentence in utterance_tokens(utt) for tok in sentence]
+                tokens += [tok.upper() for tok in tokens[:2]]
+                counts = vectorize(vocab, tokens)
+                assert list(counts.items()) == list(ref_vectorize(vocab, tokens).items())
+
 
 class TestTrainClassifier:
     def separable(self):
@@ -124,27 +148,134 @@ class TestTrainClassifier:
         assert labels.tolist() == [True, False, True, False]
 
 
+def assert_gradient_matches_finite_differences(w, Xb, y, l2):
+    grad = logistic_gradient(w, Xb, y, l2)
+    eps = 1e-6
+    for j in range(len(w)):
+        bump = np.zeros_like(w)
+        bump[j] = eps
+        numeric = (logistic_loss(w + bump, Xb, y, l2)
+                   - logistic_loss(w - bump, Xb, y, l2)) / (2 * eps)
+        denom = max(abs(numeric), abs(grad[j]), 1e-8)
+        assert abs(grad[j] - numeric) / denom < 1e-5
+
+
 class TestGradient:
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(40)
         for _ in range(10):
             n = int(rng.integers(2, 20))
             v = int(rng.integers(1, 10))
-            Xb = np.hstack([rng.normal(size=(n, v)), np.ones((n, 1))])
+            Xb = ml._csr_rows(np.hstack([rng.normal(size=(n, v)), np.ones((n, 1))]), None)
             y = rng.integers(0, 2, size=n).astype(float)
             if len(set(y.tolist())) < 2:
                 y[0] = 1.0 - y[0]
             w = rng.normal(scale=0.5, size=v + 1)
             l2 = float(rng.uniform(0.0, 1.0))
-            grad = logistic_gradient(w, Xb, y, l2)
-            eps = 1e-6
-            for j in range(v + 1):
-                bump = np.zeros_like(w)
-                bump[j] = eps
-                numeric = (logistic_loss(w + bump, Xb, y, l2)
-                           - logistic_loss(w - bump, Xb, y, l2)) / (2 * eps)
-                denom = max(abs(numeric), abs(grad[j]), 1e-8)
-                assert abs(grad[j] - numeric) / denom < 1e-5
+            assert_gradient_matches_finite_differences(w, Xb, y, l2)
+
+    def test_prefix_array_matches_central_finite_differences(self):
+        rng = np.random.default_rng(43)
+        for lengths in ([1, 4, 2, 7, 3], [6, 1, 2], [2, 9, 1, 1, 4, 3]):
+            n, v = sum(lengths), int(rng.integers(1, 8))
+            # The bias column of U holds 1.0 on each conversation's first
+            # utterance, so that of L·U is all ones.
+            first = np.zeros((n, 1))
+            first[np.cumsum(lengths) - lengths] = 1.0
+            U = np.hstack([random_sparse(rng, n, v), first])
+            Xb = ml._DenseRows(ml._running_sums(ml._csr_rows(U, None).to_array(), lengths))
+            assert np.allclose(Xb.array, block_lower_ones(lengths) @ U, rtol=0, atol=1e-12)
+            assert Xb.array[:, -1].tolist() == [1.0] * n
+            y = rng.integers(0, 2, size=n).astype(float)
+            y[:2] = [0.0, 1.0]
+            w = rng.normal(scale=0.5, size=v + 1)
+            l2 = float(rng.uniform(0.0, 1.0))
+            assert_gradient_matches_finite_differences(w, Xb, y, l2)
+
+
+def random_sparse(rng, n, v):
+    """A random n × v array, mostly zeros, with an empty row and column."""
+    U = rng.normal(size=(n, v))
+    U[rng.random(size=(n, v)) < 0.6] = 0.0
+    U[rng.integers(0, n)] = 0.0
+    U[:, rng.integers(0, v)] = 0.0
+    return U
+
+
+def block_lower_ones(lengths):
+    """The block lower-triangular matrix of ones with the given block sizes."""
+    n = sum(lengths)
+    L = np.zeros((n, n))
+    start = 0
+    for length in lengths:
+        L[start:start + length, start:start + length] = np.tril(np.ones((length, length)))
+        start += length
+    return L
+
+
+class TestKernels:
+    def test_rows_match_dense_products(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            n, v = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+            U = random_sparse(rng, n, v)
+            rows = ml._csr_rows(U, None)
+            w, r = rng.normal(size=v), rng.normal(size=n)
+            assert np.allclose(rows.matvec(w), U @ w, rtol=0, atol=1e-12)
+            assert np.allclose(rows.rmatvec(r), U.T @ r, rtol=0, atol=1e-12)
+
+    def test_sparse_and_dense_inputs_build_the_same_rows(self):
+        dense = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
+        a = ml._csr_rows(dense, None)
+        b = ml._csr_rows([{1: 2.0}, {}, {0: 1.0, 2: 3.0}], 3)
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+            assert x.tolist() == y.tolist()
+        assert a.n_features == b.n_features == 3
+
+    def test_with_ones_column(self):
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            n, v = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            U = random_sparse(rng, n, v)
+            U[rng.random(size=n) < 0.3] = 0.0
+            where = rng.random(size=n) < 0.6
+            got = ml._csr_rows(U, None).with_ones_column(where)
+            expected = ml._csr_rows(np.hstack([U, where[:, None].astype(float)]), None)
+            for x, y in ((got.indptr, expected.indptr), (got.indices, expected.indices),
+                         (got.data, expected.data)):
+                assert x.tolist() == y.tolist()
+            assert got.n_features == v + 1
+
+    def test_feature_index_out_of_range(self):
+        for bad in (3, -1):
+            with pytest.raises(DimensionMismatchError, match=f"feature index {bad} out"):
+                ml._csr_rows([{0: 1.0}, {bad: 1.0}], 3)
+        with pytest.raises(DimensionMismatchError, match="n_features is required"):
+            ml._csr_rows([{0: 1.0}], None)
+
+    def test_to_array_rebuilds_the_dense_rows(self):
+        rng = np.random.default_rng(45)
+        for _ in range(20):
+            U = random_sparse(rng, int(rng.integers(1, 12)), int(rng.integers(1, 6)))
+            assert np.array_equal(ml._csr_rows(U, None).to_array(), U)
+        assert ml._csr_rows([{}, {}], 3).to_array().tolist() == [[0.0] * 3] * 2
+
+    def test_running_sums_match_block_lower_triangular_products(self):
+        rng = np.random.default_rng(42)
+        for lengths in ([1], [3], [1, 4, 2, 7, 3], [9, 1, 1, 16, 5], [1, 1, 1]):
+            n, v = sum(lengths), 5
+            U = random_sparse(rng, n, v)
+            L = block_lower_ones(lengths)
+            w = rng.normal(size=v)
+            assert np.allclose(ml._running_sums(U @ w, lengths), L @ U @ w, rtol=0, atol=1e-12)
+            assert np.allclose(ml._running_sums(U.copy(), lengths), L @ U, rtol=0, atol=1e-12)
+
+    def test_running_sums_do_not_cancel_across_conversations(self):
+        # A running total carried over from a conversation of huge values
+        # would swallow the next conversation's small ones.
+        big = [1e17, 1e17, 1e17]
+        sums = ml._running_sums(np.array(big + [1.0, 1.0, 1.0]), [3, 3])
+        assert sums.tolist()[3:] == [1.0, 2.0, 3.0]
 
 
 class TestPredict:
@@ -186,6 +317,26 @@ class TestPersistence:
         path = tmp_path / "model.json"
         path.write_text('{"format_version": "9.0"}')
         with pytest.raises(UnsupportedVersionError):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_refused_and_nothing_written(self, tmp_path, value):
+        vocab = fit_vocabulary(tokenized(["a b"]))
+        model = LinearModel(weights=np.array([0.5, value, 0.0]))
+        path = tmp_path / "model.json"
+        with pytest.raises(UnserializableValueError, match="weight 1"):
+            save_model(path, model, vocab)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_literal_in_model_file_refused(self, tmp_path, literal):
+        vocab = fit_vocabulary(tokenized(["a b"]))
+        path = tmp_path / "model.json"
+        save_model(path, LinearModel(weights=np.array([0.5, -1.0, 0.0])), vocab)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["weights"][1] = "WEIGHT"
+        path.write_text(json.dumps(document).replace('"WEIGHT"', literal), encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match=re.escape(str(path))):
             load_model(path)
 
 
@@ -230,10 +381,15 @@ class TestForecaster:
         corpus = labelled_conversations()
         forecaster = Forecaster(label_key="doomed")
         forecaster.fit(corpus)
-        vectors = sum(
-            len(forecaster._prefix_vectors(corpus, cid)) for cid in corpus.conversations
-        )
-        assert vectors == len(corpus.utterances)
+        utterances, lengths, rows = forecaster._utterance_rows(corpus)
+        assert rows.n_rows == len(utterances) == sum(lengths) == len(corpus.utterances)
+
+    def test_transform_of_an_empty_corpus(self):
+        forecaster = Forecaster(label_key="doomed")
+        forecaster.fit(labelled_conversations())
+        empty = build_corpus([])
+        forecaster.transform(empty)
+        assert empty.utterances == {} and empty.conversations == {}
 
     def test_missing_label(self):
         corpus = labelled_conversations()
@@ -316,3 +472,96 @@ class TestSpeakerDocuments:
             assert self.speaker_predictions(corpus) == expected_predictions
             compared += 1
         assert compared > 20
+
+
+class TestDenseOracle:
+    """Classifier and Forecaster against the dense path they replaced
+    (reference.ref_classify and ref_forecast): labels exactly, and scores,
+    and the Classifier's weights and loss traces, within 1e-9, which
+    leaves room for sums taken in another order (about 1e-12 apart on the
+    benchmark corpora). The Forecaster trains through the same BLAS
+    products on the same prefix array as the oracle, so its weights and
+    loss traces must be equal."""
+
+    TOL = 1e-9
+
+    def close(self, a, b):
+        return np.allclose(a, b, rtol=0.0, atol=self.TOL)
+
+    def label(self, rng, objects, share=1.0):
+        chosen = [o for o in objects if rng.random() < share] or objects
+        for obj in chosen:
+            obj.meta["label"] = rng.random() < 0.5
+        chosen[0].meta["label"] = True
+        chosen[-1].meta["label"] = False
+        return len(chosen) >= 2
+
+    def check_classifier(self, corpus, level, **params):
+        model, expected = ref_classify(corpus, "label", level, **params)
+        clf = Classifier("label", level=level, **params)
+        clf.fit_transform(corpus)
+        assert self.close(clf.model.weights, model.weights)
+        assert self.close(clf.model.loss_trace, model.loss_trace)
+        for obj in _level_objects(corpus, level):
+            label, score = expected[obj.id]
+            assert obj.meta["prediction"] is label, (level, obj.id)
+            assert abs(obj.meta["prediction_score"] - score) <= self.TOL
+
+    def check_forecaster(self, corpus, **params):
+        model, forecasts, finals = ref_forecast(corpus, "label", **params)
+        forecaster = Forecaster("label", **params)
+        forecaster.fit_transform(corpus)
+        assert np.array_equal(forecaster.model.weights, model.weights)
+        assert forecaster.model.loss_trace == model.loss_trace
+        for utt in corpus.utterances.values():
+            assert abs(utt.meta["forecast"] - forecasts[utt.id]) <= self.TOL, utt.id
+        for cid, convo in corpus.conversations.items():
+            assert abs(convo.meta["forecast_final"] - finals[cid]) <= self.TOL, cid
+
+    def test_classifier_at_every_level_on_random_corpora(self):
+        rng = random.Random(51)
+        compared = dict.fromkeys(LEVELS, 0)
+        for i in range(90):
+            level = LEVELS[i % len(LEVELS)]
+            corpus = random_corpus(rng, max_utterances=40)
+            if not self.label(rng, _level_objects(corpus, level), share=0.8):
+                continue
+            self.check_classifier(corpus, level, epochs=60,
+                                  max_terms=None if i % 2 else 6)
+            compared[level] += 1
+        assert min(compared.values()) >= 15
+
+    def test_forecaster_on_random_corpora(self):
+        rng = random.Random(52)
+        compared = 0
+        for i in range(40):
+            corpus = random_corpus(rng, max_utterances=50)
+            if not self.label(rng, list(corpus.conversations.values())):
+                continue
+            self.check_forecaster(corpus, epochs=60, max_terms=None if i % 2 else 6)
+            compared += 1
+        assert compared >= 25
+
+    def edge_corpus(self):
+        """A conversation of one utterance, and utterances with no tokens or
+        only out-of-vocabulary ones."""
+        corpus = build_corpus([
+            Utterance("a0", "s0", "a", "lonely words here", None, 0),
+            Utterance("b0", "s1", "b", "x marks it", None, 0),
+            Utterance("b1", "s2", "b", "", "b0", 1),
+            Utterance("b2", "s1", "b", "x again and x", "b1", 2),
+            Utterance("c0", "s2", "c", "", None, 0),
+            Utterance("c1", "s0", "c", "rare zebra", "c0", 1),
+            Utterance("c2", "s1", "c", "plain words", "c0", 2),
+        ])
+        for obj in [*corpus.conversations.values(), *corpus.utterances.values(),
+                    *corpus.speakers.values()]:
+            obj.meta["label"] = obj.id.startswith(("b", "s1"))
+        return corpus
+
+    def test_single_utterance_conversation_and_empty_utterances(self):
+        for max_terms in (None, 3):
+            for level in LEVELS:
+                self.check_classifier(self.edge_corpus(), level, epochs=80,
+                                      max_terms=max_terms)
+            self.check_forecaster(self.edge_corpus(), epochs=80, max_terms=max_terms)
