@@ -1,4 +1,10 @@
-"""convoforge: represent, navigate, and analyze threaded conversations."""
+"""convoforge: represent, navigate, and analyze threaded conversations.
+
+The ``ml`` submodule and the names it exports load on first attribute
+access (PEP 562), so importing the package does not import numpy.
+"""
+
+import importlib
 
 from . import errors
 from .corpus_io import (
@@ -14,18 +20,6 @@ from .corpus_io import (
 from .diversity import SpeakerDiversity, compute_diversity, jensen_shannon
 from .fightingwords import FightingWords, FwModel, fit_fw, summarize_fw
 from .hyperconvo import HyperConvo, ResponseGraph, build_response_graph, extract_features
-from .ml import (
-    Classifier,
-    Forecaster,
-    LinearModel,
-    Vocabulary,
-    fit_vocabulary,
-    load_model,
-    predict,
-    save_model,
-    train_classifier,
-    vectorize,
-)
 from .model import (
     Conversation,
     Corpus,
@@ -51,6 +45,31 @@ from .textprep import (
 from .transform import Pipeline, SpeakerMixAnnotator, SummaryTable, Transformer
 
 __version__ = "0.1.0"
+
+_ML_NAMES = frozenset({
+    "Classifier",
+    "Forecaster",
+    "LinearModel",
+    "Vocabulary",
+    "fit_vocabulary",
+    "load_model",
+    "predict",
+    "save_model",
+    "train_classifier",
+    "vectorize",
+})
+
+
+def __getattr__(name: str):
+    if name == "ml" or name in _ML_NAMES:
+        # Not ``from . import ml``: its hasattr check would re-enter here.
+        ml = importlib.import_module(".ml", __name__)
+        return ml if name == "ml" else getattr(ml, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ML_NAMES | {"ml"})
 
 __all__ = [
     "Classifier",

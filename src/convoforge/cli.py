@@ -172,7 +172,7 @@ def cmd_fightingwords(args) -> int:
 
 def _run_annotator(args, transformer) -> int:
     corpus = _load_corpus(args)
-    if transformer.name in ("politeness", "speaker_diversity"):
+    if transformer.needs_tokens:
         _ensure_tokens(corpus)
     transformer.fit(corpus)
     transformer.transform(corpus)

@@ -99,6 +99,7 @@ class SpeakerDiversity(Transformer):
     """Transformer wrapper around compute_diversity()."""
 
     name = "speaker_diversity"
+    needs_tokens = True
     level = "speaker"
     annotation_key = ANNOTATION_KEY
 

@@ -19,15 +19,16 @@ from __future__ import annotations
 import logging
 import string
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import EmptyClassError, EmptyVocabularyError, NotFittedError
 from .filters import build_meta_predicate
 from .model import Corpus, Utterance
 from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -110,6 +111,9 @@ def fit_fw(
     alpha_total (default: alpha per vocab term); otherwise the prior is
     uniform alpha.
     """
+    # Imported here, not at module level, so the package imports without numpy.
+    import numpy as np
+
     utts1 = [u for u in corpus.utterances.values() if class1(u)]
     utts2 = [u for u in corpus.utterances.values() if class2(u)]
     if not utts1:

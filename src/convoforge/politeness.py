@@ -159,6 +159,7 @@ class PolitenessStrategies(Transformer):
     """Annotates every utterance with its strategy-count vector."""
 
     name = "politeness"
+    needs_tokens = True
 
     def _transform(self, corpus: Corpus) -> None:
         for utt in corpus.utterances.values():

@@ -73,7 +73,9 @@ class Transformer:
     """Base class; subclasses override _fit/_transform/summarize as needed.
 
     ``requires_fit`` gates transform() behind a successful fit();
-    ``structural`` marks transformers allowed to alter the utterance tree.
+    ``structural`` marks transformers allowed to alter the utterance tree;
+    ``needs_tokens`` marks those that read the stored "tokens" annotation,
+    which the CLI's analyzer commands then add first where it is missing.
     A summarize() that reads back the annotation under ``annotation_key`` on
     every ``level`` object gets it from _annotations(). A registered
     transformer's config parameters are its constructor's parameters.
@@ -82,6 +84,7 @@ class Transformer:
     name = "transformer"
     requires_fit = False
     structural = False
+    needs_tokens = False
     level = "utterance"
     annotation_key = ""
 

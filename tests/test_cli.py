@@ -250,6 +250,20 @@ class TestAnalyzerCommands:
         assert all("convo_diversity" in s.meta
                    for s in annotated.speakers.values())
 
+    @pytest.mark.parametrize("command,tokenized", [
+        ("politeness", True), ("diversity", True), ("hyperconvo", False)])
+    def test_token_reading_commands_tokenize_first(self, chain_dir, tmp_path, command,
+                                                   tokenized):
+        from convoforge import load
+        assert not any("tokens" in u.meta for u in load(chain_dir).utterances.values())
+        out = tmp_path / "annotated"
+        assert main(["--quiet", "--corpus", str(chain_dir), command,
+                     "--output", str(out)]) == 0
+        annotated = load(out).utterances
+        assert all(("tokens" in u.meta) is tokenized for u in annotated.values())
+        if tokenized:
+            assert annotated["u1"].meta["tokens"] == [["second", "words"]]
+
 
 class TestExport:
     def test_export_reimports(self, chain_dir, tmp_path):

@@ -1,0 +1,130 @@
+"""The package's lazy names, and which commands import numpy.
+
+``convoforge.ml`` and numpy load on first use. The subprocess cases start a
+fresh interpreter, because this test process has imported both already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from collections.abc import Mapping
+from pathlib import Path
+
+import pytest
+
+import convoforge
+from convoforge.datasets import toy_movie_path
+from convoforge.registry import REGISTRY
+
+ML_NAMES = ["Classifier", "Forecaster", "LinearModel", "Vocabulary", "fit_vocabulary",
+            "load_model", "predict", "save_model", "train_classifier", "vectorize"]
+
+
+class TestLazyNames:
+    def test_every_public_name_resolves(self):
+        for name in convoforge.__all__:
+            assert getattr(convoforge, name) is not None, name
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from convoforge import *", namespace)
+        assert set(convoforge.__all__) <= set(namespace)
+
+    def test_dir_lists_public_names_and_ml(self):
+        listed = dir(convoforge)
+        assert set(convoforge.__all__) <= set(listed)
+        assert "ml" in listed
+
+    def test_ml_names_are_the_ml_objects(self):
+        assert set(ML_NAMES) <= set(convoforge.__all__)
+        for name in ML_NAMES:
+            assert getattr(convoforge, name) is getattr(convoforge.ml, name), name
+
+    def test_unknown_attribute_raises_standard_error(self):
+        with pytest.raises(AttributeError) as info:
+            convoforge.no_such_name
+        assert str(info.value) == "module 'convoforge' has no attribute 'no_such_name'"
+
+
+class TestRegistryMapping:
+    def test_read_only_mapping(self):
+        assert isinstance(REGISTRY, Mapping)
+        with pytest.raises(TypeError):
+            REGISTRY["extra"] = object
+        assert "nope" not in REGISTRY and REGISTRY.get("nope") is None
+
+    def test_items_resolve_every_class(self):
+        assert [(name, cls.name) for name, cls in REGISTRY.items()] == [
+            (name, name) for name in REGISTRY]
+        assert REGISTRY["classifier"] is convoforge.ml.Classifier
+        assert REGISTRY["forecaster"] is convoforge.ml.Forecaster
+
+
+def _run_child(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    convoforge; it prints a JSON object as its last line."""
+    src = str(Path(convoforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+LOADED = """
+import json, sys
+print(json.dumps({"numpy": "numpy" in sys.modules, "ml": "convoforge.ml" in sys.modules}))
+"""
+
+
+def _loaded_after(code: str) -> dict:
+    return _run_child(textwrap.dedent(code) + LOADED)
+
+
+class TestNumpyLoadsOnlyWhenUsed:
+    def test_importing_the_cli(self):
+        assert _loaded_after("import convoforge.cli") == {"numpy": False, "ml": False}
+
+    def test_listing_the_registry_and_an_unknown_stage(self):
+        loaded = _loaded_after("""
+            from convoforge.registry import REGISTRY, create_transformer
+            assert sorted(REGISTRY)[:2] == ["classifier", "fighting_words"]
+            try:
+                create_transformer("nope", {})
+            except ValueError as exc:
+                assert str(exc).startswith("unknown transformer 'nope'; known: "), exc
+            else:
+                raise AssertionError("no error")
+        """)
+        assert loaded == {"numpy": False, "ml": False}
+
+    def test_running_a_numpy_free_pipeline(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "input": str(toy_movie_path()), "output": str(tmp_path / "out"),
+            "stages": [{"name": "merge_consecutive"}, {"name": "hyperconvo"}],
+        }))
+        loaded = _loaded_after(f"""
+            import convoforge.cli
+            assert convoforge.cli.main(["--quiet", "run", {str(config)!r}]) == 0
+        """)
+        assert loaded == {"numpy": False, "ml": False}
+        assert (tmp_path / "out" / "utterances.jsonl").is_file()
+
+    def test_a_classifier_stage_loads_both(self):
+        loaded = _loaded_after("""
+            from convoforge.registry import create_transformer
+            stage = create_transformer("classifier", {"label_key": "y"})
+            assert type(stage).__module__ == "convoforge.ml"
+        """)
+        assert loaded == {"numpy": True, "ml": True}
+
+    def test_ml_attribute_without_prior_import(self):
+        loaded = _loaded_after("""
+            import convoforge
+            assert callable(convoforge.ml.train_classifier)
+        """)
+        assert loaded == {"numpy": True, "ml": True}
