@@ -5,7 +5,8 @@ flag: validate, stats, run (pipeline config), fightingwords, politeness,
 hyperconvo, diversity, export. Tables go to standard output as tab-
 separated text with floats pinned to 6 significant digits, so output is
 byte-stable and diffable. Exit codes: 0 success, 1 domain failure, 2
-usage or I/O failure.
+usage or I/O failure, including a standard output closed early (as by
+``| head``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -281,7 +283,15 @@ def main(argv=None) -> int:
                         level=logging.ERROR if args.quiet else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at devnull so that the
+        # interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 2
     except USAGE_ERRORS as exc:
         return _fail(str(exc), 2)
     except ValueError as exc:

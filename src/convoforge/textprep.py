@@ -202,7 +202,10 @@ def merge_consecutive(corpus: Corpus) -> Corpus:
     Texts join with a newline, the child's children re-parent, metadata
     merges key-wise with the parent winning, and the earliest timestamp is
     kept. Branch points never merge. Structural: utterances are removed.
+    Each metadata conflict is logged at DEBUG, and their count in one
+    WARNING.
     """
+    conflicts = 0
     for convo in corpus.conversations.values():
         root = _root_of(corpus, convo)
         children = _children_map(corpus, convo.utterance_ids)
@@ -221,7 +224,8 @@ def merge_consecutive(corpus: Corpus) -> Corpus:
                     if key not in parent.meta:
                         parent.meta[key] = value
                     elif parent.meta[key] != value:
-                        logger.warning(
+                        conflicts += 1
+                        logger.debug(
                             "merge_consecutive: keeping %r's value for meta key %r, "
                             "dropping %r's", parent.id, key, child.id,
                         )
@@ -238,6 +242,9 @@ def merge_consecutive(corpus: Corpus) -> Corpus:
             convo.utterance_ids = [uid for uid in convo.utterance_ids if uid not in folded]
             for uid in folded:
                 del corpus.utterances[uid]
+    if conflicts:
+        logger.warning("merge_consecutive: %d metadata conflicts kept the parent "
+                       "utterance's value", conflicts)
     return corpus
 
 

@@ -10,6 +10,7 @@ change the utterance tree itself.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import MissingAnnotationError, NotFittedError, PipelineStageError
@@ -98,10 +99,22 @@ class Transformer:
         return self
 
     def transform(self, corpus: Corpus) -> Corpus:
-        """Annotate the corpus in place and return the same object."""
+        """Annotate the corpus in place and return the same object.
+
+        Overwritten annotations are logged one per object at DEBUG and as
+        one WARNING with their count per key.
+        """
         if self.requires_fit and not self.fitted:
             raise NotFittedError(f"{self.name}: transform() called before fit()")
-        self._transform(corpus)
+        self._overwrites = Counter()
+        try:
+            self._transform(corpus)
+        finally:
+            # A stage that fails part-way has still overwritten these.
+            if self._overwrites:
+                logger.warning("%s: overwrote %s", self.name, ", ".join(
+                    f"{count} existing {key!r} annotations"
+                    for key, count in self._overwrites.items()))
         return corpus
 
     def fit_transform(self, corpus: Corpus) -> Corpus:
@@ -120,11 +133,12 @@ class Transformer:
         return _require_annotations(_level_objects(corpus, self.level), self.level,
                                     self.annotation_key)
 
-    @staticmethod
-    def _annotate(meta: dict, key: str, value, owner: str) -> None:
-        # Overwriting a previous run's annotation is allowed but noisy.
+    def _annotate(self, meta: dict, key: str, value, owner: str) -> None:
+        # Overwriting a previous run's annotation is allowed; transform()
+        # reports how many.
         if key in meta:
-            logger.warning("overwriting %r annotation on %s", key, owner)
+            self._overwrites[key] += 1
+            logger.debug("overwriting %r annotation on %s", key, owner)
         meta[key] = value
 
 

@@ -5,8 +5,11 @@ trees, missing timestamps, nested metadata of every supported value type,
 and unicode text.
 """
 
+import os
 import random
+from pathlib import Path
 
+import convoforge
 from convoforge import Corpus, Speaker, Utterance, build_corpus
 
 WORDS = [
@@ -16,6 +19,14 @@ WORDS = [
 ]
 
 META_WORDS = ["red", "blue", "green", "café", "x", "long-tail", ""]
+
+
+def child_env() -> dict:
+    """The environment for a fresh interpreter that imports this checkout's
+    convoforge."""
+    src = str(Path(convoforge.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def random_text(rng: random.Random) -> str:

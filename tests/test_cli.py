@@ -1,11 +1,23 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from convoforge import Utterance, build_corpus, import_tabular, identity_mapping, save
 from convoforge.cli import main
 from convoforge.datasets import toy_movie_path
+from helpers import child_env
+
+
+def run_child(argv, **kwargs):
+    """The command line in a fresh interpreter, with its own logging set-up
+    and standard streams."""
+    kwargs.setdefault("env", child_env())
+    return subprocess.run([sys.executable, "-m", "convoforge.cli", *argv],
+                          timeout=120, **kwargs)
 
 
 @pytest.fixture
@@ -122,6 +134,25 @@ class TestRun:
         for name in ("manifest.json", "utterances.jsonl", "speakers.json",
                      "conversations.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_rerun_writes_one_stderr_line_per_stage(self, tmp_path):
+        stages = [{"name": "text_cleaner"}, {"name": "tokenizer"}]
+        first = tmp_path / "out1"
+        second = tmp_path / "out2"
+        results = []
+        for source, target in ((toy_movie_path(), first), (first, second)):
+            config = self.make_config(tmp_path, stages, source, target)
+            result = run_child(["run", str(config)], capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == f"wrote {target}\n"
+            results.append(result)
+        assert results[0].stderr == ""
+        assert results[1].stderr.splitlines() == [
+            "WARNING convoforge.transform: text_cleaner: overwrote 14 existing "
+            "'clean_text' annotations",
+            "WARNING convoforge.transform: tokenizer: overwrote 14 existing "
+            "'tokens' annotations",
+        ]
 
     def test_output_equal_to_input(self, tmp_path, chain_dir, capsys):
         config = self.make_config(tmp_path, [{"name": "tokenizer"}], chain_dir, chain_dir)
@@ -279,3 +310,22 @@ class TestExport:
         assert main(["--quiet", "--corpus", str(chain_dir), "export", "--output", str(a)]) == 0
         assert main(["--quiet", "--corpus", str(chain_dir), "export", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_2_without_traceback(unbuffered):
+    # Unbuffered, the table's print() meets the closed pipe; buffered, the
+    # small table waits in the buffer and the flush at exit meets it.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_child(["--corpus", str(toy_movie_path()), "hyperconvo"], env=env,
+                           stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 2

@@ -5,18 +5,17 @@ fresh interpreter, because this test process has imported both already.
 """
 
 import json
-import os
 import subprocess
 import sys
 import textwrap
 from collections.abc import Mapping
-from pathlib import Path
 
 import pytest
 
 import convoforge
 from convoforge.datasets import toy_movie_path
 from convoforge.registry import REGISTRY
+from helpers import child_env
 
 ML_NAMES = ["Classifier", "Forecaster", "LinearModel", "Vocabulary", "fit_vocabulary",
             "load_model", "predict", "save_model", "train_classifier", "vectorize"]
@@ -65,10 +64,7 @@ class TestRegistryMapping:
 def _run_child(code: str) -> dict:
     """Run ``code`` in a fresh interpreter that imports this checkout's
     convoforge; it prints a JSON object as its last line."""
-    src = str(Path(convoforge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])

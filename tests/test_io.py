@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import re
@@ -220,6 +221,45 @@ class TestSaveLoad:
             target = tmp_path / f"r{i}"
             save(corpus, target)
             assert corpus_equal_strict(load(target), corpus)
+
+
+class TestLoadPausesGc:
+    """load() builds the corpus with the cyclic GC off and then puts back
+    whatever state the caller had."""
+
+    @pytest.fixture(autouse=True)
+    def keep_gc_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_off_while_building(self, tmp_path, monkeypatch):
+        save(small_corpus(), tmp_path / "c")
+        seen = []
+
+        def spy(corpus):
+            seen.append(gc.isenabled())
+            return check_integrity(corpus)
+
+        monkeypatch.setattr(corpus_io, "check_integrity", spy)
+        gc.enable()
+        load(tmp_path / "c")
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("malformed", [False, True])
+    def test_state_restored(self, tmp_path, enabled, malformed):
+        save(small_corpus(), tmp_path / "c")
+        if malformed:
+            (tmp_path / "c" / "utterances.jsonl").write_text("{not json\n")
+        (gc.enable if enabled else gc.disable)()
+        if malformed:
+            with pytest.raises(MalformedRecordError):
+                load(tmp_path / "c")
+        else:
+            load(tmp_path / "c")
+        assert gc.isenabled() is enabled
 
 
 class TestAtomicSave:

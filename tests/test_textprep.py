@@ -1,4 +1,5 @@
 import copy
+import logging
 import random
 
 import pytest
@@ -221,9 +222,20 @@ class TestMergeMatchesReference:
             ref_merge_consecutive(expected)
         expected_messages = sorted(caplog.messages)
         caplog.clear()
-        with caplog.at_level("WARNING"):
+        # The oracle warns once per conflict. The fast path logs each of
+        # those lines at DEBUG and warns once with their count.
+        with caplog.at_level("DEBUG"):
             merge_consecutive(corpus)
-        return expected, expected_messages, sorted(caplog.messages)
+        records = [r for r in caplog.records if r.name == "convoforge.textprep"]
+        messages = sorted(r.getMessage() for r in records if r.levelno == logging.DEBUG)
+        warnings = [r.getMessage() for r in records if r.levelno == logging.WARNING]
+        assert len(records) == len(messages) + len(warnings)
+        if messages:
+            assert warnings == [f"merge_consecutive: {len(messages)} metadata conflicts "
+                                "kept the parent utterance's value"]
+        else:
+            assert warnings == []
+        return expected, expected_messages, messages
 
     def assert_same(self, corpus, caplog):
         expected, expected_messages, messages = self.fold_both(corpus, caplog)

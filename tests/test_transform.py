@@ -14,6 +14,7 @@ from convoforge import (
     SummaryTable,
     TextCleaner,
     Tokenizer,
+    Transformer,
     Utterance,
     build_corpus,
     check_integrity,
@@ -212,6 +213,40 @@ class TestPipeline:
     def test_empty_pipeline_rejected(self):
         with pytest.raises(ValueError):
             Pipeline([])
+
+    def test_rerun_warns_once_per_stage(self, caplog):
+        corpus = load_toy_movie()
+        with caplog.at_level("WARNING"):
+            Pipeline([TextCleaner(), Tokenizer()]).run(corpus)
+        assert caplog.messages == []
+        with caplog.at_level("WARNING"):
+            Pipeline([TextCleaner(), Tokenizer()]).run(corpus)
+        assert caplog.messages == [
+            "text_cleaner: overwrote 14 existing 'clean_text' annotations",
+            "tokenizer: overwrote 14 existing 'tokens' annotations",
+        ]
+
+    def test_each_overwrite_logged_at_debug(self, caplog):
+        corpus = load_toy_movie()
+        TextCleaner().transform(corpus)
+        with caplog.at_level("DEBUG", logger="convoforge.transform"):
+            TextCleaner().transform(corpus)
+        debug = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+        assert sorted(debug) == sorted(
+            f"overwriting 'clean_text' annotation on utterance {uid}"
+            for uid in corpus.utterances)
+
+    def test_failing_stage_reports_overwrites_made(self, caplog):
+        class FailsAfterOne(Transformer):
+            name = "fails_after_one"
+
+            def _transform(self, corpus):
+                self._annotate(corpus.utterances["u0"].meta, "side", 0, "utterance u0")
+                raise RuntimeError("boom")
+
+        with caplog.at_level("WARNING"), pytest.raises(PipelineStageError):
+            Pipeline([FailsAfterOne()]).run(two_class_corpus())
+        assert caplog.messages == ["fails_after_one: overwrote 1 existing 'side' annotations"]
 
 
 class TestSpeakerMix:
