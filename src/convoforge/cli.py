@@ -146,6 +146,14 @@ def cmd_run(args) -> int:
         return _fail("config needs an 'output' corpus path", 2)
 
     corpus = corpus_io.load(input_path)
+    # The single-analyzer commands' rule: a stage that reads tokens, placed
+    # before any tokenizer stage, gets the loaded corpus tokenized first.
+    for stage in stages:
+        if isinstance(stage, Tokenizer):
+            break
+        if stage.needs_tokens:
+            _ensure_tokens(corpus)
+            break
     try:
         corpus = Pipeline(stages).run(corpus, fit_first=True)
     except PipelineStageError as exc:

@@ -22,15 +22,27 @@ LN2 = math.log(2.0)
 
 
 def jensen_shannon(p: dict[str, float], q: dict[str, float]) -> float:
-    """JSD between two distributions given as term -> probability maps."""
-    divergence = 0.0
-    for dist, other in ((p, q), (q, p)):
-        for term, prob in dist.items():
-            if prob <= 0.0:
-                continue
-            mid = (prob + other.get(term, 0.0)) / 2.0
-            divergence += 0.5 * prob * math.log(prob / mid)
-    return divergence
+    """JSD between two distributions given as term -> probability maps.
+
+    A term with mass in one distribution only has midpoint prob / 2, so its
+    term 0.5 * prob * ln(prob / mid) is exactly 0.5 * prob * ln 2: those
+    masses are summed, and the logarithm runs on shared terms alone.
+    """
+    shared = 0.0
+    one_sided = 0.0
+    for term, x in p.items():
+        if x <= 0.0:
+            continue
+        y = q.get(term, 0.0)
+        if y > 0.0:
+            mid = (x + y) / 2.0
+            shared += x * math.log(x / mid) + y * math.log(y / mid)
+        else:
+            one_sided += x
+    for term, y in q.items():
+        if y > 0.0 and p.get(term, 0.0) <= 0.0:
+            one_sided += y
+    return 0.5 * (shared + LN2 * one_sided)
 
 
 def _unigram_distribution(counts: dict[str, int]) -> dict[str, float]:

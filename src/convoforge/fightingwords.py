@@ -17,18 +17,16 @@ optionally proportional to term frequency in a background corpus.
 from __future__ import annotations
 
 import logging
+import math
 import string
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from .errors import EmptyClassError, EmptyVocabularyError, NotFittedError
 from .filters import build_meta_predicate
 from .model import Corpus, Utterance
 from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer
-
-if TYPE_CHECKING:
-    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -55,17 +53,17 @@ def _ngrams(tokens: list[str], ngram_max: int) -> list[str]:
 
 @dataclass
 class FwModel:
-    """Fitted comparison state: aligned per-term arrays over a sorted vocab."""
+    """Fitted comparison state: aligned per-term lists over a sorted vocab."""
 
     vocab: list[str]
-    y1: np.ndarray
-    y2: np.ndarray
+    y1: list[float]
+    y2: list[float]
     n1: int
     n2: int
-    alpha: np.ndarray
+    alpha: list[float]
     alpha0: float
-    deltas: np.ndarray
-    zscores: np.ndarray
+    deltas: list[float]
+    zscores: list[float]
     index: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -83,6 +81,13 @@ class FwModel:
             (self.vocab[i], int(self.y1[i]), int(self.y2[i]), float(self.zscores[i]))
             for i in order
         ]
+
+
+def _check_prior(name: str, value) -> None:
+    # A zero, negative or non-finite prior makes math.log or a division fail
+    # part-way through the fit; refuse it up front.
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def _count_class(utterances: list[Utterance], ngram_max: int) -> dict[str, int]:
@@ -109,11 +114,12 @@ def fit_fw(
     excluded) whose combined count reaches min_count. With a background
     corpus, per-term priors are add-one background frequencies normalized to
     alpha_total (default: alpha per vocab term); otherwise the prior is
-    uniform alpha.
+    uniform alpha. A prior that is not a positive finite number is a
+    ValueError.
     """
-    # Imported here, not at module level, so the package imports without numpy.
-    import numpy as np
-
+    _check_prior("alpha", alpha)
+    if alpha_total is not None:
+        _check_prior("alpha_total", alpha_total)
     utts1 = [u for u in corpus.utterances.values() if class1(u)]
     utts2 = [u for u in corpus.utterances.values() if class2(u)]
     if not utts1:
@@ -142,27 +148,30 @@ def fit_fw(
             f"{len(vocab)} term(s) reach min_count; need at least two for a contrast"
         )
 
-    y1 = np.array([counts1.get(t, 0) for t in vocab], dtype=float)
-    y2 = np.array([counts2.get(t, 0) for t in vocab], dtype=float)
-    n1 = float(y1.sum())
-    n2 = float(y2.sum())
+    y1 = [float(counts1.get(t, 0)) for t in vocab]
+    y2 = [float(counts2.get(t, 0)) for t in vocab]
+    n1 = math.fsum(y1)
+    n2 = math.fsum(y2)
 
     if background is not None:
         bg_counts = _count_class(list(background.utterances.values()), ngram_max)
         # Add-one smoothing keeps every prior strictly positive.
-        raw = np.array([bg_counts.get(t, 0) + 1 for t in vocab], dtype=float)
+        raw = [float(bg_counts.get(t, 0) + 1) for t in vocab]
         total = alpha_total if alpha_total is not None else alpha * len(vocab)
-        alpha_vec = raw * (total / raw.sum())
+        scale = total / math.fsum(raw)
+        alpha_vec = [r * scale for r in raw]
     else:
-        alpha_vec = np.full(len(vocab), alpha, dtype=float)
-    alpha0 = float(alpha_vec.sum())
+        alpha_vec = [float(alpha)] * len(vocab)
+    alpha0 = math.fsum(alpha_vec)
 
-    deltas = (
-        np.log((y1 + alpha_vec) / (n1 + alpha0 - y1 - alpha_vec))
-        - np.log((y2 + alpha_vec) / (n2 + alpha0 - y2 - alpha_vec))
-    )
-    sigma2 = 1.0 / (y1 + alpha_vec) + 1.0 / (y2 + alpha_vec)
-    zscores = deltas / np.sqrt(sigma2)
+    deltas = []
+    zscores = []
+    for c1, c2, a in zip(y1, y2, alpha_vec):
+        delta = (math.log((c1 + a) / (n1 + alpha0 - c1 - a))
+                 - math.log((c2 + a) / (n2 + alpha0 - c2 - a)))
+        sigma2 = 1.0 / (c1 + a) + 1.0 / (c2 + a)
+        deltas.append(delta)
+        zscores.append(delta / math.sqrt(sigma2))
 
     return FwModel(
         vocab=vocab, y1=y1, y2=y2, n1=int(n1), n2=int(n2),
@@ -199,6 +208,7 @@ class FightingWords(Transformer):
     def __init__(self, class1, class2, ngram_max: int = 1, min_count: int = 1,
                  alpha: float = 0.01, top_k: int = 10):
         super().__init__()
+        _check_prior("alpha", alpha)
         self._class1 = class1
         self._class2 = class2
         self.ngram_max = ngram_max

@@ -13,17 +13,20 @@ ref_train_classifier and ref_predict the original dense logistic
 regression, which built the full rows × features matrix, and
 ref_classify and ref_forecast the original Classifier and Forecaster on
 top of them: one predict per object, and one cumulative bag-of-words copy
-per conversation prefix.
+per conversation prefix. ref_fit_fw is the original numpy fit_fw, one
+vector expression per quantity, and ref_jensen_shannon the original
+two-loop divergence, one logarithm per positive entry of each side.
 """
 
 import logging
+import math
 from collections import deque
 from itertools import combinations, permutations
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from convoforge import Conversation, Corpus, Speaker
+from convoforge import Conversation, Corpus, FwModel, Speaker, Utterance
 from convoforge.errors import (
     CrossConversationReplyError,
     CycleDetectedError,
@@ -31,10 +34,13 @@ from convoforge.errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
     DuplicateIdError,
+    EmptyClassError,
+    EmptyVocabularyError,
     MultipleRootsError,
     NoRootError,
     UnknownSpeakerError,
 )
+from convoforge.fightingwords import _count_class
 from convoforge.ml import LinearModel, Vocabulary, _documents, _words
 from convoforge.model import _level_objects
 
@@ -450,3 +456,84 @@ def ref_forecast(corpus, label_key, min_df=1, max_terms=None, l2=0.01, epochs=20
             _, scores = ref_predict(model, [vector])
             forecasts[utt.id] = finals[convo.id] = float(scores[0])
     return model, forecasts, finals
+
+
+def ref_fit_fw(
+    corpus: Corpus,
+    class1: Callable[[Utterance], bool],
+    class2: Callable[[Utterance], bool],
+    ngram_max: int = 1,
+    min_count: int = 1,
+    alpha: float = 0.01,
+    background: Optional[Corpus] = None,
+    alpha_total: Optional[float] = None,
+) -> FwModel:
+    """The numpy fit_fw: the same vocabulary and errors, and every per-term
+    quantity computed as one vector expression."""
+    utts1 = [u for u in corpus.utterances.values() if class1(u)]
+    utts2 = [u for u in corpus.utterances.values() if class2(u)]
+    if not utts1:
+        raise EmptyClassError("class 1 selects no utterances")
+    if not utts2:
+        raise EmptyClassError("class 2 selects no utterances")
+    overlap = {u.id for u in utts1} & {u.id for u in utts2}
+    if overlap:
+        logger.warning("fighting words: %d utterances fall in both classes", len(overlap))
+
+    counts1 = _count_class(utts1, ngram_max)
+    counts2 = _count_class(utts2, ngram_max)
+    if not counts1:
+        raise EmptyClassError("class 1 selects utterances but no word tokens")
+    if not counts2:
+        raise EmptyClassError("class 2 selects utterances but no word tokens")
+    vocab = sorted(
+        term
+        for term in set(counts1) | set(counts2)
+        if counts1.get(term, 0) + counts2.get(term, 0) >= min_count
+    )
+    if len(vocab) < 2:
+        # With one term the rest-of-vocabulary mass is exactly zero and the
+        # log-odds degenerate to +/-inf; there is nothing to contrast.
+        raise EmptyVocabularyError(
+            f"{len(vocab)} term(s) reach min_count; need at least two for a contrast"
+        )
+
+    y1 = np.array([counts1.get(t, 0) for t in vocab], dtype=float)
+    y2 = np.array([counts2.get(t, 0) for t in vocab], dtype=float)
+    n1 = float(y1.sum())
+    n2 = float(y2.sum())
+
+    if background is not None:
+        bg_counts = _count_class(list(background.utterances.values()), ngram_max)
+        # Add-one smoothing keeps every prior strictly positive.
+        raw = np.array([bg_counts.get(t, 0) + 1 for t in vocab], dtype=float)
+        total = alpha_total if alpha_total is not None else alpha * len(vocab)
+        alpha_vec = raw * (total / raw.sum())
+    else:
+        alpha_vec = np.full(len(vocab), alpha, dtype=float)
+    alpha0 = float(alpha_vec.sum())
+
+    deltas = (
+        np.log((y1 + alpha_vec) / (n1 + alpha0 - y1 - alpha_vec))
+        - np.log((y2 + alpha_vec) / (n2 + alpha0 - y2 - alpha_vec))
+    )
+    sigma2 = 1.0 / (y1 + alpha_vec) + 1.0 / (y2 + alpha_vec)
+    zscores = deltas / np.sqrt(sigma2)
+
+    return FwModel(
+        vocab=vocab, y1=y1, y2=y2, n1=int(n1), n2=int(n2),
+        alpha=alpha_vec, alpha0=alpha0, deltas=deltas, zscores=zscores,
+    )
+
+
+def ref_jensen_shannon(p: dict[str, float], q: dict[str, float]) -> float:
+    """JSD between two term -> probability maps: one p·ln(p/m) term per
+    positive entry of each side."""
+    divergence = 0.0
+    for dist, other in ((p, q), (q, p)):
+        for term, prob in dist.items():
+            if prob <= 0.0:
+                continue
+            mid = (prob + other.get(term, 0.0)) / 2.0
+            divergence += 0.5 * prob * math.log(prob / mid)
+    return divergence

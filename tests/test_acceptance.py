@@ -102,9 +102,9 @@ def test_fighting_words_antisymmetry_and_golden():
         forward = fit_fw(corpus, in_a, in_b)
         backward = fit_fw(corpus, in_b, in_a)
         assert forward.vocab == backward.vocab
-        assert np.all(np.abs(forward.zscores + backward.zscores) <= 1e-12)
+        assert np.all(np.abs(np.asarray(forward.zscores) + np.asarray(backward.zscores)) <= 1e-12)
     same = fit_fw(corpus, lambda u: True, lambda u: True)
-    assert np.all(same.zscores == 0.0)
+    assert np.all(np.asarray(same.zscores) == 0.0)
     golden = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), alpha=0.01)
     assert golden.zscore("a") == pytest.approx(GOLDEN_Z_A, abs=1e-9)
     assert golden.zscore("b") == pytest.approx(GOLDEN_Z_B, abs=1e-9)

@@ -198,6 +198,42 @@ class TestRun:
         assert main(["run", str(config)]) == 1
         assert "stage 1 (fighting_words)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage,command", [
+        ("politeness", "politeness"), ("speaker_diversity", "diversity")])
+    def test_token_reading_stage_tokenizes_first(self, tmp_path, stage, command):
+        # The same corpus as the single-analyzer command, which tokenizes first.
+        by_command = tmp_path / "by_command"
+        assert main(["--quiet", "--corpus", str(toy_movie_path()), command,
+                     "--output", str(by_command)]) == 0
+        by_run = tmp_path / "by_run"
+        config = self.make_config(tmp_path, [{"name": stage}], toy_movie_path(), by_run)
+        assert main(["--quiet", "run", str(config)]) == 0
+        for name in ("manifest.json", "utterances.jsonl", "speakers.json",
+                     "conversations.json"):
+            assert (by_run / name).read_bytes() == (by_command / name).read_bytes(), name
+
+    def test_tokenizer_stage_before_token_reader_is_not_preceded(self, tmp_path):
+        # An explicit tokenizer stage runs on untokenized input: the pre-pass
+        # would leave it overwriting 14 annotations, and it warns of none.
+        config = self.make_config(
+            tmp_path, [{"name": "tokenizer"}, {"name": "politeness"}],
+            toy_movie_path(), tmp_path / "out")
+        result = run_child(["run", str(config)], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+
+    def test_bad_prior_exits_2_naming_stage(self, tmp_path, capsys):
+        config = self.make_config(
+            tmp_path,
+            [{"name": "fighting_words",
+              "params": {"class1": "a=1", "class2": "a=2", "alpha": 0}}],
+            toy_movie_path(), tmp_path / "out",
+        )
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 0 (fighting_words)" in err and "alpha must be a positive" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
 
@@ -244,6 +280,15 @@ class TestFightingWordsCommand:
             "--class1", "mixed=maybe", "--class2", "mixed=false",
         ]) == 1
         assert "class 1" in capsys.readouterr().err
+
+    def test_non_positive_alpha_exits_2(self, mixed_dir, capsys):
+        assert main([
+            "--corpus", str(mixed_dir), "fightingwords",
+            "--class1", "mixed=true", "--class2", "mixed=false", "--alpha", "0",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha must be a positive finite number, got 0.0\n"
 
     def test_export_full_ranking(self, mixed_dir, tmp_path, capsys):
         target = tmp_path / "ranking.csv"

@@ -14,6 +14,7 @@ from convoforge import (
 from convoforge.diversity import speaker_distributions
 from convoforge.errors import MissingAnnotationError
 from helpers import random_corpus
+from reference import ref_jensen_shannon
 
 LN2 = math.log(2)
 
@@ -55,6 +56,70 @@ class TestJensenShannon:
                 return {t: w / total for t, w in zip(terms, weights)}
             value = jensen_shannon(dist(), dist())
             assert 0.0 <= value <= LN2 + 1e-12
+
+
+class TestJensenShannonMatchesReference:
+    """The shared-term fast path against the two-loop oracle."""
+
+    @staticmethod
+    def random_dist(rng, vocab):
+        terms = rng.sample(vocab, rng.randint(1, len(vocab)))
+        weights = [rng.choice([0.0, rng.random(), rng.randint(1, 9)]) for _ in terms]
+        if not any(weights):
+            weights[0] = 1.0
+        total = sum(weights)
+        # Zero-weight terms stay in the map as zero-probability entries.
+        return {t: w / total for t, w in zip(terms, weights)}
+
+    def test_random_distributions(self):
+        rng = random.Random(41)
+        vocab = [f"t{i}" for i in range(12)]
+        for _ in range(2000):
+            p = self.random_dist(rng, vocab[:rng.randint(1, 12)])
+            q = self.random_dist(rng, vocab[rng.randint(0, 11):])
+            assert jensen_shannon(p, q) == pytest.approx(ref_jensen_shannon(p, q), abs=1e-12)
+
+    def test_identical_distributions_are_exactly_zero(self):
+        rng = random.Random(43)
+        vocab = [f"t{i}" for i in range(30)]
+        for _ in range(500):
+            p = self.random_dist(rng, vocab)
+            assert jensen_shannon(p, dict(p)) == 0.0
+            assert ref_jensen_shannon(p, dict(p)) == 0.0
+            # A zero entry on one side only adds no mass.
+            q = {**p, "absent": 0.0}
+            assert jensen_shannon(p, q) == 0.0 and jensen_shannon(q, p) == 0.0
+
+    def test_disjoint_and_one_term_distributions(self):
+        rng = random.Random(47)
+        for _ in range(500):
+            p = self.random_dist(rng, [f"a{i}" for i in range(8)])
+            q = self.random_dist(rng, [f"b{i}" for i in range(8)])
+            assert jensen_shannon(p, q) == pytest.approx(ref_jensen_shannon(p, q), abs=1e-12)
+            assert jensen_shannon(p, q) == pytest.approx(LN2, abs=1e-12)
+        assert jensen_shannon({"a": 1.0}, {"b": 1.0}) == LN2
+        assert jensen_shannon({"a": 1.0}, {"a": 1.0}) == 0.0
+        for p, q in (({"a": 1.0}, {"a": 0.25, "b": 0.75}),
+                     ({"a": 1.0, "b": 0.0}, {"b": 1.0, "a": 0.0}),
+                     ({"a": 0.5, "b": 0.5, "c": 0.0}, {"c": 1.0})):
+            assert jensen_shannon(p, q) == pytest.approx(ref_jensen_shannon(p, q), abs=1e-12)
+            assert jensen_shannon(q, p) == pytest.approx(ref_jensen_shannon(q, p), abs=1e-12)
+
+    def test_speaker_scores_match_reference_pair_loop(self):
+        rng = random.Random(53)
+        for _ in range(30):
+            corpus = random_corpus(rng)
+            Tokenizer().transform(corpus)
+            compute_diversity(corpus)
+            for speaker in corpus.speakers.values():
+                distributions = speaker_distributions(corpus, speaker.id)
+                n = len(distributions)
+                if n < 2:
+                    continue
+                pairs = [ref_jensen_shannon(distributions[i], distributions[j])
+                         for i in range(n) for j in range(i + 1, n)]
+                assert speaker.meta["convo_diversity"]["value"] == \
+                    pytest.approx(sum(pairs) / len(pairs), abs=1e-12)
 
 
 class TestComputeDiversity:

@@ -1,11 +1,13 @@
 import math
 import random
+import re
 
 import pytest
 
 from convoforge import FightingWords, Utterance, build_corpus, fit_fw, summarize_fw
 from convoforge.errors import EmptyClassError, EmptyVocabularyError, NotFittedError
 from helpers import random_corpus
+from reference import ref_fit_fw
 
 # Golden values for the two-term worked example, computed by direct
 # evaluation of the delta / sigma^2 / z formulas on the raw counts
@@ -131,6 +133,76 @@ class TestFit:
         assert all(a > 0 for a in model.alpha)
         # "b" dominates the background, so it takes the larger prior share.
         assert model.alpha[model.index["b"]] > model.alpha[model.index["a"]]
+
+    def test_fields_are_lists_of_float(self):
+        model = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2))
+        for name in ("y1", "y2", "alpha", "deltas", "zscores"):
+            values = getattr(model, name)
+            assert type(values) is list, name
+            assert len(values) == len(model.vocab), name
+            assert all(type(v) is float for v in values), name
+        assert type(model.n1) is int and type(model.n2) is int
+        assert type(model.alpha0) is float
+
+    @pytest.mark.parametrize("alpha", [0, -0.5, float("nan"), float("inf"), "0.1"])
+    def test_prior_must_be_positive_and_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a positive finite number"):
+            fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be a positive finite number"):
+            FightingWords(class1="cls=1", class2="cls=2", alpha=alpha)
+        with pytest.raises(ValueError, match="alpha_total must be a positive finite"):
+            fit_fw(worked_example_corpus(), by_cls(1), by_cls(2),
+                   background=worked_example_corpus(), alpha_total=alpha)
+
+
+def _close(actual, expected, rel=1e-12):
+    return abs(actual - expected) <= rel * max(1.0, abs(expected))
+
+
+class TestMatchesReference:
+    """fit_fw against the numpy oracle on seeded random corpora and splits."""
+
+    def _split(self, rng, corpus):
+        ids = list(corpus.utterances)
+        in1 = {uid for uid in ids if rng.random() < 0.5}
+        # Some splits overlap, some leave utterances out of both classes.
+        in2 = {uid for uid in ids if uid not in in1 or rng.random() < 0.1}
+        in2 -= {uid for uid in ids if rng.random() < 0.1}
+        return (lambda u, s=frozenset(in1): u.id in s,
+                lambda u, s=frozenset(in2): u.id in s)
+
+    @pytest.mark.parametrize("prior", ["uniform", "background", "background_total"])
+    @pytest.mark.parametrize("ngram_max,min_count", [(1, 1), (2, 1), (1, 3), (2, 2)])
+    def test_random_corpora(self, prior, ngram_max, min_count):
+        rng = random.Random(f"fw-{prior}-{ngram_max}-{min_count}")
+        fitted = 0
+        for _ in range(40):
+            corpus = random_corpus(rng, max_utterances=40)
+            class1, class2 = self._split(rng, corpus)
+            kwargs = {"ngram_max": ngram_max, "min_count": min_count,
+                      "alpha": rng.choice([0.01, 0.5, 3.0])}
+            if prior != "uniform":
+                kwargs["background"] = random_corpus(rng, max_utterances=20)
+            if prior == "background_total":
+                kwargs["alpha_total"] = rng.uniform(0.05, 20.0)
+            try:
+                expected = ref_fit_fw(corpus, class1, class2, **kwargs)
+            except (EmptyClassError, EmptyVocabularyError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    fit_fw(corpus, class1, class2, **kwargs)
+                continue
+            model = fit_fw(corpus, class1, class2, **kwargs)
+            fitted += 1
+            assert model.vocab == expected.vocab
+            assert model.index == expected.index
+            assert (model.n1, model.n2) == (expected.n1, expected.n2)
+            assert model.y1 == expected.y1.tolist()
+            assert model.y2 == expected.y2.tolist()
+            assert _close(model.alpha0, expected.alpha0)
+            for name in ("alpha", "deltas", "zscores"):
+                for got, want in zip(getattr(model, name), getattr(expected, name)):
+                    assert _close(got, float(want)), (name, got, want)
+        assert fitted >= 20
 
 
 class TestSummarize:

@@ -13,6 +13,7 @@ from collections.abc import Mapping
 import pytest
 
 import convoforge
+from convoforge.cli import main
 from convoforge.datasets import toy_movie_path
 from convoforge.registry import REGISTRY
 from helpers import child_env
@@ -109,6 +110,47 @@ class TestNumpyLoadsOnlyWhenUsed:
         """)
         assert loaded == {"numpy": False, "ml": False}
         assert (tmp_path / "out" / "utterances.jsonl").is_file()
+
+    def test_running_the_annotate_chain(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "input": str(toy_movie_path()), "output": str(tmp_path / "out"),
+            "stages": [
+                {"name": "text_cleaner"}, {"name": "tokenizer"}, {"name": "politeness"},
+                {"name": "speaker_mix", "params": {"speaker_key": "gender"}},
+                {"name": "speaker_diversity"},
+                {"name": "fighting_words",
+                 "params": {"class1": "mixed=true", "class2": "mixed=false"}},
+            ],
+        }))
+        loaded = _loaded_after(f"""
+            import convoforge.cli
+            assert convoforge.cli.main(["--quiet", "run", {str(config)!r}]) == 0
+        """)
+        assert loaded == {"numpy": False, "ml": False}
+        assert "fw_class" in (tmp_path / "out" / "utterances.jsonl").read_text()
+
+    def test_the_fightingwords_command(self, tmp_path):
+        config = tmp_path / "config.json"
+        prepared = tmp_path / "prepared"
+        config.write_text(json.dumps({
+            "input": str(toy_movie_path()), "output": str(prepared),
+            "stages": [{"name": "tokenizer"},
+                       {"name": "speaker_mix", "params": {"speaker_key": "gender"}}],
+        }))
+        assert main(["--quiet", "run", str(config)]) == 0
+        loaded = _loaded_after(f"""
+            import contextlib, io
+            import convoforge.cli
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = convoforge.cli.main(["--corpus", {str(prepared)!r}, "fightingwords",
+                                            "--class1", "mixed=true",
+                                            "--class2", "mixed=false", "--top-k", "1"])
+            assert code == 0, code
+            assert out.getvalue().splitlines()[1].startswith("alpha\tclass1"), out.getvalue()
+        """)
+        assert loaded == {"numpy": False, "ml": False}
 
     def test_a_classifier_stage_loads_both(self):
         loaded = _loaded_after("""
