@@ -12,7 +12,6 @@ usage or I/O failure, including a standard output closed early (as by
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -37,7 +36,6 @@ from .hyperconvo import HyperConvo
 from .model import traverse
 from .politeness import PolitenessStrategies
 from .registry import create_transformer
-from .textprep import Tokenizer
 from .transform import Pipeline, format_value
 
 USAGE_ERRORS = (
@@ -59,11 +57,6 @@ def _load_corpus(args):
     if not args.corpus:
         raise MissingFileError("no corpus directory given; use --corpus DIR")
     return corpus_io.load(args.corpus)
-
-
-def _ensure_tokens(corpus) -> None:
-    if any("tokens" not in u.meta for u in corpus.utterances.values()):
-        Tokenizer().transform(corpus)
 
 
 def _emit_table(table, export_path=None, delimiter="\t") -> None:
@@ -117,10 +110,10 @@ def cmd_run(args) -> int:
     config_path = Path(args.config)
     if not config_path.is_file():
         return _fail(f"no such config file: {config_path}", 2)
-    try:
-        config = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        return _fail(f"config is not valid JSON: {exc.msg}", 2)
+    config = corpus_io._decode_object(config_path, f"config {config_path}")
+    for key in ("input", "output"):
+        if config.get(key) is not None and not isinstance(config[key], str):
+            return _fail(f"config '{key}' must be a path string", 2)
 
     stages_config = config.get("stages")
     if not isinstance(stages_config, list) or not stages_config:
@@ -146,14 +139,6 @@ def cmd_run(args) -> int:
         return _fail("config needs an 'output' corpus path", 2)
 
     corpus = corpus_io.load(input_path)
-    # The single-analyzer commands' rule: a stage that reads tokens, placed
-    # before any tokenizer stage, gets the loaded corpus tokenized first.
-    for stage in stages:
-        if isinstance(stage, Tokenizer):
-            break
-        if stage.needs_tokens:
-            _ensure_tokens(corpus)
-            break
     try:
         corpus = Pipeline(stages).run(corpus, fit_first=True)
     except PipelineStageError as exc:
@@ -182,8 +167,6 @@ def cmd_fightingwords(args) -> int:
 
 def _run_annotator(args, transformer) -> int:
     corpus = _load_corpus(args)
-    if transformer.needs_tokens:
-        _ensure_tokens(corpus)
     transformer.fit(corpus)
     transformer.transform(corpus)
     _emit_table(transformer.summarize(corpus), args.export, args.delimiter)
@@ -300,6 +283,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 2
+    except OSError as exc:
+        # An unreadable input or unwritable output path, e.g. a directory.
+        return _fail(str(exc), 2)
     except USAGE_ERRORS as exc:
         return _fail(str(exc), 2)
     except ValueError as exc:

@@ -397,41 +397,32 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
     shared utterance id are irreconcilable.
     """
     log: list[MergeConflict] = []
-    result = Corpus(meta=_merge_meta("corpus_meta", "", a.meta, b.meta, log))
+    # Deep copies of both sides, so the result shares no object with either.
+    result, b = copy.deepcopy(a), copy.deepcopy(b)
+    result.meta = _merge_meta("corpus_meta", "", result.meta, b.meta, log)
 
-    for sid, spk in a.speakers.items():
-        result.speakers[sid] = Speaker(id=sid, meta=copy.deepcopy(spk.meta))
     for sid, spk in b.speakers.items():
-        if sid in result.speakers:
-            result.speakers[sid].meta = _merge_meta(
-                "speaker_meta", sid, result.speakers[sid].meta, spk.meta, log
-            )
+        target = result.speakers.get(sid)
+        if target is None:
+            result.speakers[sid] = spk
         else:
-            result.speakers[sid] = Speaker(id=sid, meta=copy.deepcopy(spk.meta))
+            target.meta = _merge_meta("speaker_meta", sid, target.meta, spk.meta, log)
 
-    for cid, convo in a.conversations.items():
-        result.conversations[cid] = Conversation(
-            id=cid, utterance_ids=list(convo.utterance_ids), meta=copy.deepcopy(convo.meta)
-        )
     for cid, convo in b.conversations.items():
-        if cid in result.conversations:
-            target = result.conversations[cid]
-            target.meta = _merge_meta("conversation_meta", cid, target.meta, convo.meta, log)
-            known = set(target.utterance_ids)
-            target.utterance_ids.extend(u for u in convo.utterance_ids if u not in known)
-        else:
-            result.conversations[cid] = Conversation(
-                id=cid, utterance_ids=list(convo.utterance_ids), meta=copy.deepcopy(convo.meta)
-            )
+        target = result.conversations.get(cid)
+        if target is None:
+            result.conversations[cid] = convo
+            continue
+        target.meta = _merge_meta("conversation_meta", cid, target.meta, convo.meta, log)
+        known = set(target.utterance_ids)
+        target.utterance_ids.extend(u for u in convo.utterance_ids if u not in known)
 
-    for uid, utt in a.utterances.items():
-        result.utterances[uid] = copy.deepcopy(utt)
+    structural = ("speaker_id", "conversation_id", "reply_to", "timestamp", "text")
     for uid, utt in b.utterances.items():
         existing = result.utterances.get(uid)
         if existing is None:
-            result.utterances[uid] = copy.deepcopy(utt)
+            result.utterances[uid] = utt
             continue
-        structural = ("speaker_id", "conversation_id", "reply_to", "timestamp", "text")
         for fname in structural:
             if getattr(existing, fname) != getattr(utt, fname):
                 raise IrreconcilableCollisionError(

@@ -13,7 +13,7 @@ import math
 from typing import Optional
 
 from .model import Corpus
-from .textprep import stored_tokens
+from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer
 
 ANNOTATION_KEY = "convo_diversity"
@@ -53,14 +53,15 @@ def _unigram_distribution(counts: dict[str, int]) -> dict[str, float]:
 def _token_counts_by_speaker(
     corpus: Corpus, speaker_id: Optional[str] = None
 ) -> dict[str, dict[str, dict[str, int]]]:
-    """speaker -> conversation -> lowercased term counts, from one pass over
-    the utterances in corpus order (all speakers, or only ``speaker_id``)."""
+    """speaker -> conversation -> lowercased term counts of utterance_tokens,
+    from one pass over the utterances in corpus order (all speakers, or only
+    ``speaker_id``)."""
     grouped: dict[str, dict[str, dict[str, int]]] = {}
     for utt in corpus.utterances.values():
         if speaker_id is not None and utt.speaker_id != speaker_id:
             continue
         counts = grouped.setdefault(utt.speaker_id, {}).setdefault(utt.conversation_id, {})
-        for sentence in stored_tokens(utt):
+        for sentence in utterance_tokens(utt):
             for tok in sentence:
                 tok = tok.lower()
                 counts[tok] = counts.get(tok, 0) + 1
@@ -82,7 +83,7 @@ def speaker_distributions(
 ) -> list[dict[str, float]]:
     """One unigram distribution per conversation the speaker spoke in,
     skipping conversations where they produced fewer than
-    min_tokens_per_convo tokens. Requires the "tokens" annotation."""
+    min_tokens_per_convo tokens."""
     per_convo = _token_counts_by_speaker(corpus, speaker_id).get(speaker_id, {})
     return _distributions(per_convo, min_tokens_per_convo)
 
@@ -111,7 +112,6 @@ class SpeakerDiversity(Transformer):
     """Transformer wrapper around compute_diversity()."""
 
     name = "speaker_diversity"
-    needs_tokens = True
     level = "speaker"
     annotation_key = ANNOTATION_KEY
 

@@ -203,10 +203,12 @@ def _root_of(corpus: Corpus, convo: Conversation) -> Utterance:
     return roots[0]
 
 
-def _reachable_from(corpus: Corpus, root_id: str, utterance_ids: Iterable[str]) -> set[str]:
+def _reachable_from(corpus: Corpus, root_ids: Iterable[str],
+                    utterance_ids: Iterable[str]) -> set[str]:
+    """Ids reachable from any of root_ids over the reply links among utterance_ids."""
     children = _children_map(corpus, utterance_ids)
-    seen = {root_id}
-    queue = deque([root_id])
+    seen = set(root_ids)
+    queue = deque(seen)
     while queue:
         uid = queue.popleft()
         for child in children.get(uid, []):
@@ -355,11 +357,8 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
             u.reply_to is None or corpus.utterances.get(u.reply_to) is not None
             for u in members
         ):
-            reached = _reachable_from(corpus, roots[0].id, member_ids)
+            reached = _reachable_from(corpus, [u.id for u in roots], member_ids)
             unreachable = sorted(set(member_ids) - reached)
-            for other_root in roots[1:]:
-                reached_other = _reachable_from(corpus, other_root.id, member_ids)
-                unreachable = sorted(set(unreachable) - reached_other)
             if unreachable:
                 add(Violation("CycleDetected", tuple([convo.id] + unreachable)))
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from .errors import EmptySelectionError
 from .model import Corpus, Utterance
-from .textprep import stored_tokens
+from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer, _require_annotations
 
 ANNOTATION_KEY = "politeness_strategies"
@@ -129,11 +129,9 @@ def _count_markers(
 
 
 def extract_strategies(utterance: Utterance) -> dict[str, int]:
-    """Count each politeness strategy in one tokenized utterance.
-
-    Requires the "tokens" annotation; counts are occurrences, not presence.
-    """
-    sentences = [[tok.lower() for tok in sentence] for sentence in stored_tokens(utterance)]
+    """Count each politeness strategy in one utterance's tokens
+    (utterance_tokens); counts are occurrences, not presence."""
+    sentences = [[tok.lower() for tok in sentence] for sentence in utterance_tokens(utterance)]
     return _count_markers(sentences, inventory(), _marker_index())
 
 
@@ -159,7 +157,6 @@ class PolitenessStrategies(Transformer):
     """Annotates every utterance with its strategy-count vector."""
 
     name = "politeness"
-    needs_tokens = True
 
     def _transform(self, corpus: Corpus) -> None:
         for utt in corpus.utterances.values():

@@ -21,7 +21,6 @@ import unicodedata
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import MissingAnnotationError
 from .model import Corpus, Utterance, _children_map, _root_of
 from .transform import SummaryTable, Transformer
 
@@ -140,19 +139,10 @@ def tokenize(text: str) -> TokenAnnotation:
     return TokenAnnotation(sentences=sentences)
 
 
-def stored_tokens(utt: Utterance) -> list[list[str]]:
-    """Token sentences from the "tokens" annotation, which must be present."""
-    stored = utt.meta.get("tokens")
-    if stored is None:
-        raise MissingAnnotationError(
-            f"utterance {utt.id!r} has no 'tokens' annotation; run a tokenizer first"
-        )
-    return stored
-
-
 def utterance_tokens(utt: Utterance) -> list[list[str]]:
-    """Token sentences for an utterance: stored annotation if present,
-    otherwise tokenized on the fly from clean_text meta or raw text."""
+    """Token sentences for an utterance: the stored "tokens" annotation if
+    present, otherwise what Tokenizer would store, computed on the fly and
+    not written. Every reader of the annotation goes through here."""
     stored = utt.meta.get("tokens")
     if stored is not None:
         return stored

@@ -74,9 +74,10 @@ class Transformer:
     """Base class; subclasses override _fit/_transform/summarize as needed.
 
     ``requires_fit`` gates transform() behind a successful fit();
-    ``structural`` marks transformers allowed to alter the utterance tree;
-    ``needs_tokens`` marks those that read the stored "tokens" annotation,
-    which the CLI's analyzer commands then add first where it is missing.
+    ``structural`` marks transformers allowed to alter the utterance tree.
+    A transformer writes only its own annotation: one that reads tokens
+    takes them from textprep.utterance_tokens, which tokenizes an
+    utterance without the "tokens" annotation on the fly.
     A summarize() that reads back the annotation under ``annotation_key`` on
     every ``level`` object gets it from _annotations(). A registered
     transformer's config parameters are its constructor's parameters.
@@ -85,7 +86,6 @@ class Transformer:
     name = "transformer"
     requires_fit = False
     structural = False
-    needs_tokens = False
     level = "utterance"
     annotation_key = ""
 

@@ -237,6 +237,26 @@ class TestRun:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("[]", "top-level value is not an object"),
+        ('"x"', "top-level value is not an object"),
+        ("{", "invalid JSON"),
+        ('{"input": 5, "output": OUT, "stages": [{"name": "tokenizer"}]}',
+         "config 'input' must be a path string"),
+        ('{"output": [OUT], "stages": [{"name": "tokenizer"}]}',
+         "config 'output' must be a path string"),
+        ('{"output": OUT, "stages": [{"name": "tokenizer", "params": {"x": NaN}}]}',
+         "non-finite number NaN"),
+    ], ids=["list", "string", "invalid", "input-number", "output-list", "nan"])
+    def test_malformed_config_exits_2_with_one_line(self, tmp_path, capsys, text, message):
+        out = tmp_path / "out"
+        path = tmp_path / "pipeline.json"
+        path.write_text(text.replace("OUT", json.dumps(str(out))))
+        assert main(["--corpus", str(toy_movie_path()), "run", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert not out.exists()
+
 
 class TestFightingWordsCommand:
     @pytest.fixture
@@ -326,19 +346,45 @@ class TestAnalyzerCommands:
         assert all("convo_diversity" in s.meta
                    for s in annotated.speakers.values())
 
-    @pytest.mark.parametrize("command,tokenized", [
-        ("politeness", True), ("diversity", True), ("hyperconvo", False)])
-    def test_token_reading_commands_tokenize_first(self, chain_dir, tmp_path, command,
-                                                   tokenized):
-        from convoforge import load
-        assert not any("tokens" in u.meta for u in load(chain_dir).utterances.values())
+    @pytest.mark.parametrize("command", [
+        pytest.param("politeness", id="politeness-True"),
+        pytest.param("diversity", id="diversity-True"),
+        pytest.param("hyperconvo", id="hyperconvo-False")])
+    def test_token_reading_commands_tokenize_first(self, tmp_path, capsys, command):
+        # A command writes only its own annotation: on an untokenized corpus
+        # it saves no "tokens" key, and prints the table that a copy
+        # tokenized beforehand gives.
+        from convoforge import Tokenizer, load
+        pretokenized = tmp_path / "pretokenized"
+        save(Tokenizer().transform(load(toy_movie_path())), pretokenized)
+        assert main(["--quiet", "--corpus", str(pretokenized), command]) == 0
+        expected = capsys.readouterr().out
         out = tmp_path / "annotated"
-        assert main(["--quiet", "--corpus", str(chain_dir), command,
+        assert main(["--quiet", "--corpus", str(toy_movie_path()), command,
                      "--output", str(out)]) == 0
+        assert capsys.readouterr().out == expected
+        assert not any("tokens" in u.meta for u in load(out).utterances.values())
+
+    def test_partly_tokenized_corpus_keeps_its_tokens(self, tmp_path):
+        # One utterance without tokens is tokenized on the fly; the stored
+        # tokens of the others are read as they are and never rewritten.
+        from convoforge import Tokenizer, load
+        corpus = Tokenizer().transform(load(toy_movie_path()))
+        del corpus.utterances["m1_0"].meta["tokens"]
+        corpus.utterances["m2_0"].meta["tokens"] = [["thank", "you"]]
+        source = tmp_path / "partly"
+        save(corpus, source)
+        out = tmp_path / "annotated"
+        result = run_child(["--corpus", str(source), "politeness", "--output", str(out)],
+                           capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "overwrote" not in result.stderr
         annotated = load(out).utterances
-        assert all(("tokens" in u.meta) is tokenized for u in annotated.values())
-        if tokenized:
-            assert annotated["u1"].meta["tokens"] == [["second", "words"]]
+        assert "tokens" not in annotated["m1_0"].meta
+        assert annotated["m2_0"].meta["tokens"] == [["thank", "you"]]
+        assert annotated["m2_0"].meta["politeness_strategies"]["gratitude"] == 1
+        assert all(annotated[uid].meta["tokens"] == utt.meta["tokens"]
+                   for uid, utt in corpus.utterances.items() if uid != "m1_0")
 
 
 class TestExport:
@@ -355,6 +401,26 @@ class TestExport:
         assert main(["--quiet", "--corpus", str(chain_dir), "export", "--output", str(a)]) == 0
         assert main(["--quiet", "--corpus", str(chain_dir), "export", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["export", "hyperconvo", "fightingwords"])
+def test_unwritable_output_path_exits_2_without_traceback(tmp_path, command):
+    source = tmp_path / "corpus"
+    save(build_corpus([
+        Utterance("u0", "a", "c0", "first words", None, 1, {"side": 1}),
+        Utterance("u1", "b", "c0", "second words", "u0", 2, {"side": 2}),
+    ]), source)
+    missing = str(tmp_path / "missing_dir" / "x.tsv")
+    argv = {
+        "export": ["export", "--output", str(tmp_path)],  # a directory
+        "hyperconvo": ["hyperconvo", "--export", missing],
+        "fightingwords": ["fightingwords", "--class1", "side=1", "--class2", "side=2",
+                          "--export", missing],
+    }[command]
+    result = run_child(["--corpus", str(source), *argv], capture_output=True, text=True)
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

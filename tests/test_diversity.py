@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -12,7 +13,6 @@ from convoforge import (
     jensen_shannon,
 )
 from convoforge.diversity import speaker_distributions
-from convoforge.errors import MissingAnnotationError
 from helpers import random_corpus
 from reference import ref_jensen_shannon
 
@@ -169,9 +169,20 @@ class TestComputeDiversity:
         assert score(a)["value"] == pytest.approx(score(shuffled)["value"], abs=1e-15)
 
     def test_requires_tokens(self):
-        corpus = build_corpus([Utterance("u", "s", "c", "hello")])
-        with pytest.raises(MissingAnnotationError):
-            compute_diversity(corpus)
+        # An untokenized corpus scores exactly as the same corpus after a
+        # Tokenizer stage, and gains no "tokens" annotation.
+        rng = random.Random(37)
+        for _ in range(30):
+            bare = random_corpus(rng)
+            tokenized = copy.deepcopy(bare)
+            Tokenizer().transform(tokenized)
+            for min_tokens in (1, 3):
+                compute_diversity(bare, min_tokens)
+                compute_diversity(tokenized, min_tokens)
+                assert ({s.id: s.meta["convo_diversity"] for s in bare.speakers.values()}
+                        == {s.id: s.meta["convo_diversity"]
+                            for s in tokenized.speakers.values()})
+            assert not any("tokens" in u.meta for u in bare.utterances.values())
 
     def test_bounds_random_speakers(self):
         rng = random.Random(29)

@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import random
@@ -375,6 +376,43 @@ class TestMerge:
         merged = merge(a, build_corpus([]))
         merged.utterances["u0"].meta["added"] = 1
         assert "added" not in a.utterances["u0"].meta
+
+    def test_merge_does_not_alias_nested_meta(self):
+        # Shared and one-sided speakers, conversations and utterances, with
+        # nested values in every meta table, on both sides.
+        def side(tag):
+            corpus = build_corpus(
+                [Utterance("u0", "s", "c0", "x", None, 1, {"n": {tag: [1]}, tag: [1]}),
+                 Utterance(f"u_{tag}", f"s_{tag}", f"c_{tag}", "y", None, 2,
+                           {"n": {tag: [2]}})],
+                [Speaker("s", {"n": {tag: [3]}, tag: [3]}),
+                 Speaker(f"s_{tag}", {"n": {tag: [4]}})],
+                corpus_meta={"n": {tag: [5]}, tag: {"deep": [5]}},
+            )
+            for convo in corpus.conversations.values():
+                convo.meta.update({"n": {tag: [6]}, tag: {"deep": [6]}})
+            return corpus
+
+        def mutate(value):
+            if isinstance(value, dict):
+                for item in value.values():
+                    mutate(item)
+                value["mutated"] = True
+            elif isinstance(value, list):
+                for item in value:
+                    mutate(item)
+                value.append("mutated")
+
+        a, b = side("a"), side("b")
+        before = copy.deepcopy((a, b))
+        merged = merge(a, b)
+        mutate(merged.meta)
+        for table in (merged.speakers, merged.conversations, merged.utterances):
+            for obj in table.values():
+                mutate(obj.meta)
+        for convo in merged.conversations.values():
+            convo.utterance_ids.append("mutated")
+        assert (a, b) == before
 
 
 class TestTabular:

@@ -273,10 +273,11 @@ class TestCheckIntegrity:
         assert [v.code for v in report.violations] == ["MissingSpeaker"] * 3
 
     def test_multiple_roots_violation(self):
+        # u2 hangs under the second root: reachable, so not a cycle.
         corpus = build_corpus(chain3())
         corpus.utterances["u1"].reply_to = None
-        codes = [v.code for v in check_integrity(corpus).violations]
-        assert "MultipleRoots" in codes
+        violations = check_integrity(corpus).violations
+        assert [(v.code, v.ids) for v in violations] == [("MultipleRoots", ("c0", "u0", "u1"))]
 
     def test_dangling_reply_violation(self):
         corpus = build_corpus(chain3())

@@ -9,7 +9,7 @@ from convoforge import (
     extract_strategies,
     summarize_politeness,
 )
-from convoforge.errors import EmptySelectionError, MissingAnnotationError
+from convoforge.errors import EmptySelectionError
 from convoforge.politeness import (
     _compile_index,
     _count_markers,
@@ -43,8 +43,21 @@ class TestInventory:
 
 class TestExtract:
     def test_requires_tokens(self):
-        with pytest.raises(MissingAnnotationError):
-            extract_strategies(Utterance("u", "s", "c", "thank you"))
+        # Without a "tokens" annotation the counts are those of the tokens a
+        # Tokenizer stage would store (from clean_text when present), and
+        # nothing is written to the utterance.
+        for text, meta in (
+            ("Thank you, could you please review this?", {}),
+            ("Sorry. Hey, I think you might be right!", {}),
+            ("<b>ignored</b>", {"clean_text": "Please, would you help? Thanks"}),
+        ):
+            bare = Utterance("u", "s", "c", text, meta=dict(meta))
+            tokenized = build_corpus([Utterance("u", "s", "c", text, meta=dict(meta))])
+            Tokenizer().transform(tokenized)
+            expected = extract_strategies(tokenized.utterances["u"])
+            assert extract_strategies(bare) == expected
+            assert sum(expected.values()) > 0
+            assert bare.meta == meta
 
     def test_worked_example(self):
         counts = extract_strategies(
