@@ -36,7 +36,7 @@ from .hyperconvo import HyperConvo
 from .model import traverse
 from .politeness import PolitenessStrategies
 from .registry import create_transformer
-from .transform import Pipeline, format_value
+from .transform import Pipeline, SummaryTable
 
 USAGE_ERRORS = (
     MissingFileError,
@@ -93,16 +93,16 @@ def cmd_stats(args) -> int:
             longest = max(longest, depth[utt.id])
         depths.append(longest)
     n = len(sizes)
-    rows = [
+    table = SummaryTable(columns=["value"], label_header="metric")
+    for name, value in (
         ("speakers", len(corpus.speakers)),
         ("conversations", len(corpus.conversations)),
         ("utterances", len(corpus.utterances)),
         ("mean_conversation_size", sum(sizes) / n if n else 0.0),
         ("mean_conversation_depth", sum(depths) / n if n else 0.0),
-    ]
-    print("metric\tvalue")
-    for name, value in rows:
-        print(f"{name}\t{format_value(value)}")
+    ):
+        table.add_row(name, [value])
+    print(table.to_delimited())
     return 0
 
 
@@ -157,11 +157,11 @@ def cmd_fightingwords(args) -> int:
                    min_count=args.min_count, alpha=args.alpha)
     print(summarize_fw(model, top_k=args.top_k).to_delimited())
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(args.delimiter.join(["term", "y1", "y2", "zscore"]) + "\n")
-            for term, y1, y2, z in model.ranking():
-                fh.write(args.delimiter.join(
-                    [term, str(y1), str(y2), format_value(z)]) + "\n")
+        ranking = SummaryTable(columns=["y1", "y2", "zscore"], label_header="term")
+        for term, y1, y2, z in model.ranking():
+            ranking.add_row(term, [y1, y2, z])
+        Path(args.export).write_text(ranking.to_delimited(args.delimiter) + "\n",
+                                     encoding="utf-8")
     return 0
 
 

@@ -193,6 +193,16 @@ def _replace_directory(staging: Path, directory: Path) -> None:
     shutil.rmtree(retired, ignore_errors=True)
 
 
+def _require_integrity(corpus: Corpus, what: str) -> None:
+    """Raise IntegrityViolationError, naming the corpus as ``what``, unless it is well formed."""
+    report = check_integrity(corpus)
+    if not report.ok:
+        raise IntegrityViolationError(
+            f"{what} fails integrity checks ({len(report.violations)} violations)",
+            violations=report.violations,
+        )
+
+
 def save(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus directory; refuses to persist an invalid corpus.
 
@@ -201,12 +211,7 @@ def save(corpus: Corpus, path: str | Path) -> None:
     An existing ``path`` may hold nothing but corpus files. Metadata that
     standard JSON cannot hold (NaN, Infinity, sets, ...) is refused.
     """
-    report = check_integrity(corpus)
-    if not report.ok:
-        raise IntegrityViolationError(
-            f"refusing to save corpus with {len(report.violations)} integrity violations",
-            violations=report.violations,
-        )
+    _require_integrity(corpus, "corpus to save")
     # Resolved, so that a symlinked directory is replaced at its target.
     directory = Path(path).resolve()
     try:
@@ -260,7 +265,10 @@ def _meta_by_id(directory: Path, name: str) -> Iterator[tuple[str, dict]]:
     for object_id, payload in _read_json_object(directory, name).items():
         if not isinstance(payload, dict):
             raise MalformedRecordError(f"{name}: record {object_id!r} is not an object")
-        yield object_id, payload.get("meta", {})
+        meta = payload.get("meta", {})
+        if not isinstance(meta, dict):
+            raise MalformedRecordError(f"{name}: record {object_id!r} meta is not an object")
+        yield object_id, meta
 
 
 def _parse_utterance_line(line: str, line_number: int) -> Utterance:
@@ -337,7 +345,10 @@ def _load(directory: Path) -> Corpus:
     if major != FORMAT_VERSION.split(".", 1)[0]:
         raise UnsupportedVersionError(f"unsupported corpus format version: {version!r}")
 
-    corpus = Corpus(meta=manifest.get("corpus_meta", {}))
+    corpus_meta = manifest.get("corpus_meta", {})
+    if not isinstance(corpus_meta, dict):
+        raise MalformedRecordError(f"{MANIFEST_FILE}: corpus_meta is not an object")
+    corpus = Corpus(meta=corpus_meta)
 
     for sid, meta in _meta_by_id(directory, SPEAKERS_FILE):
         corpus.speakers[sid] = Speaker(id=sid, meta=meta)
@@ -371,12 +382,7 @@ def _load(directory: Path) -> Corpus:
                 f"manifest declares {declared} {label}s but payload has {actual}"
             )
 
-    report = check_integrity(corpus)
-    if not report.ok:
-        raise IntegrityViolationError(
-            f"loaded corpus fails integrity checks ({len(report.violations)} violations)",
-            violations=report.violations,
-        )
+    _require_integrity(corpus, "loaded corpus")
     return corpus
 
 
@@ -431,11 +437,7 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
         existing.meta = _merge_meta("utterance_meta", uid, existing.meta, utt.meta, log)
 
     result.merge_log = log
-    report = check_integrity(result)
-    if not report.ok:
-        raise IntegrityViolationError(
-            "merge produced an invalid corpus", violations=report.violations
-        )
+    _require_integrity(result, "merged corpus")
     return result
 
 

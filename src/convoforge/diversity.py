@@ -91,25 +91,11 @@ def speaker_distributions(
 def compute_diversity(corpus: Corpus, min_tokens_per_convo: int = 1) -> Corpus:
     """Annotate every speaker with their diversity score under
     "convo_diversity": {"value": float or None, "n_conversations": int}."""
-    grouped = _token_counts_by_speaker(corpus)
-    for speaker in corpus.speakers.values():
-        distributions = _distributions(grouped.get(speaker.id, {}), min_tokens_per_convo)
-        n = len(distributions)
-        value: Optional[float] = None
-        if n >= 2:
-            total = 0.0
-            pairs = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    total += jensen_shannon(distributions[i], distributions[j])
-                    pairs += 1
-            value = total / pairs
-        speaker.meta[ANNOTATION_KEY] = {"value": value, "n_conversations": n}
-    return corpus
+    return SpeakerDiversity(min_tokens_per_convo).transform(corpus)
 
 
 class SpeakerDiversity(Transformer):
-    """Transformer wrapper around compute_diversity()."""
+    """Annotates every speaker with their diversity score (see compute_diversity)."""
 
     name = "speaker_diversity"
     level = "speaker"
@@ -120,7 +106,21 @@ class SpeakerDiversity(Transformer):
         self.min_tokens_per_convo = min_tokens_per_convo
 
     def _transform(self, corpus: Corpus) -> None:
-        compute_diversity(corpus, self.min_tokens_per_convo)
+        grouped = _token_counts_by_speaker(corpus)
+        for speaker in corpus.speakers.values():
+            distributions = _distributions(grouped.get(speaker.id, {}),
+                                           self.min_tokens_per_convo)
+            n = len(distributions)
+            value: Optional[float] = None
+            if n >= 2:
+                total = 0.0
+                pairs = 0
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        total += jensen_shannon(distributions[i], distributions[j])
+                        pairs += 1
+                value = total / pairs
+            self._annotate(speaker, {"value": value, "n_conversations": n})
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
         rows = [(speaker.id, score["value"], score["n_conversations"])

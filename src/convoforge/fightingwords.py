@@ -204,6 +204,7 @@ class FightingWords(Transformer):
 
     name = "fighting_words"
     requires_fit = True
+    annotation_key = "fw_class"
 
     def __init__(self, class1, class2, ngram_max: int = 1, min_count: int = 1,
                  alpha: float = 0.01, top_k: int = 10):
@@ -236,7 +237,7 @@ class FightingWords(Transformer):
         for utt in corpus.utterances.values():
             in1, in2 = class1(utt), class2(utt)
             label = "both" if in1 and in2 else "class1" if in1 else "class2" if in2 else "none"
-            self._annotate(utt.meta, "fw_class", label, f"utterance {utt.id}")
+            self._annotate(utt, label)
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
         return summarize_fw(self.model, top_k=self.top_k)

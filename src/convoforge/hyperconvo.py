@@ -135,8 +135,7 @@ class HyperConvo(Transformer):
     def _transform(self, corpus: Corpus) -> None:
         for convo in corpus.conversations.values():
             graph = build_response_graph(corpus, convo.id)
-            self._annotate(convo.meta, ANNOTATION_KEY, extract_features(graph),
-                           f"conversation {convo.id}")
+            self._annotate(convo, extract_features(graph))
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
         table = SummaryTable(columns=list(FEATURE_NAMES), label_header=self.level)

@@ -24,7 +24,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -483,8 +483,8 @@ class Classifier(Transformer):
         labels, scores = predict(self.model, [
             vectorize(self.vocab, doc) for doc in _documents(corpus, self.level, objects)])
         for obj, label, score in zip(objects, labels.tolist(), scores.tolist()):
-            self._annotate(obj.meta, self.annotation_key, label, f"{self.level} {obj.id}")
-            obj.meta["prediction_score"] = score
+            self._annotate(obj, label)
+            self._annotate(obj, score, key="prediction_score")
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
         table = SummaryTable(columns=["prediction", "prediction_score"],
@@ -559,13 +559,9 @@ class Forecaster(Transformer):
     def _transform(self, corpus: Corpus) -> None:
         utterances, lengths, rows = self._utterance_rows(corpus)
         _, scores = _labelled_scores(_running_sums(rows.matvec(self.model.weights), lengths))
-        for utt, score in zip(utterances, scores.tolist()):
-            self._annotate(utt.meta, "forecast", score, f"utterance {utt.id}")
-            # The last utterance of a conversation in traversal order sets its final forecast.
-            corpus.conversations[utt.conversation_id].meta[self.annotation_key] = score
-
-    def summarize(self, corpus: Corpus) -> SummaryTable:
-        table = SummaryTable(columns=[self.annotation_key], label_header=self.level)
-        for convo, forecast in self._annotations(corpus):
-            table.add_row(convo.id, [forecast])
-        return table
+        scores = scores.tolist()
+        for utt, score in zip(utterances, scores):
+            self._annotate(utt, score, key="forecast")
+        # A conversation's final forecast is that of its last utterance in traversal order.
+        for convo, end in zip(corpus.conversations.values(), accumulate(lengths)):
+            self._annotate(convo, scores[end - 1])

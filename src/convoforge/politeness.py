@@ -157,11 +157,11 @@ class PolitenessStrategies(Transformer):
     """Annotates every utterance with its strategy-count vector."""
 
     name = "politeness"
+    annotation_key = ANNOTATION_KEY
 
     def _transform(self, corpus: Corpus) -> None:
         for utt in corpus.utterances.values():
-            self._annotate(utt.meta, ANNOTATION_KEY, extract_strategies(utt),
-                           f"utterance {utt.id}")
+            self._annotate(utt, extract_strategies(utt))
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
         return summarize_politeness(corpus)

@@ -157,6 +157,7 @@ class TextCleaner(Transformer):
     """
 
     name = "text_cleaner"
+    annotation_key = "clean_text"
 
     def __init__(self, overwrite_text: bool = False):
         super().__init__()
@@ -165,7 +166,7 @@ class TextCleaner(Transformer):
     def _transform(self, corpus: Corpus) -> None:
         for utt in corpus.utterances.values():
             cleaned = clean_text(utt.text)
-            self._annotate(utt.meta, "clean_text", cleaned, f"utterance {utt.id}")
+            self._annotate(utt, cleaned)
             if self.overwrite_text:
                 utt.text = cleaned
 
@@ -177,12 +178,12 @@ class Tokenizer(Transformer):
     """
 
     name = "tokenizer"
+    annotation_key = "tokens"
 
     def _transform(self, corpus: Corpus) -> None:
         for utt in corpus.utterances.values():
             source = utt.meta.get("clean_text", utt.text)
-            self._annotate(utt.meta, "tokens", tokenize(source).sentences,
-                           f"utterance {utt.id}")
+            self._annotate(utt, tokenize(source).sentences)
 
 
 def merge_consecutive(corpus: Corpus) -> Corpus:

@@ -2,9 +2,9 @@
 
 A Transformer learns from a corpus in fit(), annotates the same corpus in
 place in transform() (returning it for chaining), and reports what it
-computed in summarize(). Annotations live in metadata tables under one
-documented key per transformer; only transformers flagged as structural may
-change the utterance tree itself.
+computed in summarize(). Annotations live in metadata tables; every key a
+transformer writes goes through Transformer._annotate. Only transformers
+flagged as structural may change the utterance tree itself.
 """
 
 from __future__ import annotations
@@ -75,12 +75,13 @@ class Transformer:
 
     ``requires_fit`` gates transform() behind a successful fit();
     ``structural`` marks transformers allowed to alter the utterance tree.
-    A transformer writes only its own annotation: one that reads tokens
-    takes them from textprep.utterance_tokens, which tokenizes an
-    utterance without the "tokens" annotation on the fly.
-    A summarize() that reads back the annotation under ``annotation_key`` on
-    every ``level`` object gets it from _annotations(). A registered
-    transformer's config parameters are its constructor's parameters.
+    A transformer writes only its own annotations, through _annotate(): one
+    that reads tokens takes them from textprep.utterance_tokens, which
+    tokenizes an utterance without the "tokens" annotation on the fly.
+    summarize() defaults to one row per ``level`` object holding its
+    annotation under ``annotation_key``, read through _annotations(). A
+    registered transformer's config parameters are its constructor's
+    parameters.
     """
 
     name = "transformer"
@@ -121,7 +122,10 @@ class Transformer:
         return self.fit(corpus).transform(corpus)
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
-        raise NotImplementedError(f"{self.name} does not implement summarize()")
+        table = SummaryTable(columns=[self.annotation_key], label_header=self.level)
+        for obj, value in self._annotations(corpus):
+            table.add_row(obj.id, [value])
+        return table
 
     def _fit(self, corpus: Corpus) -> None:
         pass
@@ -133,13 +137,15 @@ class Transformer:
         return _require_annotations(_level_objects(corpus, self.level), self.level,
                                     self.annotation_key)
 
-    def _annotate(self, meta: dict, key: str, value, owner: str) -> None:
-        # Overwriting a previous run's annotation is allowed; transform()
-        # reports how many.
-        if key in meta:
+    def _annotate(self, obj, value, key: str = "") -> None:
+        """obj.meta[key] = value, key defaulting to ``annotation_key``. An
+        overwritten annotation is allowed; transform() reports how many."""
+        key = key or self.annotation_key
+        if key in obj.meta:
             self._overwrites[key] += 1
-            logger.debug("overwriting %r annotation on %s", key, owner)
-        meta[key] = value
+            logger.debug("overwriting %r annotation on %s %s", key,
+                         type(obj).__name__.lower(), obj.id)
+        obj.meta[key] = value
 
 
 @dataclass
@@ -185,11 +191,4 @@ class SpeakerMixAnnotator(Transformer):
                 value = corpus.speakers[utt.speaker_id].meta.get(self.speaker_key)
                 if value is not None:
                     values.add(value)
-            self._annotate(convo.meta, self.annotation_key, len(values) >= 2,
-                           f"conversation {convo.id}")
-
-    def summarize(self, corpus: Corpus) -> SummaryTable:
-        table = SummaryTable(columns=[self.annotation_key], label_header=self.level)
-        for convo, mixed in self._annotations(corpus):
-            table.add_row(convo.id, [mixed])
-        return table
+            self._annotate(convo, len(values) >= 2)

@@ -5,12 +5,15 @@ trees, missing timestamps, nested metadata of every supported value type,
 and unicode text.
 """
 
+import json
 import os
 import random
+import shutil
 from pathlib import Path
 
 import convoforge
 from convoforge import Corpus, Speaker, Utterance, build_corpus
+from convoforge.datasets import toy_movie_path
 
 WORDS = [
     "alpha", "beta", "gamma", "note", "plan", "vault", "night", "river",
@@ -121,3 +124,21 @@ def corpus_equal_strict(a: Corpus, b: Corpus) -> bool:
         if not typed_equal(utt.meta, b.utterances[uid].meta):
             return False
     return True
+
+
+def write_non_object_meta(directory: Path, name: str, value) -> str:
+    """Copy the toy corpus to directory with value as the metadata of its
+    first speaker or conversation, or as its corpus_meta, depending on name:
+    speakers.json, conversations.json or manifest.json. Returns what an
+    error should name besides the file: the object's id or "corpus_meta"."""
+    shutil.copytree(toy_movie_path(), directory)
+    path = directory / name
+    document = json.loads(path.read_text())
+    if name == "manifest.json":
+        document["corpus_meta"] = value
+        owner = "corpus_meta"
+    else:
+        owner = next(iter(document))
+        document[owner]["meta"] = value
+    path.write_text(json.dumps(document))
+    return owner

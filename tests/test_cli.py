@@ -9,7 +9,7 @@ import pytest
 from convoforge import Utterance, build_corpus, import_tabular, identity_mapping, save
 from convoforge.cli import main
 from convoforge.datasets import toy_movie_path
-from helpers import child_env
+from helpers import child_env, write_non_object_meta
 
 
 def run_child(argv, **kwargs):
@@ -69,6 +69,16 @@ class TestValidate:
         (target / name).write_text("[]")
         assert main(["--corpus", str(target), "validate"]) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["speakers.json", "conversations.json", "manifest.json"])
+    def test_meta_that_is_not_an_object_exits_2(self, tmp_path, name, capsys):
+        owner = write_non_object_meta(tmp_path / "toy", name, 5)
+        assert main(["--corpus", str(tmp_path / "toy"), "validate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {name}: ")
+        assert owner in lines[0]
 
     def test_missing_corpus_flag_exits_2(self, capsys):
         assert main(["validate"]) == 2
@@ -320,6 +330,115 @@ class TestFightingWordsCommand:
         lines = target.read_text().splitlines()
         assert lines[0] == "term,y1,y2,zscore"
         assert lines[1].startswith("alpha,")
+
+
+@pytest.fixture
+def speaker_mix_dir(tmp_path):
+    """The toy corpus after speaker_mix on gender: conversations m1 and m2
+    are mixed=true, f1 and g1 mixed=false."""
+    out = tmp_path / "speaker_mix"
+    config = tmp_path / "speaker_mix.json"
+    config.write_text(json.dumps({
+        "input": str(toy_movie_path()), "output": str(out),
+        "stages": [{"name": "speaker_mix", "params": {"speaker_key": "gender"}}],
+    }))
+    assert main(["--quiet", "run", str(config)]) == 0
+    return out
+
+
+# The full fighting-words ranking of the toy corpus, mixed=true against
+# mixed=false, as `fightingwords --export` writes it with "," as delimiter.
+TOY_RANKING = (
+    "term,y1,y2,zscore\n"
+    "alpha,6,0,0.649499\n"
+    "then,2,1,0.564235\n"
+    "me,2,0,0.530966\n"
+    "protocol,2,0,0.530966\n"
+    "a,1,0,0.459244\n"
+    "about,1,0,0.459244\n"
+    "always,1,0,0.459244\n"
+    "answer,1,0,0.459244\n"
+    "archive,1,0,0.459244\n"
+    "but,1,0,0.459244\n"
+    "crates,1,0,0.459244\n"
+    "files,1,0,0.459244\n"
+    "fine,1,0,0.459244\n"
+    "from,1,0,0.459244\n"
+    "have,1,0,0.459244\n"
+    "idea,1,0,0.459244\n"
+    "keep,1,0,0.459244\n"
+    "leaves,1,0,0.459244\n"
+    "list,1,0,0.459244\n"
+    "mine,1,0,0.459244\n"
+    "missing,1,0,0.459244\n"
+    "moved,1,0,0.459244\n"
+    "nothing,1,0,0.459244\n"
+    "owe,1,0,0.459244\n"
+    "real,1,0,0.459244\n"
+    "room,1,0,0.459244\n"
+    "safe,1,0,0.459244\n"
+    "tell,1,0,0.459244\n"
+    "this,1,0,0.459244\n"
+    "tonight,1,0,0.459244\n"
+    "was,1,0,0.459244\n"
+    "who,1,0,0.459244\n"
+    "will,1,0,0.459244\n"
+    "you,1,0,0.459244\n"
+    "your,1,0,0.459244\n"
+    "is,1,1,-0.0138909\n"
+    "we,1,1,-0.0138909\n"
+    "add,0,1,-0.463097\n"
+    "again,0,1,-0.463097\n"
+    "against,0,1,-0.463097\n"
+    "arrive,0,1,-0.463097\n"
+    "burned,0,1,-0.463097\n"
+    "check,0,1,-0.463097\n"
+    "do,0,1,-0.463097\n"
+    "early,0,1,-0.463097\n"
+    "entirely,0,1,-0.463097\n"
+    "in,0,1,-0.463097\n"
+    "late,0,1,-0.463097\n"
+    "move,0,1,-0.463097\n"
+    "numbers,0,1,-0.463097\n"
+    "or,0,1,-0.463097\n"
+    "remember,0,1,-0.463097\n"
+    "schedule,0,1,-0.463097\n"
+    "skip,0,1,-0.463097\n"
+    "stays,0,1,-0.463097\n"
+    "too,0,1,-0.463097\n"
+    "until,0,1,-0.463097\n"
+    "up,0,1,-0.463097\n"
+    "were,0,1,-0.463097\n"
+    "buyers,0,2,-0.534867\n"
+    "dawn,0,2,-0.534867\n"
+    "logs,0,2,-0.534867\n"
+    "night,0,2,-0.534867\n"
+    "vault,0,2,-0.534867\n"
+    "not,1,2,-0.596608\n"
+    "ledger,0,4,-0.608614\n"
+    "the,6,10,-1.20827\n"
+)
+
+
+class TestTableBytes:
+    def test_stats_stdout(self, speaker_mix_dir, capsys):
+        assert main(["--corpus", str(speaker_mix_dir), "stats"]) == 0
+        assert capsys.readouterr().out == (
+            "metric\tvalue\n"
+            "speakers\t6\n"
+            "conversations\t4\n"
+            "utterances\t14\n"
+            "mean_conversation_size\t3.5\n"
+            "mean_conversation_depth\t3\n"
+        )
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"], ids=["comma", "tab"])
+    def test_fightingwords_export_file(self, speaker_mix_dir, tmp_path, capsys, delimiter):
+        target = tmp_path / "ranking"
+        assert main(["--corpus", str(speaker_mix_dir), "fightingwords",
+                     "--class1", "mixed=true", "--class2", "mixed=false",
+                     "--export", str(target), "--delimiter", delimiter]) == 0
+        assert target.read_bytes() == TOY_RANKING.replace(",", delimiter).encode()
 
 
 class TestAnalyzerCommands:

@@ -13,7 +13,7 @@ from convoforge import (
     jensen_shannon,
 )
 from convoforge.diversity import speaker_distributions
-from helpers import random_corpus
+from helpers import corpus_equal_strict, random_corpus
 from reference import ref_jensen_shannon
 
 LN2 = math.log(2)
@@ -236,3 +236,15 @@ class TestTransformer:
         assert labels[0] == "varied"
         assert labels[-1] == "lurker"
         assert table.rows[-1][1][0] is None
+
+    def test_compute_diversity_equals_transformer(self):
+        rng = random.Random(97)
+        for _ in range(20):
+            corpus = random_corpus(rng)
+            if rng.random() < 0.5:
+                Tokenizer().transform(corpus)
+            for min_tokens in (1, 3):
+                expected = SpeakerDiversity(min_tokens).transform(copy.deepcopy(corpus))
+                actual = copy.deepcopy(corpus)
+                assert compute_diversity(actual, min_tokens) is actual
+                assert corpus_equal_strict(actual, expected)

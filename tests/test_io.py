@@ -33,7 +33,7 @@ from convoforge.errors import (
     UnsupportedVersionError,
     UnserializableValueError,
 )
-from helpers import corpus_equal_strict, random_corpus
+from helpers import corpus_equal_strict, random_corpus, write_non_object_meta
 
 
 def small_corpus():
@@ -197,6 +197,16 @@ class TestSaveLoad:
         (target / name).write_text(json.dumps(records))
         with pytest.raises(MalformedRecordError, match=name):
             load(target)
+
+    @pytest.mark.parametrize("name", ["speakers.json", "conversations.json", "manifest.json"])
+    @pytest.mark.parametrize("value", [5, "M", ["M"], None], ids=["int", "str", "list", "null"])
+    def test_meta_that_is_not_an_object(self, tmp_path, name, value):
+        # Utterance lines refuse a non-object meta; so do the other files,
+        # before any analyzer meets it.
+        owner = write_non_object_meta(tmp_path / "toy", name, value)
+        with pytest.raises(MalformedRecordError,
+                           match=rf"^{re.escape(name)}: .*{owner}.* is not an object$"):
+            load(tmp_path / "toy")
 
     @pytest.mark.parametrize("name", ["utterances.jsonl", "manifest.json", "speakers.json",
                                       "conversations.json"])

@@ -1,4 +1,5 @@
 import copy
+from itertools import chain
 
 import pytest
 
@@ -236,12 +237,57 @@ class TestPipeline:
             f"overwriting 'clean_text' annotation on utterance {uid}"
             for uid in corpus.utterances)
 
+    def test_rerun_counts_every_key_each_stage_writes(self, caplog):
+        corpus = load_toy_movie()
+        for i, obj in enumerate(chain(corpus.utterances.values(),
+                                      corpus.conversations.values(),
+                                      corpus.speakers.values())):
+            obj.meta["label"] = i % 2 == 0
+
+        def stages():
+            return [SpeakerDiversity()] + [
+                Classifier(label_key="label", level=level)
+                for level in ("utterance", "conversation", "speaker")
+            ] + [Forecaster(label_key="label")]
+
+        with caplog.at_level("WARNING"):
+            Pipeline(stages()).run(corpus)
+        assert caplog.messages == []
+        with caplog.at_level("WARNING"):
+            Pipeline(stages()).run(corpus)
+        # forecast_final is written once per conversation, not once per utterance.
+        assert caplog.messages == [
+            "speaker_diversity: overwrote 6 existing 'convo_diversity' annotations",
+            "classifier: overwrote 14 existing 'prediction' annotations, "
+            "14 existing 'prediction_score' annotations",
+            "classifier: overwrote 4 existing 'prediction' annotations, "
+            "4 existing 'prediction_score' annotations",
+            "classifier: overwrote 6 existing 'prediction' annotations, "
+            "6 existing 'prediction_score' annotations",
+            "forecaster: overwrote 14 existing 'forecast' annotations, "
+            "4 existing 'forecast_final' annotations",
+        ]
+
+    @pytest.mark.parametrize("stage, owners", [
+        (SpeakerMixAnnotator(speaker_key="gender"),
+         [f"'mixed' annotation on conversation {cid}" for cid in ("m1", "m2", "f1", "g1")]),
+        (SpeakerDiversity(),
+         [f"'convo_diversity' annotation on speaker {sid}"
+          for sid in ("rick", "ilsa", "sam", "vivian", "marla", "tyler")]),
+    ], ids=lambda value: getattr(value, "name", None))
+    def test_overwrite_names_its_owner_at_debug(self, caplog, stage, owners):
+        corpus = stage.transform(load_toy_movie())
+        with caplog.at_level("DEBUG", logger="convoforge.transform"):
+            stage.transform(corpus)
+        debug = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+        assert debug == [f"overwriting {owner}" for owner in owners]
+
     def test_failing_stage_reports_overwrites_made(self, caplog):
         class FailsAfterOne(Transformer):
             name = "fails_after_one"
 
             def _transform(self, corpus):
-                self._annotate(corpus.utterances["u0"].meta, "side", 0, "utterance u0")
+                self._annotate(corpus.utterances["u0"], 0, key="side")
                 raise RuntimeError("boom")
 
         with caplog.at_level("WARNING"), pytest.raises(PipelineStageError):
