@@ -12,6 +12,7 @@ usage or I/O failure, including a standard output closed early (as by
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import os
 import sys
@@ -59,10 +60,18 @@ def _load_corpus(args):
     return corpus_io.load(args.corpus)
 
 
+def _export_table(table: SummaryTable, path: str, delimiter: str) -> None:
+    # Through the csv module, as export_tabular writes: a cell holding the
+    # delimiter, a double quote or a line break is quoted, so that a term
+    # such as "1,000" stays one field.
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(table.cells())
+
+
 def _emit_table(table, export_path=None, delimiter="\t") -> None:
     print(table.to_delimited())
     if export_path:
-        Path(export_path).write_text(table.to_delimited(delimiter) + "\n", encoding="utf-8")
+        _export_table(table, export_path, delimiter)
 
 
 def cmd_validate(args) -> int:
@@ -160,8 +169,7 @@ def cmd_fightingwords(args) -> int:
         ranking = SummaryTable(columns=["y1", "y2", "zscore"], label_header="term")
         for term, y1, y2, z in model.ranking():
             ranking.add_row(term, [y1, y2, z])
-        Path(args.export).write_text(ranking.to_delimited(args.delimiter) + "\n",
-                                     encoding="utf-8")
+        _export_table(ranking, args.export, args.delimiter)
     return 0
 
 
@@ -197,6 +205,15 @@ def cmd_export(args) -> int:
     if not args.quiet:
         print(f"wrote {args.output}", file=sys.stderr)
     return 0
+
+
+def _delimiter(value: str) -> str:
+    # Delimited files are written by the csv module: one character, and not
+    # the quote or a line break that its quoting relies on.
+    if len(value) != 1 or value in '"\r\n':
+        raise argparse.ArgumentTypeError(
+            f"must be one character other than a double quote or line break, got {value!r}")
+    return value
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, trailing: bool) -> None:
@@ -242,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     fw.add_argument("--min-count", type=int, default=1, dest="min_count")
     fw.add_argument("--alpha", type=float, default=0.01)
     fw.add_argument("--export", help="write the full ranking to this file")
-    fw.add_argument("--delimiter", default=",", help="delimiter for --export")
+    fw.add_argument("--delimiter", type=_delimiter, default=",",
+                    help="delimiter for --export")
     fw.set_defaults(func=cmd_fightingwords)
 
     for name, func, extra in (
@@ -252,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = add_command(name, f"run the {name} analyzer and print its summary")
         cmd.add_argument("--export", help="write the summary table to this file")
-        cmd.add_argument("--delimiter", default="\t", help="delimiter for --export")
+        cmd.add_argument("--delimiter", type=_delimiter, default="\t",
+                         help="delimiter for --export")
         cmd.add_argument("--output", help="save the annotated corpus to this directory")
         if extra == "min_tokens":
             cmd.add_argument("--min-tokens", type=int, default=1, dest="min_tokens")
@@ -260,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = add_command("export", "write utterances as a delimited table")
     export.add_argument("--output", required=True)
-    export.add_argument("--delimiter", default=",")
+    export.add_argument("--delimiter", type=_delimiter, default=",")
     export.add_argument("--meta-columns", dest="meta_columns",
                         help="comma-separated utterance meta keys to include")
     export.set_defaults(func=cmd_export)

@@ -10,6 +10,8 @@ than two eligible conversations get a null score.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain
 from typing import Optional
 
 from .model import Corpus
@@ -27,21 +29,37 @@ def jensen_shannon(p: dict[str, float], q: dict[str, float]) -> float:
     A term with mass in one distribution only has midpoint prob / 2, so its
     term 0.5 * prob * ln(prob / mid) is exactly 0.5 * prob * ln 2: those
     masses are summed, and the logarithm runs on shared terms alone.
+    Fast path: every shared term is in the smaller map, so only it is
+    walked; the larger map's one-sided mass is its total less its shared
+    mass, or exactly 0 when all its terms are shared.
     """
+    return _jsd(_positive(p), _positive(q))
+
+
+def _positive(dist: dict[str, float]) -> tuple[dict[str, float], float]:
+    # The positive entries of a distribution and their total mass.
+    kept = {term: x for term, x in dist.items() if x > 0.0}
+    return kept, sum(kept.values())
+
+
+def _jsd(p: tuple[dict[str, float], float], q: tuple[dict[str, float], float]) -> float:
+    (small, _), (large, large_mass) = (p, q) if len(p[0]) <= len(q[0]) else (q, p)
     shared = 0.0
     one_sided = 0.0
-    for term, x in p.items():
-        if x <= 0.0:
-            continue
-        y = q.get(term, 0.0)
-        if y > 0.0:
+    matched = 0
+    matched_mass = 0.0
+    find = large.get
+    for term, x in small.items():
+        y = find(term)
+        if y is None:
+            one_sided += x
+        else:
+            matched += 1
+            matched_mass += y
             mid = (x + y) / 2.0
             shared += x * math.log(x / mid) + y * math.log(y / mid)
-        else:
-            one_sided += x
-    for term, y in q.items():
-        if y > 0.0 and p.get(term, 0.0) <= 0.0:
-            one_sided += y
+    if matched < len(large):
+        one_sided += large_mass - matched_mass
     return 0.5 * (shared + LN2 * one_sided)
 
 
@@ -52,19 +70,19 @@ def _unigram_distribution(counts: dict[str, int]) -> dict[str, float]:
 
 def _token_counts_by_speaker(
     corpus: Corpus, speaker_id: Optional[str] = None
-) -> dict[str, dict[str, dict[str, int]]]:
+) -> dict[str, dict[str, Counter]]:
     """speaker -> conversation -> lowercased term counts of utterance_tokens,
     from one pass over the utterances in corpus order (all speakers, or only
     ``speaker_id``)."""
-    grouped: dict[str, dict[str, dict[str, int]]] = {}
+    grouped: dict[str, dict[str, Counter]] = {}
     for utt in corpus.utterances.values():
         if speaker_id is not None and utt.speaker_id != speaker_id:
             continue
-        counts = grouped.setdefault(utt.speaker_id, {}).setdefault(utt.conversation_id, {})
-        for sentence in utterance_tokens(utt):
-            for tok in sentence:
-                tok = tok.lower()
-                counts[tok] = counts.get(tok, 0) + 1
+        per_convo = grouped.setdefault(utt.speaker_id, {})
+        counts = per_convo.get(utt.conversation_id)
+        if counts is None:
+            counts = per_convo[utt.conversation_id] = Counter()
+        counts.update(map(str.lower, chain.from_iterable(utterance_tokens(utt))))
     return grouped
 
 
@@ -113,13 +131,12 @@ class SpeakerDiversity(Transformer):
             n = len(distributions)
             value: Optional[float] = None
             if n >= 2:
+                prepared = [_positive(dist) for dist in distributions]
                 total = 0.0
-                pairs = 0
                 for i in range(n):
                     for j in range(i + 1, n):
-                        total += jensen_shannon(distributions[i], distributions[j])
-                        pairs += 1
-                value = total / pairs
+                        total += _jsd(prepared[i], prepared[j])
+                value = total / (n * (n - 1) // 2)
             self._annotate(speaker, {"value": value, "n_conversations": n})
 
     def summarize(self, corpus: Corpus) -> SummaryTable:

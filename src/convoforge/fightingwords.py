@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import string
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -30,24 +31,24 @@ from .transform import SummaryTable, Transformer
 
 logger = logging.getLogger(__name__)
 
-_PUNCT = frozenset(string.punctuation)
-
 
 def _word_tokens(utt: Utterance) -> list[str]:
-    # Lowercased, with pure-punctuation tokens dropped.
-    out = []
-    for sentence in utterance_tokens(utt):
-        for tok in sentence:
-            if not all(ch in _PUNCT for ch in tok):
-                out.append(tok.lower())
-    return out
+    """Lowercased tokens, with pure-punctuation tokens dropped.
+
+    Fast path: a token is all punctuation exactly when stripping
+    punctuation from it leaves nothing.
+    """
+    return [tok.lower() for sentence in utterance_tokens(utt) for tok in sentence
+            if tok.strip(string.punctuation)]
 
 
 def _ngrams(tokens: list[str], ngram_max: int) -> list[str]:
-    grams = []
-    for n in range(1, ngram_max + 1):
-        for i in range(len(tokens) - n + 1):
-            grams.append(" ".join(tokens[i:i + n]))
+    # The unigrams are the tokens themselves; longer n-grams follow, by n.
+    if ngram_max < 2:
+        return tokens if ngram_max == 1 else []
+    grams = list(tokens)
+    for n in range(2, ngram_max + 1):
+        grams.extend(" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
     return grams
 
 
@@ -90,11 +91,10 @@ def _check_prior(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
-def _count_class(utterances: list[Utterance], ngram_max: int) -> dict[str, int]:
-    counts: dict[str, int] = {}
+def _count_class(utterances: list[Utterance], ngram_max: int) -> Counter:
+    counts: Counter = Counter()
     for utt in utterances:
-        for gram in _ngrams(_word_tokens(utt), ngram_max):
-            counts[gram] = counts.get(gram, 0) + 1
+        counts.update(_ngrams(_word_tokens(utt), ngram_max))
     return counts
 
 

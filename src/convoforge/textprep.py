@@ -8,7 +8,10 @@ dropped), and whitespace collapsing. The markup and sentinel passes are
 re-applied after transliteration because compatibility normalization can
 materialize ASCII markup (e.g. fullwidth brackets); this keeps the function
 idempotent, which downstream pipelines rely on when re-run over their own
-output.
+output. Idempotence is bounded: each markup pass stops after 25 rounds, so
+text nesting entities deeper than both passes together can decode (such as
+60 levels of "&amp;") still holds entities after one cleaning, and a second
+cleaning decodes them further.
 """
 
 from __future__ import annotations
@@ -34,11 +37,13 @@ _TAG_RE = re.compile(r"<(?!(?:url|email)>)[^<>]+>")
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _EMAIL_RE = re.compile(r"[\w.+-]+@[\w-]+(?:\.[\w-]+)+")
 _WS_RE = re.compile(r"\s+")
+_SENTENCE_END_RE = re.compile(r"[.!?](?=\s)")
 
 # Trailing periods on these words do not end a sentence.
 ABBREVIATIONS = frozenset(
     ["mr.", "mrs.", "dr.", "st.", "vs.", "e.g.", "i.e.", "etc."]
 )
+_ABBREVIATION_MAX_LEN = max(map(len, ABBREVIATIONS))
 
 _PUNCT = frozenset(string.punctuation)
 
@@ -54,73 +59,78 @@ class TokenAnnotation:
         return [tok for sentence in self.sentences for tok in sentence]
 
 
-def _strip_markup(text: str) -> str:
+def _strip_markup(text: str) -> tuple[str, bool]:
     # Tag stripping and entity decoding feed each other ("&lt;b&gt;" decodes
-    # to a tag), so iterate to a fixed point.
+    # to a tag), so iterate to a fixed point; the flag says whether it was
+    # reached within the cap.
     for _ in range(25):
         stripped = html.unescape(_TAG_RE.sub(" ", text))
         if stripped == text:
-            break
+            return text, True
         text = stripped
-    return text
+    return text, False
 
 
 def _replace_sentinels(text: str) -> str:
     text = _URL_RE.sub(URL_SENTINEL, text)
-    return _EMAIL_RE.sub(EMAIL_SENTINEL, text)
+    # An address needs an "@": the substring test saves the regex's attempt
+    # at every position of text that has none.
+    return _EMAIL_RE.sub(EMAIL_SENTINEL, text) if "@" in text else text
 
 
 def clean_text(raw: str) -> str:
-    """Normalize dirty web text to a single-spaced ASCII string."""
-    text = _strip_markup(raw)
+    """Normalize dirty web text to a single-spaced ASCII string.
+
+    Fast path: NFKD of ASCII is the identity, so the second pass is skipped
+    when the first markup pass reached its fixed point and the text is ASCII.
+    """
+    text, converged = _strip_markup(raw)
     text = _replace_sentinels(text)
-    text = unicodedata.normalize("NFKD", text).encode("ascii", "ignore").decode("ascii")
-    text = _strip_markup(text)
-    text = _replace_sentinels(text)
-    return _WS_RE.sub(" ", text).strip()
+    if not (converged and text.isascii()):
+        text = unicodedata.normalize("NFKD", text).encode("ascii", "ignore").decode("ascii")
+        text, _ = _strip_markup(text)
+        text = _replace_sentinels(text)
+    # str.split's whitespace is re's \s, so this is the \s+ collapse.
+    return " ".join(text.split())
 
 
 def _split_sentences(text: str) -> list[str]:
+    """Split after each "." "!" or "?" followed by whitespace, unless the
+    word it ends is an abbreviation.
+
+    Fast path: re's \\s on a str pattern is str.isspace() (both test
+    Py_UNICODE_ISSPACE), so one regex finds the ends a character walk would.
+    """
     sentences = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in ".!?" and i + 1 < n and text[i + 1].isspace():
-            if ch == ".":
-                # Word ending at this period, e.g. "dr." or "e.g."
-                j = i
-                while j > start and not text[j - 1].isspace():
-                    j -= 1
-                if text[j:i + 1].lower() in ABBREVIATIONS:
-                    i += 1
-                    continue
-            sentences.append(text[start:i + 1])
-            i += 1
-            while i < n and text[i].isspace():
-                i += 1
-            start = i
+    for end in _SENTENCE_END_RE.finditer(text):
+        i = end.start()
+        if text[i] == "." and _ends_abbreviation(text, start, i):
             continue
-        i += 1
-    if start < n:
+        sentences.append(text[start:i + 1])
+        start = _WS_RE.match(text, i + 1).end()
+    if start < len(text):
         sentences.append(text[start:])
     return [s for s in sentences if s.strip()]
 
 
+def _ends_abbreviation(text: str, start: int, i: int) -> bool:
+    # The word ending at the period text[i], e.g. "dr." or "e.g.", looked for
+    # in a window one longer than the longest abbreviation: a longer word is
+    # never one, since lowercasing never shortens a string.
+    window = text[max(start, i - _ABBREVIATION_MAX_LEN):i + 1]
+    return window.split()[-1].lower() in ABBREVIATIONS
+
+
 def _split_tokens(chunk: str) -> list[str]:
-    leading = []
-    while chunk and chunk[0] in _PUNCT:
-        leading.append(chunk[0])
-        chunk = chunk[1:]
-    trailing = []
-    while chunk and chunk[-1] in _PUNCT:
-        trailing.append(chunk[-1])
-        chunk = chunk[:-1]
-    tokens = leading
-    if chunk:
-        tokens.append(chunk)
-    tokens.extend(reversed(trailing))
+    # Leading, then trailing punctuation characters become tokens of their
+    # own around the rest; an all-punctuation chunk is all leading.
+    body = chunk.lstrip(string.punctuation)
+    core = body.rstrip(string.punctuation)
+    tokens = list(chunk[:len(chunk) - len(body)])
+    if core:
+        tokens.append(core)
+    tokens.extend(body[len(core):])
     return tokens
 
 
@@ -133,7 +143,10 @@ def tokenize(text: str) -> TokenAnnotation:
     for sentence in _split_sentences(text):
         tokens: list[str] = []
         for chunk in sentence.split():
-            tokens.extend(_split_tokens(chunk))
+            if chunk[0] in _PUNCT or chunk[-1] in _PUNCT:
+                tokens.extend(_split_tokens(chunk))
+            else:
+                tokens.append(chunk)
         if tokens:
             sentences.append(tokens)
     return TokenAnnotation(sentences=sentences)

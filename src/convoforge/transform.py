@@ -9,6 +9,7 @@ flagged as structural may change the utterance tree itself.
 
 from __future__ import annotations
 
+import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -46,11 +47,14 @@ class SummaryTable:
             )
         self.rows.append((label, list(values)))
 
+    def cells(self) -> list[list[str]]:
+        """The header row, then one row per label, each value rendered by
+        format_value."""
+        return [[self.label_header, *self.columns]] + [
+            [label, *map(format_value, values)] for label, values in self.rows]
+
     def to_delimited(self, delimiter: str = "\t") -> str:
-        lines = [delimiter.join([self.label_header] + self.columns)]
-        for label, values in self.rows:
-            lines.append(delimiter.join([label] + [format_value(v) for v in values]))
-        return "\n".join(lines)
+        return "\n".join(delimiter.join(row) for row in self.cells())
 
     def __str__(self) -> str:
         return self.to_delimited()
@@ -171,9 +175,22 @@ class Pipeline:
         return corpus
 
 
+def _mix_key(value):
+    # Hashable values compare as themselves; a JSON object or array compares
+    # by its canonical JSON text, wrapped in a tuple so that it never equals
+    # a string value holding the same text.
+    try:
+        hash(value)
+    except TypeError:
+        return (json.dumps(value, sort_keys=True),)
+    return value
+
+
 class SpeakerMixAnnotator(Transformer):
     """Marks each conversation with whether its speakers span more than one
-    value of a speaker metadata key (e.g. mixed-gender casts)."""
+    value of a speaker metadata key (e.g. mixed-gender casts). Objects and
+    arrays are values too: two are the same when their JSON is, whatever the
+    key order."""
 
     name = "speaker_mix"
     level = "conversation"
@@ -184,11 +201,16 @@ class SpeakerMixAnnotator(Transformer):
         self.annotation_key = output_key
 
     def _transform(self, corpus: Corpus) -> None:
+        # Each speaker's value is keyed once, not once per utterance.
+        keys = {}
+        for speaker in corpus.speakers.values():
+            value = speaker.meta.get(self.speaker_key)
+            if value is not None:
+                keys[speaker.id] = _mix_key(value)
         for convo in corpus.conversations.values():
             values = set()
             for uid in convo.utterance_ids:
-                utt = corpus.utterances[uid]
-                value = corpus.speakers[utt.speaker_id].meta.get(self.speaker_key)
-                if value is not None:
-                    values.add(value)
+                speaker_id = corpus.utterances[uid].speaker_id
+                if speaker_id in keys:
+                    values.add(keys[speaker_id])
             self._annotate(convo, len(values) >= 2)

@@ -16,10 +16,18 @@ top of them: one predict per object, and one cumulative bag-of-words copy
 per conversation prefix. ref_fit_fw is the original numpy fit_fw, one
 vector expression per quantity, and ref_jensen_shannon the original
 two-loop divergence, one logarithm per positive entry of each side.
+ref_clean_text, ref_tokenize, ref_word_tokens, ref_ngrams and
+ref_count_class are the text layers' original per-character and per-token
+loops, and ref_speaker_diversity the original per-token counting under
+ref_jensen_shannon.
 """
 
+import html
 import logging
 import math
+import re
+import string
+import unicodedata
 from collections import deque
 from itertools import combinations, permutations
 from typing import Callable, Optional
@@ -40,9 +48,17 @@ from convoforge.errors import (
     NoRootError,
     UnknownSpeakerError,
 )
-from convoforge.fightingwords import _count_class
 from convoforge.ml import LinearModel, Vocabulary, _documents, _words
 from convoforge.model import _level_objects
+from convoforge.textprep import (
+    ABBREVIATIONS,
+    EMAIL_SENTINEL,
+    URL_SENTINEL,
+    _EMAIL_RE,
+    _TAG_RE,
+    _URL_RE,
+    utterance_tokens,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -480,8 +496,8 @@ def ref_fit_fw(
     if overlap:
         logger.warning("fighting words: %d utterances fall in both classes", len(overlap))
 
-    counts1 = _count_class(utts1, ngram_max)
-    counts2 = _count_class(utts2, ngram_max)
+    counts1 = ref_count_class(utts1, ngram_max)
+    counts2 = ref_count_class(utts2, ngram_max)
     if not counts1:
         raise EmptyClassError("class 1 selects utterances but no word tokens")
     if not counts2:
@@ -504,7 +520,7 @@ def ref_fit_fw(
     n2 = float(y2.sum())
 
     if background is not None:
-        bg_counts = _count_class(list(background.utterances.values()), ngram_max)
+        bg_counts = ref_count_class(list(background.utterances.values()), ngram_max)
         # Add-one smoothing keeps every prior strictly positive.
         raw = np.array([bg_counts.get(t, 0) + 1 for t in vocab], dtype=float)
         total = alpha_total if alpha_total is not None else alpha * len(vocab)
@@ -537,3 +553,143 @@ def ref_jensen_shannon(p: dict[str, float], q: dict[str, float]) -> float:
             mid = (prob + other.get(term, 0.0)) / 2.0
             divergence += 0.5 * prob * math.log(prob / mid)
     return divergence
+
+
+# Text layers as they were before their loops moved onto str and re builtins:
+# a fixed-point markup pass run twice, a character walk for sentence ends,
+# and one character at a time for punctuation peeling.
+
+_REF_WS_RE = re.compile(r"\s+")
+_REF_PUNCT = frozenset(string.punctuation)
+
+
+def _ref_strip_markup(text: str) -> str:
+    for _ in range(25):
+        stripped = html.unescape(_TAG_RE.sub(" ", text))
+        if stripped == text:
+            break
+        text = stripped
+    return text
+
+
+def _ref_replace_sentinels(text: str) -> str:
+    text = _URL_RE.sub(URL_SENTINEL, text)
+    return _EMAIL_RE.sub(EMAIL_SENTINEL, text)
+
+
+def ref_clean_text(raw: str) -> str:
+    text = _ref_strip_markup(raw)
+    text = _ref_replace_sentinels(text)
+    text = unicodedata.normalize("NFKD", text).encode("ascii", "ignore").decode("ascii")
+    text = _ref_strip_markup(text)
+    text = _ref_replace_sentinels(text)
+    return _REF_WS_RE.sub(" ", text).strip()
+
+
+def ref_split_sentences(text: str) -> list[str]:
+    sentences = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in ".!?" and i + 1 < n and text[i + 1].isspace():
+            if ch == ".":
+                # Word ending at this period, e.g. "dr." or "e.g."
+                j = i
+                while j > start and not text[j - 1].isspace():
+                    j -= 1
+                if text[j:i + 1].lower() in ABBREVIATIONS:
+                    i += 1
+                    continue
+            sentences.append(text[start:i + 1])
+            i += 1
+            while i < n and text[i].isspace():
+                i += 1
+            start = i
+            continue
+        i += 1
+    if start < n:
+        sentences.append(text[start:])
+    return [s for s in sentences if s.strip()]
+
+
+def _ref_split_tokens(chunk: str) -> list[str]:
+    leading = []
+    while chunk and chunk[0] in _REF_PUNCT:
+        leading.append(chunk[0])
+        chunk = chunk[1:]
+    trailing = []
+    while chunk and chunk[-1] in _REF_PUNCT:
+        trailing.append(chunk[-1])
+        chunk = chunk[:-1]
+    tokens = leading
+    if chunk:
+        tokens.append(chunk)
+    tokens.extend(reversed(trailing))
+    return tokens
+
+
+def ref_tokenize(text: str) -> list[list[str]]:
+    """Token sentences, as tokenize(text).sentences."""
+    sentences = []
+    for sentence in ref_split_sentences(text):
+        tokens: list[str] = []
+        for chunk in sentence.split():
+            tokens.extend(_ref_split_tokens(chunk))
+        if tokens:
+            sentences.append(tokens)
+    return sentences
+
+
+def ref_word_tokens(sentences: list[list[str]]) -> list[str]:
+    # Lowercased, with pure-punctuation tokens dropped.
+    out = []
+    for sentence in sentences:
+        for tok in sentence:
+            if not all(ch in _REF_PUNCT for ch in tok):
+                out.append(tok.lower())
+    return out
+
+
+def ref_ngrams(tokens: list[str], ngram_max: int) -> list[str]:
+    grams = []
+    for n in range(1, ngram_max + 1):
+        for i in range(len(tokens) - n + 1):
+            grams.append(" ".join(tokens[i:i + n]))
+    return grams
+
+
+def ref_count_class(utterances: list[Utterance], ngram_max: int) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for utt in utterances:
+        for gram in ref_ngrams(ref_word_tokens(utterance_tokens(utt)), ngram_max):
+            counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+def ref_speaker_diversity(corpus: Corpus, min_tokens_per_convo: int = 1) -> dict[str, dict]:
+    """speaker id -> {"value", "n_conversations"}: per-conversation counts
+    one token at a time, and ref_jensen_shannon over every pair."""
+    grouped: dict[str, dict[str, dict[str, int]]] = {}
+    for utt in corpus.utterances.values():
+        counts = grouped.setdefault(utt.speaker_id, {}).setdefault(utt.conversation_id, {})
+        for sentence in utterance_tokens(utt):
+            for tok in sentence:
+                tok = tok.lower()
+                counts[tok] = counts.get(tok, 0) + 1
+    scores = {}
+    for speaker_id in corpus.speakers:
+        distributions = []
+        for counts in grouped.get(speaker_id, {}).values():
+            total = float(sum(counts.values()))
+            if total >= min_tokens_per_convo:
+                distributions.append({t: c / total for t, c in counts.items()})
+        n = len(distributions)
+        value = None
+        if n >= 2:
+            pairs = [ref_jensen_shannon(distributions[i], distributions[j])
+                     for i in range(n) for j in range(i + 1, n)]
+            value = sum(pairs) / len(pairs)
+        scores[speaker_id] = {"value": value, "n_conversations": n}
+    return scores

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from convoforge import Utterance, build_corpus, import_tabular, identity_mapping, save
+from convoforge import Speaker, Utterance, build_corpus, import_tabular, identity_mapping, save
 from convoforge.cli import main
 from convoforge.datasets import toy_movie_path
 from helpers import child_env, write_non_object_meta
@@ -244,6 +245,35 @@ class TestRun:
         assert "stage 0 (fighting_words)" in err and "alpha must be a positive" in err
         assert not (tmp_path / "out").exists()
 
+    def test_speaker_mix_on_object_and_array_values(self, tmp_path, capsys):
+        # Lists and objects compare by canonical JSON (key order ignored);
+        # hashable values keep comparing as themselves, so 1 and 1.0 agree.
+        cast = {
+            "c0": [("s0", {"a": 1, "b": [2]}), ("s1", {"b": [2], "a": 1})],
+            "c1": [("s0", {"a": 1, "b": [2]}), ("s2", {"a": 2})],
+            "c2": [("s3", [1, "x"]), ("s4", "[1, \"x\"]")],
+            "c3": [("s5", 1), ("s6", 1.0)],
+            "c4": [("s3", [1, "x"]), ("s3", [1, "x"]), ("s7", None)],
+        }
+        speakers = {sid: Speaker(sid, {"gender": value})
+                    for parts in cast.values() for sid, value in parts}
+        utterances = []
+        for cid, parts in cast.items():
+            for j, (sid, _) in enumerate(parts):
+                utterances.append(Utterance(f"{cid}_{j}", sid, cid, "hi",
+                                            None if j == 0 else f"{cid}_0", j))
+        source = tmp_path / "cast"
+        save(build_corpus(utterances, list(speakers.values())), source)
+        out = tmp_path / "out"
+        config = self.make_config(
+            tmp_path, [{"name": "speaker_mix", "params": {"speaker_key": "gender"}}],
+            source, out)
+        assert main(["--quiet", "run", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+        from convoforge import load
+        mixed = {cid: convo.meta["mixed"] for cid, convo in load(out).conversations.items()}
+        assert mixed == {"c0": False, "c1": True, "c2": True, "c3": False, "c4": False}
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
 
@@ -331,6 +361,23 @@ class TestFightingWordsCommand:
         assert lines[0] == "term,y1,y2,zscore"
         assert lines[1].startswith("alpha,")
 
+
+    def test_export_quotes_a_cell_holding_the_delimiter(self, tmp_path, capsys):
+        source = tmp_path / "priced"
+        save(build_corpus([
+            Utterance("u0", "a", "c0", "it cost 1,000 dollars", None, 0, {"side": "a"}),
+            Utterance("u1", "b", "c0", "too much", "u0", 1, {"side": "b"}),
+        ]), source)
+        target = tmp_path / "ranking.csv"
+        assert main(["--corpus", str(source), "fightingwords", "--class1", "side=a",
+                     "--class2", "side=b", "--export", str(target)]) == 0
+        with open(target, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["term", "y1", "y2", "zscore"]
+        assert {len(row) for row in rows} == {4}
+        assert ["1,000", "1", "0"] in [row[:3] for row in rows]
+        # Standard output stays unquoted.
+        assert "\n1,000\tclass1\t1\t0\t" in capsys.readouterr().out
 
 @pytest.fixture
 def speaker_mix_dir(tmp_path):
@@ -506,6 +553,19 @@ class TestAnalyzerCommands:
                    for uid, utt in corpus.utterances.items() if uid != "m1_0")
 
 
+    def test_analyzer_export_quotes_cells(self, tmp_path, capsys):
+        source = tmp_path / "speakers"
+        save(build_corpus([
+            Utterance("u0", "x,y", "c0", "alpha beta", None, 0),
+            Utterance("u1", "x,y", "c1", "gamma", None, 1),
+        ]), source)
+        target = tmp_path / "diversity.csv"
+        assert main(["--corpus", str(source), "diversity", "--export", str(target),
+                     "--delimiter", ","]) == 0
+        assert target.read_text() == \
+            'speaker,diversity,n_conversations\n"x,y",0.693147,2\n'
+
+
 class TestExport:
     def test_export_reimports(self, chain_dir, tmp_path):
         target = tmp_path / "dump.csv"
@@ -520,6 +580,15 @@ class TestExport:
         assert main(["--quiet", "--corpus", str(chain_dir), "export", "--output", str(a)]) == 0
         assert main(["--quiet", "--corpus", str(chain_dir), "export", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("delimiter", ["", "::", '"', "\n"])
+    def test_export_delimiter_must_be_one_plain_character(self, tmp_path, capsys, delimiter):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--corpus", str(toy_movie_path()), "export",
+                  "--output", str(tmp_path / "out.csv"), "--delimiter", delimiter])
+        assert exit_info.value.code == 2
+        assert "--delimiter" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["export", "hyperconvo", "fightingwords"])

@@ -40,6 +40,19 @@ class TestCleanText:
         # Entities decoding into tags still come out clean.
         assert clean_text("&amp;lt;b&amp;gt;bold&amp;lt;/b&amp;gt;") == "bold"
 
+    def test_capped_first_pass_is_finished_by_the_second(self):
+        # 30 levels outlast the first markup pass's 25 rounds; the second
+        # pass decodes the rest, though the text is ASCII throughout.
+        assert clean_text("&" + "amp;" * 30 + "lt;b&gt;x") == "x"
+
+    def test_idempotence_bound_at_60_nested_levels(self):
+        # One entity level decodes per round and each pass stops after 25,
+        # so 60 levels outlast one cleaning: the second cleaning still
+        # changes the text.
+        once = clean_text("&" + "amp;" * 60 + "lt;b&gt;x")
+        assert once == "&" + "amp;" * 10 + "lt;b>x"
+        assert clean_text(once) == "x"
+
     @pytest.mark.parametrize("tricky", [
         "hello   world ",
         "see <b>this</b> &amp; that",
