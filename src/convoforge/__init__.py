@@ -1,129 +1,48 @@
 """convoforge: represent, navigate, and analyze threaded conversations.
 
-The ``ml`` submodule and the names it exports load on first attribute
-access (PEP 562), so importing the package does not import numpy.
+Every public name, and every submodule that defines one, loads on first
+attribute access (PEP 562): importing the package loads only ``errors``,
+and ``convoforge.Corpus`` imports ``convoforge.model`` when it is first
+used. Only the ``ml`` names import numpy.
 """
 
 import importlib
 
 from . import errors
-from .corpus_io import (
-    CorpusManifest,
-    ImportMapping,
-    export_tabular,
-    identity_mapping,
-    import_tabular,
-    load,
-    merge,
-    save,
-)
-from .diversity import SpeakerDiversity, compute_diversity, jensen_shannon
-from .fightingwords import FightingWords, FwModel, fit_fw, summarize_fw
-from .hyperconvo import HyperConvo, ResponseGraph, build_response_graph, extract_features
-from .model import (
-    Conversation,
-    Corpus,
-    IntegrityReport,
-    Speaker,
-    Utterance,
-    Violation,
-    build_corpus,
-    check_integrity,
-    speaker_history,
-    traverse,
-)
-from .politeness import PolitenessStrategies, extract_strategies, summarize_politeness
-from .textprep import (
-    MergeConsecutive,
-    TextCleaner,
-    TokenAnnotation,
-    Tokenizer,
-    clean_text,
-    merge_consecutive,
-    tokenize,
-)
-from .transform import Pipeline, SpeakerMixAnnotator, SummaryTable, Transformer
 
 __version__ = "0.1.0"
 
-_ML_NAMES = frozenset({
-    "Classifier",
-    "Forecaster",
-    "LinearModel",
-    "Vocabulary",
-    "fit_vocabulary",
-    "load_model",
-    "predict",
-    "save_model",
-    "train_classifier",
-    "vectorize",
-})
+# Submodule -> the public names it defines, each listed once.
+_EXPORTS = {
+    "corpus_io": ("CorpusManifest", "ImportMapping", "export_tabular", "identity_mapping",
+                  "import_tabular", "load", "merge", "save"),
+    "diversity": ("SpeakerDiversity", "compute_diversity", "jensen_shannon"),
+    "fightingwords": ("FightingWords", "FwModel", "fit_fw", "summarize_fw"),
+    "hyperconvo": ("HyperConvo", "ResponseGraph", "build_response_graph", "extract_features"),
+    "ml": ("Classifier", "Forecaster", "LinearModel", "Vocabulary", "fit_vocabulary",
+           "load_model", "predict", "save_model", "train_classifier", "vectorize"),
+    "model": ("Conversation", "Corpus", "IntegrityReport", "Speaker", "Utterance", "Violation",
+              "build_corpus", "check_integrity", "speaker_history", "traverse"),
+    "politeness": ("PolitenessStrategies", "extract_strategies", "summarize_politeness"),
+    "textprep": ("MergeConsecutive", "TextCleaner", "TokenAnnotation", "Tokenizer",
+                 "clean_text", "merge_consecutive", "tokenize"),
+    "transform": ("Pipeline", "SpeakerMixAnnotator", "SummaryTable", "Transformer"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_MODULE_OF, "errors"])
 
 
 def __getattr__(name: str):
-    if name == "ml" or name in _ML_NAMES:
-        # Not ``from . import ml``: its hasattr check would re-enter here.
-        ml = importlib.import_module(".ml", __name__)
-        return ml if name == "ml" else getattr(ml, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # importlib, not ``from . import``: its hasattr check would re-enter here.
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _ML_NAMES | {"ml"})
-
-__all__ = [
-    "Classifier",
-    "Conversation",
-    "Corpus",
-    "CorpusManifest",
-    "FightingWords",
-    "Forecaster",
-    "FwModel",
-    "HyperConvo",
-    "ImportMapping",
-    "IntegrityReport",
-    "LinearModel",
-    "MergeConsecutive",
-    "Pipeline",
-    "PolitenessStrategies",
-    "ResponseGraph",
-    "Speaker",
-    "SpeakerDiversity",
-    "SpeakerMixAnnotator",
-    "SummaryTable",
-    "TextCleaner",
-    "TokenAnnotation",
-    "Tokenizer",
-    "Transformer",
-    "Utterance",
-    "Violation",
-    "Vocabulary",
-    "build_corpus",
-    "build_response_graph",
-    "check_integrity",
-    "clean_text",
-    "compute_diversity",
-    "errors",
-    "export_tabular",
-    "extract_features",
-    "extract_strategies",
-    "fit_fw",
-    "fit_vocabulary",
-    "identity_mapping",
-    "import_tabular",
-    "jensen_shannon",
-    "load",
-    "load_model",
-    "merge",
-    "merge_consecutive",
-    "predict",
-    "save",
-    "save_model",
-    "speaker_history",
-    "summarize_fw",
-    "summarize_politeness",
-    "tokenize",
-    "train_classifier",
-    "traverse",
-    "vectorize",
-]
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

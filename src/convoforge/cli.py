@@ -7,19 +7,19 @@ separated text with floats pinned to 6 significant digits, so output is
 byte-stable and diffable. Exit codes: 0 success, 1 domain failure, 2
 usage or I/O failure, including a standard output closed early (as by
 ``| head``).
+
+Parsing the arguments loads nothing of the package but ``errors``; each
+command imports the modules it uses, and ``run`` only those of the stages
+its config names.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
-from pathlib import Path
 
-from . import corpus_io
-from .diversity import SpeakerDiversity
 from .errors import (
     ConvoForgeError,
     CountMismatchError,
@@ -31,13 +31,6 @@ from .errors import (
     PipelineStageError,
     UnsupportedVersionError,
 )
-from .fightingwords import fit_fw, summarize_fw
-from .filters import build_meta_predicate
-from .hyperconvo import HyperConvo
-from .model import traverse
-from .politeness import PolitenessStrategies
-from .registry import create_transformer
-from .transform import Pipeline, SummaryTable
 
 USAGE_ERRORS = (
     MissingFileError,
@@ -55,12 +48,16 @@ def _fail(message: str, code: int) -> int:
 
 
 def _load_corpus(args):
+    from .corpus_io import load
+
     if not args.corpus:
         raise MissingFileError("no corpus directory given; use --corpus DIR")
-    return corpus_io.load(args.corpus)
+    return load(args.corpus)
 
 
-def _export_table(table: SummaryTable, path: str, delimiter: str) -> None:
+def _export_table(table, path: str, delimiter: str) -> None:
+    import csv
+
     # Through the csv module, as export_tabular writes: a cell holding the
     # delimiter, a double quote or a line break is quoted, so that a term
     # such as "1,000" stays one field.
@@ -75,11 +72,9 @@ def _emit_table(table, export_path=None, delimiter="\t") -> None:
 
 
 def cmd_validate(args) -> int:
-    if not args.corpus:
-        raise MissingFileError("no corpus directory given; use --corpus DIR")
     # load() runs check_integrity and raises with every violation it finds.
     try:
-        corpus_io.load(args.corpus)
+        _load_corpus(args)
     except IntegrityViolationError as exc:
         for violation in exc.violations:
             print(violation)
@@ -90,6 +85,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .model import traverse
+    from .transform import SummaryTable
+
     corpus = _load_corpus(args)
     depths = []
     sizes = []
@@ -116,6 +114,12 @@ def cmd_stats(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from pathlib import Path
+
+    from . import corpus_io
+    from .registry import create_transformer
+    from .transform import Pipeline
+
     config_path = Path(args.config)
     if not config_path.is_file():
         return _fail(f"no such config file: {config_path}", 2)
@@ -159,6 +163,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_fightingwords(args) -> int:
+    from .fightingwords import fit_fw, summarize_fw
+    from .filters import build_meta_predicate
+    from .transform import SummaryTable
+
     corpus = _load_corpus(args)
     class1 = build_meta_predicate(corpus, args.class1)
     class2 = build_meta_predicate(corpus, args.class2)
@@ -173,47 +181,53 @@ def cmd_fightingwords(args) -> int:
     return 0
 
 
-def _run_annotator(args, transformer) -> int:
+def _run_annotator(args, name: str, params: dict) -> int:
+    from .corpus_io import save
+    from .registry import create_transformer
+
+    transformer = create_transformer(name, params)
     corpus = _load_corpus(args)
     transformer.fit(corpus)
     transformer.transform(corpus)
     _emit_table(transformer.summarize(corpus), args.export, args.delimiter)
     if args.output:
-        corpus_io.save(corpus, args.output)
+        save(corpus, args.output)
         if not args.quiet:
             print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
 
 def cmd_politeness(args) -> int:
-    return _run_annotator(args, PolitenessStrategies())
+    return _run_annotator(args, "politeness", {})
 
 
 def cmd_hyperconvo(args) -> int:
-    return _run_annotator(args, HyperConvo())
+    return _run_annotator(args, "hyperconvo", {})
 
 
 def cmd_diversity(args) -> int:
-    return _run_annotator(args, SpeakerDiversity(min_tokens_per_convo=args.min_tokens))
+    return _run_annotator(args, "speaker_diversity", {"min_tokens_per_convo": args.min_tokens})
 
 
 def cmd_export(args) -> int:
+    from .corpus_io import export_tabular
+
     corpus = _load_corpus(args)
     meta_columns = [c for c in (args.meta_columns or "").split(",") if c]
-    corpus_io.export_tabular(corpus, args.output, delimiter=args.delimiter,
-                             meta_columns=meta_columns)
+    export_tabular(corpus, args.output, delimiter=args.delimiter, meta_columns=meta_columns)
     if not args.quiet:
         print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
 
 def _delimiter(value: str) -> str:
-    # Delimited files are written by the csv module: one character, and not
-    # the quote or a line break that its quoting relies on.
-    if len(value) != 1 or value in '"\r\n':
-        raise argparse.ArgumentTypeError(
-            f"must be one character other than a double quote or line break, got {value!r}")
-    return value
+    from .corpus_io import check_delimiter
+
+    try:
+        return check_delimiter(value)
+    except ValueError as exc:
+        # argparse names the argument itself: "argument --delimiter: must be ..."
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("delimiter ")) from None
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, trailing: bool) -> None:

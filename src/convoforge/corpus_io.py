@@ -22,7 +22,6 @@ import json
 import math
 import os
 import shutil
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -63,9 +62,25 @@ def _finite_float(literal: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
 
 
+# One encoder per file layout, reused for every record: json.dumps with
+# keyword arguments would build a new one per call.
+_INDENTED = json.JSONEncoder(ensure_ascii=False, allow_nan=False, indent=2)
+_ONE_LINE = json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+
+
 # Canonical field names understood by the tabular importer/exporter.
 TABULAR_FIELDS = ("id", "speaker_id", "conversation_id", "reply_to", "timestamp", "text")
 MANDATORY_TABULAR_FIELDS = ("id", "speaker_id", "conversation_id", "text")
+
+
+def check_delimiter(delimiter: str) -> str:
+    """Return ``delimiter`` if the csv module can write and read it back:
+    one character, and not the double quote or a line break that its
+    quoting relies on; raise ValueError otherwise."""
+    if len(delimiter) != 1 or delimiter in '"\r\n':
+        raise ValueError("delimiter must be one character other than a double quote "
+                         f"or line break, got {delimiter!r}")
+    return delimiter
 
 
 @dataclass
@@ -97,6 +112,7 @@ class ImportMapping:
         unknown = set(self.column_for) - set(TABULAR_FIELDS)
         if unknown:
             raise MissingColumnError(f"unknown mapped fields: {sorted(unknown)}")
+        check_delimiter(self.delimiter)
 
 
 @dataclass(frozen=True)
@@ -134,11 +150,11 @@ def _meta_owners(corpus: Corpus) -> Iterator[tuple[str, dict]]:
         yield f"conversation {cid!r}", convo.meta
 
 
-def _to_json(value, corpus: Corpus, **layout) -> str:
-    """json.dumps refusing what standard JSON cannot hold; the error names
-    the first meta key of ``corpus`` at fault."""
+def _to_json(value, corpus: Corpus, encoder: json.JSONEncoder) -> str:
+    """``encoder.encode(value)``, refusing what standard JSON cannot hold;
+    the error names the first meta key of ``corpus`` at fault."""
     try:
-        return json.dumps(value, ensure_ascii=False, allow_nan=False, **layout)
+        return encoder.encode(value)
     except (TypeError, ValueError):
         for owner, meta in _meta_owners(corpus):
             for key, item in meta.items():
@@ -160,19 +176,19 @@ def _write_files(corpus: Corpus, directory: Path) -> None:
         "corpus_meta": corpus.meta,
     }
     (directory / MANIFEST_FILE).write_text(
-        _to_json(manifest, corpus, indent=2) + "\n", encoding="utf-8"
+        _to_json(manifest, corpus, _INDENTED) + "\n", encoding="utf-8"
     )
     with open(directory / UTTERANCES_FILE, "w", encoding="utf-8", newline="\n") as fh:
         for utt in corpus.utterances.values():
-            fh.write(_to_json(_utterance_record(utt), corpus, separators=(",", ":")))
+            fh.write(_to_json(_utterance_record(utt), corpus, _ONE_LINE))
             fh.write("\n")
     speakers = {sid: {"meta": spk.meta} for sid, spk in corpus.speakers.items()}
     (directory / SPEAKERS_FILE).write_text(
-        _to_json(speakers, corpus, indent=2) + "\n", encoding="utf-8"
+        _to_json(speakers, corpus, _INDENTED) + "\n", encoding="utf-8"
     )
     conversations = {cid: {"meta": convo.meta} for cid, convo in corpus.conversations.items()}
     (directory / CONVERSATIONS_FILE).write_text(
-        _to_json(conversations, corpus, indent=2) + "\n", encoding="utf-8"
+        _to_json(conversations, corpus, _INDENTED) + "\n", encoding="utf-8"
     )
 
 
@@ -225,7 +241,7 @@ def save(corpus: Corpus, path: str | Path) -> None:
                     "which is not a corpus file"
                 )
         directory.parent.mkdir(parents=True, exist_ok=True)
-        staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}.tmp")
+        staging = directory.with_name(f".{directory.name}.{os.urandom(16).hex()}.tmp")
         staging.mkdir()
         try:
             _write_files(corpus, staging)
@@ -514,6 +530,7 @@ def export_tabular(corpus: Corpus, path: str | Path, delimiter: str = ",",
     """Write utterances as one delimited row each; inverse of import_tabular
     under the identity mapping (meta columns export as strings).
     """
+    check_delimiter(delimiter)
     meta_columns = meta_columns or []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)

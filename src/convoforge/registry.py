@@ -4,39 +4,32 @@ A config's parameters for a stage are the keyword arguments of its
 transformer's constructor, so a config file can be validated against the
 constructor signature before any corpus is touched.
 
-numpy is convoforge's only runtime dependency, and only the ``ml`` stages
-and the fighting-words fit use it. ``REGISTRY`` is a read-only mapping that
-imports ``ml`` (and so numpy) the first time ``classifier`` or
-``forecaster`` is looked up; listing the names does not.
+``REGISTRY`` is a read-only mapping from stage name to a (module, class)
+pair that is imported when the name is looked up: listing the names loads
+no stage module, and a pipeline loads only the modules of its stages (numpy
+only with ``classifier`` or ``forecaster``).
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from collections.abc import Iterator, Mapping
+from typing import TYPE_CHECKING
 
-from .diversity import SpeakerDiversity
-from .fightingwords import FightingWords
-from .hyperconvo import HyperConvo
-from .politeness import PolitenessStrategies
-from .textprep import MergeConsecutive, TextCleaner, Tokenizer
-from .transform import SpeakerMixAnnotator, Transformer
+if TYPE_CHECKING:
+    from .transform import Transformer
 
 
 class _Registry(Mapping):
-    """Stage name -> transformer class. A value given as a string names a
-    class in ``convoforge.ml``, imported when that name is looked up."""
+    """Stage name -> transformer class, imported from its module on lookup."""
 
-    def __init__(self, entries: dict[str, type[Transformer] | str]):
+    def __init__(self, entries: dict[str, tuple[str, str]]):
         self._entries = entries
 
     def __getitem__(self, name: str) -> type[Transformer]:
-        entry = self._entries[name]
-        if isinstance(entry, str):
-            from . import ml
-
-            return getattr(ml, entry)
-        return entry
+        module, cls = self._entries[name]
+        return getattr(importlib.import_module(f".{module}", __package__), cls)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
@@ -46,18 +39,16 @@ class _Registry(Mapping):
 
 
 REGISTRY: Mapping[str, type[Transformer]] = _Registry({
-    **{cls.name: cls for cls in (
-        TextCleaner,
-        Tokenizer,
-        MergeConsecutive,
-        PolitenessStrategies,
-        HyperConvo,
-        SpeakerDiversity,
-        SpeakerMixAnnotator,
-        FightingWords,
-    )},
-    "classifier": "Classifier",
-    "forecaster": "Forecaster",
+    "text_cleaner": ("textprep", "TextCleaner"),
+    "tokenizer": ("textprep", "Tokenizer"),
+    "merge_consecutive": ("textprep", "MergeConsecutive"),
+    "politeness": ("politeness", "PolitenessStrategies"),
+    "hyperconvo": ("hyperconvo", "HyperConvo"),
+    "speaker_diversity": ("diversity", "SpeakerDiversity"),
+    "speaker_mix": ("transform", "SpeakerMixAnnotator"),
+    "fighting_words": ("fightingwords", "FightingWords"),
+    "classifier": ("ml", "Classifier"),
+    "forecaster": ("ml", "Forecaster"),
 })
 
 

@@ -1,7 +1,8 @@
-"""The package's lazy names, and which commands import numpy.
+"""The package's lazy names, and which modules each command loads.
 
-``convoforge.ml`` and numpy load on first use. The subprocess cases start a
-fresh interpreter, because this test process has imported both already.
+Every submodule, ``convoforge.ml`` and numpy among them, loads on first use.
+The subprocess cases start a fresh interpreter, because this test process
+has imported them all already.
 """
 
 import json
@@ -62,9 +63,9 @@ class TestRegistryMapping:
         assert REGISTRY["forecaster"] is convoforge.ml.Forecaster
 
 
-def _run_child(code: str) -> dict:
+def _run_child(code: str):
     """Run ``code`` in a fresh interpreter that imports this checkout's
-    convoforge; it prints a JSON object as its last line."""
+    convoforge; it prints a JSON value as its last line."""
     result = subprocess.run([sys.executable, "-c", code], env=child_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -166,3 +167,78 @@ class TestNumpyLoadsOnlyWhenUsed:
             assert callable(convoforge.ml.train_classifier)
         """)
         assert loaded == {"numpy": True, "ml": True}
+
+
+# The public names before they loaded on demand, in their order then.
+PUBLIC_NAMES = [
+    "Classifier", "Conversation", "Corpus", "CorpusManifest", "FightingWords", "Forecaster",
+    "FwModel", "HyperConvo", "ImportMapping", "IntegrityReport", "LinearModel",
+    "MergeConsecutive", "Pipeline", "PolitenessStrategies", "ResponseGraph", "Speaker",
+    "SpeakerDiversity", "SpeakerMixAnnotator", "SummaryTable", "TextCleaner",
+    "TokenAnnotation", "Tokenizer", "Transformer", "Utterance", "Violation", "Vocabulary",
+    "build_corpus", "build_response_graph", "check_integrity", "clean_text",
+    "compute_diversity", "errors", "export_tabular", "extract_features",
+    "extract_strategies", "fit_fw", "fit_vocabulary", "identity_mapping", "import_tabular",
+    "jensen_shannon", "load", "load_model", "merge", "merge_consecutive", "predict", "save",
+    "save_model", "speaker_history", "summarize_fw", "summarize_politeness", "tokenize",
+    "train_classifier", "traverse", "vectorize",
+]
+
+MODULES = """
+import json, sys
+print(json.dumps({"package": sorted(m for m in sys.modules if m.startswith("convoforge")),
+                  "numpy": "numpy" in sys.modules, "uuid": "uuid" in sys.modules}))
+"""
+
+
+def _modules_after(code: str) -> dict:
+    return _run_child(textwrap.dedent(code) + MODULES)
+
+
+class TestModulesLoadOnDemand:
+    def test_importing_the_cli_loads_only_errors(self):
+        assert _modules_after("import convoforge.cli")["package"] == [
+            "convoforge", "convoforge.cli", "convoforge.errors"]
+
+    def test_listing_the_registry_loads_no_stage_module(self):
+        loaded = _modules_after("""
+            from convoforge.registry import REGISTRY
+            assert len(sorted(REGISTRY)) == 10
+        """)
+        assert loaded["package"] == ["convoforge", "convoforge.errors", "convoforge.registry"]
+
+    def test_a_run_loads_only_its_stages_and_saves_without_uuid(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "input": str(toy_movie_path()), "output": str(tmp_path / "out"),
+            "stages": [{"name": "merge_consecutive"}, {"name": "hyperconvo"},
+                       {"name": "speaker_mix", "params": {"speaker_key": "gender"}}],
+        }))
+        loaded = _modules_after(f"""
+            import convoforge.cli
+            assert convoforge.cli.main(["--quiet", "run", {str(config)!r}]) == 0
+        """)
+        assert loaded == {
+            "package": ["convoforge", "convoforge.cli", "convoforge.corpus_io",
+                        "convoforge.errors", "convoforge.hyperconvo", "convoforge.model",
+                        "convoforge.registry", "convoforge.textprep", "convoforge.transform"],
+            "numpy": False, "uuid": False}
+
+    def test_every_public_name_is_the_object_of_its_module(self):
+        mismatched = _run_child(textwrap.dedent("""
+            import json, sys
+            import convoforge
+            wrong = []
+            for name in convoforge.__all__:
+                value = getattr(convoforge, name)
+                home = "convoforge.errors" if name == "errors" else value.__module__
+                defined = sys.modules[home] if name == "errors" else getattr(sys.modules[home], name)
+                if not home.startswith("convoforge.") or value is not defined:
+                    wrong.append(name)
+            print(json.dumps(wrong))
+        """))
+        assert mismatched == []
+
+    def test_public_names_are_unchanged(self):
+        assert _run_child("import json, convoforge; print(json.dumps(convoforge.__all__))") == (
+            PUBLIC_NAMES)

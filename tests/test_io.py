@@ -496,6 +496,26 @@ class TestTabular:
         corpus = import_tabular(path, mapping)
         assert corpus.utterances["1"].meta == {"genre": "drama"}
 
+    @pytest.mark.parametrize("delimiter", ["", "::", '"', "\r", "\n"])
+    def test_export_refuses_a_bad_delimiter_before_opening(self, tmp_path, delimiter):
+        target = tmp_path / "dump.csv"
+        with pytest.raises(ValueError, match="delimiter must be one character"):
+            export_tabular(small_corpus(), target, delimiter=delimiter)
+        assert not target.exists()
+
+    @pytest.mark.parametrize("delimiter", ["", "::", '"', "\r", "\n"])
+    def test_mapping_refuses_a_bad_delimiter(self, delimiter):
+        with pytest.raises(ValueError, match="delimiter must be one character"):
+            identity_mapping(delimiter=delimiter)
+
+    @pytest.mark.parametrize("delimiter", [",", "\t", ";", "|"])
+    def test_one_character_delimiters_round_trip(self, tmp_path, delimiter):
+        path = tmp_path / "dump.csv"
+        export_tabular(small_corpus(), path, delimiter=delimiter)
+        rebuilt = import_tabular(path, identity_mapping(delimiter=delimiter))
+        assert [u.text for u in rebuilt.utterances.values()] == [
+            "naïve 😀 hello", "ok", "next topic"]
+
     def test_export_then_import_reconstructs(self, tmp_path):
         rng = random.Random(31)
         corpus = random_corpus(rng, max_utterances=25)
