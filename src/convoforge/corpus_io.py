@@ -21,6 +21,7 @@ import gc
 import json
 import math
 import os
+import re
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,6 +67,25 @@ _DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_fl
 # keyword arguments would build a new one per call.
 _INDENTED = json.JSONEncoder(ensure_ascii=False, allow_nan=False, indent=2)
 _ONE_LINE = json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \uD800 to \uDFFF
+
+
+def _decode(text: str):
+    """The JSON value of text; ValueError for NaN, Infinity, and a lone surrogate
+    escape (not half of a pair such as "\\ud83d\\ude00"), which UTF-8 cannot encode."""
+    value = _DECODER.decode(text)
+    # Only text with such an escape pays; the memchr first is far faster than the regex.
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+        try:
+            _ONE_LINE.encode(value).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(_unencodable(exc)) from None
+    return value
+
+
+def _unencodable(exc: UnicodeEncodeError) -> str:
+    return f"lone surrogate {exc.object[exc.start]!r} cannot be encoded as UTF-8"
 
 
 # Canonical field names understood by the tabular importer/exporter.
@@ -246,6 +266,8 @@ def save(corpus: Corpus, path: str | Path) -> None:
         try:
             _write_files(corpus, staging)
             _replace_directory(staging, directory)
+        except UnicodeEncodeError as exc:
+            raise UnserializableValueError(f"cannot save corpus: {_unencodable(exc)}") from None
         finally:
             shutil.rmtree(staging, ignore_errors=True)
     except OSError as exc:
@@ -266,7 +288,7 @@ def _read_json_object(directory: Path, name: str) -> dict:
 def _decode_object(path: Path, name: str) -> dict:
     """The JSON object in the file at path; errors name the file as name."""
     try:
-        value = _DECODER.decode(path.read_text(encoding="utf-8"))
+        value = _decode(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(f"{name}: invalid JSON ({exc.msg})") from exc
     except ValueError as exc:
@@ -289,7 +311,7 @@ def _meta_by_id(directory: Path, name: str) -> Iterator[tuple[str, dict]]:
 
 def _parse_utterance_line(line: str, line_number: int) -> Utterance:
     try:
-        record = _DECODER.decode(line)
+        record = _decode(line)
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(
             f"line {line_number}: invalid JSON ({exc.msg})", line_number=line_number
@@ -528,24 +550,29 @@ def import_tabular(path: str | Path, mapping: ImportMapping) -> Corpus:
 def export_tabular(corpus: Corpus, path: str | Path, delimiter: str = ",",
                    meta_columns: Optional[list[str]] = None) -> None:
     """Write utterances as one delimited row each; inverse of import_tabular
-    under the identity mapping (meta columns export as strings).
+    under the identity mapping (meta columns export as strings). Text that
+    UTF-8 cannot encode raises UnserializableValueError and leaves no file.
     """
     check_delimiter(delimiter)
     meta_columns = meta_columns or []
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(list(TABULAR_FIELDS) + meta_columns)
-        for utt in corpus.utterances.values():
-            row = [
-                utt.id,
-                utt.speaker_id,
-                utt.conversation_id,
-                utt.reply_to if utt.reply_to is not None else "",
-                str(utt.timestamp) if utt.timestamp is not None else "",
-                utt.text,
-            ]
-            row.extend(str(utt.meta.get(col, "")) for col in meta_columns)
-            writer.writerow(row)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, delimiter=delimiter)
+            writer.writerow(list(TABULAR_FIELDS) + meta_columns)
+            for utt in corpus.utterances.values():
+                row = [
+                    utt.id,
+                    utt.speaker_id,
+                    utt.conversation_id,
+                    utt.reply_to if utt.reply_to is not None else "",
+                    str(utt.timestamp) if utt.timestamp is not None else "",
+                    utt.text,
+                ]
+                row.extend(str(utt.meta.get(col, "")) for col in meta_columns)
+                writer.writerow(row)
+    except UnicodeEncodeError as exc:
+        os.remove(path)
+        raise UnserializableValueError(f"cannot export corpus: {_unencodable(exc)}") from None
 
 
 def identity_mapping(delimiter: str = ",", with_optional: bool = True) -> ImportMapping:

@@ -68,16 +68,11 @@ def _unigram_distribution(counts: dict[str, int]) -> dict[str, float]:
     return {term: count / total for term, count in counts.items()}
 
 
-def _token_counts_by_speaker(
-    corpus: Corpus, speaker_id: Optional[str] = None
-) -> dict[str, dict[str, Counter]]:
+def _token_counts_by_speaker(corpus: Corpus) -> dict[str, dict[str, Counter]]:
     """speaker -> conversation -> lowercased term counts of utterance_tokens,
-    from one pass over the utterances in corpus order (all speakers, or only
-    ``speaker_id``)."""
+    from one pass over the utterances in corpus order."""
     grouped: dict[str, dict[str, Counter]] = {}
     for utt in corpus.utterances.values():
-        if speaker_id is not None and utt.speaker_id != speaker_id:
-            continue
         per_convo = grouped.setdefault(utt.speaker_id, {})
         counts = per_convo.get(utt.conversation_id)
         if counts is None:
@@ -94,16 +89,6 @@ def _distributions(
         for counts in per_convo.values()
         if sum(counts.values()) >= min_tokens_per_convo
     ]
-
-
-def speaker_distributions(
-    corpus: Corpus, speaker_id: str, min_tokens_per_convo: int = 1
-) -> list[dict[str, float]]:
-    """One unigram distribution per conversation the speaker spoke in,
-    skipping conversations where they produced fewer than
-    min_tokens_per_convo tokens."""
-    per_convo = _token_counts_by_speaker(corpus, speaker_id).get(speaker_id, {})
-    return _distributions(per_convo, min_tokens_per_convo)
 
 
 def compute_diversity(corpus: Corpus, min_tokens_per_convo: int = 1) -> Corpus:

@@ -1,7 +1,7 @@
 """Core data model: a corpus of conversations made of utterances by speakers.
 
-Each utterance optionally names the utterance it replies to; within a
-conversation those links form a tree with exactly one root. Metadata is a
+Each utterance optionally names the utterance it replies to; the tree
+rules those links obey are stated once, beside ``_tree``. Metadata is a
 schemaless string-keyed table available at every level of the hierarchy.
 
 Navigation (traversal, per-speaker history) is deterministic: siblings are
@@ -12,7 +12,6 @@ possible.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -183,39 +182,32 @@ def _structure_error(corpus: Corpus, report: IntegrityReport) -> ConvoForgeError
     )
 
 
-def _children_map(corpus: Corpus, utterance_ids: Iterable[str]) -> dict[str, list[Utterance]]:
+def _tree(corpus: Corpus, utterance_ids: Iterable[str]
+          ) -> tuple[list[Utterance], dict[str, list[Utterance]]]:
+    """The roots among ``utterance_ids`` and the replies to each id, siblings
+    in _sibling_key order. The tree rules: a root has no ``reply_to``; any
+    other utterance replies to one parent in its own conversation; each
+    conversation has one root, from which _level_order reaches every member."""
+    roots: list[Utterance] = []
     children: dict[str, list[Utterance]] = {}
     for uid in utterance_ids:
         utt = corpus.utterances[uid]
-        if utt.reply_to is not None:
+        if utt.reply_to is None:
+            roots.append(utt)
+        else:
             children.setdefault(utt.reply_to, []).append(utt)
     for kids in children.values():
         kids.sort(key=_sibling_key)
-    return children
+    return roots, children
 
 
-def _root_of(corpus: Corpus, convo: Conversation) -> Utterance:
-    """The conversation's one root; NoRootError when it has none or several."""
-    roots = [corpus.utterances[uid] for uid in convo.utterance_ids
-             if corpus.utterances[uid].reply_to is None]
-    if len(roots) != 1:
-        raise NoRootError(f"conversation {convo.id!r} does not have exactly one root")
-    return roots[0]
-
-
-def _reachable_from(corpus: Corpus, root_ids: Iterable[str],
-                    utterance_ids: Iterable[str]) -> set[str]:
-    """Ids reachable from any of root_ids over the reply links among utterance_ids."""
-    children = _children_map(corpus, utterance_ids)
-    seen = set(root_ids)
-    queue = deque(seen)
-    while queue:
-        uid = queue.popleft()
-        for child in children.get(uid, []):
-            if child.id not in seen:
-                seen.add(child.id)
-                queue.append(child.id)
-    return seen
+def _level_order(roots: list[Utterance], children: dict[str, list[Utterance]]) -> list[Utterance]:
+    """What _tree's roots reach, level by level. A reply has one parent, so with
+    each member passed to _tree once, none is reached twice, and one on a cycle never."""
+    order = list(roots)
+    for utt in order:  # the list is its own queue: it grows while it is read
+        order.extend(children.get(utt.id, ()))
+    return order
 
 
 def traverse(corpus: Corpus, conversation_id: str, order: str = "bfs") -> list[Utterance]:
@@ -231,23 +223,17 @@ def traverse(corpus: Corpus, conversation_id: str, order: str = "bfs") -> list[U
     if convo is None:
         raise UnknownConversationError(f"unknown conversation: {conversation_id!r}")
 
-    root = _root_of(corpus, convo)
-    children = _children_map(corpus, convo.utterance_ids)
-
+    roots, children = _tree(corpus, convo.utterance_ids)
+    if len(roots) != 1:
+        raise NoRootError(f"conversation {convo.id!r} does not have exactly one root")
     if order == "bfs":
-        out: list[Utterance] = []
-        queue = deque([root])
-        while queue:
-            utt = queue.popleft()
-            out.append(utt)
-            queue.extend(children.get(utt.id, []))
-        return out
+        return _level_order(roots, children)
 
     # Explicit stack, so reply chains deeper than the recursion limit work.
     # Postorder is the reverse of a preorder that takes children last-first.
     postorder = order == "dfs_postorder"
     out = []
-    stack = [root]
+    stack = roots
     while stack:
         utt = stack.pop()
         out.append(utt)
@@ -301,9 +287,12 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
     add = report.violations.append
 
     listed_in: dict[str, str] = {}
+    # The tree rules below see each conversation's existing members once.
+    members_of: dict[str, list[str]] = {}
     for convo in corpus.conversations.values():
         if not convo.utterance_ids:
             add(Violation("EmptyConversation", (convo.id,)))
+        members = members_of[convo.id] = []
         seen_here: set[str] = set()
         for uid in convo.utterance_ids:
             if uid in seen_here:
@@ -317,6 +306,7 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
             if utt.conversation_id != convo.id:
                 add(Violation("ConversationMismatch", (uid, convo.id, utt.conversation_id)))
             listed_in[uid] = convo.id
+            members.append(uid)
 
     for utt in corpus.utterances.values():
         if not utt.id:
@@ -339,28 +329,21 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
         if not spk.id:
             add(Violation("EmptyId", (spk.id,)))
 
-    for convo in corpus.conversations.values():
-        members = [
-            corpus.utterances[uid] for uid in convo.utterance_ids if uid in corpus.utterances
-        ]
+    for cid, members in members_of.items():
         if not members:
             continue
-        roots = [u for u in members if u.reply_to is None]
+        roots, children = _tree(corpus, members)
         if not roots:
-            add(Violation("NoRoot", (convo.id,)))
+            add(Violation("NoRoot", (cid,)))
             continue
         if len(roots) > 1:
-            add(Violation("MultipleRoots", tuple([convo.id] + sorted(u.id for u in roots))))
-        member_ids = [u.id for u in members]
-        # Only meaningful when the reply links stay inside the conversation.
-        if all(
-            u.reply_to is None or corpus.utterances.get(u.reply_to) is not None
-            for u in members
-        ):
-            reached = _reachable_from(corpus, [u.id for u in roots], member_ids)
-            unreachable = sorted(set(member_ids) - reached)
-            if unreachable:
-                add(Violation("CycleDetected", tuple([convo.id] + unreachable)))
+            add(Violation("MultipleRoots", (cid, *sorted(u.id for u in roots))))
+        # A dangling reply is reported as such, not again as a cycle.
+        if all(parent in corpus.utterances for parent in children):
+            reached = _level_order(roots, children)
+            if len(reached) < len(members):
+                unreached = set(members).difference(u.id for u in reached)
+                add(Violation("CycleDetected", (cid, *sorted(unreached))))
 
     return report
 

@@ -21,10 +21,10 @@ import logging
 import re
 import string
 import unicodedata
-from collections import deque
 from dataclasses import dataclass
 
-from .model import Corpus, Utterance, _children_map, _root_of
+from .errors import NoRootError
+from .model import Corpus, Utterance, _tree
 from .transform import SummaryTable, Transformer
 
 logger = logging.getLogger(__name__)
@@ -157,8 +157,11 @@ def utterance_tokens(utt: Utterance) -> list[list[str]]:
     present, otherwise what Tokenizer would store, computed on the fly and
     not written. Every reader of the annotation goes through here."""
     stored = utt.meta.get("tokens")
-    if stored is not None:
-        return stored
+    return _tokenized(utt) if stored is None else stored
+
+
+def _tokenized(utt: Utterance) -> list[list[str]]:
+    # The "clean_text" annotation when a cleaner ran earlier, else the text.
     return tokenize(utt.meta.get("clean_text", utt.text)).sentences
 
 
@@ -195,8 +198,7 @@ class Tokenizer(Transformer):
 
     def _transform(self, corpus: Corpus) -> None:
         for utt in corpus.utterances.values():
-            source = utt.meta.get("clean_text", utt.text)
-            self._annotate(utt, tokenize(source).sentences)
+            self._annotate(utt, _tokenized(utt))
 
 
 def merge_consecutive(corpus: Corpus) -> Corpus:
@@ -211,14 +213,13 @@ def merge_consecutive(corpus: Corpus) -> Corpus:
     """
     conflicts = 0
     for convo in corpus.conversations.values():
-        root = _root_of(corpus, convo)
-        children = _children_map(corpus, convo.utterance_ids)
+        queue, children = _tree(corpus, convo.utterance_ids)
+        if len(queue) != 1:
+            raise NoRootError(f"conversation {convo.id!r} does not have exactly one root")
         folded: set[str] = set()
         # Each node absorbs its whole same-speaker chain before the walk goes
         # below it, so a chain always folds top-down into its top utterance.
-        queue = deque([root])
-        while queue:
-            parent = queue.popleft()
+        for parent in queue:
             kids = children.get(parent.id, [])
             texts = [parent.text]
             while len(kids) == 1 and kids[0].speaker_id == parent.speaker_id:

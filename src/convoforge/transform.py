@@ -53,8 +53,9 @@ class SummaryTable:
         return [[self.label_header, *self.columns]] + [
             [label, *map(format_value, values)] for label, values in self.rows]
 
-    def to_delimited(self, delimiter: str = "\t") -> str:
-        return "\n".join(delimiter.join(row) for row in self.cells())
+    def to_delimited(self) -> str:
+        """The cells as tab-separated lines."""
+        return "\n".join("\t".join(row) for row in self.cells())
 
     def __str__(self) -> str:
         return self.to_delimited()

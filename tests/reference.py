@@ -7,7 +7,8 @@ by trying every marker entry at every token position. Unit and acceptance
 tests compare library output against these. ref_merge_consecutive is the
 original fold-and-restart implementation of merge_consecutive, walking the
 tree with ref_bfs. ref_build_corpus is the original build_corpus, which
-checked the tree rules itself instead of through check_integrity.
+checked the tree rules itself instead of through check_integrity, and
+ref_check_integrity finds each member's root by following its parents up.
 ref_fit_vocabulary and ref_vectorize are the original counting loops,
 ref_train_classifier and ref_predict the original dense logistic
 regression, which built the full rows × features matrix, and
@@ -301,6 +302,85 @@ def ref_build_corpus(utterances, speakers=None, corpus_meta=None, strict_speaker
             )
 
     return corpus
+
+
+def _ref_reaches_root(utterances, members, uid) -> bool:
+    """Whether uid's chain of parents stays among members and ends at a
+    root; a chain longer than the member count has gone round a cycle."""
+    current = utterances[uid]
+    for _ in range(len(members)):
+        if current.reply_to is None:
+            return True
+        if current.reply_to not in members:
+            return False
+        current = utterances[current.reply_to]
+    return False
+
+
+def ref_check_integrity(corpus):
+    """check_integrity's report as (code, ids) pairs, in its order, re-derived
+    by brute force: membership by scanning the id lists, and reachability by
+    following each member's parent chain instead of walking the tree down.
+
+    Two rules are the library's, copied as they are: an utterance is
+    NotInConversation unless the last conversation that lists it is its own,
+    and a cycle is not reported in a conversation with a dangling reply."""
+    utterances, conversations = corpus.utterances, corpus.conversations
+    out = []
+    for cid, convo in conversations.items():
+        ids = convo.utterance_ids
+        if not ids:
+            out.append(("EmptyConversation", (cid,)))
+        for i, uid in enumerate(ids):
+            if uid in ids[:i]:
+                out.append(("DuplicateMembership", (cid, uid)))
+            elif uid not in utterances:
+                out.append(("MissingUtterance", (cid, uid)))
+            elif utterances[uid].conversation_id != cid:
+                out.append(("ConversationMismatch",
+                            (uid, cid, utterances[uid].conversation_id)))
+
+    for utt in utterances.values():
+        if utt.id == "":
+            out.append(("EmptyId", (utt.id,)))
+        if utt.speaker_id not in corpus.speakers:
+            out.append(("MissingSpeaker", (utt.id, utt.speaker_id)))
+        listing = [cid for cid, convo in conversations.items() if utt.id in convo.utterance_ids]
+        if utt.conversation_id not in conversations:
+            out.append(("MissingConversation", (utt.id, utt.conversation_id)))
+        elif not listing or listing[-1] != utt.conversation_id:
+            out.append(("NotInConversation", (utt.id, utt.conversation_id)))
+        if utt.reply_to is not None:
+            if utt.reply_to not in utterances:
+                out.append(("DanglingReply", (utt.id, utt.reply_to)))
+            elif utterances[utt.reply_to].conversation_id != utt.conversation_id:
+                out.append(("CrossConversationReply", (utt.id, utt.reply_to)))
+
+    for spk in corpus.speakers.values():
+        if spk.id == "":
+            out.append(("EmptyId", (spk.id,)))
+
+    for cid, convo in conversations.items():
+        members = []
+        for uid in convo.utterance_ids:
+            if uid in utterances and uid not in members:
+                members.append(uid)
+        if not members:
+            continue
+        roots = sorted(uid for uid in members if utterances[uid].reply_to is None)
+        if not roots:
+            out.append(("NoRoot", (cid,)))
+            continue
+        if len(roots) > 1:
+            out.append(("MultipleRoots", (cid, *roots)))
+        if any(utterances[uid].reply_to is not None and utterances[uid].reply_to not in utterances
+               for uid in members):
+            continue
+        stranded = sorted(uid for uid in members
+                          if not _ref_reaches_root(utterances, members, uid))
+        if stranded:
+            out.append(("CycleDetected", (cid, *stranded)))
+    return out
 
 
 def ref_fit_vocabulary(corpus, level="utterance", selector=None, min_df=1, max_terms=None,

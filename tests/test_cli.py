@@ -48,6 +48,33 @@ def broken_dir(tmp_path, chain_dir):
     return target
 
 
+@pytest.fixture
+def surrogate_dir(chain_dir):
+    """chain_dir with a lone surrogate escape in the text of its third line."""
+    path = chain_dir / "utterances.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace('"text":"', '"text":"\\ud800', 1)
+    path.write_text("\n".join(lines) + "\n")
+    return chain_dir
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "export"])
+def test_lone_surrogate_exits_2_and_writes_nothing(tmp_path, surrogate_dir, command, capsys):
+    out = tmp_path / "out"
+    argv = {"validate": ["--corpus", str(surrogate_dir), "validate"],
+            "export": ["--corpus", str(surrogate_dir), "export", "--output", str(out)],
+            "run": ["run", str(tmp_path / "pipeline.json")]}[command]
+    (tmp_path / "pipeline.json").write_text(json.dumps({
+        "input": str(surrogate_dir), "output": str(out),
+        "stages": [{"name": "text_cleaner"}, {"name": "tokenizer"}]}))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: utterances.jsonl line 3: lone surrogate '\\ud800' cannot be encoded as UTF-8"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain", "pipeline.json"]
+
+
 class TestValidate:
     def test_bundled_corpus_is_valid(self, capsys):
         assert main(["--corpus", str(toy_movie_path()), "validate"]) == 0

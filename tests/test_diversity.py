@@ -12,11 +12,18 @@ from convoforge import (
     compute_diversity,
     jensen_shannon,
 )
-from convoforge.diversity import speaker_distributions
+from convoforge.diversity import _distributions, _token_counts_by_speaker
 from helpers import corpus_equal_strict, random_corpus
 from reference import ref_jensen_shannon
 
 LN2 = math.log(2)
+
+
+def speaker_distributions(corpus, speaker_id, min_tokens_per_convo=1):
+    """One unigram distribution per conversation the speaker spoke in with at
+    least min_tokens_per_convo tokens: what SpeakerDiversity compares."""
+    return _distributions(_token_counts_by_speaker(corpus).get(speaker_id, {}),
+                          min_tokens_per_convo)
 
 
 def speaker_corpus(texts_by_convo, speaker="s"):

@@ -220,6 +220,48 @@ class TestSaveLoad:
             assert err.value.line_number == 2
             assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("name", ["utterances.jsonl", "manifest.json", "speakers.json",
+                                      "conversations.json"])
+    @pytest.mark.parametrize("literal", ['"\\ud800"', '"x\\udfff"', '"\\ude00\\ud83d"',
+                                         '{"\\uDBFF": 1}'])
+    def test_lone_surrogate_is_refused(self, tmp_path, name, literal):
+        # json decodes each of these to a str that UTF-8 cannot encode.
+        save(small_corpus(), tmp_path / "c")
+        write_meta_literal(tmp_path / "c", name, literal)
+        with pytest.raises(MalformedRecordError,
+                           match=rf"^{re.escape(name)}.*lone surrogate") as err:
+            load(tmp_path / "c")
+        if name == "utterances.jsonl":
+            assert err.value.line_number == 2
+            assert "line 2" in str(err.value)
+
+    def test_escaped_surrogate_pair_round_trips(self, tmp_path):
+        # small_corpus's u0 text holds U+1F600, written raw; as the escaped
+        # UTF-16 pair it loads as the same code point and saves as before.
+        save(small_corpus(), tmp_path / "c")
+        path = tmp_path / "c" / "utterances.jsonl"
+        before = path.read_bytes()
+        path.write_text(path.read_text(encoding="utf-8").replace("😀", "\\ud83d\\ude00"),
+                        encoding="utf-8")
+        assert b"\\ud83d\\ude00" in path.read_bytes()
+        corpus = load(tmp_path / "c")
+        assert corpus_equal_strict(corpus, small_corpus())
+        save(corpus, tmp_path / "again")
+        assert (tmp_path / "again" / "utterances.jsonl").read_bytes() == before
+
+    @pytest.mark.parametrize("where", ["text", "meta", "speaker"])
+    def test_save_refuses_lone_surrogate(self, tmp_path, where):
+        corpus = small_corpus()
+        if where == "text":
+            corpus.utterances["u1"].text = "ok\ud800"
+        elif where == "meta":
+            corpus.utterances["u1"].meta["x"] = ["\udc00"]
+        else:
+            corpus.speakers["bob"].meta["nick"] = "\ud800"
+        with pytest.raises(UnserializableValueError, match="lone surrogate"):
+            save(corpus, tmp_path / "c")
+        assert list(tmp_path.iterdir()) == []
+
     def test_largest_finite_float_loads(self, tmp_path):
         save(small_corpus(), tmp_path / "c")
         write_meta_literal(tmp_path / "c", "utterances.jsonl", "-1.7976931348623157e308")
@@ -426,6 +468,13 @@ class TestMerge:
 
 
 class TestTabular:
+    def test_export_refuses_lone_surrogate_and_leaves_no_file(self, tmp_path):
+        corpus = small_corpus()
+        corpus.utterances["u2"].text = "next \ud800"
+        with pytest.raises(UnserializableValueError, match="lone surrogate"):
+            export_tabular(corpus, tmp_path / "t.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_rows_without_reply_mapping_are_roots(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("id,who,conv,body\nr1,a,x,hello\nr2,b,y,bye\n")

@@ -22,7 +22,7 @@ from convoforge.errors import (
     UnknownSpeakerError,
 )
 from helpers import random_corpus
-from reference import ref_bfs, ref_build_corpus, ref_dfs
+from reference import ref_bfs, ref_build_corpus, ref_check_integrity, ref_dfs
 
 
 def utt(uid, conv="c0", reply=None, ts=None, speaker="s", text=""):
@@ -292,6 +292,14 @@ class TestCheckIntegrity:
         assert "EmptyConversation" in codes
         assert "NotInConversation" in codes
 
+    def test_root_listed_twice_is_one_duplicate_not_two_roots(self):
+        # The tree rules see each member once, so a repeated root is not
+        # a second root.
+        corpus = build_corpus(chain3())
+        corpus.conversations["c0"].utterance_ids.append("u0")
+        violations = check_integrity(corpus).violations
+        assert [(v.code, v.ids) for v in violations] == [("DuplicateMembership", ("c0", "u0"))]
+
     def test_never_mutates(self):
         corpus = build_corpus(chain3())
         del corpus.speakers["s"]
@@ -336,3 +344,95 @@ class TestRandomTrees:
         rng = random.Random(4242)
         for _ in range(50):
             assert check_integrity(random_corpus(rng, max_utterances=40)).ok
+
+
+def _subtree(corpus, uid):
+    """uid and every utterance below it, by repeated scans of reply_to; an
+    earlier corruption may have made a cycle already."""
+    below = [uid]
+    for parent in below:
+        below.extend(u.id for u in corpus.utterances.values()
+                     if u.reply_to == parent and u.id not in below)
+    return below
+
+
+def _rename_utterance(corpus, old, new):
+    target = corpus.utterances.pop(old)
+    target.id = new
+    corpus.utterances[new] = target
+    for other in corpus.utterances.values():
+        if other.reply_to == old:
+            other.reply_to = new
+    for convo in corpus.conversations.values():
+        convo.utterance_ids = [new if uid == old else uid for uid in convo.utterance_ids]
+
+
+def corrupt(rng, corpus):
+    """Break one structural rule of corpus at random, in place."""
+    utts = list(corpus.utterances.values())
+    if not utts:
+        return
+    pick = rng.choice(utts)
+    convo = rng.choice(list(corpus.conversations.values()))
+    # An earlier corruption may have moved pick out of every conversation.
+    home = corpus.conversations.get(pick.conversation_id, convo)
+    others = [u for u in utts if u.conversation_id != pick.conversation_id]
+    kind = rng.randrange(14)
+    if kind == 0:  # duplicated membership, in its own or another conversation
+        target = convo if rng.random() < 0.3 else home
+        target.utterance_ids.insert(rng.randint(0, len(target.utterance_ids)), pick.id)
+    elif kind == 1:  # missing membership
+        home.utterance_ids = [uid for uid in home.utterance_ids if uid != pick.id]
+    elif kind == 2:  # a listed utterance that does not exist
+        convo.utterance_ids.append(rng.choice(["ghost", pick.id + "x"]))
+    elif kind == 3:  # an utterance that is gone but still listed
+        del corpus.utterances[pick.id]
+    elif kind == 4:
+        convo.utterance_ids.clear()
+    elif kind == 5:
+        pick.reply_to = "ghost"
+    elif kind == 6 and others:
+        pick.reply_to = rng.choice(others).id
+    elif kind == 7:  # an extra root
+        pick.reply_to = None
+    elif kind == 8:  # a removed root: it replies to a member, maybe itself
+        root = rng.choice([u for u in utts if u.reply_to is None] or [pick])
+        root.reply_to = rng.choice(
+            [u.id for u in utts if u.conversation_id == root.conversation_id])
+    elif kind == 9:  # a cycle through pick and its subtree
+        pick.reply_to = rng.choice(_subtree(corpus, pick.id))
+    elif kind == 10:
+        pick.conversation_id = rng.choice([convo.id, "nowhere"])
+    elif kind == 11:
+        if rng.random() < 0.5:
+            corpus.speakers.pop(pick.speaker_id, None)
+        else:
+            pick.speaker_id = "nobody"
+    elif kind == 12 and "" not in corpus.utterances:
+        _rename_utterance(corpus, pick.id, "")
+    elif kind == 13 and corpus.speakers and "" not in corpus.speakers:
+        sid = rng.choice(list(corpus.speakers))
+        corpus.speakers[""] = corpus.speakers.pop(sid)
+        corpus.speakers[""].id = ""
+        for u in utts:
+            if u.speaker_id == sid:
+                u.speaker_id = ""
+
+
+class TestCheckIntegrityOracle:
+    def test_corrupted_corpora_match_reference(self):
+        rng = random.Random(31)
+        codes = set()
+        for _ in range(800):
+            corpus = random_corpus(rng, max_utterances=20)
+            for _ in range(rng.randint(0, 3)):
+                corrupt(rng, corpus)
+            report = [(v.code, v.ids) for v in check_integrity(corpus).violations]
+            assert report == ref_check_integrity(corpus)
+            codes.update(code for code, _ in report)
+        assert codes == {
+            "EmptyConversation", "DuplicateMembership", "MissingUtterance",
+            "ConversationMismatch", "EmptyId", "MissingSpeaker", "MissingConversation",
+            "NotInConversation", "DanglingReply", "CrossConversationReply", "NoRoot",
+            "MultipleRoots", "CycleDetected",
+        }
