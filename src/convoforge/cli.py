@@ -121,8 +121,6 @@ def cmd_run(args) -> int:
     from .transform import Pipeline
 
     config_path = Path(args.config)
-    if not config_path.is_file():
-        return _fail(f"no such config file: {config_path}", 2)
     config = corpus_io._decode_object(config_path, f"config {config_path}")
     for key in ("input", "output"):
         if config.get(key) is not None and not isinstance(config[key], str):

@@ -11,6 +11,11 @@ On-disk layout of a corpus directory (all files UTF-8):
 Records are written in corpus insertion order, which makes output bytes
 stable across runs and lets load() reconstruct an equal corpus. Numbers in
 metadata keep their integer/float identity through the JSON round trip.
+
+Input faults follow one rule: the code that finds a fault raises ValueError
+saying what is wrong, and each reader has one boundary that turns it into
+MalformedRecordError naming the file, and the line where there are lines;
+a file that is not there is MissingFileError (_require_file).
 """
 
 from __future__ import annotations
@@ -72,9 +77,12 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \uD800 to \uDFFF
 
 
 def _decode(text: str):
-    """The JSON value of text; ValueError for NaN, Infinity, and a lone surrogate
-    escape (not half of a pair such as "\\ud83d\\ude00"), which UTF-8 cannot encode."""
-    value = _DECODER.decode(text)
+    """The JSON value of text; ValueError for invalid JSON, NaN, Infinity, and a lone
+    surrogate escape (not half of a pair such as "\\ud83d\\ude00"), which UTF-8 cannot encode."""
+    try:
+        value = _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from None
     # Only text with such an escape pays; the memchr first is far faster than the regex.
     if "\\" in text and _SURROGATE_ESCAPE.search(text):
         try:
@@ -274,33 +282,34 @@ def save(corpus: Corpus, path: str | Path) -> None:
         raise IoFailureError(f"cannot write corpus to {directory}: {exc}") from exc
 
 
-def _require_file(directory: Path, name: str) -> Path:
-    target = directory / name
-    if not target.is_file():
-        raise MissingFileError(f"missing corpus file: {target}")
-    return target
-
-
-def _read_json_object(directory: Path, name: str) -> dict:
-    return _decode_object(_require_file(directory, name), name)
+def _require_file(path: Path) -> Path:
+    """path, or MissingFileError unless it is a file."""
+    if not path.is_file():
+        raise MissingFileError(f"no such file: {path}")
+    return path
 
 
 def _decode_object(path: Path, name: str) -> dict:
-    """The JSON object in the file at path; errors name the file as name."""
+    """The JSON object in the file at path; a fault in it is MalformedRecordError naming name."""
     try:
-        value = _decode(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"{name}: invalid JSON ({exc.msg})") from exc
+        value = _decode(_require_file(path).read_text(encoding="utf-8"))
+        if not isinstance(value, dict):
+            raise ValueError("top-level value is not an object")
     except ValueError as exc:
         raise MalformedRecordError(f"{name}: {exc}") from exc
-    if not isinstance(value, dict):
-        raise MalformedRecordError(f"{name}: top-level value is not an object")
     return value
+
+
+def _require_version(document: dict, expected: str, what: str) -> None:
+    """UnsupportedVersionError naming the version read, unless its major is expected's."""
+    version = str(document.get("format_version", ""))
+    if version.split(".", 1)[0] != expected.split(".", 1)[0]:
+        raise UnsupportedVersionError(f"unsupported {what} format version: {version!r}")
 
 
 def _meta_by_id(directory: Path, name: str) -> Iterator[tuple[str, dict]]:
     """The (id, meta) pairs of speakers.json or conversations.json."""
-    for object_id, payload in _read_json_object(directory, name).items():
+    for object_id, payload in _decode_object(directory / name, name).items():
         if not isinstance(payload, dict):
             raise MalformedRecordError(f"{name}: record {object_id!r} is not an object")
         meta = payload.get("meta", {})
@@ -309,51 +318,31 @@ def _meta_by_id(directory: Path, name: str) -> Iterator[tuple[str, dict]]:
         yield object_id, meta
 
 
-def _parse_utterance_line(line: str, line_number: int) -> Utterance:
-    try:
-        record = _decode(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(
-            f"line {line_number}: invalid JSON ({exc.msg})", line_number=line_number
-        ) from exc
-    except ValueError as exc:
-        raise MalformedRecordError(
-            f"{UTTERANCES_FILE} line {line_number}: {exc}", line_number=line_number
-        ) from exc
+def _utterance(line: str) -> Utterance:
+    """The utterance of one utterances.jsonl line; ValueError saying what is wrong with it."""
+    record = _decode(line)
     if not isinstance(record, dict):
-        raise MalformedRecordError(f"line {line_number}: record is not an object",
-                                   line_number=line_number)
+        raise ValueError("record is not an object")
     missing = [k for k in ("id", "conversation_id", "reply_to", "speaker",
                            "timestamp", "text", "meta") if k not in record]
     if missing:
-        raise MalformedRecordError(
-            f"line {line_number}: missing keys {missing}", line_number=line_number
-        )
+        raise ValueError(f"missing keys {missing}")
     uid = record["id"]
     if not isinstance(uid, str) or not uid:
-        raise MalformedRecordError(f"line {line_number}: bad utterance id",
-                                   line_number=line_number)
+        raise ValueError("bad utterance id")
     reply_to = record["reply_to"]
     if reply_to is not None and not isinstance(reply_to, str):
-        raise MalformedRecordError(f"line {line_number}: bad reply_to", line_number=line_number)
+        raise ValueError("bad reply_to")
     timestamp = record["timestamp"]
     if timestamp is not None and (isinstance(timestamp, bool) or not isinstance(timestamp, int)):
-        raise MalformedRecordError(f"line {line_number}: bad timestamp", line_number=line_number)
+        raise ValueError("bad timestamp")
     if not isinstance(record["speaker"], str) or not isinstance(record["conversation_id"], str):
-        raise MalformedRecordError(f"line {line_number}: bad speaker or conversation id",
-                                   line_number=line_number)
+        raise ValueError("bad speaker or conversation id")
     if not isinstance(record["text"], str) or not isinstance(record["meta"], dict):
-        raise MalformedRecordError(f"line {line_number}: bad text or meta",
-                                   line_number=line_number)
-    return Utterance(
-        id=uid,
-        speaker_id=record["speaker"],
-        conversation_id=record["conversation_id"],
-        text=record["text"],
-        reply_to=reply_to,
-        timestamp=timestamp,
-        meta=record["meta"],
-    )
+        raise ValueError("bad text or meta")
+    return Utterance(id=uid, speaker_id=record["speaker"],
+                     conversation_id=record["conversation_id"], text=record["text"],
+                     reply_to=reply_to, timestamp=timestamp, meta=record["meta"])
 
 
 def load(path: str | Path) -> Corpus:
@@ -377,11 +366,8 @@ def _load(directory: Path) -> Corpus:
     if not directory.is_dir():
         raise MissingFileError(f"not a corpus directory: {directory}")
 
-    manifest = _read_json_object(directory, MANIFEST_FILE)
-    version = str(manifest.get("format_version", ""))
-    major = version.split(".", 1)[0]
-    if major != FORMAT_VERSION.split(".", 1)[0]:
-        raise UnsupportedVersionError(f"unsupported corpus format version: {version!r}")
+    manifest = _decode_object(directory / MANIFEST_FILE, MANIFEST_FILE)
+    _require_version(manifest, FORMAT_VERSION, "corpus")
 
     corpus_meta = manifest.get("corpus_meta", {})
     if not isinstance(corpus_meta, dict):
@@ -394,21 +380,24 @@ def _load(directory: Path) -> Corpus:
     for cid, meta in _meta_by_id(directory, CONVERSATIONS_FILE):
         corpus.conversations[cid] = Conversation(id=cid, meta=meta)
 
-    utterances_path = _require_file(directory, UTTERANCES_FILE)
-    with open(utterances_path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            utt = _parse_utterance_line(line, line_number)
-            if utt.id in corpus.utterances:
-                raise MalformedRecordError(
-                    f"line {line_number}: duplicate utterance id {utt.id!r}",
-                    line_number=line_number,
-                )
-            corpus.utterances[utt.id] = utt
-            convo = corpus.conversations.get(utt.conversation_id)
-            if convo is not None:
-                convo.utterance_ids.append(utt.id)
+    # Lines end at \n alone; each is decoded on its own, so that invalid
+    # UTF-8 is reported at its line like any other fault.
+    with open(_require_file(directory / UTTERANCES_FILE), "rb") as fh:
+        try:
+            for line_number, raw in enumerate(fh, start=1):
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                utt = _utterance(line)
+                if utt.id in corpus.utterances:
+                    raise ValueError(f"duplicate utterance id {utt.id!r}")
+                corpus.utterances[utt.id] = utt
+                convo = corpus.conversations.get(utt.conversation_id)
+                if convo is not None:
+                    convo.utterance_ids.append(utt.id)
+        except ValueError as exc:
+            raise MalformedRecordError(f"{UTTERANCES_FILE} line {line_number}: {exc}",
+                                       line_number=line_number) from exc
 
     for label, declared, actual in (
         ("utterance", manifest.get("utterance_count"), len(corpus.utterances)),
@@ -485,65 +474,56 @@ def import_tabular(path: str | Path, mapping: ImportMapping) -> Corpus:
     Each row becomes one utterance. Without a reply_to mapping every row is
     its own conversation root. Quoting follows RFC 4180 conventions.
     """
-    source = Path(path)
-    if not source.is_file():
-        raise MissingFileError(f"no such file: {source}")
-
+    source = _require_file(Path(path))
     utterances: list[Utterance] = []
-    with open(source, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=mapping.delimiter)
+    # Latin-1 keeps every byte, so lines split where they would in UTF-8;
+    # each is then decoded on its own, and invalid UTF-8 is found at its line.
+    with open(source, encoding="latin-1", newline="") as fh:
+        reader = csv.reader((line.encode("latin-1").decode("utf-8") for line in fh),
+                            delimiter=mapping.delimiter)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRecordError("empty file: no header row") from None
-        index: dict[str, int] = {}
-        for field_name, column in mapping.column_for.items():
-            if column not in header:
-                raise MissingColumnError(f"column {column!r} (for {field_name}) not in header")
-            index[field_name] = header.index(column)
-        meta_index: dict[str, int] = {}
-        for column in mapping.meta_columns:
-            if column not in header:
-                raise MissingColumnError(f"meta column {column!r} not in header")
-            meta_index[column] = header.index(column)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty file: no header row")
+            index: dict[str, int] = {}
+            for field_name, column in mapping.column_for.items():
+                if column not in header:
+                    raise MissingColumnError(f"column {column!r} (for {field_name}) not in header")
+                index[field_name] = header.index(column)
+            meta_index: dict[str, int] = {}
+            for column in mapping.meta_columns:
+                if column not in header:
+                    raise MissingColumnError(f"meta column {column!r} not in header")
+                meta_index[column] = header.index(column)
 
-        for row in reader:
-            line_number = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MalformedRecordError(
-                    f"line {line_number}: expected {len(header)} fields, got {len(row)}",
-                    line_number=line_number,
-                )
-            uid = row[index["id"]]
-            if not uid:
-                raise MalformedRecordError(f"line {line_number}: empty id cell",
-                                           line_number=line_number)
-            reply_to: Optional[str] = None
-            if "reply_to" in index and row[index["reply_to"]]:
-                reply_to = row[index["reply_to"]]
-            timestamp: Optional[int] = None
-            if "timestamp" in index and row[index["timestamp"]]:
-                try:
-                    timestamp = int(row[index["timestamp"]])
-                except ValueError:
-                    raise MalformedRecordError(
-                        f"line {line_number}: timestamp is not an integer",
-                        line_number=line_number,
-                    ) from None
-            meta = {column: row[pos] for column, pos in meta_index.items()}
-            utterances.append(
-                Utterance(
-                    id=uid,
-                    speaker_id=row[index["speaker_id"]],
-                    conversation_id=row[index["conversation_id"]],
-                    text=row[index["text"]],
-                    reply_to=reply_to,
-                    timestamp=timestamp,
-                    meta=meta,
-                )
-            )
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                uid = row[index["id"]]
+                if not uid:
+                    raise ValueError("empty id cell")
+                reply_to: Optional[str] = None
+                if "reply_to" in index and row[index["reply_to"]]:
+                    reply_to = row[index["reply_to"]]
+                timestamp: Optional[int] = None
+                if "timestamp" in index and row[index["timestamp"]]:
+                    try:
+                        timestamp = int(row[index["timestamp"]])
+                    except ValueError:
+                        raise ValueError("timestamp is not an integer") from None
+                utterances.append(Utterance(
+                    id=uid, speaker_id=row[index["speaker_id"]],
+                    conversation_id=row[index["conversation_id"]], text=row[index["text"]],
+                    reply_to=reply_to, timestamp=timestamp,
+                    meta={column: row[pos] for column, pos in meta_index.items()},
+                ))
+        except (ValueError, csv.Error) as exc:
+            # A line that fails to decode follows the last one read; an empty file lacks line 1.
+            line_number = max(reader.line_num + isinstance(exc, UnicodeDecodeError), 1)
+            raise MalformedRecordError(f"{source} line {line_number}: {exc}",
+                                       line_number=line_number) from exc
     return build_corpus(utterances)
 
 

@@ -30,14 +30,14 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corpus_io import _decode_object
+from .corpus_io import _decode_object, _require_version
 from .errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
     EmptySelectionError,
+    MalformedRecordError,
     MissingLabelError,
     UnserializableValueError,
-    UnsupportedVersionError,
 )
 from .model import LEVELS, Corpus, Utterance, _level_objects, _speaker_histories, traverse
 from .textprep import utterance_tokens
@@ -422,21 +422,33 @@ def save_model(path: str | Path, model: LinearModel, vocab: Vocabulary) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _entry(document: dict, key: str, kind: type):
+    """document[key]; ValueError if it is missing or not a ``kind``."""
+    value = document.get(key)
+    if not isinstance(value, kind):
+        raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
+    return value
+
+
 def load_model(path: str | Path) -> tuple[LinearModel, Vocabulary]:
-    """Read a save_model file; invalid JSON, or a NaN, Infinity or
-    overflowing number in it, raises MalformedRecordError naming the file."""
+    """Read a save_model file: MissingFileError if there is none, and MalformedRecordError
+    naming it for invalid JSON, a non-finite number or a missing or mistyped key."""
     document = _decode_object(Path(path), str(path))
-    version = str(document.get("format_version", ""))
-    if version.split(".", 1)[0] != MODEL_FORMAT_VERSION.split(".", 1)[0]:
-        raise UnsupportedVersionError(f"unsupported model format version: {version!r}")
-    vocab_doc = document["vocabulary"]
-    vocab = Vocabulary(
-        index={t: i for i, t in enumerate(vocab_doc["terms"])},
-        doc_freq=vocab_doc["doc_freq"],
-        config=vocab_doc["config"],
-    )
-    model = LinearModel(weights=np.asarray(document["weights"], dtype=float),
-                        config=document["config"])
+    _require_version(document, MODEL_FORMAT_VERSION, "model")
+    try:
+        vocab_doc = _entry(document, "vocabulary", dict)
+        vocab = Vocabulary(
+            index={t: i for i, t in enumerate(_entry(vocab_doc, "terms", list))},
+            doc_freq=_entry(vocab_doc, "doc_freq", dict),
+            config=_entry(vocab_doc, "config", dict),
+        )
+        weights = _entry(document, "weights", list)
+        if not all(type(w) in (int, float) for w in weights):
+            raise ValueError("'weights' holds a value that is not a number")
+        model = LinearModel(weights=np.asarray(weights, dtype=float),
+                            config=_entry(document, "config", dict))
+    except ValueError as exc:
+        raise MalformedRecordError(f"{path}: {exc}") from exc
     return model, vocab
 
 

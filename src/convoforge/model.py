@@ -286,6 +286,7 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
     report = IntegrityReport()
     add = report.violations.append
 
+    # Utterance id -> its conversation id, where that conversation lists it.
     listed_in: dict[str, str] = {}
     # The tree rules below see each conversation's existing members once.
     members_of: dict[str, list[str]] = {}
@@ -305,7 +306,8 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
                 continue
             if utt.conversation_id != convo.id:
                 add(Violation("ConversationMismatch", (uid, convo.id, utt.conversation_id)))
-            listed_in[uid] = convo.id
+            else:
+                listed_in[uid] = convo.id
             members.append(uid)
 
     for utt in corpus.utterances.values():
@@ -316,7 +318,7 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
         convo = corpus.conversations.get(utt.conversation_id)
         if convo is None:
             add(Violation("MissingConversation", (utt.id, utt.conversation_id)))
-        elif listed_in.get(utt.id) != utt.conversation_id:
+        elif utt.id not in listed_in:
             add(Violation("NotInConversation", (utt.id, utt.conversation_id)))
         if utt.reply_to is not None:
             parent = corpus.utterances.get(utt.reply_to)

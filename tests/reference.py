@@ -9,6 +9,8 @@ original fold-and-restart implementation of merge_consecutive, walking the
 tree with ref_bfs. ref_build_corpus is the original build_corpus, which
 checked the tree rules itself instead of through check_integrity, and
 ref_check_integrity finds each member's root by following its parents up.
+ref_parse_utterance_line is the original reader of one utterances.jsonl
+line, which raised MalformedRecordError with the line number itself.
 ref_fit_vocabulary and ref_vectorize are the original counting loops,
 ref_train_classifier and ref_predict the original dense logistic
 regression, which built the full rows × features matrix, and
@@ -24,6 +26,7 @@ ref_jensen_shannon.
 """
 
 import html
+import json
 import logging
 import math
 import re
@@ -36,6 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from convoforge import Conversation, Corpus, FwModel, Speaker, Utterance
+from convoforge.corpus_io import UTTERANCES_FILE
 from convoforge.errors import (
     CrossConversationReplyError,
     CycleDetectedError,
@@ -45,6 +49,7 @@ from convoforge.errors import (
     DuplicateIdError,
     EmptyClassError,
     EmptyVocabularyError,
+    MalformedRecordError,
     MultipleRootsError,
     NoRootError,
     UnknownSpeakerError,
@@ -323,8 +328,8 @@ def ref_check_integrity(corpus):
     following each member's parent chain instead of walking the tree down.
 
     Two rules are the library's, copied as they are: an utterance is
-    NotInConversation unless the last conversation that lists it is its own,
-    and a cycle is not reported in a conversation with a dangling reply."""
+    NotInConversation unless its own conversation lists it, and a cycle is
+    not reported in a conversation with a dangling reply."""
     utterances, conversations = corpus.utterances, corpus.conversations
     out = []
     for cid, convo in conversations.items():
@@ -348,7 +353,7 @@ def ref_check_integrity(corpus):
         listing = [cid for cid, convo in conversations.items() if utt.id in convo.utterance_ids]
         if utt.conversation_id not in conversations:
             out.append(("MissingConversation", (utt.id, utt.conversation_id)))
-        elif not listing or listing[-1] != utt.conversation_id:
+        elif utt.conversation_id not in listing:
             out.append(("NotInConversation", (utt.id, utt.conversation_id)))
         if utt.reply_to is not None:
             if utt.reply_to not in utterances:
@@ -381,6 +386,77 @@ def ref_check_integrity(corpus):
         if stranded:
             out.append(("CycleDetected", (cid, *stranded)))
     return out
+
+
+def _ref_finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {literal}")
+    return value
+
+
+def _ref_decode(text: str):
+    """The JSON value of text, refusing NaN, Infinity and overflowing numbers
+    as the library does, and any value that UTF-8 cannot encode, found by
+    encoding every value instead of first looking for a surrogate escape."""
+    value = json.JSONDecoder(parse_constant=_ref_finite_float,
+                             parse_float=_ref_finite_float).decode(text)
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"lone surrogate {exc.object[exc.start]!r} "
+                         "cannot be encoded as UTF-8") from None
+    return value
+
+
+def ref_parse_utterance_line(line: str, line_number: int) -> Utterance:
+    """The original per-line reader of utterances.jsonl, unchanged but for
+    its name and _ref_decode: each fault is a MalformedRecordError that
+    states the line itself, in one of two prefixes."""
+    try:
+        record = _ref_decode(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecordError(
+            f"line {line_number}: invalid JSON ({exc.msg})", line_number=line_number
+        ) from exc
+    except ValueError as exc:
+        raise MalformedRecordError(
+            f"{UTTERANCES_FILE} line {line_number}: {exc}", line_number=line_number
+        ) from exc
+    if not isinstance(record, dict):
+        raise MalformedRecordError(f"line {line_number}: record is not an object",
+                                   line_number=line_number)
+    missing = [k for k in ("id", "conversation_id", "reply_to", "speaker",
+                           "timestamp", "text", "meta") if k not in record]
+    if missing:
+        raise MalformedRecordError(
+            f"line {line_number}: missing keys {missing}", line_number=line_number
+        )
+    uid = record["id"]
+    if not isinstance(uid, str) or not uid:
+        raise MalformedRecordError(f"line {line_number}: bad utterance id",
+                                   line_number=line_number)
+    reply_to = record["reply_to"]
+    if reply_to is not None and not isinstance(reply_to, str):
+        raise MalformedRecordError(f"line {line_number}: bad reply_to", line_number=line_number)
+    timestamp = record["timestamp"]
+    if timestamp is not None and (isinstance(timestamp, bool) or not isinstance(timestamp, int)):
+        raise MalformedRecordError(f"line {line_number}: bad timestamp", line_number=line_number)
+    if not isinstance(record["speaker"], str) or not isinstance(record["conversation_id"], str):
+        raise MalformedRecordError(f"line {line_number}: bad speaker or conversation id",
+                                   line_number=line_number)
+    if not isinstance(record["text"], str) or not isinstance(record["meta"], dict):
+        raise MalformedRecordError(f"line {line_number}: bad text or meta",
+                                   line_number=line_number)
+    return Utterance(
+        id=uid,
+        speaker_id=record["speaker"],
+        conversation_id=record["conversation_id"],
+        text=record["text"],
+        reply_to=reply_to,
+        timestamp=timestamp,
+        meta=record["meta"],
+    )
 
 
 def ref_fit_vocabulary(corpus, level="utterance", selector=None, min_df=1, max_terms=None,

@@ -89,6 +89,19 @@ class TestValidate:
     def test_nonexistent_path_exits_2(self, tmp_path):
         assert main(["--corpus", str(tmp_path / "missing"), "validate"]) == 2
 
+    def test_invalid_utf8_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        target = tmp_path / "toy"
+        shutil.copytree(toy_movie_path(), target)
+        path = target / "utterances.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"text":"', b'"text":"\xed\xa0\x80', 1)
+        path.write_bytes(b"\n".join(lines))
+        assert main(["--corpus", str(target), "validate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: utterances.jsonl line 3: "), err
+
     @pytest.mark.parametrize("name", ["manifest.json", "speakers.json",
                                       "conversations.json"])
     def test_json_file_that_is_not_an_object_exits_2(self, tmp_path, name, capsys):
@@ -301,8 +314,10 @@ class TestRun:
         mixed = {cid: convo.meta["mixed"] for cid, convo in load(out).conversations.items()}
         assert mixed == {"c0": False, "c1": True, "c2": True, "c3": False, "c4": False}
 
-    def test_missing_config_exits_2(self, tmp_path):
-        assert main(["run", str(tmp_path / "none.json")]) == 2
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "none.json"
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: no such file: {path}\n"
 
     @pytest.mark.parametrize("text,message", [
         ("[]", "top-level value is not an object"),

@@ -1,4 +1,5 @@
 import copy
+import csv
 import gc
 import json
 import random
@@ -34,6 +35,7 @@ from convoforge.errors import (
     UnserializableValueError,
 )
 from helpers import corpus_equal_strict, random_corpus, write_non_object_meta
+from reference import ref_parse_utterance_line
 
 
 def small_corpus():
@@ -161,6 +163,46 @@ class TestSaveLoad:
             load(tmp_path / "c")
         assert err.value.line_number == 2
 
+    def test_truncated_line_names_the_file(self, tmp_path):
+        target = tmp_path / "toy"
+        shutil.copytree(toy_movie_path(), target)
+        path = target / "utterances.jsonl"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:-3]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecordError,
+                           match=r"^utterances\.jsonl line 2: invalid JSON \(") as err:
+            load(target)
+        assert err.value.line_number == 2
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        # ED A0 80 is U+D800 encoded as UTF-8, which strict UTF-8 refuses.
+        target = tmp_path / "toy"
+        shutil.copytree(toy_movie_path(), target)
+        path = target / "utterances.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"text":"', b'"text":"\xed\xa0\x80', 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(MalformedRecordError) as err:
+            load(target)
+        assert err.value.line_number == 3
+        assert str(err.value).startswith("utterances.jsonl line 3: ")
+
+    def test_crlf_line_ends_load_as_lf(self, tmp_path):
+        save(small_corpus(), tmp_path / "c")
+        path = tmp_path / "c" / "utterances.jsonl"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert corpus_equal_strict(load(tmp_path / "c"), small_corpus())
+
+    @pytest.mark.parametrize("name", ["manifest.json", "utterances.jsonl", "speakers.json",
+                                      "conversations.json"])
+    def test_missing_corpus_file_is_named(self, tmp_path, name):
+        save(small_corpus(), tmp_path / "c")
+        (tmp_path / "c" / name).unlink()
+        with pytest.raises(MissingFileError,
+                           match=rf"^no such file: .*{re.escape(name)}$"):
+            load(tmp_path / "c")
+
     def test_unsupported_version(self, tmp_path):
         corpus = small_corpus()
         save(corpus, tmp_path / "c")
@@ -274,6 +316,79 @@ class TestSaveLoad:
             target = tmp_path / f"r{i}"
             save(corpus, target)
             assert corpus_equal_strict(load(target), corpus)
+
+
+UTTERANCE_KEYS = ("id", "conversation_id", "reply_to", "speaker", "timestamp", "text", "meta")
+ODD_VALUES = [None, True, False, 0, 7, -3, 2.5, "", "x", [], ["a"], {}, {"a": 1}]
+
+
+def random_utterance_line(rng):
+    """One utterances.jsonl line, as _load decodes it: a valid record, or one
+    with a key missing or of a wrong type, a bool timestamp, a non-object, a
+    non-finite number, a lone surrogate escape, or JSON cut off or run on."""
+    record = {
+        "id": rng.choice(["u1", "ü", "x y", "\U0001F600"]),
+        "conversation_id": rng.choice(["c0", "c 1"]),
+        "reply_to": rng.choice([None, "u0"]),
+        "speaker": rng.choice(["s", "ann"]),
+        "timestamp": rng.choice([None, 0, 5, -2, 10**20]),
+        "text": rng.choice(["", "hi", "naïve \n"]),
+        "meta": rng.choice([{}, {"k": 1}, {"n": {"x": [1.5, None]}}]),
+    }
+    fault = rng.randrange(9)
+    if fault == 1:
+        for key in rng.sample(UTTERANCE_KEYS, rng.randint(1, 3)):
+            del record[key]
+    elif fault == 2:
+        record[rng.choice(UTTERANCE_KEYS)] = rng.choice(ODD_VALUES)
+    elif fault == 3:
+        record["timestamp"] = rng.choice([True, False])
+    elif fault == 4:
+        record = rng.choice([[record], "text", 3, None, True])
+    elif fault == 5:
+        keys = list(record)
+        rng.shuffle(keys)
+        record = {key: record[key] for key in keys}
+        record["extra"] = "ignored"
+    elif fault == 6:
+        record["meta"] = {"x": [1, "NON_FINITE"]}
+    line = json.dumps(record, ensure_ascii=rng.random() < 0.5)
+    line = line.replace('"NON_FINITE"', rng.choice(NON_FINITE_LITERALS))
+    if fault == 7:
+        spot = rng.choice(['"text": "', '"meta": {"', '"id": "'])
+        line = line.replace(spot, spot + rng.choice(["\\ud800", "\\uDFFF", "\\ude00\\ud83d"]), 1)
+    elif fault == 8:
+        line = rng.choice([line[: rng.randrange(len(line))], line + line, line + ",", "{" + line])
+    return line + rng.choice(["\n", "\r\n", "", " \n"])
+
+
+class TestUtteranceOracle:
+    """_utterance against ref_parse_utterance_line, the reader it replaced."""
+
+    def test_random_lines_match_reference(self):
+        rng = random.Random(15)
+        reasons, accepted = set(), 0
+        for number in range(1, 3001):
+            line = random_utterance_line(rng)
+            try:
+                expected = ref_parse_utterance_line(line, number)
+            except MalformedRecordError as exc:
+                assert exc.line_number == number
+                expected = re.sub(r"^(utterances\.jsonl )?line \d+: ", "", str(exc), count=1)
+            try:
+                actual = corpus_io._utterance(line)
+            except ValueError as exc:
+                actual = str(exc)
+            assert type(actual) is type(expected) and actual == expected, line
+            if isinstance(actual, str):
+                reasons.add(re.sub(r" ?[(\[].*", "", actual))
+            else:
+                accepted += 1
+        assert accepted > 300
+        assert {"invalid JSON", "non-finite number NaN", "record is not an object",
+                "missing keys", "bad utterance id", "bad reply_to", "bad timestamp",
+                "bad speaker or conversation id", "bad text or meta"} <= reasons
+        assert any(r.startswith("lone surrogate") for r in reasons)
 
 
 class TestLoadPausesGc:
@@ -508,6 +623,44 @@ class TestTabular:
         )
         with pytest.raises(MalformedRecordError):
             import_tabular(path, mapping)
+
+    def test_bad_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,speaker_id,conversation_id,text\nr1,a,x,hello\nr2,b,x\n")
+        with pytest.raises(MalformedRecordError,
+                           match=rf"^{re.escape(str(path))} line 3: expected 4 fields, got 3$"
+                           ) as err:
+            import_tabular(path, identity_mapping(with_optional=False))
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, line):
+        # Line 1 is the header; line 3 is the second row. The file is larger
+        # than one read buffer, so a reader that decodes whole buffers meets
+        # the bad bytes before it reaches their line.
+        rows = ["id,speaker_id,conversation_id,text"]
+        rows += [f"r{i},a,c{i},{'hello ' * 20}" for i in range(200)]
+        data = ("\n".join(rows) + "\n").encode("utf-8").split(b"\n")
+        data[line - 1] = data[line - 1].replace(b"e", b"\xed\xa0\x80", 1)
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\n".join(data))
+        with pytest.raises(MalformedRecordError,
+                           match=rf"^{re.escape(str(path))} line {line}: ") as err:
+            import_tabular(path, identity_mapping(with_optional=False))
+        assert err.value.line_number == line
+
+    def test_cell_over_the_field_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,speaker_id,conversation_id,text\n"
+                        f"r1,a,c1,{'x' * (csv.field_size_limit() + 1)}\n")
+        with pytest.raises(MalformedRecordError,
+                           match=rf"^{re.escape(str(path))} line 2: .*field limit"):
+            import_tabular(path, identity_mapping(with_optional=False))
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "none.csv"
+        with pytest.raises(MissingFileError, match=rf"^no such file: {re.escape(str(path))}$"):
+            import_tabular(path, identity_mapping())
 
     def test_empty_speaker_id_cell_is_refused(self, tmp_path):
         path = tmp_path / "t.csv"

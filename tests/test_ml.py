@@ -25,6 +25,7 @@ from convoforge.errors import (
     DimensionMismatchError,
     EmptySelectionError,
     MalformedRecordError,
+    MissingFileError,
     MissingLabelError,
     NotFittedError,
     UnserializableValueError,
@@ -337,6 +338,36 @@ class TestPersistence:
         document["weights"][1] = "WEIGHT"
         path.write_text(json.dumps(document).replace('"WEIGHT"', literal), encoding="utf-8")
         with pytest.raises(MalformedRecordError, match=re.escape(str(path))):
+            load_model(path)
+
+    def test_missing_file_is_missing_file_error(self, tmp_path):
+        path = tmp_path / "none.json"
+        with pytest.raises(MissingFileError, match=rf"^no such file: {re.escape(str(path))}$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("vocabulary"),
+        lambda d: d.pop("weights"),
+        lambda d: d["vocabulary"].pop("terms"),
+        lambda d: d.__setitem__("vocabulary", ["a", "b"]),
+        lambda d: d["vocabulary"].__setitem__("terms", 3),
+        lambda d: d["weights"].__setitem__(1, "heavy"),
+        lambda d: d["weights"].__setitem__(1, [1.0]),
+        lambda d: d["weights"].__setitem__(1, None),
+        lambda d: d["weights"].__setitem__(1, "1.5"),
+        lambda d: d["weights"].__setitem__(1, {}),
+        lambda d: d.__setitem__("weights", None),
+    ], ids=["no-vocabulary", "no-weights", "no-terms", "vocabulary-list", "terms-number",
+            "weight-string", "weight-list", "weight-null", "weight-numeric-string",
+            "weight-object", "weights-null"])
+    def test_missing_or_mistyped_key_names_the_file(self, tmp_path, edit):
+        vocab = fit_vocabulary(tokenized(["a b"]))
+        path = tmp_path / "model.json"
+        save_model(path, LinearModel(weights=np.array([0.5, -1.0, 0.0])), vocab)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        edit(document)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match=rf"^{re.escape(str(path))}: "):
             load_model(path)
 
 

@@ -11,6 +11,7 @@ from convoforge import (
     speaker_history,
     traverse,
 )
+from convoforge.datasets import load_toy_movie
 from convoforge.errors import (
     CrossConversationReplyError,
     CycleDetectedError,
@@ -299,6 +300,18 @@ class TestCheckIntegrity:
         corpus.conversations["c0"].utterance_ids.append("u0")
         violations = check_integrity(corpus).violations
         assert [(v.code, v.ids) for v in violations] == [("DuplicateMembership", ("c0", "u0"))]
+
+    def test_utterance_also_listed_by_a_later_conversation(self):
+        # m1 lists m1_0, so it is in its conversation; m2 listing it too is
+        # a mismatch, and m1_0 is a second root among m2's members.
+        corpus = load_toy_movie()
+        corpus.conversations["m2"].utterance_ids.append("m1_0")
+        violations = check_integrity(corpus).violations
+        assert [(v.code, v.ids) for v in violations] == [
+            ("ConversationMismatch", ("m1_0", "m2", "m1")),
+            ("MultipleRoots", ("m2", "m1_0", "m2_0")),
+        ]
+        assert ref_check_integrity(corpus) == [(v.code, v.ids) for v in violations]
 
     def test_never_mutates(self):
         corpus = build_corpus(chain3())
