@@ -2,11 +2,16 @@
 
 Subcommands operate on a corpus directory given with the global --corpus
 flag: validate, stats, run (pipeline config), fightingwords, politeness,
-hyperconvo, diversity, export. Tables go to standard output as tab-
-separated text with floats pinned to 6 significant digits, so output is
-byte-stable and diffable. Exit codes: 0 success, 1 domain failure, 2
-usage or I/O failure, including a standard output closed early (as by
-``| head``).
+hyperconvo, diversity, export. Each analyzer command is a one-stage config:
+it builds, loads, runs and saves as ``run`` does, so a failing stage is
+reported as ``stage 0 (<name>): ...``, and then prints the stage's summary.
+Tables go to standard output as tab-separated text with floats pinned to 6
+significant digits, so output is byte-stable and diffable.
+
+Exit codes: 0 success; otherwise one ``error:`` line and the code that the
+error's class declares in ``exit_code`` (1 for a domain failure, 2 for I/O
+or format), or 2 for a usage fault (``ValueError``) or an ``OSError``,
+including a standard output closed early (as by ``| head``).
 
 Parsing the arguments loads nothing of the package but ``errors``; each
 command imports the modules it uses, and ``run`` only those of the stages
@@ -20,26 +25,7 @@ import logging
 import os
 import sys
 
-from .errors import (
-    ConvoForgeError,
-    CountMismatchError,
-    IntegrityViolationError,
-    IoFailureError,
-    MalformedRecordError,
-    MissingColumnError,
-    MissingFileError,
-    PipelineStageError,
-    UnsupportedVersionError,
-)
-
-USAGE_ERRORS = (
-    MissingFileError,
-    MalformedRecordError,
-    CountMismatchError,
-    UnsupportedVersionError,
-    IoFailureError,
-    MissingColumnError,
-)
+from .errors import ConvoForgeError, IntegrityViolationError, MissingFileError
 
 
 def _fail(message: str, code: int) -> int:
@@ -47,12 +33,46 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_corpus(args):
+def _load_corpus(path):
     from .corpus_io import load
 
-    if not args.corpus:
+    if not path:
         raise MissingFileError("no corpus directory given; use --corpus DIR")
-    return load(args.corpus)
+    return load(path)
+
+
+def _build_stages(config_stages: list) -> list:
+    """One transformer per config entry ({"name": ..., "params": {...}}).
+    A fault is a ValueError naming the entry's index and stage, raised
+    before any corpus is read."""
+    from .registry import create_transformer
+
+    stages = []
+    for index, stage in enumerate(config_stages):
+        name = stage.get("name") if isinstance(stage, dict) else None
+        if not name:
+            raise ValueError(f"stage {index}: missing transformer name")
+        params = stage.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"stage {index} ({name}): params must be an object")
+        try:
+            stages.append(create_transformer(name, params))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"stage {index} ({name}): {exc}") from exc
+    return stages
+
+
+def _run_stages(stages: list, corpus_path, output_path):
+    """Load the corpus, run the stages through one Pipeline, and save the
+    result where an output path is given. A failing stage raises
+    PipelineStageError."""
+    from .corpus_io import save
+    from .transform import Pipeline
+
+    corpus = Pipeline(stages).run(_load_corpus(corpus_path), fit_first=True)
+    if output_path:
+        save(corpus, output_path)
+    return corpus
 
 
 def _export_table(table, path: str, delimiter: str) -> None:
@@ -65,16 +85,10 @@ def _export_table(table, path: str, delimiter: str) -> None:
         csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(table.cells())
 
 
-def _emit_table(table, export_path=None, delimiter="\t") -> None:
-    print(table.to_delimited())
-    if export_path:
-        _export_table(table, export_path, delimiter)
-
-
 def cmd_validate(args) -> int:
     # load() runs check_integrity and raises with every violation it finds.
     try:
-        _load_corpus(args)
+        _load_corpus(args.corpus)
     except IntegrityViolationError as exc:
         for violation in exc.violations:
             print(violation)
@@ -88,7 +102,7 @@ def cmd_stats(args) -> int:
     from .model import traverse
     from .transform import SummaryTable
 
-    corpus = _load_corpus(args)
+    corpus = _load_corpus(args.corpus)
     depths = []
     sizes = []
     for convo in corpus.conversations.values():
@@ -116,101 +130,50 @@ def cmd_stats(args) -> int:
 def cmd_run(args) -> int:
     from pathlib import Path
 
-    from . import corpus_io
-    from .registry import create_transformer
-    from .transform import Pipeline
+    from .corpus_io import _decode_object
 
     config_path = Path(args.config)
-    config = corpus_io._decode_object(config_path, f"config {config_path}")
+    config = _decode_object(config_path, f"config {config_path}")
     for key in ("input", "output"):
         if config.get(key) is not None and not isinstance(config[key], str):
-            return _fail(f"config '{key}' must be a path string", 2)
-
-    stages_config = config.get("stages")
-    if not isinstance(stages_config, list) or not stages_config:
-        return _fail("config needs a non-empty 'stages' list", 2)
-    stages = []
-    for index, stage in enumerate(stages_config):
-        name = stage.get("name") if isinstance(stage, dict) else None
-        if not name:
-            return _fail(f"stage {index}: missing transformer name", 2)
-        params = stage.get("params", {})
-        if not isinstance(params, dict):
-            return _fail(f"stage {index} ({name}): params must be an object", 2)
-        try:
-            stages.append(create_transformer(name, params))
-        except (ValueError, TypeError) as exc:
-            return _fail(f"stage {index} ({name}): {exc}", 2)
-
-    input_path = args.corpus or config.get("input")
+            raise ValueError(f"config '{key}' must be a path string")
+    if not isinstance(config.get("stages"), list) or not config["stages"]:
+        raise ValueError("config needs a non-empty 'stages' list")
+    stages = _build_stages(config["stages"])
     output_path = config.get("output")
-    if not input_path:
-        return _fail("no input corpus: set 'input' in the config or pass --corpus", 2)
     if not output_path:
-        return _fail("config needs an 'output' corpus path", 2)
-
-    corpus = corpus_io.load(input_path)
-    try:
-        corpus = Pipeline(stages).run(corpus, fit_first=True)
-    except PipelineStageError as exc:
-        return _fail(str(exc), 1)
-    corpus_io.save(corpus, output_path)
+        raise ValueError("config needs an 'output' corpus path")
+    _run_stages(stages, args.corpus or config.get("input"), output_path)
     if not args.quiet:
         print(f"wrote {output_path}")
     return 0
 
 
-def cmd_fightingwords(args) -> int:
-    from .fightingwords import fit_fw, summarize_fw
-    from .filters import build_meta_predicate
+def cmd_analyze(args) -> int:
+    """Run the command's stage as a one-stage config and print its summary;
+    --export writes the summary or, for fightingwords, the full ranking."""
     from .transform import SummaryTable
 
-    corpus = _load_corpus(args)
-    class1 = build_meta_predicate(corpus, args.class1)
-    class2 = build_meta_predicate(corpus, args.class2)
-    model = fit_fw(corpus, class1, class2, ngram_max=args.ngram_max,
-                   min_count=args.min_count, alpha=args.alpha)
-    print(summarize_fw(model, top_k=args.top_k).to_delimited())
+    params = {name: getattr(args, name) for name in args.stage_params}
+    stages = _build_stages([{"name": args.stage, "params": params}])
+    corpus = _run_stages(stages, args.corpus, args.output)
+    table = stages[0].summarize(corpus)
+    print(table.to_delimited())
     if args.export:
-        ranking = SummaryTable(columns=["y1", "y2", "zscore"], label_header="term")
-        for term, y1, y2, z in model.ranking():
-            ranking.add_row(term, [y1, y2, z])
-        _export_table(ranking, args.export, args.delimiter)
+        if args.stage == "fighting_words":
+            table = SummaryTable(columns=["y1", "y2", "zscore"], label_header="term")
+            for term, y1, y2, z in stages[0].model.ranking():
+                table.add_row(term, [y1, y2, z])
+        _export_table(table, args.export, args.delimiter)
+    if args.output and not args.quiet:
+        print(f"wrote {args.output}", file=sys.stderr)
     return 0
-
-
-def _run_annotator(args, name: str, params: dict) -> int:
-    from .corpus_io import save
-    from .registry import create_transformer
-
-    transformer = create_transformer(name, params)
-    corpus = _load_corpus(args)
-    transformer.fit(corpus)
-    transformer.transform(corpus)
-    _emit_table(transformer.summarize(corpus), args.export, args.delimiter)
-    if args.output:
-        save(corpus, args.output)
-        if not args.quiet:
-            print(f"wrote {args.output}", file=sys.stderr)
-    return 0
-
-
-def cmd_politeness(args) -> int:
-    return _run_annotator(args, "politeness", {})
-
-
-def cmd_hyperconvo(args) -> int:
-    return _run_annotator(args, "hyperconvo", {})
-
-
-def cmd_diversity(args) -> int:
-    return _run_annotator(args, "speaker_diversity", {"min_tokens_per_convo": args.min_tokens})
 
 
 def cmd_export(args) -> int:
     from .corpus_io import export_tabular
 
-    corpus = _load_corpus(args)
+    corpus = _load_corpus(args.corpus)
     meta_columns = [c for c in (args.meta_columns or "").split(",") if c]
     export_tabular(corpus, args.output, delimiter=args.delimiter, meta_columns=meta_columns)
     if not args.quiet:
@@ -273,21 +236,24 @@ def build_parser() -> argparse.ArgumentParser:
     fw.add_argument("--export", help="write the full ranking to this file")
     fw.add_argument("--delimiter", type=_delimiter, default=",",
                     help="delimiter for --export")
-    fw.set_defaults(func=cmd_fightingwords)
+    # An analyzer command runs the registered stage `stage`, passing the
+    # constructor parameters named in stage_params from the flags of that dest.
+    fw.set_defaults(func=cmd_analyze, stage="fighting_words", output=None, stage_params=(
+        "class1", "class2", "ngram_max", "min_count", "alpha", "top_k"))
 
-    for name, func, extra in (
-        ("politeness", cmd_politeness, None),
-        ("hyperconvo", cmd_hyperconvo, None),
-        ("diversity", cmd_diversity, "min_tokens"),
-    ):
+    for name, stage in (("politeness", "politeness"), ("hyperconvo", "hyperconvo"),
+                        ("diversity", "speaker_diversity")):
         cmd = add_command(name, f"run the {name} analyzer and print its summary")
         cmd.add_argument("--export", help="write the summary table to this file")
         cmd.add_argument("--delimiter", type=_delimiter, default="\t",
                          help="delimiter for --export")
         cmd.add_argument("--output", help="save the annotated corpus to this directory")
-        if extra == "min_tokens":
-            cmd.add_argument("--min-tokens", type=int, default=1, dest="min_tokens")
-        cmd.set_defaults(func=func)
+        stage_params = ()
+        if name == "diversity":
+            cmd.add_argument("--min-tokens", type=int, default=1,
+                             dest="min_tokens_per_convo")
+            stage_params = ("min_tokens_per_convo",)
+        cmd.set_defaults(func=cmd_analyze, stage=stage, stage_params=stage_params)
 
     export = add_command("export", "write utterances as a delimited table")
     export.add_argument("--output", required=True)
@@ -314,16 +280,12 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 2
-    except OSError as exc:
-        # An unreadable input or unwritable output path, e.g. a directory.
-        return _fail(str(exc), 2)
-    except USAGE_ERRORS as exc:
-        return _fail(str(exc), 2)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # An unreadable input or unwritable output path, e.g. a directory, or
+        # a bad flag or config value.
         return _fail(str(exc), 2)
     except ConvoForgeError as exc:
-        # Domain failures (empty class, missing annotation, ...) exit 1.
-        return _fail(str(exc), 1)
+        return _fail(str(exc), exc.exit_code)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ metadata keep their integer/float identity through the JSON round trip.
 Input faults follow one rule: the code that finds a fault raises ValueError
 saying what is wrong, and each reader has one boundary that turns it into
 MalformedRecordError naming the file, and the line where there are lines;
-a file that is not there is MissingFileError (_require_file).
+a file that is not there is MissingFileError (_require_file), and a tabular
+header without a mapped column is MissingColumnError naming the file.
 """
 
 from __future__ import annotations
@@ -488,12 +489,13 @@ def import_tabular(path: str | Path, mapping: ImportMapping) -> Corpus:
             index: dict[str, int] = {}
             for field_name, column in mapping.column_for.items():
                 if column not in header:
-                    raise MissingColumnError(f"column {column!r} (for {field_name}) not in header")
+                    raise MissingColumnError(
+                        f"{source}: column {column!r} (for {field_name}) not in header")
                 index[field_name] = header.index(column)
             meta_index: dict[str, int] = {}
             for column in mapping.meta_columns:
                 if column not in header:
-                    raise MissingColumnError(f"meta column {column!r} not in header")
+                    raise MissingColumnError(f"{source}: meta column {column!r} not in header")
                 meta_index[column] = header.index(column)
 
             for row in reader:

@@ -3,11 +3,17 @@
 Corpus construction and navigation raise structure errors; I/O raises
 serialization errors; transformers raise contract errors. Everything
 derives from ConvoForgeError so callers can catch broadly.
+
+Each class declares its command-line exit code in ``exit_code``: 1 for a
+domain failure (the default), 2 for I/O or format (a missing or malformed
+file or column, a count or version mismatch).
 """
 
 
 class ConvoForgeError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 1
 
 
 # -- corpus structure ------------------------------------------------------
@@ -47,7 +53,7 @@ class UnknownSpeakerError(ConvoForgeError):
 # -- serialization / import ------------------------------------------------
 
 class IoFailureError(ConvoForgeError):
-    pass
+    exit_code = 2
 
 
 class IntegrityViolationError(ConvoForgeError):
@@ -63,21 +69,23 @@ class UnserializableValueError(ConvoForgeError):
 
 
 class MissingFileError(ConvoForgeError):
-    pass
+    exit_code = 2
 
 
 class MalformedRecordError(ConvoForgeError):
+    exit_code = 2
+
     def __init__(self, message, line_number=None):
         super().__init__(message)
         self.line_number = line_number
 
 
 class CountMismatchError(ConvoForgeError):
-    pass
+    exit_code = 2
 
 
 class UnsupportedVersionError(ConvoForgeError):
-    pass
+    exit_code = 2
 
 
 class IrreconcilableCollisionError(ConvoForgeError):
@@ -85,7 +93,7 @@ class IrreconcilableCollisionError(ConvoForgeError):
 
 
 class MissingColumnError(ConvoForgeError):
-    pass
+    exit_code = 2
 
 
 # -- transformer contract --------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import EmptyClassError, EmptyVocabularyError, NotFittedError
-from .filters import build_meta_predicate
+from .filters import build_meta_predicate, parse_expression
 from .model import Corpus, Utterance
 from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer
@@ -199,7 +199,8 @@ class FightingWords(Transformer):
 
     class1/class2 may be utterance predicates or metadata filter expressions
     (see filters module), e.g. FightingWords(class1="mixed=true",
-    class2="mixed=false").
+    class2="mixed=false"). An expression is parsed here, so a malformed one
+    is a ValueError before any corpus is read.
     """
 
     name = "fighting_words"
@@ -210,6 +211,9 @@ class FightingWords(Transformer):
                  alpha: float = 0.01, top_k: int = 10):
         super().__init__()
         _check_prior("alpha", alpha)
+        for expression in (class1, class2):
+            if isinstance(expression, str):
+                parse_expression(expression)
         self._class1 = class1
         self._class2 = class2
         self.ngram_max = ngram_max

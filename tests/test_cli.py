@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import shutil
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from convoforge import Speaker, Utterance, build_corpus, import_tabular, identity_mapping, save
+from convoforge import cli, corpus_io, errors
 from convoforge.cli import main
 from convoforge.datasets import toy_movie_path
 from helpers import child_env, write_non_object_meta
@@ -151,7 +153,8 @@ class TestStats:
 
 class TestRun:
     def make_config(self, tmp_path, stages, input_dir, output_dir):
-        config = {"input": str(input_dir), "output": str(output_dir), "stages": stages}
+        config = {"input": input_dir and str(input_dir), "output": str(output_dir),
+                  "stages": stages}
         path = tmp_path / "pipeline.json"
         path.write_text(json.dumps(config))
         return path
@@ -273,6 +276,21 @@ class TestRun:
         assert result.returncode == 0, result.stderr
         assert result.stderr == ""
 
+    def test_bad_filter_exits_2_before_load(self, tmp_path, capsys, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(corpus_io, "load", lambda path: loaded.append(path))
+        config = self.make_config(
+            tmp_path,
+            [{"name": "tokenizer"},
+             {"name": "fighting_words", "params": {"class1": "x", "class2": "a=1"}}],
+            toy_movie_path(), tmp_path / "out",
+        )
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage 1 (fighting_words): bad filter clause 'x'; expected key=value\n")
+        assert loaded == []
+        assert not (tmp_path / "out").exists()
+
     def test_bad_prior_exits_2_naming_stage(self, tmp_path, capsys):
         config = self.make_config(
             tmp_path,
@@ -313,6 +331,13 @@ class TestRun:
         from convoforge import load
         mixed = {cid: convo.meta["mixed"] for cid, convo in load(out).conversations.items()}
         assert mixed == {"c0": False, "c1": True, "c2": True, "c3": False, "c4": False}
+
+    def test_no_input_corpus_exits_2(self, tmp_path, capsys):
+        # One check for every command: neither --corpus nor the config's input.
+        config = self.make_config(tmp_path, [{"name": "tokenizer"}], None, tmp_path / "out")
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err == "error: no corpus directory given; use --corpus DIR\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "none.json"
@@ -381,7 +406,8 @@ class TestFightingWordsCommand:
             "--corpus", str(mixed_dir), "fightingwords",
             "--class1", "mixed=maybe", "--class2", "mixed=false",
         ]) == 1
-        assert "class 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: stage 0 (fighting_words): class 1 selects no utterances\n")
 
     def test_non_positive_alpha_exits_2(self, mixed_dir, capsys):
         assert main([
@@ -390,7 +416,25 @@ class TestFightingWordsCommand:
         ]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: alpha must be a positive finite number, got 0.0\n"
+        assert captured.err == ("error: stage 0 (fighting_words): "
+                                "alpha must be a positive finite number, got 0.0\n")
+
+    def test_rerun_on_tagged_corpus_warns_once(self, mixed_dir, tmp_path):
+        # The command runs the stage's transform as run does, so it writes
+        # fw_class in memory and reports the overwrites in one line.
+        tagged = tmp_path / "tagged"
+        config = tmp_path / "fw.json"
+        config.write_text(json.dumps({
+            "input": str(mixed_dir), "output": str(tagged),
+            "stages": [{"name": "fighting_words",
+                        "params": {"class1": "mixed=true", "class2": "mixed=false"}}]}))
+        assert main(["--quiet", "run", str(config)]) == 0
+        result = run_child(["--corpus", str(tagged), "fightingwords", "--class1", "mixed=true",
+                            "--class2", "mixed=false"], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == TOY_STDOUT["fightingwords"]
+        assert result.stderr == ("WARNING convoforge.transform: fighting_words: "
+                                 "overwrote 14 existing 'fw_class' annotations\n")
 
     def test_export_full_ranking(self, mixed_dir, tmp_path, capsys):
         target = tmp_path / "ranking.csv"
@@ -509,6 +553,75 @@ TOY_RANKING = (
 )
 
 
+# The standard output of each analyzer command on the toy corpus;
+# fightingwords compares mixed=true against mixed=false after speaker_mix.
+TOY_STDOUT = {
+    "politeness": (
+        "strategy\tmean\n"
+        "gratitude\t0\n"
+        "apologizing\t0\n"
+        "please\t0\n"
+        "please_start\t0\n"
+        "greeting\t0\n"
+        "deference\t0\n"
+        "indirect_btw\t0\n"
+        "direct_question\t0\n"
+        "direct_start\t0.357143\n"
+        "counterfactual_modal\t0\n"
+        "indicative_modal\t0\n"
+        "hedges\t0\n"
+        "factuality\t0\n"
+        "first_person\t0.0714286\n"
+        "first_person_start\t0\n"
+        "first_person_plural\t0.142857\n"
+        "second_person\t0.142857\n"
+        "second_person_start\t0\n"
+    ),
+    "diversity": (
+        "speaker\tdiversity\tn_conversations\n"
+        "tyler\t0.603474\t2\n"
+        "marla\t0.471311\t2\n"
+        "ilsa\t\t1\n"
+        "rick\t\t1\n"
+        "sam\t\t1\n"
+        "vivian\t\t1\n"
+    ),
+    "hyperconvo": (
+        "conversation\toutdeg_max\toutdeg_mean\toutdeg_mean_nonzero\toutdeg_prop_nonzero"
+        "\toutdeg_entropy\tindeg_max\tindeg_mean\tindeg_mean_nonzero\tindeg_prop_nonzero"
+        "\tindeg_entropy\treciprocity\tmotif_dyadic\tmotif_outgoing_star"
+        "\tmotif_incoming_star\tmotif_transitive\n"
+        "m1\t2\t1.5\t1.5\t1\t0.636514\t2\t1.5\t1.5\t1\t0.636514\t1\t1\t0\t0\t0\n"
+        "m2\t1\t1\t1\t1\t0.693147\t1\t1\t1\t1\t0.693147\t1\t1\t0\t0\t0\n"
+        "f1\t1\t1\t1\t1\t0.693147\t1\t1\t1\t1\t0.693147\t1\t1\t0\t0\t0\n"
+        "g1\t2\t1.5\t1.5\t1\t0.636514\t2\t1.5\t1.5\t1\t0.636514\t1\t1\t0\t0\t0\n"
+    ),
+    "fightingwords": (
+        "term\tclass\ty1\ty2\tzscore\n"
+        "alpha\tclass1\t6\t0\t0.649499\n"
+        "then\tclass1\t2\t1\t0.564235\n"
+        "me\tclass1\t2\t0\t0.530966\n"
+        "protocol\tclass1\t2\t0\t0.530966\n"
+        "a\tclass1\t1\t0\t0.459244\n"
+        "about\tclass1\t1\t0\t0.459244\n"
+        "always\tclass1\t1\t0\t0.459244\n"
+        "answer\tclass1\t1\t0\t0.459244\n"
+        "archive\tclass1\t1\t0\t0.459244\n"
+        "but\tclass1\t1\t0\t0.459244\n"
+        "the\tclass2\t6\t10\t-1.20827\n"
+        "ledger\tclass2\t0\t4\t-0.608614\n"
+        "not\tclass2\t1\t2\t-0.596608\n"
+        "buyers\tclass2\t0\t2\t-0.534867\n"
+        "dawn\tclass2\t0\t2\t-0.534867\n"
+        "logs\tclass2\t0\t2\t-0.534867\n"
+        "night\tclass2\t0\t2\t-0.534867\n"
+        "vault\tclass2\t0\t2\t-0.534867\n"
+        "add\tclass2\t0\t1\t-0.463097\n"
+        "again\tclass2\t0\t1\t-0.463097\n"
+    ),
+}
+
+
 class TestTableBytes:
     def test_stats_stdout(self, speaker_mix_dir, capsys):
         assert main(["--corpus", str(speaker_mix_dir), "stats"]) == 0
@@ -528,6 +641,7 @@ class TestTableBytes:
                      "--class1", "mixed=true", "--class2", "mixed=false",
                      "--export", str(target), "--delimiter", delimiter]) == 0
         assert target.read_bytes() == TOY_RANKING.replace(",", delimiter).encode()
+        assert capsys.readouterr().out == TOY_STDOUT["fightingwords"]
 
 
 class TestAnalyzerCommands:
@@ -567,6 +681,7 @@ class TestAnalyzerCommands:
         save(Tokenizer().transform(load(toy_movie_path())), pretokenized)
         assert main(["--quiet", "--corpus", str(pretokenized), command]) == 0
         expected = capsys.readouterr().out
+        assert expected == TOY_STDOUT[command]
         out = tmp_path / "annotated"
         assert main(["--quiet", "--corpus", str(toy_movie_path()), command,
                      "--output", str(out)]) == 0
@@ -670,3 +785,91 @@ def test_closed_stdout_exits_2_without_traceback(unbuffered):
         os.close(write_end)
     assert "Traceback" not in result.stderr
     assert result.returncode == 2
+
+
+# Each analyzer command and the one-stage run config that it stands for.
+ANALYZER_STAGES = {
+    "politeness": ([], {"name": "politeness"}),
+    "hyperconvo": ([], {"name": "hyperconvo"}),
+    "diversity": ([], {"name": "speaker_diversity"}),
+    "fightingwords": (["--class1", "mixed=true", "--class2", "mixed=false"],
+                      {"name": "fighting_words",
+                       "params": {"class1": "mixed=true", "class2": "mixed=false"}}),
+}
+
+
+def _with_tokens(source, target, tokens):
+    """A copy of the corpus at source whose utterance m1_0 has these tokens."""
+    shutil.copytree(source, target)
+    path = target / "utterances.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        if record["id"] == "m1_0":
+            record["meta"]["tokens"] = tokens
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    return target
+
+
+@pytest.mark.parametrize("command,fault", [
+    *((command, fault) for command in ANALYZER_STAGES for fault in ("tokens-5", "tokens-nested")),
+    ("fightingwords", "empty-class"),
+    ("fightingwords", "bad-filter"),
+])
+def test_analyzer_command_fails_as_its_run_config(tmp_path, speaker_mix_dir, command, fault):
+    # A command runs its stage exactly as run does: the same exit code and the
+    # same single error line, and never a traceback.
+    argv, stage = ANALYZER_STAGES[command]
+    source = speaker_mix_dir
+    if fault.startswith("tokens"):
+        source = _with_tokens(speaker_mix_dir, tmp_path / "bad_tokens",
+                              5 if fault == "tokens-5" else [[1, 2]])
+    else:
+        class1 = "mixed=maybe" if fault == "empty-class" else "x"
+        argv = ["--class1", class1, *argv[2:]]
+        stage = {**stage, "params": {**stage["params"], "class1": class1}}
+    config = tmp_path / "one_stage.json"
+    config.write_text(json.dumps({"input": str(source), "output": str(tmp_path / "out"),
+                                  "stages": [stage]}))
+    by_command = run_child(["--corpus", str(source), command, *argv],
+                           capture_output=True, text=True)
+    by_run = run_child(["run", str(config)], capture_output=True, text=True)
+    assert "Traceback" not in by_command.stderr + by_run.stderr
+    assert by_command.returncode == by_run.returncode
+    assert by_command.stderr == by_run.stderr
+    if command == "hyperconvo":
+        # It reads no tokens.
+        assert by_command.returncode == 0 and by_command.stderr == ""
+    else:
+        assert by_command.returncode == (2 if fault == "bad-filter" else 1)
+        lines = by_command.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: stage 0 ("), lines
+
+
+USAGE_ERROR_NAMES = {"MissingFileError", "MalformedRecordError", "CountMismatchError",
+                     "UnsupportedVersionError", "IoFailureError", "MissingColumnError"}
+
+
+def _error_classes():
+    return [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(cls, errors.ConvoForgeError)]
+
+
+def test_exit_code_table():
+    classes = _error_classes()
+    assert USAGE_ERROR_NAMES <= {cls.__name__ for cls in classes}
+    for cls in classes:
+        assert cls.exit_code == (2 if cls.__name__ in USAGE_ERROR_NAMES else 1), cls
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_main_exits_with_the_declared_code(cls, monkeypatch, capsys):
+    error = cls(0, "stage", "boom") if cls is errors.PipelineStageError else cls("boom")
+
+    def command(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_stats", command)
+    assert main(["stats"]) == (2 if cls.__name__ in USAGE_ERROR_NAMES else 1)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"

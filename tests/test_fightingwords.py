@@ -263,6 +263,16 @@ class TestTransformer:
         table = fw.summarize(corpus)
         assert table.rows[0][0] == "a"
 
+    @pytest.mark.parametrize("class1,class2,message", [
+        ("x", "cls=2", "bad filter clause 'x'; expected key=value"),
+        ("cls=1", "=2", "bad filter clause '=2'; empty key"),
+        ("cls=1", " , ", "empty filter expression ' , '"),
+    ])
+    def test_bad_filter_refused_by_constructor(self, class1, class2, message):
+        # Parsed without a corpus, so a pipeline refuses it before loading one.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FightingWords(class1=class1, class2=class2)
+
     def test_overlapping_classes_warn(self, caplog):
         corpus = worked_example_corpus()
         with caplog.at_level("WARNING"):

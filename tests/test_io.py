@@ -683,6 +683,20 @@ class TestTabular:
         with pytest.raises(MissingColumnError):
             import_tabular(path, mapping)
 
+    @pytest.mark.parametrize("meta_columns,message", [
+        ([], "column 'speaker_id' (for speaker_id) not in header"),
+        (["genre"], "meta column 'genre' not in header"),
+    ], ids=["field", "meta"])
+    def test_missing_column_names_the_file(self, tmp_path, meta_columns, message):
+        path = tmp_path / "t.csv"
+        path.write_text("id,who\n1,a\n" if not meta_columns else
+                        "id,speaker_id,conversation_id,text\n1,a,x,hi\n")
+        mapping = identity_mapping(with_optional=False)
+        mapping.meta_columns = meta_columns
+        with pytest.raises(MissingColumnError) as err:
+            import_tabular(path, mapping)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_mandatory_mapping_enforced(self):
         with pytest.raises(MissingColumnError):
             ImportMapping(column_for={"id": "id"})
