@@ -5,6 +5,8 @@ flag: validate, stats, run (pipeline config), fightingwords, politeness,
 hyperconvo, diversity, export. Each analyzer command is a one-stage config:
 it builds, loads, runs and saves as ``run`` does, so a failing stage is
 reported as ``stage 0 (<name>): ...``, and then prints the stage's summary.
+Its flags are the stage's parameters; a flag left out means the stage's
+constructor default, which the CLI does not restate.
 Tables go to standard output as tab-separated text with floats pinned to 6
 significant digits, so output is byte-stable and diffable.
 
@@ -154,7 +156,7 @@ def cmd_analyze(args) -> int:
     --export writes the summary or, for fightingwords, the full ranking."""
     from .transform import SummaryTable
 
-    params = {name: getattr(args, name) for name in args.stage_params}
+    params = {name: getattr(args, name) for name in args.stage_params if name in args}
     stages = _build_stages([{"name": args.stage, "params": params}])
     corpus = _run_stages(stages, args.corpus, args.output)
     table = stages[0].summarize(corpus)
@@ -229,15 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     fw = add_command("fightingwords", "compare two metadata-defined classes")
     fw.add_argument("--class1", required=True, help="filter, e.g. mixed=true")
     fw.add_argument("--class2", required=True, help="filter, e.g. mixed=false")
-    fw.add_argument("--top-k", type=int, default=10, dest="top_k")
-    fw.add_argument("--ngram-max", type=int, default=1, dest="ngram_max")
-    fw.add_argument("--min-count", type=int, default=1, dest="min_count")
-    fw.add_argument("--alpha", type=float, default=0.01)
+    fw.add_argument("--top-k", type=int, default=argparse.SUPPRESS, dest="top_k")
+    fw.add_argument("--ngram-max", type=int, default=argparse.SUPPRESS, dest="ngram_max")
+    fw.add_argument("--min-count", type=int, default=argparse.SUPPRESS, dest="min_count")
+    fw.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
     fw.add_argument("--export", help="write the full ranking to this file")
     fw.add_argument("--delimiter", type=_delimiter, default=",",
                     help="delimiter for --export")
     # An analyzer command runs the registered stage `stage`, passing the
-    # constructor parameters named in stage_params from the flags of that dest.
+    # constructor parameters named in stage_params from the flags of that dest
+    # that were given: a flag left out (default SUPPRESS) is not in args.
     fw.set_defaults(func=cmd_analyze, stage="fighting_words", output=None, stage_params=(
         "class1", "class2", "ngram_max", "min_count", "alpha", "top_k"))
 
@@ -250,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--output", help="save the annotated corpus to this directory")
         stage_params = ()
         if name == "diversity":
-            cmd.add_argument("--min-tokens", type=int, default=1,
+            cmd.add_argument("--min-tokens", type=int, default=argparse.SUPPRESS,
                              dest="min_tokens_per_convo")
             stage_params = ("min_tokens_per_convo",)
         cmd.set_defaults(func=cmd_analyze, stage=stage, stage_params=stage_params)

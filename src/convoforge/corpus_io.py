@@ -197,13 +197,11 @@ def _to_json(value, corpus: Corpus, encoder: json.JSONEncoder) -> str:
 
 
 def _write_files(corpus: Corpus, directory: Path) -> None:
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "utterance_count": len(corpus.utterances),
-        "conversation_count": len(corpus.conversations),
-        "speaker_count": len(corpus.speakers),
-        "corpus_meta": corpus.meta,
-    }
+    # vars, not dataclasses.asdict, whose deep copy of corpus_meta would fail
+    # on a value that cannot be copied before _to_json could name its key.
+    manifest = vars(CorpusManifest(FORMAT_VERSION, len(corpus.utterances),
+                                   len(corpus.conversations), len(corpus.speakers),
+                                   corpus.meta))
     (directory / MANIFEST_FILE).write_text(
         _to_json(manifest, corpus, _INDENTED) + "\n", encoding="utf-8"
     )

@@ -116,7 +116,8 @@ class SpeakerDiversity(Transformer):
             n = len(distributions)
             value: Optional[float] = None
             if n >= 2:
-                prepared = [_positive(dist) for dist in distributions]
+                # Built from counts, a distribution has no zero entry for _positive to drop.
+                prepared = [(dist, sum(dist.values())) for dist in distributions]
                 total = 0.0
                 for i in range(n):
                     for j in range(i + 1, n):

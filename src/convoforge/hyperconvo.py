@@ -92,15 +92,8 @@ def extract_features(graph: ResponseGraph) -> dict[str, float]:
     values = _degree_stats(out_degree.values()) + _degree_stats(in_degree.values())
 
     simple = {(s, t) for (s, t) in graph.edges if s != t}
-    pairs_any = set()
-    mutual = 0
-    seen_pairs = set()
-    for s, t in simple:
-        pair = (s, t) if s < t else (t, s)
-        pairs_any.add(pair)
-        if pair not in seen_pairs and (t, s) in simple:
-            seen_pairs.add(pair)
-            mutual += 1
+    pairs_any = {(s, t) if s < t else (t, s) for s, t in simple}
+    mutual = sum(1 for s, t in simple if s < t and (t, s) in simple)
     reciprocity = mutual / len(pairs_any) if pairs_any else 0.0
 
     out_neighbors: dict[str, set[str]] = {}

@@ -20,7 +20,6 @@ still multiplies a dense prefix array through BLAS (see _DenseRows).
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +29,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corpus_io import _decode_object, _require_version
+from .corpus_io import _INDENTED, _decode_object, _require_version
 from .errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
@@ -39,7 +38,7 @@ from .errors import (
     MissingLabelError,
     UnserializableValueError,
 )
-from .model import LEVELS, Corpus, Utterance, _level_objects, _speaker_histories, traverse
+from .model import Corpus, Utterance, _level_objects, _speaker_histories, traverse
 from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer
 
@@ -73,16 +72,15 @@ def _words(utterances) -> list[str]:
 
 def _documents(corpus: Corpus, level: str, objects: list) -> Iterator[list[str]]:
     """The tokens of each object, in order: conversation documents follow
-    traversal order and speaker documents speaker_history order."""
-    if level == "utterance":
-        groups = ([obj] for obj in objects)
-    elif level == "conversation":
+    traversal order and speaker documents speaker_history order. The
+    objects come from _level_objects, which refuses an unknown level."""
+    if level == "conversation":
         groups = (traverse(corpus, obj.id, "bfs") for obj in objects)
     elif level == "speaker":
         histories = _speaker_histories(corpus)
         groups = (histories.get(obj.id, []) for obj in objects)
     else:
-        raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
+        groups = ([obj] for obj in objects)
     return (_words(utterances) for utterances in groups)
 
 
@@ -314,17 +312,6 @@ def _gradient_at(z: np.ndarray, weights: np.ndarray, Xb, y: np.ndarray,
     return grad
 
 
-def logistic_loss(weights: np.ndarray, Xb, y: np.ndarray, l2: float) -> float:
-    """Mean log-loss plus (l2/2)||w||^2, bias excluded from the penalty.
-    Xb is rows (_Rows or _DenseRows) whose last column, the bias, is all
-    ones."""
-    return _loss_at(Xb.matvec(weights), weights, y, l2)
-
-
-def logistic_gradient(weights: np.ndarray, Xb, y: np.ndarray, l2: float) -> np.ndarray:
-    return _gradient_at(Xb.matvec(weights), weights, Xb, y, l2)
-
-
 def train_classifier(
     X,
     y,
@@ -414,7 +401,7 @@ def save_model(path: str | Path, model: LinearModel, vocab: Vocabulary) -> None:
         },
     }
     try:
-        text = json.dumps(document, ensure_ascii=False, allow_nan=False, indent=2)
+        text = _INDENTED.encode(document)
     except (TypeError, ValueError) as exc:
         bad = np.flatnonzero(~np.isfinite(model.weights))
         reason = f"weight {bad[0]} is {model.weights[bad[0]]}" if bad.size else str(exc)
@@ -452,20 +439,16 @@ def load_model(path: str | Path) -> tuple[LinearModel, Vocabulary]:
     return model, vocab
 
 
-class Classifier(Transformer):
-    """Trains on labelled corpus objects (bag-of-words) and annotates every
-    object at the chosen level with "prediction" and "prediction_score"."""
+class _LinearStage(Transformer):
+    """A stage that fits a vocabulary (min_df, max_terms) and a logistic
+    regression (l2, epochs, learning_rate) to the labels under label_key."""
 
-    name = "classifier"
     requires_fit = True
-    annotation_key = "prediction"
 
-    def __init__(self, label_key: str, level: str = "utterance", min_df: int = 1,
-                 max_terms: Optional[int] = None, l2: float = 0.01,
-                 epochs: int = 200, learning_rate: float = 0.5):
+    def __init__(self, label_key: str, min_df: int = 1, max_terms: Optional[int] = None,
+                 l2: float = 0.01, epochs: int = 200, learning_rate: float = 0.5):
         super().__init__()
         self.label_key = label_key
-        self.level = level
         self.min_df = min_df
         self.max_terms = max_terms
         self.l2 = l2
@@ -473,6 +456,20 @@ class Classifier(Transformer):
         self.learning_rate = learning_rate
         self.vocab: Optional[Vocabulary] = None
         self.model: Optional[LinearModel] = None
+
+
+class Classifier(_LinearStage):
+    """Trains on labelled corpus objects (bag-of-words) and annotates every
+    object at the chosen level with "prediction" and "prediction_score"."""
+
+    name = "classifier"
+    annotation_key = "prediction"
+
+    def __init__(self, label_key: str, level: str = "utterance", min_df: int = 1,
+                 max_terms: Optional[int] = None, l2: float = 0.01,
+                 epochs: int = 200, learning_rate: float = 0.5):
+        super().__init__(label_key, min_df, max_terms, l2, epochs, learning_rate)
+        self.level = level
 
     def _fit(self, corpus: Corpus) -> None:
         labelled = [o for o in _level_objects(corpus, self.level)
@@ -506,7 +503,7 @@ class Classifier(Transformer):
         return table
 
 
-class Forecaster(Transformer):
+class Forecaster(_LinearStage):
     """Scores, at every utterance, the probability that the conversation's
     terminal label is positive given only the utterances so far.
 
@@ -520,21 +517,8 @@ class Forecaster(Transformer):
     """
 
     name = "forecaster"
-    requires_fit = True
     level = "conversation"
     annotation_key = "forecast_final"
-
-    def __init__(self, label_key: str, min_df: int = 1, max_terms: Optional[int] = None,
-                 l2: float = 0.01, epochs: int = 200, learning_rate: float = 0.5):
-        super().__init__()
-        self.label_key = label_key
-        self.min_df = min_df
-        self.max_terms = max_terms
-        self.l2 = l2
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.vocab: Optional[Vocabulary] = None
-        self.model: Optional[LinearModel] = None
 
     def _utterance_rows(self, corpus: Corpus) -> tuple[list[Utterance], list[int], _Rows]:
         """Every utterance, conversation by conversation in traversal order;

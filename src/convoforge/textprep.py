@@ -155,9 +155,22 @@ def tokenize(text: str) -> TokenAnnotation:
 def utterance_tokens(utt: Utterance) -> list[list[str]]:
     """Token sentences for an utterance: the stored "tokens" annotation if
     present, otherwise what Tokenizer would store, computed on the fly and
-    not written. Every reader of the annotation goes through here."""
+    not written. Every reader of the annotation goes through here, so it
+    alone refuses, with ValueError, a stored value that is not a list of
+    lists of str."""
     stored = utt.meta.get("tokens")
-    return _tokenized(utt) if stored is None else stored
+    if stored is None:
+        return _tokenized(utt)
+    try:
+        if not isinstance(stored, list):
+            raise TypeError
+        for sentence in stored:
+            if not isinstance(sentence, list):
+                raise TypeError
+            "".join(sentence)  # refuses any token that is not a str, at C speed
+    except TypeError:
+        raise ValueError(f"utterance {utt.id!r}: 'tokens' is not a list of token lists") from None
+    return stored
 
 
 def _tokenized(utt: Utterance) -> list[list[str]]:

@@ -16,7 +16,9 @@ ref_train_classifier and ref_predict the original dense logistic
 regression, which built the full rows × features matrix, and
 ref_classify and ref_forecast the original Classifier and Forecaster on
 top of them: one predict per object, and one cumulative bag-of-words copy
-per conversation prefix. ref_fit_fw is the original numpy fit_fw, one
+per conversation prefix. logistic_loss and logistic_gradient are not
+oracles: they evaluate ml's own loss and gradient at given weights, for the
+finite-difference checks. ref_fit_fw is the original numpy fit_fw, one
 vector expression per quantity, and ref_jensen_shannon the original
 two-loop divergence, one logarithm per positive entry of each side.
 ref_clean_text, ref_tokenize, ref_word_tokens, ref_ngrams and
@@ -54,7 +56,7 @@ from convoforge.errors import (
     NoRootError,
     UnknownSpeakerError,
 )
-from convoforge.ml import LinearModel, Vocabulary, _documents, _words
+from convoforge.ml import LinearModel, Vocabulary, _documents, _gradient_at, _loss_at, _words
 from convoforge.model import _level_objects
 from convoforge.textprep import (
     ABBREVIATIONS,
@@ -537,6 +539,18 @@ def ref_logistic_gradient(weights: np.ndarray, Xb: np.ndarray, y: np.ndarray,
     grad = Xb.T @ (_ref_sigmoid(z) - y) / len(y)
     grad[:-1] += l2 * weights[:-1]
     return grad
+
+
+def logistic_loss(weights: np.ndarray, Xb, y: np.ndarray, l2: float) -> float:
+    """ml's mean log-loss plus (l2/2)||w||^2, bias excluded from the penalty.
+    Xb is ml rows (_Rows or _DenseRows) whose last column, the bias, is all
+    ones."""
+    return _loss_at(Xb.matvec(weights), weights, y, l2)
+
+
+def logistic_gradient(weights: np.ndarray, Xb, y: np.ndarray, l2: float) -> np.ndarray:
+    """The gradient of logistic_loss, through ml's own gradient."""
+    return _gradient_at(Xb.matvec(weights), weights, Xb, y, l2)
 
 
 def ref_train_classifier(X, y, n_features: Optional[int] = None, l2: float = 1.0,

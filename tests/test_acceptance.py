@@ -32,10 +32,17 @@ from convoforge import (
 from convoforge.cli import main
 from convoforge.datasets import load_toy_movie, toy_movie_path
 from convoforge.hyperconvo import extract_features
-from convoforge.ml import _csr_rows, logistic_gradient, logistic_loss
+from convoforge.ml import _csr_rows
 from convoforge.politeness import strategy_names
 from helpers import corpus_equal_strict, random_corpus
-from reference import ref_bfs, ref_dfs, ref_motifs, ref_reciprocity
+from reference import (
+    logistic_gradient,
+    logistic_loss,
+    ref_bfs,
+    ref_dfs,
+    ref_motifs,
+    ref_reciprocity,
+)
 from test_fightingwords import GOLDEN_Z_A, GOLDEN_Z_B, worked_example_corpus, by_cls
 from test_politeness import FIXTURE, tokenized_utterance, vector
 

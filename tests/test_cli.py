@@ -798,6 +798,12 @@ ANALYZER_STAGES = {
 }
 
 
+# Malformed "tokens" annotations: a number, lists of numbers, and a string
+# and a flat list of strings, which iterate as if they were token lists.
+TOKEN_FAULTS = {"tokens-5": 5, "tokens-nested": [[1, 2]], "tokens-string": "abc",
+                "tokens-flat": ["a", "b"]}
+
+
 def _with_tokens(source, target, tokens):
     """A copy of the corpus at source whose utterance m1_0 has these tokens."""
     shutil.copytree(source, target)
@@ -811,7 +817,7 @@ def _with_tokens(source, target, tokens):
 
 
 @pytest.mark.parametrize("command,fault", [
-    *((command, fault) for command in ANALYZER_STAGES for fault in ("tokens-5", "tokens-nested")),
+    *((command, fault) for command in ANALYZER_STAGES for fault in TOKEN_FAULTS),
     ("fightingwords", "empty-class"),
     ("fightingwords", "bad-filter"),
 ])
@@ -821,8 +827,7 @@ def test_analyzer_command_fails_as_its_run_config(tmp_path, speaker_mix_dir, com
     argv, stage = ANALYZER_STAGES[command]
     source = speaker_mix_dir
     if fault.startswith("tokens"):
-        source = _with_tokens(speaker_mix_dir, tmp_path / "bad_tokens",
-                              5 if fault == "tokens-5" else [[1, 2]])
+        source = _with_tokens(speaker_mix_dir, tmp_path / "bad_tokens", TOKEN_FAULTS[fault])
     else:
         class1 = "mixed=maybe" if fault == "empty-class" else "x"
         argv = ["--class1", class1, *argv[2:]]
@@ -843,6 +848,39 @@ def test_analyzer_command_fails_as_its_run_config(tmp_path, speaker_mix_dir, com
         assert by_command.returncode == (2 if fault == "bad-filter" else 1)
         lines = by_command.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: stage 0 ("), lines
+        if fault in TOKEN_FAULTS:
+            assert lines[0].endswith(
+                "): utterance 'm1_0': 'tokens' is not a list of token lists"), lines
+
+
+# The optional stage flags of a command, each given, and the params they
+# stand for; together they change the command's output on the speaker-mixed
+# toy corpus.
+STAGE_FLAGS = {
+    "diversity": (["--min-tokens", "10"], {"min_tokens_per_convo": 10}),
+    "fightingwords": (["--top-k", "3", "--ngram-max", "2", "--min-count", "2", "--alpha", "0.5"],
+                      {"top_k": 3, "ngram_max": 2, "min_count": 2, "alpha": 0.5}),
+}
+
+
+@pytest.mark.parametrize("flagged", [False, True], ids=["no-flags", "every-flag"])
+@pytest.mark.parametrize("command", list(STAGE_FLAGS))
+def test_analyzer_command_prints_the_summary_of_its_run_config(speaker_mix_dir, capsys,
+                                                                command, flagged):
+    # A flag left out means the constructor's default, as a config without
+    # that param does; a flag given is that param.
+    argv, stage = ANALYZER_STAGES[command]
+    flags, params = STAGE_FLAGS[command] if flagged else ([], {})
+    if params:
+        stage = {**stage, "params": {**stage.get("params", {}), **params}}
+    stages = cli._build_stages([stage])
+    corpus = cli._run_stages(stages, speaker_mix_dir, None)
+    expected = stages[0].summarize(corpus).to_delimited() + "\n"
+    assert main(["--corpus", str(speaker_mix_dir), command, *argv, *flags]) == 0
+    assert capsys.readouterr().out == expected
+    if flagged:
+        assert main(["--corpus", str(speaker_mix_dir), command, *argv]) == 0
+        assert capsys.readouterr().out != expected
 
 
 USAGE_ERROR_NAMES = {"MissingFileError", "MalformedRecordError", "CountMismatchError",

@@ -37,6 +37,27 @@ from convoforge.errors import (
 from helpers import corpus_equal_strict, random_corpus, write_non_object_meta
 from reference import ref_parse_utterance_line
 
+MANIFEST_BYTES = """\
+{
+  "format_version": "1.0",
+  "utterance_count": 1,
+  "conversation_count": 1,
+  "speaker_count": 1,
+  "corpus_meta": {
+    "name": "naïve",
+    "n": 1,
+    "x": 0.5,
+    "nested": {
+      "a": [
+        1,
+        null,
+        true
+      ]
+    }
+  }
+}
+""".encode("utf-8")
+
 
 def small_corpus():
     return build_corpus(
@@ -102,6 +123,15 @@ class TestSaveLoad:
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert manifest["corpus_meta"] == {}
         assert manifest["utterance_count"] == 1
+
+    def test_manifest_bytes(self, tmp_path):
+        # The manifest layout is part of the format: key order, indentation,
+        # and non-ASCII text written as itself.
+        corpus = build_corpus([Utterance("u0", "s", "c0")],
+                              corpus_meta={"name": "naïve", "n": 1, "x": 0.5,
+                                           "nested": {"a": [1, None, True]}})
+        save(corpus, tmp_path / "c")
+        assert (tmp_path / "c" / "manifest.json").read_bytes() == MANIFEST_BYTES
 
     def test_save_refuses_invalid_corpus(self, tmp_path):
         corpus = small_corpus()

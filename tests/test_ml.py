@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import random
 import re
@@ -31,11 +32,50 @@ from convoforge.errors import (
     UnserializableValueError,
     UnsupportedVersionError,
 )
-from convoforge.ml import LinearModel, logistic_gradient, logistic_loss
+from convoforge.ml import LinearModel
 from convoforge.model import LEVELS, _level_objects, speaker_history
+from convoforge.registry import create_transformer
 from convoforge.textprep import utterance_tokens
 from helpers import random_corpus
-from reference import ref_classify, ref_fit_vocabulary, ref_forecast, ref_vectorize
+from reference import (
+    logistic_gradient,
+    logistic_loss,
+    ref_classify,
+    ref_fit_vocabulary,
+    ref_forecast,
+    ref_vectorize,
+)
+
+
+MODEL_BYTES = """\
+{
+  "format_version": "1.0",
+  "weights": [
+    0.5,
+    -1.25,
+    1e-20
+  ],
+  "config": {
+    "l2": 0.01,
+    "epochs": 3
+  },
+  "vocabulary": {
+    "terms": [
+      "café",
+      "b"
+    ],
+    "doc_freq": {
+      "café": 1,
+      "b": 1
+    },
+    "config": {
+      "min_df": 1,
+      "max_terms": null,
+      "lowercase": true
+    }
+  }
+}
+""".encode("utf-8")
 
 
 def tokenized(texts):
@@ -314,6 +354,15 @@ class TestPersistence:
         _, after = predict(model2, X)
         assert np.array_equal(before, after)
 
+    def test_file_bytes(self, tmp_path):
+        # The model file layout: key order, indentation, and non-ASCII
+        # terms written as themselves.
+        vocab = fit_vocabulary(tokenized(["café b café"]))
+        path = tmp_path / "model.json"
+        save_model(path, LinearModel(weights=np.array([0.5, -1.25, 1e-20]),
+                                     config={"l2": 0.01, "epochs": 3}), vocab)
+        assert path.read_bytes() == MODEL_BYTES
+
     def test_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"format_version": "9.0"}')
@@ -478,6 +527,24 @@ class TestClassifierTransformer:
         corpus = build_corpus([Utterance("u", "s", "c", "hello")])
         with pytest.raises(EmptySelectionError):
             Classifier(label_key="missing").fit(corpus)
+
+
+def test_forecaster_takes_the_classifier_parameters_but_level():
+    # One constructor: the same names, order and defaults, so one params
+    # dict builds either stage.
+    classifier = inspect.signature(Classifier).parameters
+    forecaster = inspect.signature(Forecaster).parameters
+    assert list(classifier)[:2] == ["label_key", "level"]
+    assert [(p.name, p.default) for p in forecaster.values()] == \
+        [(p.name, p.default) for p in classifier.values() if p.name != "level"]
+    params = {"label_key": "doomed", "min_df": 2, "max_terms": 5, "l2": 0.1, "epochs": 3,
+              "learning_rate": 0.01}
+    for name in ("classifier", "forecaster"):
+        stage = create_transformer(name, params)
+        assert {key: getattr(stage, key) for key in params} == params
+        assert stage.requires_fit and stage.vocab is None and stage.model is None
+    assert create_transformer("classifier", params).level == "utterance"
+    assert create_transformer("forecaster", params).level == "conversation"
 
 
 class TestSpeakerDocuments:

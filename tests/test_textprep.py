@@ -13,6 +13,7 @@ from convoforge import (
     merge_consecutive,
     tokenize,
 )
+from convoforge.textprep import utterance_tokens
 from helpers import corpus_equal_strict, random_corpus
 from reference import ref_merge_consecutive
 
@@ -112,6 +113,27 @@ class TestTokenize:
     def test_flat_tokens_property(self):
         ann = tokenize("One two. Three!")
         assert ann.tokens == ["One", "two", ".", "Three", "!"]
+
+
+class TestUtteranceTokens:
+    def test_stored_tokens_are_returned_as_they_are(self):
+        stored = [["Hi", "there"], [], ["ok"]]
+        assert utterance_tokens(Utterance("u0", "s", "c0", "ignored",
+                                          meta={"tokens": stored})) is stored
+
+    def test_missing_tokens_are_computed(self):
+        assert utterance_tokens(Utterance("u0", "s", "c0", "Hi there. Ok")) == \
+            [["Hi", "there", "."], ["Ok"]]
+
+    @pytest.mark.parametrize("tokens", [5, "abc", ["a", "b"], [[1, 2]], [["a", None]],
+                                        [["a"], "b"], {"a": ["b"]}, [("a", "b")]],
+                             ids=["number", "string", "flat", "number-tokens", "null-token",
+                                  "string-sentence", "object", "tuple-sentence"])
+    def test_malformed_tokens_are_refused_naming_the_utterance(self, tokens):
+        utterance = Utterance("m1_0", "s", "c0", "text", meta={"tokens": tokens})
+        with pytest.raises(ValueError) as info:
+            utterance_tokens(utterance)
+        assert str(info.value) == "utterance 'm1_0': 'tokens' is not a list of token lists"
 
 
 def utt(uid, speaker, reply=None, ts=None, text="", meta=None):
