@@ -69,8 +69,8 @@ def _finite_float(literal: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
 
 
-# One encoder per file layout, reused for every record: json.dumps with
-# keyword arguments would build a new one per call.
+# One encoder per file layout, reused for every record, fault probe and model
+# file rather than built anew for each call.
 _INDENTED = json.JSONEncoder(ensure_ascii=False, allow_nan=False, indent=2)
 _ONE_LINE = json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":"))
 
@@ -169,7 +169,8 @@ def _utterance_record(utt: Utterance) -> dict:
 
 
 def _meta_owners(corpus: Corpus) -> Iterator[tuple[str, dict]]:
-    """Every metadata table with its owner's name, in the order save writes them."""
+    """Every metadata table with its owner's name: the corpus's, then each
+    utterance's, speaker's and conversation's in insertion order."""
     yield "corpus", corpus.meta
     for utt in corpus.utterances.values():
         yield f"utterance {utt.id!r}", utt.meta
@@ -188,7 +189,7 @@ def _to_json(value, corpus: Corpus, encoder: json.JSONEncoder) -> str:
         for owner, meta in _meta_owners(corpus):
             for key, item in meta.items():
                 try:
-                    json.dumps({key: item}, allow_nan=False)
+                    _ONE_LINE.encode({key: item})
                 except (TypeError, ValueError) as exc:
                     raise UnserializableValueError(
                         f"{owner} meta key {key!r} cannot be saved as JSON: {exc}"
@@ -202,21 +203,16 @@ def _write_files(corpus: Corpus, directory: Path) -> None:
     manifest = vars(CorpusManifest(FORMAT_VERSION, len(corpus.utterances),
                                    len(corpus.conversations), len(corpus.speakers),
                                    corpus.meta))
-    (directory / MANIFEST_FILE).write_text(
-        _to_json(manifest, corpus, _INDENTED) + "\n", encoding="utf-8"
-    )
+    speakers = {sid: {"meta": spk.meta} for sid, spk in corpus.speakers.items()}
+    conversations = {cid: {"meta": convo.meta} for cid, convo in corpus.conversations.items()}
+    for name, document in ((MANIFEST_FILE, manifest), (SPEAKERS_FILE, speakers),
+                           (CONVERSATIONS_FILE, conversations)):
+        (directory / name).write_text(_to_json(document, corpus, _INDENTED) + "\n",
+                                      encoding="utf-8")
     with open(directory / UTTERANCES_FILE, "w", encoding="utf-8", newline="\n") as fh:
         for utt in corpus.utterances.values():
             fh.write(_to_json(_utterance_record(utt), corpus, _ONE_LINE))
             fh.write("\n")
-    speakers = {sid: {"meta": spk.meta} for sid, spk in corpus.speakers.items()}
-    (directory / SPEAKERS_FILE).write_text(
-        _to_json(speakers, corpus, _INDENTED) + "\n", encoding="utf-8"
-    )
-    conversations = {cid: {"meta": convo.meta} for cid, convo in corpus.conversations.items()}
-    (directory / CONVERSATIONS_FILE).write_text(
-        _to_json(conversations, corpus, _INDENTED) + "\n", encoding="utf-8"
-    )
 
 
 def _replace_directory(staging: Path, directory: Path) -> None:

@@ -91,6 +91,11 @@ def _check_prior(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
+def _check_top_k(top_k) -> None:
+    if type(top_k) is not int or top_k < 1:  # bool is not a count
+        raise ValueError(f"top_k must be a positive integer, got {top_k!r}")
+
+
 def _count_class(utterances: list[Utterance], ngram_max: int) -> Counter:
     counts: Counter = Counter()
     for utt in utterances:
@@ -120,22 +125,19 @@ def fit_fw(
     _check_prior("alpha", alpha)
     if alpha_total is not None:
         _check_prior("alpha_total", alpha_total)
-    utts1 = [u for u in corpus.utterances.values() if class1(u)]
-    utts2 = [u for u in corpus.utterances.values() if class2(u)]
-    if not utts1:
-        raise EmptyClassError("class 1 selects no utterances")
-    if not utts2:
-        raise EmptyClassError("class 2 selects no utterances")
+    utts1, utts2 = ([u for u in corpus.utterances.values() if member(u)]
+                    for member in (class1, class2))
+    for n, utts in enumerate((utts1, utts2), 1):
+        if not utts:
+            raise EmptyClassError(f"class {n} selects no utterances")
     overlap = {u.id for u in utts1} & {u.id for u in utts2}
     if overlap:
         logger.warning("fighting words: %d utterances fall in both classes", len(overlap))
 
-    counts1 = _count_class(utts1, ngram_max)
-    counts2 = _count_class(utts2, ngram_max)
-    if not counts1:
-        raise EmptyClassError("class 1 selects utterances but no word tokens")
-    if not counts2:
-        raise EmptyClassError("class 2 selects utterances but no word tokens")
+    counts1, counts2 = _count_class(utts1, ngram_max), _count_class(utts2, ngram_max)
+    for n, counts in enumerate((counts1, counts2), 1):
+        if not counts:
+            raise EmptyClassError(f"class {n} selects utterances but no word tokens")
     vocab = sorted(
         term
         for term in set(counts1) | set(counts2)
@@ -180,7 +182,9 @@ def fit_fw(
 
 
 def summarize_fw(model: Optional[FwModel], top_k: int = 10) -> SummaryTable:
-    """Top class-1 terms (descending z) then top class-2 terms (ascending z)."""
+    """Top class-1 terms (descending z) then top class-2 terms (ascending z);
+    top_k must be a positive integer."""
+    _check_top_k(top_k)
     if model is None:
         raise NotFittedError("fighting words model is not fitted")
     ranking = model.ranking()
@@ -200,7 +204,7 @@ class FightingWords(Transformer):
     class1/class2 may be utterance predicates or metadata filter expressions
     (see filters module), e.g. FightingWords(class1="mixed=true",
     class2="mixed=false"). An expression is parsed here, so a malformed one
-    is a ValueError before any corpus is read.
+    is a ValueError before any corpus is read, as is a top_k below 1.
     """
 
     name = "fighting_words"
@@ -211,6 +215,7 @@ class FightingWords(Transformer):
                  alpha: float = 0.01, top_k: int = 10):
         super().__init__()
         _check_prior("alpha", alpha)
+        _check_top_k(top_k)
         for expression in (class1, class2):
             if isinstance(expression, str):
                 parse_expression(expression)
@@ -223,13 +228,8 @@ class FightingWords(Transformer):
         self.model: Optional[FwModel] = None
 
     def _predicates(self, corpus: Corpus):
-        class1 = self._class1
-        class2 = self._class2
-        if isinstance(class1, str):
-            class1 = build_meta_predicate(corpus, class1)
-        if isinstance(class2, str):
-            class2 = build_meta_predicate(corpus, class2)
-        return class1, class2
+        return tuple(build_meta_predicate(corpus, spec) if isinstance(spec, str) else spec
+                     for spec in (self._class1, self._class2))
 
     def _fit(self, corpus: Corpus) -> None:
         class1, class2 = self._predicates(corpus)

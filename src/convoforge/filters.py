@@ -1,16 +1,16 @@
 """Tiny metadata filter language used by the CLI and pipeline configs.
 
 An expression is a comma-separated conjunction of key=value tests, e.g.
-"mixed=true" or "lang=en,mixed=false". Values parse as JSON scalars when
-possible (true, false, numbers) and fall back to plain strings. A key is
-looked up on the utterance's metadata first, then on its conversation's.
+"mixed=true" or "lang=en,mixed=false". Values parse as standard JSON scalars
+when possible (true, false, finite numbers), else stay strings, as NaN does.
+A key is looked up on the utterance's metadata first, then its conversation's.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable
 
+from .corpus_io import _decode
 from .model import Corpus, Utterance
 
 _MISSING = object()
@@ -18,8 +18,8 @@ _MISSING = object()
 
 def _parse_value(raw: str):
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
+        return _decode(raw)
+    except ValueError:
         return raw
 
 

@@ -101,12 +101,9 @@ def extract_features(graph: ResponseGraph) -> dict[str, float]:
     for s, t in simple:
         out_neighbors.setdefault(s, set()).add(t)
         in_neighbors.setdefault(t, set()).add(s)
-    outgoing_star = sum(
-        len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in out_neighbors.values()
-    )
-    incoming_star = sum(
-        len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in in_neighbors.values()
-    )
+    outgoing_star, incoming_star = (
+        sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in neighbors.values())
+        for neighbors in (out_neighbors, in_neighbors))
     transitive = 0
     for s, t in simple:
         for r in out_neighbors.get(t, ()):

@@ -60,10 +60,7 @@ class Vocabulary:
 
     @property
     def terms(self) -> list[str]:
-        ordered = [""] * len(self.index)
-        for term, i in self.index.items():
-            ordered[i] = term
-        return ordered
+        return sorted(self.index, key=self.index.__getitem__)
 
 
 def _words(utterances) -> list[str]:

@@ -4,10 +4,11 @@ A config's parameters for a stage are the keyword arguments of its
 transformer's constructor, so a config file can be validated against the
 constructor signature before any corpus is touched.
 
-``REGISTRY`` is a read-only mapping from stage name to a (module, class)
-pair that is imported when the name is looked up: listing the names loads
-no stage module, and a pipeline loads only the modules of its stages (numpy
-only with ``classifier`` or ``forecaster``).
+``REGISTRY`` is a read-only mapping from stage name to the name of a class
+the package exports, which ``__init__._EXPORTS`` alone locates and which is
+imported when the name is looked up: listing the names loads no stage
+module, and a pipeline loads only the modules of its stages (numpy only
+with ``classifier`` or ``forecaster``).
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ if TYPE_CHECKING:
 
 
 class _Registry(Mapping):
-    """Stage name -> transformer class, imported from its module on lookup."""
+    """Stage name -> transformer class, imported through the package on lookup."""
 
-    def __init__(self, entries: dict[str, tuple[str, str]]):
+    def __init__(self, entries: dict[str, str]):
         self._entries = entries
 
     def __getitem__(self, name: str) -> type[Transformer]:
-        module, cls = self._entries[name]
-        return getattr(importlib.import_module(f".{module}", __package__), cls)
+        return getattr(importlib.import_module(__package__), self._entries[name])
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
@@ -39,16 +39,16 @@ class _Registry(Mapping):
 
 
 REGISTRY: Mapping[str, type[Transformer]] = _Registry({
-    "text_cleaner": ("textprep", "TextCleaner"),
-    "tokenizer": ("textprep", "Tokenizer"),
-    "merge_consecutive": ("textprep", "MergeConsecutive"),
-    "politeness": ("politeness", "PolitenessStrategies"),
-    "hyperconvo": ("hyperconvo", "HyperConvo"),
-    "speaker_diversity": ("diversity", "SpeakerDiversity"),
-    "speaker_mix": ("transform", "SpeakerMixAnnotator"),
-    "fighting_words": ("fightingwords", "FightingWords"),
-    "classifier": ("ml", "Classifier"),
-    "forecaster": ("ml", "Forecaster"),
+    "text_cleaner": "TextCleaner",
+    "tokenizer": "Tokenizer",
+    "merge_consecutive": "MergeConsecutive",
+    "politeness": "PolitenessStrategies",
+    "hyperconvo": "HyperConvo",
+    "speaker_diversity": "SpeakerDiversity",
+    "speaker_mix": "SpeakerMixAnnotator",
+    "fighting_words": "FightingWords",
+    "classifier": "Classifier",
+    "forecaster": "Forecaster",
 })
 
 

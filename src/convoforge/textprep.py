@@ -270,7 +270,6 @@ class MergeConsecutive(Transformer):
     """Structural transformer wrapping merge_consecutive()."""
 
     name = "merge_consecutive"
-    structural = True
 
     def _transform(self, corpus: Corpus) -> None:
         merge_consecutive(corpus)

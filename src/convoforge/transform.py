@@ -3,8 +3,8 @@
 A Transformer learns from a corpus in fit(), annotates the same corpus in
 place in transform() (returning it for chaining), and reports what it
 computed in summarize(). Annotations live in metadata tables; every key a
-transformer writes goes through Transformer._annotate. Only transformers
-flagged as structural may change the utterance tree itself.
+transformer writes goes through Transformer._annotate. Of the registered
+stages only merge_consecutive changes the utterance tree itself.
 """
 
 from __future__ import annotations
@@ -78,8 +78,7 @@ def _require_annotations(objects: list, level: str, key: str) -> list[tuple]:
 class Transformer:
     """Base class; subclasses override _fit/_transform/summarize as needed.
 
-    ``requires_fit`` gates transform() behind a successful fit();
-    ``structural`` marks transformers allowed to alter the utterance tree.
+    ``requires_fit`` gates transform() behind a successful fit().
     A transformer writes only its own annotations, through _annotate(): one
     that reads tokens takes them from textprep.utterance_tokens, which
     tokenizes an utterance without the "tokens" annotation on the fly.
@@ -91,7 +90,6 @@ class Transformer:
 
     name = "transformer"
     requires_fit = False
-    structural = False
     level = "utterance"
     annotation_key = ""
 

@@ -1,10 +1,11 @@
-"""Two properties of every pipeline, over seeded random corpora and stage
+"""Properties of every pipeline, over seeded random corpora and stage
 chains drawn from the registry:
 
 - a split run (stages[:k], save, load, stages[k:]) writes files
   byte-identical to the whole run, and every stage summarizes the same;
 - shuffling the lines of utterances.jsonl leaves every record and every
-  summary row equal, floats within 1e-9 relative.
+  summary row equal, floats within 1e-9 relative;
+- every stage but merge_consecutive leaves the utterance tree as it was.
 
 Seed i's chain always holds the registry's stage i mod 10, so each stage is
 in some chain. The ml stages take a small learning_rate: at the default
@@ -142,3 +143,26 @@ def test_utterance_line_order_changes_no_annotation(tmp_path, seed):
     assert _close(_records(shuffled_corpus), _records(corpus)), chain
     assert _close([_rows(t) for t in _summaries(shuffled_stages, shuffled_corpus)],
                   [_rows(t) for t in _summaries(stages, corpus)]), chain
+
+
+def _tree(corpus) -> tuple:
+    """The utterance tree: each utterance's parent and conversation, in
+    corpus order, and each conversation's utterance ids."""
+    return ({uid: (u.reply_to, u.conversation_id) for uid, u in corpus.utterances.items()},
+            list(corpus.utterances),
+            {cid: list(c.utterance_ids) for cid, c in corpus.conversations.items()})
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_only_merge_consecutive_changes_the_tree(name):
+    changed = []
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        corpus = _labelled_corpus(rng)
+        before = _tree(corpus)
+        Pipeline([create_transformer(name, _params(rng, name))]).run(corpus)
+        if _tree(corpus) != before:
+            changed.append(seed)
+    # merge_consecutive folds utterances away; on no seed would be a test
+    # that cannot fail.
+    assert bool(changed) == (name == "merge_consecutive"), changed

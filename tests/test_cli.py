@@ -419,6 +419,21 @@ class TestFightingWordsCommand:
         assert captured.err == ("error: stage 0 (fighting_words): "
                                 "alpha must be a positive finite number, got 0.0\n")
 
+    @pytest.mark.parametrize("top_k", ["0", "-1", "-60"])
+    def test_non_positive_top_k_exits_2_before_load(self, mixed_dir, capsys, monkeypatch,
+                                                    top_k):
+        loaded = []
+        monkeypatch.setattr(corpus_io, "load", lambda path: loaded.append(path))
+        assert main([
+            "--corpus", str(mixed_dir), "fightingwords",
+            "--class1", "mixed=true", "--class2", "mixed=false", "--top-k", top_k,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: stage 0 (fighting_words): "
+                                f"top_k must be a positive integer, got {top_k}\n")
+        assert loaded == []
+
     def test_rerun_on_tagged_corpus_warns_once(self, mixed_dir, tmp_path):
         # The command runs the stage's transform as run does, so it writes
         # fw_class in memory and reports the overwrites in one line.
@@ -820,6 +835,7 @@ def _with_tokens(source, target, tokens):
     *((command, fault) for command in ANALYZER_STAGES for fault in TOKEN_FAULTS),
     ("fightingwords", "empty-class"),
     ("fightingwords", "bad-filter"),
+    ("fightingwords", "bad-top-k"),
 ])
 def test_analyzer_command_fails_as_its_run_config(tmp_path, speaker_mix_dir, command, fault):
     # A command runs its stage exactly as run does: the same exit code and the
@@ -828,6 +844,9 @@ def test_analyzer_command_fails_as_its_run_config(tmp_path, speaker_mix_dir, com
     source = speaker_mix_dir
     if fault.startswith("tokens"):
         source = _with_tokens(speaker_mix_dir, tmp_path / "bad_tokens", TOKEN_FAULTS[fault])
+    elif fault == "bad-top-k":
+        argv = [*argv, "--top-k", "-1"]
+        stage = {**stage, "params": {**stage["params"], "top_k": -1}}
     else:
         class1 = "mixed=maybe" if fault == "empty-class" else "x"
         argv = ["--class1", class1, *argv[2:]]
@@ -845,9 +864,13 @@ def test_analyzer_command_fails_as_its_run_config(tmp_path, speaker_mix_dir, com
         # It reads no tokens.
         assert by_command.returncode == 0 and by_command.stderr == ""
     else:
-        assert by_command.returncode == (2 if fault == "bad-filter" else 1)
+        assert by_command.returncode == (2 if fault.startswith("bad") else 1)
         lines = by_command.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: stage 0 ("), lines
+        if fault.startswith("bad"):
+            # Refused while the stage is built, before the corpus is read.
+            assert by_command.stdout == by_run.stdout == ""
+            assert not (tmp_path / "out").exists()
         if fault in TOKEN_FAULTS:
             assert lines[0].endswith(
                 "): utterance 'm1_0': 'tokens' is not a list of token lists"), lines

@@ -205,6 +205,10 @@ class TestMatchesReference:
         assert fitted >= 20
 
 
+# Not an int of at least 1: zero, negatives, booleans, a float, a string, None.
+BAD_TOP_K = [0, -1, -60, True, False, 1.5, "3", None]
+
+
 class TestSummarize:
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
@@ -245,6 +249,14 @@ class TestSummarize:
         assert table.rows[0][0] == "a"   # top class-1 term (positive z)
         assert table.rows[1][0] == "b"   # top class-2 term (negative z)
 
+    @pytest.mark.parametrize("top_k", BAD_TOP_K, ids=repr)
+    def test_top_k_that_is_not_a_positive_integer_is_refused(self, top_k):
+        # A slice by zero or a negative count would print a truncated ranking.
+        model = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2))
+        with pytest.raises(ValueError, match=re.escape(
+                f"top_k must be a positive integer, got {top_k!r}")):
+            summarize_fw(model, top_k=top_k)
+
     def test_ranking_export_rows(self):
         model = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2))
         rows = model.ranking()
@@ -272,6 +284,12 @@ class TestTransformer:
         # Parsed without a corpus, so a pipeline refuses it before loading one.
         with pytest.raises(ValueError, match=re.escape(message)):
             FightingWords(class1=class1, class2=class2)
+
+    @pytest.mark.parametrize("top_k", BAD_TOP_K, ids=repr)
+    def test_bad_top_k_refused_by_constructor(self, top_k):
+        with pytest.raises(ValueError, match=re.escape(
+                f"top_k must be a positive integer, got {top_k!r}")):
+            FightingWords(class1="cls=1", class2="cls=2", top_k=top_k)
 
     def test_overlapping_classes_warn(self, caplog):
         corpus = worked_example_corpus()

@@ -193,6 +193,16 @@ class TestSaveLoad:
             load(tmp_path / "c")
         assert err.value.line_number == 2
 
+    def test_duplicate_utterance_id_names_its_line(self, tmp_path):
+        save(small_corpus(), tmp_path / "c")
+        path = tmp_path / "c" / "utterances.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[1]]) + "\n")
+        with pytest.raises(MalformedRecordError, match=re.escape(
+                "utterances.jsonl line 4: duplicate utterance id 'u1'")) as err:
+            load(tmp_path / "c")
+        assert err.value.line_number == 4
+
     def test_truncated_line_names_the_file(self, tmp_path):
         target = tmp_path / "toy"
         shutil.copytree(toy_movie_path(), target)
@@ -526,6 +536,14 @@ class TestAtomicSave:
         assert (target / "notes.txt").read_text() == "keep me"
         assert corpus_equal_strict(load(target), small_corpus())
 
+    def test_refuses_to_replace_a_regular_file(self, tmp_path):
+        target = tmp_path / "c"
+        target.write_text("keep me")
+        with pytest.raises(IoFailureError, match=f"cannot write corpus to .*: not a directory$"):
+            save(small_corpus(), target)
+        assert target.read_text() == "keep me"
+        assert [p.name for p in tmp_path.iterdir()] == ["c"]
+
     def test_replaces_previous_corpus(self, tmp_path):
         target = self.saved(tmp_path)
         save(self.bigger_corpus(), target)
@@ -663,6 +681,19 @@ class TestTabular:
             import_tabular(path, identity_mapping(with_optional=False))
         assert err.value.line_number == 3
 
+    @pytest.mark.parametrize("text,line,message", [
+        ("", 1, "empty file: no header row"),
+        ("id,speaker_id,conversation_id,reply_to,timestamp,text\nr1,a,x,,soon,hi\n", 2,
+         "timestamp is not an integer"),
+    ], ids=["empty-file", "timestamp"])
+    def test_bad_file_names_file_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedRecordError,
+                           match=rf"^{re.escape(str(path))} line {line}: {message}$") as err:
+            import_tabular(path, identity_mapping())
+        assert err.value.line_number == line
+
     @pytest.mark.parametrize("line", [1, 3])
     def test_invalid_utf8_names_file_and_line(self, tmp_path, line):
         # Line 1 is the header; line 3 is the second row. The file is larger
@@ -730,6 +761,11 @@ class TestTabular:
     def test_mandatory_mapping_enforced(self):
         with pytest.raises(MissingColumnError):
             ImportMapping(column_for={"id": "id"})
+
+    def test_unknown_mapped_field_is_refused(self):
+        column_for = {name: name for name in corpus_io.MANDATORY_TABULAR_FIELDS}
+        with pytest.raises(MissingColumnError, match=re.escape("unknown mapped fields: ['lang']")):
+            ImportMapping(column_for={**column_for, "lang": "lang"})
 
     def test_meta_columns_become_string_meta(self, tmp_path):
         path = tmp_path / "t.csv"

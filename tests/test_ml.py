@@ -160,6 +160,14 @@ class TestTrainClassifier:
         with pytest.raises(DegenerateLabelsError):
             train_classifier(np.array([[1.0], [2.0]]), np.array([1.0, 1.0]))
 
+    def test_one_example_is_too_few(self):
+        with pytest.raises(DegenerateLabelsError, match="need at least two training examples"):
+            train_classifier(np.array([[1.0]]), np.array([1.0]))
+
+    def test_rows_and_labels_must_agree_in_number(self):
+        with pytest.raises(DimensionMismatchError, match="^3 rows vs 2 labels$"):
+            train_classifier(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 1.0]))
+
     def test_duplicated_dataset_same_decision_function(self):
         X, y = self.separable()
         base = train_classifier(X, y, l2=0.1, epochs=50, learning_rate=0.3)

@@ -228,6 +228,14 @@ class TestTraverse:
         with pytest.raises(ValueError):
             traverse(corpus, "c0", "sideways")
 
+    @pytest.mark.parametrize("order", ["bfs", "dfs_preorder", "dfs_postorder"])
+    def test_two_roots_is_no_root_error(self, order):
+        # build_corpus refuses a second root, so it is made by hand.
+        corpus = build_corpus(chain3())
+        corpus.utterances["u1"].reply_to = None
+        with pytest.raises(NoRootError, match="conversation 'c0' does not have exactly one root"):
+            traverse(corpus, "c0", order)
+
 
 class TestSpeakerHistory:
     def test_empty_history(self):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from convoforge import (
-    MergeConsecutive,
     Utterance,
     build_corpus,
     check_integrity,
@@ -13,6 +12,7 @@ from convoforge import (
     merge_consecutive,
     tokenize,
 )
+from convoforge.errors import NoRootError
 from convoforge.textprep import utterance_tokens
 from helpers import corpus_equal_strict, random_corpus
 from reference import ref_merge_consecutive
@@ -154,6 +154,14 @@ class TestMergeConsecutive:
         assert corpus.utterances["u2"].reply_to == "u0"
         assert check_integrity(corpus).ok
 
+    def test_two_roots_is_no_root_error(self):
+        # build_corpus refuses a second root, so it is made by hand.
+        corpus = build_corpus([utt("u0", "A"), utt("u1", "A", reply="u0")])
+        corpus.utterances["u1"].reply_to = None
+        with pytest.raises(NoRootError, match="conversation 'c0' does not have exactly one root"):
+            merge_consecutive(corpus)
+        assert set(corpus.utterances) == {"u0", "u1"}
+
     def test_branching_blocks_merge(self):
         corpus = build_corpus([
             utt("u0", "A", text="root", ts=1),
@@ -215,9 +223,6 @@ class TestMergeConsecutive:
             once = {uid: u.text for uid, u in corpus.utterances.items()}
             merge_consecutive(corpus)
             assert {uid: u.text for uid, u in corpus.utterances.items()} == once
-
-    def test_transformer_is_structural(self):
-        assert MergeConsecutive.structural is True
 
 
 def chain_corpus(rng: random.Random, max_utterances: int = 60):

@@ -211,6 +211,20 @@ class TestPipeline:
         assert err.value.stage_index == 1
         assert isinstance(err.value.__cause__, NotFittedError)
 
+    def test_nested_stage_error_is_reported_once(self):
+        class Nested(Transformer):
+            name = "nested"
+
+            def _transform(self, corpus):
+                Pipeline([Tokenizer(), FightingWords(class1="side=1", class2="side=2")]).run(
+                    corpus, fit_first=False)
+
+        with pytest.raises(PipelineStageError) as err:
+            Pipeline([TextCleaner(), Nested()]).run(two_class_corpus())
+        assert (err.value.stage_index, err.value.stage_name) == (1, "fighting_words")
+        assert str(err.value) == (
+            "stage 1 (fighting_words): fighting_words: transform() called before fit()")
+
     def test_empty_pipeline_rejected(self):
         with pytest.raises(ValueError):
             Pipeline([])
