@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 # Submodule -> the public names it defines, each listed once.
 _EXPORTS = {
-    "corpus_io": ("CorpusManifest", "ImportMapping", "export_tabular", "identity_mapping",
-                  "import_tabular", "load", "merge", "save"),
+    "corpus_io": ("ImportMapping", "export_tabular", "identity_mapping", "import_tabular",
+                  "load", "merge", "save"),
     "diversity": ("SpeakerDiversity", "compute_diversity", "jensen_shannon"),
     "fightingwords": ("FightingWords", "FwModel", "fit_fw", "summarize_fw"),
     "hyperconvo": ("HyperConvo", "ResponseGraph", "build_response_graph", "extract_features"),
@@ -24,8 +24,8 @@ _EXPORTS = {
     "model": ("Conversation", "Corpus", "IntegrityReport", "Speaker", "Utterance", "Violation",
               "build_corpus", "check_integrity", "speaker_history", "traverse"),
     "politeness": ("PolitenessStrategies", "extract_strategies", "summarize_politeness"),
-    "textprep": ("MergeConsecutive", "TextCleaner", "TokenAnnotation", "Tokenizer",
-                 "clean_text", "merge_consecutive", "tokenize"),
+    "textprep": ("MergeConsecutive", "TextCleaner", "Tokenizer", "clean_text",
+                 "merge_consecutive", "tokenize"),
     "transform": ("Pipeline", "SpeakerMixAnnotator", "SummaryTable", "Transformer"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -2,7 +2,8 @@
 
 On-disk layout of a corpus directory (all files UTF-8):
 
-    manifest.json        format version, object counts, corpus metadata
+    manifest.json        keys in order: format_version, utterance_count,
+                         conversation_count, speaker_count, corpus_meta
     utterances.jsonl     one record per line, fixed key order:
                          id, conversation_id, reply_to, speaker, timestamp, text, meta
     speakers.json        map speaker id -> {"meta": {...}}
@@ -113,15 +114,6 @@ def check_delimiter(delimiter: str) -> str:
 
 
 @dataclass
-class CorpusManifest:
-    format_version: str
-    utterance_count: int
-    conversation_count: int
-    speaker_count: int
-    corpus_meta: dict = field(default_factory=dict)
-
-
-@dataclass
 class ImportMapping:
     """Maps canonical utterance fields to source column names.
 
@@ -198,11 +190,9 @@ def _to_json(value, corpus: Corpus, encoder: json.JSONEncoder) -> str:
 
 
 def _write_files(corpus: Corpus, directory: Path) -> None:
-    # vars, not dataclasses.asdict, whose deep copy of corpus_meta would fail
-    # on a value that cannot be copied before _to_json could name its key.
-    manifest = vars(CorpusManifest(FORMAT_VERSION, len(corpus.utterances),
-                                   len(corpus.conversations), len(corpus.speakers),
-                                   corpus.meta))
+    manifest = {"format_version": FORMAT_VERSION, "utterance_count": len(corpus.utterances),
+                "conversation_count": len(corpus.conversations),
+                "speaker_count": len(corpus.speakers), "corpus_meta": corpus.meta}
     speakers = {sid: {"meta": spk.meta} for sid, spk in corpus.speakers.items()}
     conversations = {cid: {"meta": convo.meta} for cid, convo in corpus.conversations.items()}
     for name, document in ((MANIFEST_FILE, manifest), (SPEAKERS_FILE, speakers),

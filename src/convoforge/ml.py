@@ -416,17 +416,27 @@ def _entry(document: dict, key: str, kind: type):
 
 def load_model(path: str | Path) -> tuple[LinearModel, Vocabulary]:
     """Read a save_model file: MissingFileError if there is none, and MalformedRecordError
-    naming it for invalid JSON, a non-finite number or a missing or mistyped key."""
+    naming it for invalid JSON, a non-finite number, a missing or mistyped key or term, a
+    term listed twice, or a weight count other than one per term plus the bias."""
     document = _decode_object(Path(path), str(path))
     _require_version(document, MODEL_FORMAT_VERSION, "model")
     try:
         vocab_doc = _entry(document, "vocabulary", dict)
+        terms = _entry(vocab_doc, "terms", list)
+        if not all(type(t) is str for t in terms):
+            raise ValueError("'terms' holds a value that is not a string")
         vocab = Vocabulary(
-            index={t: i for i, t in enumerate(_entry(vocab_doc, "terms", list))},
+            index={t: i for i, t in enumerate(terms)},
             doc_freq=_entry(vocab_doc, "doc_freq", dict),
             config=_entry(vocab_doc, "config", dict),
         )
+        if vocab.size != len(terms):
+            twice = next(t for i, t in enumerate(terms) if vocab.index[t] != i)
+            raise ValueError(f"'terms' lists {twice!r} twice")
         weights = _entry(document, "weights", list)
+        if len(weights) != len(terms) + 1:
+            raise ValueError(f"{len(terms)} terms need {len(terms) + 1} weights, "
+                             f"got {len(weights)}")
         if not all(type(w) in (int, float) for w in weights):
             raise ValueError("'weights' holds a value that is not a number")
         model = LinearModel(weights=np.asarray(weights, dtype=float),
@@ -466,6 +476,7 @@ class Classifier(_LinearStage):
                  max_terms: Optional[int] = None, l2: float = 0.01,
                  epochs: int = 200, learning_rate: float = 0.5):
         super().__init__(label_key, min_df, max_terms, l2, epochs, learning_rate)
+        _level_objects(Corpus(), level)  # refuses an unknown level before any corpus is read
         self.level = level
 
     def _fit(self, corpus: Corpus) -> None:

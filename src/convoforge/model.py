@@ -182,22 +182,31 @@ def _structure_error(corpus: Corpus, report: IntegrityReport) -> ConvoForgeError
     )
 
 
-def _tree(corpus: Corpus, utterance_ids: Iterable[str]
+def _tree(utterances: Iterable[Utterance]
           ) -> tuple[list[Utterance], dict[str, list[Utterance]]]:
-    """The roots among ``utterance_ids`` and the replies to each id, siblings
+    """The roots among ``utterances`` and the replies to each id, siblings
     in _sibling_key order. The tree rules: a root has no ``reply_to``; any
     other utterance replies to one parent in its own conversation; each
     conversation has one root, from which _level_order reaches every member."""
     roots: list[Utterance] = []
     children: dict[str, list[Utterance]] = {}
-    for uid in utterance_ids:
-        utt = corpus.utterances[uid]
+    for utt in utterances:
         if utt.reply_to is None:
             roots.append(utt)
         else:
             children.setdefault(utt.reply_to, []).append(utt)
     for kids in children.values():
         kids.sort(key=_sibling_key)
+    return roots, children
+
+
+def _rooted_tree(corpus: Corpus, conversation_id: str
+                 ) -> tuple[list[Utterance], dict[str, list[Utterance]]]:
+    """_tree of one conversation, read through Corpus.utterances_in; NoRootError
+    unless it has exactly one root, which the one-item roots list holds."""
+    roots, children = _tree(corpus.utterances_in(conversation_id))
+    if len(roots) != 1:
+        raise NoRootError(f"conversation {conversation_id!r} does not have exactly one root")
     return roots, children
 
 
@@ -219,13 +228,7 @@ def traverse(corpus: Corpus, conversation_id: str, order: str = "bfs") -> list[U
     """
     if order not in TRAVERSAL_ORDERS:
         raise ValueError(f"unknown traversal order {order!r}; expected one of {TRAVERSAL_ORDERS}")
-    convo = corpus.conversations.get(conversation_id)
-    if convo is None:
-        raise UnknownConversationError(f"unknown conversation: {conversation_id!r}")
-
-    roots, children = _tree(corpus, convo.utterance_ids)
-    if len(roots) != 1:
-        raise NoRootError(f"conversation {convo.id!r} does not have exactly one root")
+    roots, children = _rooted_tree(corpus, conversation_id)
     if order == "bfs":
         return _level_order(roots, children)
 
@@ -289,7 +292,7 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
     # Utterance id -> its conversation id, where that conversation lists it.
     listed_in: dict[str, str] = {}
     # The tree rules below see each conversation's existing members once.
-    members_of: dict[str, list[str]] = {}
+    members_of: dict[str, list[Utterance]] = {}
     for convo in corpus.conversations.values():
         if not convo.utterance_ids:
             add(Violation("EmptyConversation", (convo.id,)))
@@ -308,7 +311,7 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
                 add(Violation("ConversationMismatch", (uid, convo.id, utt.conversation_id)))
             else:
                 listed_in[uid] = convo.id
-            members.append(uid)
+            members.append(utt)
 
     for utt in corpus.utterances.values():
         if not utt.id:
@@ -334,7 +337,7 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
     for cid, members in members_of.items():
         if not members:
             continue
-        roots, children = _tree(corpus, members)
+        roots, children = _tree(members)
         if not roots:
             add(Violation("NoRoot", (cid,)))
             continue
@@ -344,7 +347,7 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
         if all(parent in corpus.utterances for parent in children):
             reached = _level_order(roots, children)
             if len(reached) < len(members):
-                unreached = set(members).difference(u.id for u in reached)
+                unreached = {u.id for u in members}.difference(u.id for u in reached)
                 add(Violation("CycleDetected", (cid, *sorted(unreached))))
 
     return report

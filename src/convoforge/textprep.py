@@ -21,10 +21,8 @@ import logging
 import re
 import string
 import unicodedata
-from dataclasses import dataclass
 
-from .errors import NoRootError
-from .model import Corpus, Utterance, _tree
+from .model import Corpus, Utterance, _rooted_tree
 from .transform import SummaryTable, Transformer
 
 logger = logging.getLogger(__name__)
@@ -46,17 +44,6 @@ ABBREVIATIONS = frozenset(
 _ABBREVIATION_MAX_LEN = max(map(len, ABBREVIATIONS))
 
 _PUNCT = frozenset(string.punctuation)
-
-
-@dataclass
-class TokenAnnotation:
-    """Sentences as token lists; no sentence or token is ever empty."""
-
-    sentences: list[list[str]]
-
-    @property
-    def tokens(self) -> list[str]:
-        return [tok for sentence in self.sentences for tok in sentence]
 
 
 def _strip_markup(text: str) -> tuple[str, bool]:
@@ -134,11 +121,12 @@ def _split_tokens(chunk: str) -> list[str]:
     return tokens
 
 
-def tokenize(text: str) -> TokenAnnotation:
-    """Split into sentences on terminal punctuation (with a fixed
-    abbreviation list exempted), then into tokens on whitespace with
-    leading/trailing punctuation peeled off as separate tokens. Case is
-    preserved; lowercasing is the consumer's decision."""
+def tokenize(text: str) -> list[list[str]]:
+    """Sentences as token lists, the shape of the "tokens" annotation; no
+    sentence or token is ever empty. Splits into sentences on terminal
+    punctuation (with a fixed abbreviation list exempted), then into tokens
+    on whitespace with leading/trailing punctuation peeled off as separate
+    tokens. Case is preserved; lowercasing is the consumer's decision."""
     sentences = []
     for sentence in _split_sentences(text):
         tokens: list[str] = []
@@ -149,7 +137,7 @@ def tokenize(text: str) -> TokenAnnotation:
                 tokens.append(chunk)
         if tokens:
             sentences.append(tokens)
-    return TokenAnnotation(sentences=sentences)
+    return sentences
 
 
 def utterance_tokens(utt: Utterance) -> list[list[str]]:
@@ -175,7 +163,7 @@ def utterance_tokens(utt: Utterance) -> list[list[str]]:
 
 def _tokenized(utt: Utterance) -> list[list[str]]:
     # The "clean_text" annotation when a cleaner ran earlier, else the text.
-    return tokenize(utt.meta.get("clean_text", utt.text)).sentences
+    return tokenize(utt.meta.get("clean_text", utt.text))
 
 
 class TextCleaner(Transformer):
@@ -226,9 +214,7 @@ def merge_consecutive(corpus: Corpus) -> Corpus:
     """
     conflicts = 0
     for convo in corpus.conversations.values():
-        queue, children = _tree(corpus, convo.utterance_ids)
-        if len(queue) != 1:
-            raise NoRootError(f"conversation {convo.id!r} does not have exactly one root")
+        queue, children = _rooted_tree(corpus, convo.id)
         folded: set[str] = set()
         # Each node absorbs its whole same-speaker chain before the walk goes
         # below it, so a chain always folds top-down into its top utterance.

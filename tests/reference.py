@@ -801,7 +801,7 @@ def _ref_split_tokens(chunk: str) -> list[str]:
 
 
 def ref_tokenize(text: str) -> list[list[str]]:
-    """Token sentences, as tokenize(text).sentences."""
+    """Token sentences, as tokenize(text) returns them."""
     sentences = []
     for sentence in ref_split_sentences(text):
         tokens: list[str] = []

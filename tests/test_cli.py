@@ -291,6 +291,20 @@ class TestRun:
         assert loaded == []
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_classifier_level_exits_2_before_load(self, tmp_path, capsys, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(corpus_io, "load", lambda path: loaded.append(path))
+        config = self.make_config(
+            tmp_path, [{"name": "classifier", "params": {"label_key": "y", "level": "x"}}],
+            toy_movie_path(), tmp_path / "out",
+        )
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage 0 (classifier): unknown level 'x'; expected one of "
+            "('utterance', 'conversation', 'speaker')\n")
+        assert loaded == []
+        assert not (tmp_path / "out").exists()
+
     def test_bad_prior_exits_2_naming_stage(self, tmp_path, capsys):
         config = self.make_config(
             tmp_path,

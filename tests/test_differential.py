@@ -15,6 +15,7 @@ import sys
 
 from convoforge import (
     Speaker,
+    Tokenizer,
     Utterance,
     build_corpus,
     clean_text,
@@ -130,9 +131,24 @@ class TestTextLayers:
 
     def test_tokenize_raw_and_cleaned(self):
         for raw in texts(109, 3000):
-            assert tokenize(raw).sentences == ref_tokenize(raw), raw
+            assert tokenize(raw) == ref_tokenize(raw), raw
             cleaned = clean_text(raw)
-            assert tokenize(cleaned).sentences == ref_tokenize(cleaned), cleaned
+            assert tokenize(cleaned) == ref_tokenize(cleaned), cleaned
+
+    def test_tokenize_returns_the_shape_every_reader_sees(self):
+        # A list of non-empty lists of non-empty str: what Tokenizer stores
+        # and what utterance_tokens computes for an untokenized utterance.
+        raws = texts(127, 500)
+        corpus = build_corpus([Utterance(f"u{i}", "s", f"c{i}", raw) for i, raw in enumerate(raws)])
+        Tokenizer().transform(corpus)
+        for utt, raw in zip(corpus.utterances.values(), raws):
+            sentences = tokenize(raw)
+            assert type(sentences) is list, raw
+            for sentence in sentences:
+                assert type(sentence) is list and sentence, raw
+                assert all(type(token) is str and token for token in sentence), raw
+            assert utt.meta["tokens"] == sentences, raw
+            assert utterance_tokens(Utterance("u", "s", "c", raw)) == sentences, raw
 
 
 class TestFightingWordsCounts:

@@ -169,13 +169,13 @@ class TestNumpyLoadsOnlyWhenUsed:
         assert loaded == {"numpy": True, "ml": True}
 
 
-# The public names before they loaded on demand, in their order then.
+# The public names, in the order __all__ lists them.
 PUBLIC_NAMES = [
-    "Classifier", "Conversation", "Corpus", "CorpusManifest", "FightingWords", "Forecaster",
+    "Classifier", "Conversation", "Corpus", "FightingWords", "Forecaster",
     "FwModel", "HyperConvo", "ImportMapping", "IntegrityReport", "LinearModel",
     "MergeConsecutive", "Pipeline", "PolitenessStrategies", "ResponseGraph", "Speaker",
     "SpeakerDiversity", "SpeakerMixAnnotator", "SummaryTable", "TextCleaner",
-    "TokenAnnotation", "Tokenizer", "Transformer", "Utterance", "Violation", "Vocabulary",
+    "Tokenizer", "Transformer", "Utterance", "Violation", "Vocabulary",
     "build_corpus", "build_response_graph", "check_integrity", "clean_text",
     "compute_diversity", "errors", "export_tabular", "extract_features",
     "extract_strategies", "fit_fw", "fit_vocabulary", "identity_mapping", "import_tabular",

@@ -408,6 +408,13 @@ class TestPersistence:
         lambda d: d["vocabulary"].pop("terms"),
         lambda d: d.__setitem__("vocabulary", ["a", "b"]),
         lambda d: d["vocabulary"].__setitem__("terms", 3),
+        lambda d: d["vocabulary"]["terms"].__setitem__(1, 7),
+        lambda d: d["vocabulary"]["terms"].__setitem__(1, ["b"]),
+        # One weight per term and the bias, each term once: the rows that
+        # the vocabulary vectorizes must be as wide as the weights.
+        lambda d: (d["vocabulary"]["terms"].append("a"), d["weights"].append(0.25)),
+        lambda d: d["vocabulary"]["terms"].append("c"),
+        lambda d: d["weights"].append(0.25),
         lambda d: d["weights"].__setitem__(1, "heavy"),
         lambda d: d["weights"].__setitem__(1, [1.0]),
         lambda d: d["weights"].__setitem__(1, None),
@@ -415,6 +422,7 @@ class TestPersistence:
         lambda d: d["weights"].__setitem__(1, {}),
         lambda d: d.__setitem__("weights", None),
     ], ids=["no-vocabulary", "no-weights", "no-terms", "vocabulary-list", "terms-number",
+            "term-number", "term-list", "term-twice", "too-few-weights", "too-many-weights",
             "weight-string", "weight-list", "weight-null", "weight-numeric-string",
             "weight-object", "weights-null"])
     def test_missing_or_mistyped_key_names_the_file(self, tmp_path, edit):
@@ -535,6 +543,10 @@ class TestClassifierTransformer:
         corpus = build_corpus([Utterance("u", "s", "c", "hello")])
         with pytest.raises(EmptySelectionError):
             Classifier(label_key="missing").fit(corpus)
+
+    def test_unknown_level_refused_by_the_constructor(self):
+        with pytest.raises(ValueError, match=r"^unknown level 'x'; expected one of "):
+            Classifier(label_key="doomed", level="x")
 
 
 def test_forecaster_takes_the_classifier_parameters_but_level():

@@ -81,38 +81,32 @@ class TestCleanText:
 
 class TestTokenize:
     def test_empty(self):
-        assert tokenize("").sentences == []
+        assert tokenize("") == []
 
     def test_two_sentences(self):
-        assert tokenize("Thanks! See you.").sentences == \
-            [["Thanks", "!"], ["See", "you", "."]]
+        assert tokenize("Thanks! See you.") == [["Thanks", "!"], ["See", "you", "."]]
 
     def test_abbreviation_not_split(self):
-        assert len(tokenize("Dr. Smith left.").sentences) == 1
+        assert len(tokenize("Dr. Smith left.")) == 1
 
     def test_more_abbreviations(self):
-        assert len(tokenize("Use lists, e.g. apples. Then stop.").sentences) == 2
+        assert len(tokenize("Use lists, e.g. apples. Then stop.")) == 2
 
     def test_case_preserved(self):
-        assert tokenize("Hello There").sentences == [["Hello", "There"]]
+        assert tokenize("Hello There") == [["Hello", "There"]]
 
     def test_punctuation_peeling(self):
-        assert tokenize("((foo))").sentences == [["(", "(", "foo", ")", ")"]]
-        assert tokenize("don't stop").sentences == [["don't", "stop"]]
+        assert tokenize("((foo))") == [["(", "(", "foo", ")", ")"]]
+        assert tokenize("don't stop") == [["don't", "stop"]]
 
     def test_no_empty_tokens(self):
         rng = random.Random(11)
         pool = "ab c.!?()\"' -"
         for _ in range(200):
             raw = "".join(rng.choice(pool) for _ in range(rng.randint(0, 30)))
-            ann = tokenize(raw)
-            for sentence in ann.sentences:
+            for sentence in tokenize(raw):
                 assert sentence
                 assert all(tok for tok in sentence)
-
-    def test_flat_tokens_property(self):
-        ann = tokenize("One two. Three!")
-        assert ann.tokens == ["One", "two", ".", "Three", "!"]
 
 
 class TestUtteranceTokens:
