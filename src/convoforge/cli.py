@@ -17,7 +17,8 @@ including a standard output closed early (as by ``| head``).
 
 Parsing the arguments loads nothing of the package but ``errors``; each
 command imports the modules it uses, and ``run`` only those of the stages
-its config names.
+its config names. A command runs with the cyclic garbage collector paused
+(``corpus_io._paused_gc`` says why that is safe).
 """
 
 from __future__ import annotations
@@ -269,26 +270,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.ERROR if args.quiet else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
-    try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # Python's documented recipe: point stdout at devnull so that the
-        # interpreter's final flush cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 2
-    except (OSError, ValueError) as exc:
-        # An unreadable input or unwritable output path, e.g. a directory, or
-        # a bad flag or config value.
-        return _fail(str(exc), 2)
-    except ConvoForgeError as exc:
-        return _fail(str(exc), exc.exit_code)
+    from .corpus_io import _paused_gc
+
+    with _paused_gc():
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(stream=sys.stderr,
+                            level=logging.ERROR if args.quiet else logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
+        try:
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # Python's documented recipe: point stdout at devnull so that the
+            # interpreter's final flush cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            return 2
+        except (OSError, ValueError) as exc:
+            # An unreadable input or unwritable output path, e.g. a directory, or
+            # a bad flag or config value.
+            return _fail(str(exc), 2)
+        except ConvoForgeError as exc:
+            return _fail(str(exc), exc.exit_code)
 
 
 if __name__ == "__main__":

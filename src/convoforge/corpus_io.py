@@ -303,48 +303,59 @@ def _meta_by_id(directory: Path, name: str) -> Iterator[tuple[str, dict]]:
         yield object_id, meta
 
 
+# The keys of an utterances.jsonl record, in the order save() writes them.
+_RECORD_KEYS = ("id", "conversation_id", "reply_to", "speaker", "timestamp", "text", "meta")
+
+
 def _utterance(line: str) -> Utterance:
     """The utterance of one utterances.jsonl line; ValueError saying what is wrong with it."""
     record = _decode(line)
     if not isinstance(record, dict):
         raise ValueError("record is not an object")
-    missing = [k for k in ("id", "conversation_id", "reply_to", "speaker",
-                           "timestamp", "text", "meta") if k not in record]
-    if missing:
-        raise ValueError(f"missing keys {missing}")
-    uid = record["id"]
+    try:
+        uid, conversation_id, reply_to, speaker, timestamp, text, meta = map(
+            record.__getitem__, _RECORD_KEYS)
+    except KeyError:
+        raise ValueError(f"missing keys {[k for k in _RECORD_KEYS if k not in record]}") from None
     if not isinstance(uid, str) or not uid:
         raise ValueError("bad utterance id")
-    reply_to = record["reply_to"]
     if reply_to is not None and not isinstance(reply_to, str):
         raise ValueError("bad reply_to")
-    timestamp = record["timestamp"]
     if timestamp is not None and (isinstance(timestamp, bool) or not isinstance(timestamp, int)):
         raise ValueError("bad timestamp")
-    if not isinstance(record["speaker"], str) or not isinstance(record["conversation_id"], str):
+    if not isinstance(speaker, str) or not isinstance(conversation_id, str):
         raise ValueError("bad speaker or conversation id")
-    if not isinstance(record["text"], str) or not isinstance(record["meta"], dict):
+    if not isinstance(text, str) or not isinstance(meta, dict):
         raise ValueError("bad text or meta")
-    return Utterance(id=uid, speaker_id=record["speaker"],
-                     conversation_id=record["conversation_id"], text=record["text"],
-                     reply_to=reply_to, timestamp=timestamp, meta=record["meta"])
+    return Utterance(uid, speaker, conversation_id, text, reply_to, timestamp, meta)
+
+
+class _paused_gc:
+    """Run the block with the cyclic garbage collector off, then put back
+    the state it had. ``load`` builds the corpus under it, and ``cli.main``
+    runs each whole command under it. Corpus data is acyclic: reference
+    counting frees what a run drops, and a command leaves the same few
+    hundred cyclic objects for a corpus of any size (``tests/test_cli.py``
+    pins that), so a collection would only re-scan the corpus and the
+    imported modules, and the process exits when the command ends (the
+    batch pattern of Instagram's "Dismissing Python Garbage Collection").
+    """
+
+    # A class: a generator's exit would allocate with the collector back on.
+    def __enter__(self) -> None:
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.was_enabled:
+            gc.enable()
 
 
 def load(path: str | Path) -> Corpus:
     """Read a corpus directory; verifies manifest counts and integrity.
-
-    The cyclic garbage collector is paused while the corpus is built: the
-    load allocates many objects and frees almost none, so a collection there
-    only re-scans the growing corpus (the pattern of Instagram's "Dismissing
-    Python Garbage Collection", 2017). Its previous state is restored.
-    """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    The corpus is built under ``_paused_gc``."""
+    with _paused_gc():
         return _load(Path(path))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def _load(directory: Path) -> Corpus:

@@ -64,8 +64,9 @@ def random_meta(rng: random.Random) -> dict:
     return {f"key{i}": random_meta_value(rng) for i in range(rng.randint(0, 4))}
 
 
-def random_corpus(rng: random.Random, max_utterances: int = 50) -> Corpus:
-    total = rng.randint(1, max_utterances)
+def random_corpus(rng: random.Random, max_utterances: int = 50,
+                  min_utterances: int = 1) -> Corpus:
+    total = rng.randint(min_utterances, max_utterances)
     speaker_ids = [f"s{i}" for i in range(rng.randint(1, 6))]
     speakers = [
         Speaker(sid, random_meta(rng) if rng.random() < 0.7 else {})

@@ -1,7 +1,9 @@
 import csv
+import gc
 import inspect
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from convoforge import Speaker, Utterance, build_corpus, import_tabular, identit
 from convoforge import cli, corpus_io, errors
 from convoforge.cli import main
 from convoforge.datasets import toy_movie_path
-from helpers import child_env, write_non_object_meta
+from helpers import child_env, random_corpus, write_non_object_meta
 
 
 def run_child(argv, **kwargs):
@@ -948,3 +950,107 @@ def test_main_exits_with_the_declared_code(cls, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+# The stage chains of the benchmark workloads, as benchmarks/corpora.py runs them.
+WORKLOAD_STAGES = {
+    "annotate": [{"name": "text_cleaner"}, {"name": "tokenizer"}, {"name": "politeness"},
+                 {"name": "hyperconvo"},
+                 {"name": "speaker_mix", "params": {"speaker_key": "gender"}},
+                 {"name": "speaker_diversity"},
+                 {"name": "fighting_words",
+                  "params": {"class1": "mixed=true", "class2": "mixed=false"}}],
+    "forecast": [{"name": "tokenizer"},
+                 {"name": "classifier",
+                  "params": {"label_key": "derailed", "level": "conversation"}},
+                 {"name": "classifier", "params": {"label_key": "troll", "level": "speaker"}},
+                 {"name": "forecaster", "params": {"label_key": "derailed"}}],
+    "fold": [{"name": "merge_consecutive"}, {"name": "hyperconvo"},
+             {"name": "speaker_mix", "params": {"speaker_key": "gender"}}],
+}
+
+
+class TestMainPausesGc:
+    """main() runs the whole command with the cyclic GC off and then puts
+    back whatever state the caller had (corpus_io._paused_gc)."""
+
+    @pytest.fixture(autouse=True)
+    def keep_gc_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def argv(self, tmp_path, command, code, good_dir, broken_dir):
+        """The argv of command that exits with code: 1 from a failing stage
+        or an invalid corpus, 2 from a bad config or a missing corpus."""
+        if command == "hyperconvo":
+            corpus = {0: good_dir, 1: broken_dir, 2: tmp_path / "missing"}[code]
+            return ["--corpus", str(corpus), "hyperconvo"]
+        stages = {0: [{"name": "hyperconvo"}],
+                  1: [{"name": "fighting_words",
+                       "params": {"class1": "nope=1", "class2": "nope=2"}}],
+                  2: []}[code]
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"input": str(good_dir), "output": str(tmp_path / "out"),
+                                      "stages": stages}))
+        return ["run", str(config)]
+
+    @pytest.mark.parametrize("command", ["run", "hyperconvo"])
+    def test_no_collection_inside_main(self, tmp_path, command, capsys):
+        # Big enough that the corpus alone would fill the youngest generation.
+        source = tmp_path / "random"
+        save(random_corpus(random.Random(1), max_utterances=300, min_utterances=300), source)
+        argv = self.argv(tmp_path, command, 0, source, None)
+        starts = []
+
+        def spy(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.collect()  # so that what main allocates before the pause cannot start one
+        gc.callbacks.append(spy)
+        try:
+            code = main(argv)
+            collections = len(starts)  # read before anything here can allocate
+        finally:
+            gc.callbacks.remove(spy)
+        assert code == 0
+        assert collections == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    @pytest.mark.parametrize("command", ["run", "hyperconvo"])
+    def test_state_restored(self, tmp_path, chain_dir, broken_dir, command, code, enabled,
+                            capsys):
+        argv = self.argv(tmp_path, command, code, chain_dir, broken_dir)
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("workload", list(WORKLOAD_STAGES))
+    def test_cyclic_garbage_does_not_grow_with_the_corpus(self, tmp_path, workload):
+        # The pause is safe because a command's data is acyclic: what it leaves
+        # for the collector (its argument parser, say) is the same for a corpus
+        # four times larger. The first run imports the stage modules, whose
+        # own garbage is left out.
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"output": str(tmp_path / "out"),
+                                      "stages": WORKLOAD_STAGES[workload]}))
+
+        def garbage(utterances):
+            corpus = random_corpus(random.Random(utterances), max_utterances=utterances,
+                                   min_utterances=utterances)
+            for i, speaker in enumerate(corpus.speakers.values()):
+                speaker.meta.update(gender=i % 2, troll=i % 3 == 0)
+            for i, convo in enumerate(corpus.conversations.values()):
+                convo.meta["derailed"] = i % 2 == 0
+            source = tmp_path / f"in-{utterances}"
+            save(corpus, source)
+            gc.collect()
+            gc.disable()
+            assert main(["--quiet", "--corpus", str(source), "run", str(config)]) == 0
+            return gc.collect()
+
+        garbage(40)
+        assert garbage(160) <= garbage(40)

@@ -430,6 +430,12 @@ class TestUtteranceOracle:
                 "bad speaker or conversation id", "bad text or meta"} <= reasons
         assert any(r.startswith("lone surrogate") for r in reasons)
 
+    def test_missing_keys_are_listed_in_format_order(self):
+        line = json.dumps({"meta": {}, "text": "hi", "speaker": "s", "id": "u1"})
+        with pytest.raises(ValueError) as info:
+            corpus_io._utterance(line)
+        assert str(info.value) == "missing keys ['conversation_id', 'reply_to', 'timestamp']"
+
 
 class TestLoadPausesGc:
     """load() builds the corpus with the cyclic GC off and then puts back
