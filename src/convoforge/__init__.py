@@ -20,7 +20,7 @@ _EXPORTS = {
     "fightingwords": ("FightingWords", "FwModel", "fit_fw", "summarize_fw"),
     "hyperconvo": ("HyperConvo", "ResponseGraph", "build_response_graph", "extract_features"),
     "ml": ("Classifier", "Forecaster", "LinearModel", "Vocabulary", "fit_vocabulary",
-           "load_model", "predict", "save_model", "train_classifier", "vectorize"),
+           "predict", "train_classifier", "vectorize"),
     "model": ("Conversation", "Corpus", "IntegrityReport", "Speaker", "Utterance", "Violation",
               "build_corpus", "check_integrity", "speaker_history", "traverse"),
     "politeness": ("PolitenessStrategies", "extract_strategies", "summarize_politeness"),

@@ -36,7 +36,6 @@ from typing import Iterator, Optional
 
 from .errors import (
     CountMismatchError,
-    IntegrityViolationError,
     IoFailureError,
     IrreconcilableCollisionError,
     MalformedRecordError,
@@ -45,7 +44,7 @@ from .errors import (
     UnserializableValueError,
     UnsupportedVersionError,
 )
-from .model import Conversation, Corpus, Speaker, Utterance, build_corpus, check_integrity
+from .model import Conversation, Corpus, Speaker, Utterance, _require_integrity, build_corpus
 
 FORMAT_VERSION = "1.0"
 
@@ -70,8 +69,8 @@ def _finite_float(literal: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
 
 
-# One encoder per file layout, reused for every record, fault probe and model
-# file rather than built anew for each call.
+# One encoder per file layout, reused for every record and fault probe rather
+# than built anew for each call.
 _INDENTED = json.JSONEncoder(ensure_ascii=False, allow_nan=False, indent=2)
 _ONE_LINE = json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":"))
 
@@ -222,16 +221,6 @@ def _replace_directory(staging: Path, directory: Path) -> None:
     shutil.rmtree(retired, ignore_errors=True)
 
 
-def _require_integrity(corpus: Corpus, what: str) -> None:
-    """Raise IntegrityViolationError, naming the corpus as ``what``, unless it is well formed."""
-    report = check_integrity(corpus)
-    if not report.ok:
-        raise IntegrityViolationError(
-            f"{what} fails integrity checks ({len(report.violations)} violations)",
-            violations=report.violations,
-        )
-
-
 def save(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus directory; refuses to persist an invalid corpus.
 
@@ -283,13 +272,6 @@ def _decode_object(path: Path, name: str) -> dict:
     except ValueError as exc:
         raise MalformedRecordError(f"{name}: {exc}") from exc
     return value
-
-
-def _require_version(document: dict, expected: str, what: str) -> None:
-    """UnsupportedVersionError naming the version read, unless its major is expected's."""
-    version = str(document.get("format_version", ""))
-    if version.split(".", 1)[0] != expected.split(".", 1)[0]:
-        raise UnsupportedVersionError(f"unsupported {what} format version: {version!r}")
 
 
 def _meta_by_id(directory: Path, name: str) -> Iterator[tuple[str, dict]]:
@@ -363,7 +345,9 @@ def _load(directory: Path) -> Corpus:
         raise MissingFileError(f"not a corpus directory: {directory}")
 
     manifest = _decode_object(directory / MANIFEST_FILE, MANIFEST_FILE)
-    _require_version(manifest, FORMAT_VERSION, "corpus")
+    version = str(manifest.get("format_version", ""))
+    if version.split(".", 1)[0] != FORMAT_VERSION.split(".", 1)[0]:
+        raise UnsupportedVersionError(f"unsupported corpus format version: {version!r}")
 
     corpus_meta = manifest.get("corpus_meta", {})
     if not isinstance(corpus_meta, dict):
@@ -467,11 +451,12 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
 def import_tabular(path: str | Path, mapping: ImportMapping) -> Corpus:
     """Build a corpus from a delimited file with a header row.
 
-    Each row becomes one utterance. Without a reply_to mapping every row is
-    its own conversation root. Quoting follows RFC 4180 conventions.
+    Each row becomes one utterance, and a repeated id is a fault of its row.
+    Without a reply_to mapping every row is its own conversation root.
+    Quoting follows RFC 4180 conventions.
     """
     source = _require_file(Path(path))
-    utterances: list[Utterance] = []
+    utterances: dict[str, Utterance] = {}
     # Latin-1 keeps every byte, so lines split where they would in UTF-8;
     # each is then decoded on its own, and invalid UTF-8 is found at its line.
     with open(source, encoding="latin-1", newline="") as fh:
@@ -501,6 +486,8 @@ def import_tabular(path: str | Path, mapping: ImportMapping) -> Corpus:
                 uid = row[index["id"]]
                 if not uid:
                     raise ValueError("empty id cell")
+                if uid in utterances:
+                    raise ValueError(f"duplicate utterance id {uid!r}")
                 reply_to: Optional[str] = None
                 if "reply_to" in index and row[index["reply_to"]]:
                     reply_to = row[index["reply_to"]]
@@ -510,18 +497,18 @@ def import_tabular(path: str | Path, mapping: ImportMapping) -> Corpus:
                         timestamp = int(row[index["timestamp"]])
                     except ValueError:
                         raise ValueError("timestamp is not an integer") from None
-                utterances.append(Utterance(
+                utterances[uid] = Utterance(
                     id=uid, speaker_id=row[index["speaker_id"]],
                     conversation_id=row[index["conversation_id"]], text=row[index["text"]],
                     reply_to=reply_to, timestamp=timestamp,
                     meta={column: row[pos] for column, pos in meta_index.items()},
-                ))
+                )
         except (ValueError, csv.Error) as exc:
             # A line that fails to decode follows the last one read; an empty file lacks line 1.
             line_number = max(reader.line_num + isinstance(exc, UnicodeDecodeError), 1)
             raise MalformedRecordError(f"{source} line {line_number}: {exc}",
                                        line_number=line_number) from exc
-    return build_corpus(utterances)
+    return build_corpus(utterances.values())
 
 
 def export_tabular(corpus: Corpus, path: str | Path, delimiter: str = ",",

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-Corpus construction and navigation raise structure errors; I/O raises
-serialization errors; transformers raise contract errors. Everything
-derives from ConvoForgeError so callers can catch broadly.
+A corpus that breaks a structural rule is one IntegrityViolationError,
+whether it is built, loaded, merged or saved; I/O raises serialization
+errors; transformers raise contract errors. Everything derives from
+ConvoForgeError so callers can catch broadly.
 
 Each class declares its command-line exit code in ``exit_code``: 1 for a
 domain failure (the default), 2 for I/O or format (a missing or malformed
@@ -18,24 +19,16 @@ class ConvoForgeError(Exception):
 
 # -- corpus structure ------------------------------------------------------
 
+class IntegrityViolationError(ConvoForgeError):
+    """A corpus that fails check_integrity; ``violations`` is its whole report."""
+
+    def __init__(self, message, violations=None):
+        super().__init__(message)
+        self.violations = violations or []
+
+
 class DuplicateIdError(ConvoForgeError):
-    pass
-
-
-class DanglingReplyError(ConvoForgeError):
-    pass
-
-
-class CrossConversationReplyError(ConvoForgeError):
-    pass
-
-
-class CycleDetectedError(ConvoForgeError):
-    pass
-
-
-class MultipleRootsError(ConvoForgeError):
-    pass
+    """A speaker or utterance id given twice to build_corpus, which a dict cannot hold."""
 
 
 class NoRootError(ConvoForgeError):
@@ -54,14 +47,6 @@ class UnknownSpeakerError(ConvoForgeError):
 
 class IoFailureError(ConvoForgeError):
     exit_code = 2
-
-
-class IntegrityViolationError(ConvoForgeError):
-    """Refusal to persist or accept a corpus that fails integrity checks."""
-
-    def __init__(self, message, violations=None):
-        super().__init__(message)
-        self.violations = violations or []
 
 
 class UnserializableValueError(ConvoForgeError):

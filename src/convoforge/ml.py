@@ -24,25 +24,19 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
-from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corpus_io import _INDENTED, _decode_object, _require_version
 from .errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
     EmptySelectionError,
-    MalformedRecordError,
     MissingLabelError,
-    UnserializableValueError,
 )
 from .model import Corpus, Utterance, _level_objects, _speaker_histories, traverse
 from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer
-
-MODEL_FORMAT_VERSION = "1.0"
 
 
 @dataclass
@@ -52,7 +46,6 @@ class Vocabulary:
 
     index: dict[str, int]
     doc_freq: dict[str, int]
-    config: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -87,18 +80,16 @@ def fit_vocabulary(
     selector: Optional[Callable] = None,
     min_df: int = 1,
     max_terms: Optional[int] = None,
-    lowercase: bool = True,
 ) -> Vocabulary:
-    """Build a vocabulary from one document per selected object; conversation
-    and speaker documents concatenate their utterances."""
+    """Build a vocabulary of lowercased tokens from one document per selected
+    object; conversation and speaker documents concatenate their utterances."""
     objects = [o for o in _level_objects(corpus, level) if selector is None or selector(o)]
     if not objects:
         raise EmptySelectionError(f"no {level}s selected")
     total: Counter[str] = Counter()
     doc_freq: Counter[str] = Counter()
     for tokens in _documents(corpus, level, objects):
-        if lowercase:
-            tokens = [t.lower() for t in tokens]
+        tokens = [t.lower() for t in tokens]
         total.update(tokens)
         doc_freq.update(set(tokens))
     terms = [t for t in total if doc_freq[t] >= min_df]
@@ -108,15 +99,13 @@ def fit_vocabulary(
     return Vocabulary(
         index={t: i for i, t in enumerate(terms)},
         doc_freq={t: doc_freq[t] for t in terms},
-        config={"min_df": min_df, "max_terms": max_terms, "lowercase": lowercase},
     )
 
 
 def vectorize(vocab: Vocabulary, tokens: Sequence[str]) -> dict[int, float]:
-    """Sparse count vector; out-of-vocabulary tokens are dropped."""
-    if vocab.config.get("lowercase", True):
-        tokens = [tok.lower() for tok in tokens]
-    hits = Counter(map(vocab.index.get, tokens))
+    """Sparse count vector of the lowercased tokens; out-of-vocabulary tokens
+    are dropped."""
+    hits = Counter(map(vocab.index.get, map(str.lower, tokens)))
     hits.pop(None, None)
     # In order of first occurrence: a row's entries, and so its sums, follow it.
     return {i: float(n) for i, n in hits.items()}
@@ -127,7 +116,6 @@ class LinearModel:
     """Logistic regression weights; the last entry is the bias."""
 
     weights: np.ndarray
-    config: dict = field(default_factory=dict)
     loss_trace: list[float] = field(default_factory=list, repr=False)
 
     @property
@@ -316,17 +304,15 @@ def train_classifier(
     l2: float = 1.0,
     epochs: int = 100,
     learning_rate: float = 0.1,
-    decay: float = 0.0,
 ) -> LinearModel:
     """Full-batch gradient descent from zero weights for a fixed number of
-    epochs; learning rate at epoch t is learning_rate / (1 + decay * t).
-    X is a dense array or a list of {feature index: value} dicts over
-    n_features features. Deterministic given the data and config. Records
-    the loss trace."""
+    epochs at a fixed learning rate. X is a dense array or a list of
+    {feature index: value} dicts over n_features features. Deterministic
+    given the data and parameters. Records the loss trace."""
     y = _checked_labels(y)
     rows = _csr_rows(X, n_features)
     return _descend(rows.with_ones_column(np.ones(rows.n_rows, dtype=bool)), y, l2, epochs,
-                    learning_rate, decay)
+                    learning_rate)
 
 
 def _checked_labels(y) -> np.ndarray:
@@ -338,8 +324,7 @@ def _checked_labels(y) -> np.ndarray:
     return y
 
 
-def _descend(Xb, y: np.ndarray, l2: float, epochs: int, learning_rate: float,
-             decay: float) -> LinearModel:
+def _descend(Xb, y: np.ndarray, l2: float, epochs: int, learning_rate: float) -> LinearModel:
     """Gradient descent on rows Xb whose last column is the bias; each
     weight vector's margins serve both its loss-trace entry and the next
     gradient."""
@@ -348,16 +333,11 @@ def _descend(Xb, y: np.ndarray, l2: float, epochs: int, learning_rate: float,
     weights = np.zeros(Xb.n_features, dtype=float)
     z = Xb.matvec(weights)
     trace = [_loss_at(z, weights, y, l2)]
-    for epoch in range(epochs):
-        step = learning_rate / (1.0 + decay * epoch)
-        weights = weights - step * _gradient_at(z, weights, Xb, y, l2)
+    for _ in range(epochs):
+        weights = weights - learning_rate * _gradient_at(z, weights, Xb, y, l2)
         z = Xb.matvec(weights)
         trace.append(_loss_at(z, weights, y, l2))
-    return LinearModel(
-        weights=weights,
-        config={"l2": l2, "epochs": epochs, "learning_rate": learning_rate, "decay": decay},
-        loss_trace=trace,
-    )
+    return LinearModel(weights=weights, loss_trace=trace)
 
 
 def _labelled_scores(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,69 +361,6 @@ def predict(model: LinearModel, X) -> tuple[np.ndarray, np.ndarray]:
         )
     rows = rows.with_ones_column(np.ones(rows.n_rows, dtype=bool))
     return _labelled_scores(rows.matvec(model.weights))
-
-
-def save_model(path: str | Path, model: LinearModel, vocab: Vocabulary) -> None:
-    """Persist model and vocabulary as one format-versioned JSON document.
-    A weight that is NaN or infinite raises UnserializableValueError, and
-    nothing is written."""
-    document = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "weights": model.weights.tolist(),
-        "config": model.config,
-        "vocabulary": {
-            "terms": vocab.terms,
-            "doc_freq": vocab.doc_freq,
-            "config": vocab.config,
-        },
-    }
-    try:
-        text = _INDENTED.encode(document)
-    except (TypeError, ValueError) as exc:
-        bad = np.flatnonzero(~np.isfinite(model.weights))
-        reason = f"weight {bad[0]} is {model.weights[bad[0]]}" if bad.size else str(exc)
-        raise UnserializableValueError(f"model cannot be saved as JSON: {reason}") from None
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def _entry(document: dict, key: str, kind: type):
-    """document[key]; ValueError if it is missing or not a ``kind``."""
-    value = document.get(key)
-    if not isinstance(value, kind):
-        raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
-    return value
-
-
-def load_model(path: str | Path) -> tuple[LinearModel, Vocabulary]:
-    """Read a save_model file: MissingFileError if there is none, and MalformedRecordError
-    naming it for invalid JSON, a non-finite number, a missing or mistyped key or term, a
-    term listed twice, or a weight count other than one per term plus the bias."""
-    document = _decode_object(Path(path), str(path))
-    _require_version(document, MODEL_FORMAT_VERSION, "model")
-    try:
-        vocab_doc = _entry(document, "vocabulary", dict)
-        terms = _entry(vocab_doc, "terms", list)
-        if not all(type(t) is str for t in terms):
-            raise ValueError("'terms' holds a value that is not a string")
-        vocab = Vocabulary(
-            index={t: i for i, t in enumerate(terms)},
-            doc_freq=_entry(vocab_doc, "doc_freq", dict),
-            config=_entry(vocab_doc, "config", dict),
-        )
-        if vocab.size != len(terms):
-            twice = next(t for i, t in enumerate(terms) if vocab.index[t] != i)
-            raise ValueError(f"'terms' lists {twice!r} twice")
-        weights = _entry(document, "weights", list)
-        if len(weights) != len(terms) + 1:
-            raise ValueError(f"{len(terms)} terms need {len(terms) + 1} weights, "
-                             f"got {len(weights)}")
-        if not all(type(w) in (int, float) for w in weights):
-            raise ValueError("'weights' holds a value that is not a number")
-        model = LinearModel(weights=np.asarray(weights, dtype=float),
-                            config=_entry(document, "config", dict))
-    except ValueError as exc:
-        raise MalformedRecordError(f"{path}: {exc}") from exc
-    return model, vocab
 
 
 class _LinearStage(Transformer):
@@ -558,7 +475,7 @@ class Forecaster(_LinearStage):
              for utt in utterances]
         prefixes = _DenseRows(_running_sums(rows.to_array(), lengths))
         self.model = _descend(prefixes, _checked_labels(y), self.l2, self.epochs,
-                              self.learning_rate, decay=0.0)
+                              self.learning_rate)
 
     def _transform(self, corpus: Corpus) -> None:
         utterances, lengths, rows = self._utterance_rows(corpus)

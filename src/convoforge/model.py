@@ -16,13 +16,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import (
-    ConvoForgeError,
-    CrossConversationReplyError,
-    CycleDetectedError,
-    DanglingReplyError,
     DuplicateIdError,
     IntegrityViolationError,
-    MultipleRootsError,
     NoRootError,
     UnknownConversationError,
     UnknownSpeakerError,
@@ -115,10 +110,10 @@ def build_corpus(
     """Assemble a corpus from utterances, inferring conversations by grouping.
 
     Speakers not in ``speakers`` are auto-created with empty metadata unless
-    ``strict_speakers`` is set, in which case an unregistered speaker_id is an
-    error. Raises on any structural defect: duplicate or empty ids, then the
-    first violation check_integrity reports (dangling or cross-conversation
-    replies, cycles, conversations without exactly one root).
+    ``strict_speakers`` is set. A repeated speaker or utterance id is
+    DuplicateIdError, since a dict cannot hold it; any other defect, such as
+    an unregistered speaker under ``strict_speakers``, is _require_integrity's
+    IntegrityViolationError.
     """
     corpus = Corpus(meta=dict(corpus_meta) if corpus_meta else {})
 
@@ -127,18 +122,11 @@ def build_corpus(
             raise DuplicateIdError(f"duplicate speaker id: {spk.id!r}")
         corpus.speakers[spk.id] = spk
 
-    # A dict cannot hold a duplicate, so id checks happen during assembly.
     for utt in utterances:
-        if not utt.id:
-            raise DuplicateIdError("utterance with empty id")
         if utt.id in corpus.utterances:
             raise DuplicateIdError(f"duplicate utterance id: {utt.id!r}")
         corpus.utterances[utt.id] = utt
-        if utt.speaker_id not in corpus.speakers:
-            if strict_speakers:
-                raise UnknownSpeakerError(
-                    f"utterance {utt.id!r} names unregistered speaker {utt.speaker_id!r}"
-                )
+        if not strict_speakers and utt.speaker_id not in corpus.speakers:
             corpus.speakers[utt.speaker_id] = Speaker(id=utt.speaker_id)
         convo = corpus.conversations.get(utt.conversation_id)
         if convo is None:
@@ -146,40 +134,8 @@ def build_corpus(
             corpus.conversations[utt.conversation_id] = convo
         convo.utterance_ids.append(utt.id)
 
-    report = check_integrity(corpus)
-    if not report.ok:
-        raise _structure_error(corpus, report)
+    _require_integrity(corpus, "corpus")
     return corpus
-
-
-def _structure_error(corpus: Corpus, report: IntegrityReport) -> ConvoForgeError:
-    """The exception build_corpus raises for the first violation of ``report``."""
-    first = report.violations[0]
-    code, ids = first.code, first.ids
-    if code == "DanglingReply":
-        return DanglingReplyError(f"{ids[0]!r} replies to unknown utterance {ids[1]!r}")
-    if code == "CrossConversationReply":
-        child, parent = corpus.utterances[ids[0]], corpus.utterances[ids[1]]
-        return CrossConversationReplyError(
-            f"{child.id!r} (conversation {child.conversation_id!r}) replies to "
-            f"{parent.id!r} (conversation {parent.conversation_id!r})"
-        )
-    if code == "NoRoot":
-        return NoRootError(f"conversation {ids[0]!r} has no root utterance")
-    if code == "MultipleRoots":
-        return MultipleRootsError(
-            f"conversation {ids[0]!r} has multiple roots: " + ", ".join(ids[1:])
-        )
-    if code == "CycleDetected":
-        return CycleDetectedError(
-            f"conversation {ids[0]!r} has utterances unreachable from the root "
-            f"(cycle): {', '.join(ids[1:])}"
-        )
-    return IntegrityViolationError(
-        f"corpus fails integrity checks ({len(report.violations)} violations); "
-        f"first: {first.code} {first.ids}",
-        violations=report.violations,
-    )
 
 
 def _tree(utterances: Iterable[Utterance]
@@ -294,6 +250,8 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
     # The tree rules below see each conversation's existing members once.
     members_of: dict[str, list[Utterance]] = {}
     for convo in corpus.conversations.values():
+        if not convo.id:
+            add(Violation("EmptyId", (convo.id,)))
         if not convo.utterance_ids:
             add(Violation("EmptyConversation", (convo.id,)))
         members = members_of[convo.id] = []
@@ -352,3 +310,14 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
 
     return report
 
+
+def _require_integrity(corpus: Corpus, what: str) -> None:
+    """IntegrityViolationError carrying check_integrity's report, its message naming
+    the corpus as ``what`` and the first violation, unless the corpus is well formed."""
+    violations = check_integrity(corpus).violations
+    if violations:
+        raise IntegrityViolationError(
+            f"{what} fails integrity checks ({len(violations)} violations); "
+            f"first: {violations[0]}",
+            violations=violations,
+        )

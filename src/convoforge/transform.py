@@ -57,9 +57,6 @@ class SummaryTable:
         """The cells as tab-separated lines."""
         return "\n".join("\t".join(row) for row in self.cells())
 
-    def __str__(self) -> str:
-        return self.to_delimited()
-
 
 def _require_annotations(objects: list, level: str, key: str) -> list[tuple]:
     """(object, annotation under ``key``) for every object, or

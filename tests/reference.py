@@ -6,9 +6,9 @@ exhaustive enumeration of node pairs and triples, and politeness counts
 by trying every marker entry at every token position. Unit and acceptance
 tests compare library output against these. ref_merge_consecutive is the
 original fold-and-restart implementation of merge_consecutive, walking the
-tree with ref_bfs. ref_build_corpus is the original build_corpus, which
-checked the tree rules itself instead of through check_integrity, and
-ref_check_integrity finds each member's root by following its parents up.
+tree with ref_bfs. ref_build_corpus is build_corpus's assembly alone, with
+its duplicate-id refusals and no integrity check, and ref_check_integrity
+finds each member's root by following its parents up.
 ref_parse_utterance_line is the original reader of one utterances.jsonl
 line, which raised MalformedRecordError with the line number itself.
 ref_fit_vocabulary and ref_vectorize are the original counting loops,
@@ -34,7 +34,6 @@ import math
 import re
 import string
 import unicodedata
-from collections import deque
 from itertools import combinations, permutations
 from typing import Callable, Optional
 
@@ -43,18 +42,12 @@ import numpy as np
 from convoforge import Conversation, Corpus, FwModel, Speaker, Utterance
 from convoforge.corpus_io import UTTERANCES_FILE
 from convoforge.errors import (
-    CrossConversationReplyError,
-    CycleDetectedError,
-    DanglingReplyError,
     DegenerateLabelsError,
     DimensionMismatchError,
     DuplicateIdError,
     EmptyClassError,
     EmptyVocabularyError,
     MalformedRecordError,
-    MultipleRootsError,
-    NoRootError,
-    UnknownSpeakerError,
 )
 from convoforge.ml import LinearModel, Vocabulary, _documents, _gradient_at, _loss_at, _words
 from convoforge.model import _level_objects
@@ -236,23 +229,10 @@ def ref_merge_consecutive(corpus):
     return corpus
 
 
-def _ref_reachable_from(root_id, members):
-    children = _children_of(members)
-    seen = {root_id}
-    queue = deque([root_id])
-    while queue:
-        uid = queue.popleft()
-        for child in children.get(uid, []):
-            if child.id not in seen:
-                seen.add(child.id)
-                queue.append(child.id)
-    return seen
-
-
 def ref_build_corpus(utterances, speakers=None, corpus_meta=None, strict_speakers=False):
-    """build_corpus as it was before it raised check_integrity's first
-    violation: every tree rule checked here, in this order."""
-    utterances = list(utterances)
+    """The corpus build_corpus assembles, before its integrity check: a
+    repeated speaker or utterance id is DuplicateIdError, and speakers are
+    auto-created unless strict_speakers is set."""
     corpus = Corpus(meta=dict(corpus_meta) if corpus_meta else {})
 
     for spk in speakers or []:
@@ -261,53 +241,14 @@ def ref_build_corpus(utterances, speakers=None, corpus_meta=None, strict_speaker
         corpus.speakers[spk.id] = spk
 
     for utt in utterances:
-        if not utt.id:
-            raise DuplicateIdError("utterance with empty id")
         if utt.id in corpus.utterances:
             raise DuplicateIdError(f"duplicate utterance id: {utt.id!r}")
         corpus.utterances[utt.id] = utt
-        if utt.speaker_id not in corpus.speakers:
-            if strict_speakers:
-                raise UnknownSpeakerError(
-                    f"utterance {utt.id!r} names unregistered speaker {utt.speaker_id!r}"
-                )
+        if utt.speaker_id not in corpus.speakers and not strict_speakers:
             corpus.speakers[utt.speaker_id] = Speaker(id=utt.speaker_id)
-        convo = corpus.conversations.get(utt.conversation_id)
-        if convo is None:
-            convo = Conversation(id=utt.conversation_id)
-            corpus.conversations[utt.conversation_id] = convo
-        convo.utterance_ids.append(utt.id)
-
-    for utt in utterances:
-        if utt.reply_to is None:
-            continue
-        parent = corpus.utterances.get(utt.reply_to)
-        if parent is None:
-            raise DanglingReplyError(f"{utt.id!r} replies to unknown utterance {utt.reply_to!r}")
-        if parent.conversation_id != utt.conversation_id:
-            raise CrossConversationReplyError(
-                f"{utt.id!r} (conversation {utt.conversation_id!r}) replies to "
-                f"{utt.reply_to!r} (conversation {parent.conversation_id!r})"
-            )
-
-    for convo in corpus.conversations.values():
-        members = [corpus.utterances[uid] for uid in convo.utterance_ids]
-        roots = [u for u in members if u.reply_to is None]
-        if not roots:
-            raise NoRootError(f"conversation {convo.id!r} has no root utterance")
-        if len(roots) > 1:
-            raise MultipleRootsError(
-                f"conversation {convo.id!r} has multiple roots: "
-                + ", ".join(sorted(u.id for u in roots))
-            )
-        reached = _ref_reachable_from(roots[0].id, members)
-        if len(reached) != len(members):
-            stranded = sorted(set(convo.utterance_ids) - reached)
-            raise CycleDetectedError(
-                f"conversation {convo.id!r} has utterances unreachable from the root "
-                f"(cycle): {', '.join(stranded)}"
-            )
-
+        if utt.conversation_id not in corpus.conversations:
+            corpus.conversations[utt.conversation_id] = Conversation(id=utt.conversation_id)
+        corpus.conversations[utt.conversation_id].utterance_ids.append(utt.id)
     return corpus
 
 
@@ -336,6 +277,8 @@ def ref_check_integrity(corpus):
     out = []
     for cid, convo in conversations.items():
         ids = convo.utterance_ids
+        if cid == "":
+            out.append(("EmptyId", (cid,)))
         if not ids:
             out.append(("EmptyConversation", (cid,)))
         for i, uid in enumerate(ids):
@@ -461,14 +404,12 @@ def ref_parse_utterance_line(line: str, line_number: int) -> Utterance:
     )
 
 
-def ref_fit_vocabulary(corpus, level="utterance", selector=None, min_df=1, max_terms=None,
-                       lowercase=True):
+def ref_fit_vocabulary(corpus, level="utterance", selector=None, min_df=1, max_terms=None):
     objects = [o for o in _level_objects(corpus, level) if selector is None or selector(o)]
     total: dict[str, int] = {}
     doc_freq: dict[str, int] = {}
     for tokens in _documents(corpus, level, objects):
-        if lowercase:
-            tokens = [t.lower() for t in tokens]
+        tokens = [t.lower() for t in tokens]
         for tok in tokens:
             total[tok] = total.get(tok, 0) + 1
         for tok in set(tokens):
@@ -480,17 +421,13 @@ def ref_fit_vocabulary(corpus, level="utterance", selector=None, min_df=1, max_t
     return Vocabulary(
         index={t: i for i, t in enumerate(terms)},
         doc_freq={t: doc_freq[t] for t in terms},
-        config={"min_df": min_df, "max_terms": max_terms, "lowercase": lowercase},
     )
 
 
 def ref_vectorize(vocab, tokens) -> dict[int, float]:
-    lowercase = vocab.config.get("lowercase", True)
     counts: dict[int, float] = {}
     for tok in tokens:
-        if lowercase:
-            tok = tok.lower()
-        i = vocab.index.get(tok)
+        i = vocab.index.get(tok.lower())
         if i is not None:
             counts[i] = counts.get(i, 0.0) + 1.0
     return counts
@@ -554,8 +491,7 @@ def logistic_gradient(weights: np.ndarray, Xb, y: np.ndarray, l2: float) -> np.n
 
 
 def ref_train_classifier(X, y, n_features: Optional[int] = None, l2: float = 1.0,
-                         epochs: int = 100, learning_rate: float = 0.1,
-                         decay: float = 0.0) -> LinearModel:
+                         epochs: int = 100, learning_rate: float = 0.1) -> LinearModel:
     y = np.asarray(y, dtype=float)
     if len(y) < 2:
         raise DegenerateLabelsError("need at least two training examples")
@@ -568,15 +504,10 @@ def ref_train_classifier(X, y, n_features: Optional[int] = None, l2: float = 1.0
 
     weights = np.zeros(Xb.shape[1], dtype=float)
     trace = [ref_logistic_loss(weights, Xb, y, l2)]
-    for epoch in range(epochs):
-        step = learning_rate / (1.0 + decay * epoch)
-        weights = weights - step * ref_logistic_gradient(weights, Xb, y, l2)
+    for _ in range(epochs):
+        weights = weights - learning_rate * ref_logistic_gradient(weights, Xb, y, l2)
         trace.append(ref_logistic_loss(weights, Xb, y, l2))
-    return LinearModel(
-        weights=weights,
-        config={"l2": l2, "epochs": epochs, "learning_rate": learning_rate, "decay": decay},
-        loss_trace=trace,
-    )
+    return LinearModel(weights=weights, loss_trace=trace)
 
 
 def ref_predict(model: LinearModel, X) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from convoforge.registry import REGISTRY
 from helpers import child_env
 
 ML_NAMES = ["Classifier", "Forecaster", "LinearModel", "Vocabulary", "fit_vocabulary",
-            "load_model", "predict", "save_model", "train_classifier", "vectorize"]
+            "predict", "train_classifier", "vectorize"]
 
 
 class TestLazyNames:
@@ -179,8 +179,8 @@ PUBLIC_NAMES = [
     "build_corpus", "build_response_graph", "check_integrity", "clean_text",
     "compute_diversity", "errors", "export_tabular", "extract_features",
     "extract_strategies", "fit_fw", "fit_vocabulary", "identity_mapping", "import_tabular",
-    "jensen_shannon", "load", "load_model", "merge", "merge_consecutive", "predict", "save",
-    "save_model", "speaker_history", "summarize_fw", "summarize_politeness", "tokenize",
+    "jensen_shannon", "load", "merge", "merge_consecutive", "predict", "save",
+    "speaker_history", "summarize_fw", "summarize_politeness", "tokenize",
     "train_classifier", "traverse", "vectorize",
 ]
 

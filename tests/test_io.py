@@ -20,7 +20,7 @@ from convoforge import (
     merge,
     save,
 )
-from convoforge import corpus_io
+from convoforge import corpus_io, model
 from convoforge.corpus_io import ImportMapping
 from convoforge.datasets import toy_movie_path
 from convoforge.errors import (
@@ -138,6 +138,25 @@ class TestSaveLoad:
         del corpus.speakers["bob"]
         with pytest.raises(IntegrityViolationError):
             save(corpus, tmp_path / "c")
+
+    @pytest.mark.parametrize("entry", [
+        lambda corpus, path: build_corpus(corpus.utterances.values(), corpus.speakers.values()),
+        lambda corpus, path: save(corpus, path),
+        lambda corpus, path: (path.mkdir(), corpus_io._write_files(corpus, path), load(path)),
+        lambda corpus, path: merge(corpus, build_corpus([])),
+    ], ids=["build_corpus", "save", "load", "merge"])
+    def test_every_entry_raises_the_whole_report(self, tmp_path, entry):
+        # A dangling reply and a second root in c0, which no entry accepts.
+        corpus = small_corpus()
+        corpus.utterances["u1"].reply_to = "u9"
+        corpus.utterances["u3"] = Utterance("u3", "bob", "c0", "again", None, 7)
+        corpus.conversations["c0"].utterance_ids.append("u3")
+        violations = check_integrity(corpus).violations
+        with pytest.raises(IntegrityViolationError) as err:
+            entry(corpus, tmp_path / "c")
+        assert err.value.violations == violations
+        assert str(err.value).endswith(
+            "fails integrity checks (2 violations); first: DanglingReply: u1 u9")
 
     def test_save_is_byte_stable(self, tmp_path):
         corpus = small_corpus()
@@ -455,7 +474,7 @@ class TestLoadPausesGc:
             seen.append(gc.isenabled())
             return check_integrity(corpus)
 
-        monkeypatch.setattr(corpus_io, "check_integrity", spy)
+        monkeypatch.setattr(model, "check_integrity", spy)
         gc.enable()
         load(tmp_path / "c")
         assert seen == [False]
@@ -691,7 +710,9 @@ class TestTabular:
         ("", 1, "empty file: no header row"),
         ("id,speaker_id,conversation_id,reply_to,timestamp,text\nr1,a,x,,soon,hi\n", 2,
          "timestamp is not an integer"),
-    ], ids=["empty-file", "timestamp"])
+        ("id,speaker_id,conversation_id,reply_to,timestamp,text\n"
+         "a,s,x,,,hi\nb,s,y,,,yo\na,s,z,,,hey\n", 4, "duplicate utterance id 'a'"),
+    ], ids=["empty-file", "timestamp", "repeated-id"])
     def test_bad_file_names_file_and_line(self, tmp_path, text, line, message):
         path = tmp_path / "t.csv"
         path.write_text(text)

@@ -1,8 +1,6 @@
 import copy
 import inspect
-import json
 import random
-import re
 
 import numpy as np
 import pytest
@@ -14,9 +12,7 @@ from convoforge import (
     Utterance,
     build_corpus,
     fit_vocabulary,
-    load_model,
     predict,
-    save_model,
     train_classifier,
     vectorize,
 )
@@ -25,12 +21,8 @@ from convoforge.errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
     EmptySelectionError,
-    MalformedRecordError,
-    MissingFileError,
     MissingLabelError,
     NotFittedError,
-    UnserializableValueError,
-    UnsupportedVersionError,
 )
 from convoforge.ml import LinearModel
 from convoforge.model import LEVELS, _level_objects, speaker_history
@@ -45,37 +37,6 @@ from reference import (
     ref_forecast,
     ref_vectorize,
 )
-
-
-MODEL_BYTES = """\
-{
-  "format_version": "1.0",
-  "weights": [
-    0.5,
-    -1.25,
-    1e-20
-  ],
-  "config": {
-    "l2": 0.01,
-    "epochs": 3
-  },
-  "vocabulary": {
-    "terms": [
-      "café",
-      "b"
-    ],
-    "doc_freq": {
-      "café": 1,
-      "b": 1
-    },
-    "config": {
-      "min_df": 1,
-      "max_terms": null,
-      "lowercase": true
-    }
-  }
-}
-""".encode("utf-8")
 
 
 def tokenized(texts):
@@ -129,13 +90,11 @@ class TestVectorize:
         for i in range(60):
             corpus = random_corpus(rng, max_utterances=40)
             level = LEVELS[i % len(LEVELS)]
-            params = {"min_df": 1 + i % 3, "max_terms": None if i % 2 else 5,
-                      "lowercase": i % 5 != 0}
+            params = {"min_df": 1 + i % 3, "max_terms": None if i % 2 else 5}
             vocab = fit_vocabulary(corpus, level, **params)
             expected = ref_fit_vocabulary(corpus, level, **params)
             assert list(vocab.index.items()) == list(expected.index.items())
             assert list(vocab.doc_freq.items()) == list(expected.doc_freq.items())
-            assert vocab.config == expected.config
             for utt in corpus.utterances.values():
                 tokens = [tok for sentence in utterance_tokens(utt) for tok in sentence]
                 tokens += [tok.upper() for tok in tokens[:2]]
@@ -329,7 +288,6 @@ class TestKernels:
 
 class TestPredict:
     def test_zero_weights_give_half(self):
-        from convoforge.ml import LinearModel
         model = LinearModel(weights=np.zeros(3))
         _, scores = predict(model, np.array([[5.0, -2.0], [0.0, 0.0]]))
         assert (scores == 0.5).all()
@@ -345,95 +303,6 @@ class TestPredict:
         model = train_classifier(X, np.array([0.0, 1.0]))
         with pytest.raises(DimensionMismatchError):
             predict(model, np.array([[1.0, 2.0]]))
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        corpus = tokenized(["spam spam eggs", "ham eggs", "spam bad", "fine ham"])
-        vocab = fit_vocabulary(corpus)
-        X = [vectorize(vocab, ["spam", "eggs"]), vectorize(vocab, ["ham"])]
-        model = train_classifier(X, [1.0, 0.0], n_features=vocab.size,
-                                 l2=0.01, epochs=100)
-        path = tmp_path / "model.json"
-        save_model(path, model, vocab)
-        model2, vocab2 = load_model(path)
-        assert vocab2.index == vocab.index
-        _, before = predict(model, X)
-        _, after = predict(model2, X)
-        assert np.array_equal(before, after)
-
-    def test_file_bytes(self, tmp_path):
-        # The model file layout: key order, indentation, and non-ASCII
-        # terms written as themselves.
-        vocab = fit_vocabulary(tokenized(["café b café"]))
-        path = tmp_path / "model.json"
-        save_model(path, LinearModel(weights=np.array([0.5, -1.25, 1e-20]),
-                                     config={"l2": 0.01, "epochs": 3}), vocab)
-        assert path.read_bytes() == MODEL_BYTES
-
-    def test_version_rejected(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"format_version": "9.0"}')
-        with pytest.raises(UnsupportedVersionError):
-            load_model(path)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_weight_refused_and_nothing_written(self, tmp_path, value):
-        vocab = fit_vocabulary(tokenized(["a b"]))
-        model = LinearModel(weights=np.array([0.5, value, 0.0]))
-        path = tmp_path / "model.json"
-        with pytest.raises(UnserializableValueError, match="weight 1"):
-            save_model(path, model, vocab)
-        assert not path.exists()
-
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
-    def test_non_finite_literal_in_model_file_refused(self, tmp_path, literal):
-        vocab = fit_vocabulary(tokenized(["a b"]))
-        path = tmp_path / "model.json"
-        save_model(path, LinearModel(weights=np.array([0.5, -1.0, 0.0])), vocab)
-        document = json.loads(path.read_text(encoding="utf-8"))
-        document["weights"][1] = "WEIGHT"
-        path.write_text(json.dumps(document).replace('"WEIGHT"', literal), encoding="utf-8")
-        with pytest.raises(MalformedRecordError, match=re.escape(str(path))):
-            load_model(path)
-
-    def test_missing_file_is_missing_file_error(self, tmp_path):
-        path = tmp_path / "none.json"
-        with pytest.raises(MissingFileError, match=rf"^no such file: {re.escape(str(path))}$"):
-            load_model(path)
-
-    @pytest.mark.parametrize("edit", [
-        lambda d: d.pop("vocabulary"),
-        lambda d: d.pop("weights"),
-        lambda d: d["vocabulary"].pop("terms"),
-        lambda d: d.__setitem__("vocabulary", ["a", "b"]),
-        lambda d: d["vocabulary"].__setitem__("terms", 3),
-        lambda d: d["vocabulary"]["terms"].__setitem__(1, 7),
-        lambda d: d["vocabulary"]["terms"].__setitem__(1, ["b"]),
-        # One weight per term and the bias, each term once: the rows that
-        # the vocabulary vectorizes must be as wide as the weights.
-        lambda d: (d["vocabulary"]["terms"].append("a"), d["weights"].append(0.25)),
-        lambda d: d["vocabulary"]["terms"].append("c"),
-        lambda d: d["weights"].append(0.25),
-        lambda d: d["weights"].__setitem__(1, "heavy"),
-        lambda d: d["weights"].__setitem__(1, [1.0]),
-        lambda d: d["weights"].__setitem__(1, None),
-        lambda d: d["weights"].__setitem__(1, "1.5"),
-        lambda d: d["weights"].__setitem__(1, {}),
-        lambda d: d.__setitem__("weights", None),
-    ], ids=["no-vocabulary", "no-weights", "no-terms", "vocabulary-list", "terms-number",
-            "term-number", "term-list", "term-twice", "too-few-weights", "too-many-weights",
-            "weight-string", "weight-list", "weight-null", "weight-numeric-string",
-            "weight-object", "weights-null"])
-    def test_missing_or_mistyped_key_names_the_file(self, tmp_path, edit):
-        vocab = fit_vocabulary(tokenized(["a b"]))
-        path = tmp_path / "model.json"
-        save_model(path, LinearModel(weights=np.array([0.5, -1.0, 0.0])), vocab)
-        document = json.loads(path.read_text(encoding="utf-8"))
-        edit(document)
-        path.write_text(json.dumps(document), encoding="utf-8")
-        with pytest.raises(MalformedRecordError, match=rf"^{re.escape(str(path))}: "):
-            load_model(path)
 
 
 def labelled_conversations():

@@ -13,11 +13,8 @@ from convoforge import (
 )
 from convoforge.datasets import load_toy_movie
 from convoforge.errors import (
-    CrossConversationReplyError,
-    CycleDetectedError,
-    DanglingReplyError,
     DuplicateIdError,
-    MultipleRootsError,
+    IntegrityViolationError,
     NoRootError,
     UnknownConversationError,
     UnknownSpeakerError,
@@ -35,6 +32,13 @@ def chain3():
     return [utt("u0"), utt("u1", reply="u0"), utt("u2", reply="u1")]
 
 
+def build_violations(utterances, speakers=None, strict_speakers=False):
+    """The (code, ids) report of build_corpus's IntegrityViolationError."""
+    with pytest.raises(IntegrityViolationError) as err:
+        build_corpus(utterances, speakers, strict_speakers=strict_speakers)
+    return [(v.code, v.ids) for v in err.value.violations]
+
+
 class TestBuildCorpus:
     def test_minimal(self):
         corpus = build_corpus([utt("u0")])
@@ -48,7 +52,8 @@ class TestBuildCorpus:
         assert [u.id for u in order] == ["u0", "u1", "u2"]
 
     def test_dangling_reply(self):
-        with pytest.raises(DanglingReplyError, match="'u1'.*'u9'"):
+        with pytest.raises(IntegrityViolationError, match=r"\(1 violations\); "
+                           r"first: DanglingReply: u1 u9$"):
             build_corpus([utt("u0"), utt("u1", reply="u9")])
 
     def test_duplicate_utterance_id(self):
@@ -60,30 +65,35 @@ class TestBuildCorpus:
             build_corpus([utt("u0")], [Speaker("s"), Speaker("s")])
 
     def test_cross_conversation_reply(self):
-        with pytest.raises(CrossConversationReplyError):
-            build_corpus([utt("u0", conv="c0"), utt("u1", conv="c1", reply="u0")])
+        assert build_violations([utt("u0", conv="c0"), utt("u1", conv="c1", reply="u0")]) == [
+            ("CrossConversationReply", ("u1", "u0")), ("NoRoot", ("c1",))]
 
     def test_multiple_roots(self):
-        with pytest.raises(MultipleRootsError):
-            build_corpus([utt("u0"), utt("u1")])
+        assert build_violations([utt("u0"), utt("u1")]) == [
+            ("MultipleRoots", ("c0", "u0", "u1"))]
 
     def test_no_root_cycle_pair(self):
         # Two utterances replying to each other: no root at all.
-        with pytest.raises(NoRootError):
-            build_corpus([utt("u0", reply="u1"), utt("u1", reply="u0")])
+        assert build_violations([utt("u0", reply="u1"), utt("u1", reply="u0")]) == [
+            ("NoRoot", ("c0",))]
 
     def test_cycle_detached_from_root(self):
-        with pytest.raises(CycleDetectedError):
-            build_corpus([utt("u0"), utt("u1", reply="u2"), utt("u2", reply="u1")])
+        assert build_violations([utt("u0"), utt("u1", reply="u2"), utt("u2", reply="u1")]) == [
+            ("CycleDetected", ("c0", "u1", "u2"))]
+
+    def test_empty_ids(self):
+        # An empty utterance or conversation id is reported as an empty speaker id is.
+        assert build_violations([utt("")]) == [("EmptyId", ("",))]
+        assert build_violations([utt("u0", conv="")]) == [("EmptyId", ("",))]
+        assert build_violations([utt("u0", speaker="")]) == [("EmptyId", ("",))]
 
     def test_speakers_auto_created(self):
         corpus = build_corpus([utt("u0", speaker="ghost")])
         assert corpus.speakers["ghost"].meta == {}
 
     def test_strict_speakers(self):
-        with pytest.raises(UnknownSpeakerError):
-            build_corpus([utt("u0", speaker="ghost")], [Speaker("s")],
-                         strict_speakers=True)
+        assert build_violations([utt("u0", speaker="ghost")], [Speaker("s")],
+                                strict_speakers=True) == [("MissingSpeaker", ("u0", "ghost"))]
         corpus = build_corpus([utt("u0", speaker="s")], [Speaker("s")],
                               strict_speakers=True)
         assert "s" in corpus.speakers
@@ -136,39 +146,53 @@ def defective_inputs(rng, n_defects):
     return utterances, speakers, strict
 
 
-def build_outcome(build, utterances, speakers, strict):
+def build_outcome(utterances, speakers, strict):
+    """The corpus build_corpus returns, the (type, message) of its DuplicateIdError,
+    or the (code, ids) report of its IntegrityViolationError."""
     utterances, speakers = copy.deepcopy((utterances, speakers))
     try:
-        return build(utterances, speakers, strict_speakers=strict)
-    except Exception as exc:  # compared by type and message below
-        return (type(exc), str(exc))
+        return build_corpus(utterances, speakers, strict_speakers=strict)
+    except DuplicateIdError as exc:
+        return DuplicateIdError, str(exc)
+    except IntegrityViolationError as exc:
+        return [(v.code, v.ids) for v in exc.violations]
+
+
+def reference_outcome(utterances, speakers, strict):
+    """build_outcome by the reference: its assembly, then ref_check_integrity."""
+    utterances, speakers = copy.deepcopy((utterances, speakers))
+    try:
+        corpus = ref_build_corpus(utterances, speakers, strict_speakers=strict)
+    except DuplicateIdError as exc:
+        return DuplicateIdError, str(exc)
+    return ref_check_integrity(corpus) or corpus
 
 
 class TestBuildCorpusMatchesReference:
-    """build_corpus raises check_integrity's first violation; the original
-    build_corpus checked each tree rule itself. Outcomes must be identical."""
+    """build_corpus refuses a repeated id, then raises check_integrity's whole
+    report; the reference assembles the corpus and checks it by brute force."""
 
     def test_single_and_multiple_defects(self):
         rng = random.Random(404)
-        raised = set()
+        seen = set()
         for i in range(2000):
             args = defective_inputs(rng, 1 if i % 2 == 0 else rng.randint(1, 3))
-            expected = build_outcome(ref_build_corpus, *args)
-            assert build_outcome(build_corpus, *args) == expected, (i, expected)
+            expected = reference_outcome(*args)
+            assert build_outcome(*args) == expected, (i, expected)
             if isinstance(expected, tuple):
-                raised.add(expected[0])
-        assert raised == {DuplicateIdError, DanglingReplyError, CrossConversationReplyError,
-                          NoRootError, MultipleRootsError, CycleDetectedError,
-                          UnknownSpeakerError}
+                seen.add(DuplicateIdError)
+            elif isinstance(expected, list):
+                seen.update(code for code, _ in expected)
+        assert seen == {DuplicateIdError, "DanglingReply", "CrossConversationReply", "NoRoot",
+                        "MultipleRoots", "CycleDetected", "EmptyId", "MissingSpeaker"}
 
     def test_valid_inputs(self):
         rng = random.Random(405)
         for _ in range(200):
             args = defective_inputs(rng, 0)
-            built = build_outcome(build_corpus, *args)
-            assert built == build_outcome(ref_build_corpus, *args)
-            assert list(built.conversations) == list(
-                build_outcome(ref_build_corpus, *args).conversations)
+            built = build_outcome(*args)
+            assert built == reference_outcome(*args)
+            assert list(built.conversations) == list(reference_outcome(*args).conversations)
 
 
 class TestTraverse:
@@ -398,7 +422,7 @@ def corrupt(rng, corpus):
     # An earlier corruption may have moved pick out of every conversation.
     home = corpus.conversations.get(pick.conversation_id, convo)
     others = [u for u in utts if u.conversation_id != pick.conversation_id]
-    kind = rng.randrange(14)
+    kind = rng.randrange(15)
     if kind == 0:  # duplicated membership, in its own or another conversation
         target = convo if rng.random() < 0.3 else home
         target.utterance_ids.insert(rng.randint(0, len(target.utterance_ids)), pick.id)
@@ -438,6 +462,14 @@ def corrupt(rng, corpus):
         for u in utts:
             if u.speaker_id == sid:
                 u.speaker_id = ""
+    elif kind == 14 and "" not in corpus.conversations:
+        cid = convo.id
+        corpus.conversations = {("" if key == cid else key): value
+                                for key, value in corpus.conversations.items()}
+        convo.id = ""
+        for u in utts:
+            if u.conversation_id == cid:
+                u.conversation_id = ""
 
 
 class TestCheckIntegrityOracle:

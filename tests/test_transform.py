@@ -88,7 +88,8 @@ class TestTransformerContract:
         Tokenizer().transform(corpus)
         strategies = PolitenessStrategies()
         strategies.fit_transform(corpus)
-        assert str(strategies.summarize(corpus)) == str(strategies.summarize(corpus))
+        assert strategies.summarize(corpus).to_delimited() == \
+            strategies.summarize(corpus).to_delimited()
 
     def test_summarize_untransformed_raises(self):
         with pytest.raises(MissingAnnotationError):
