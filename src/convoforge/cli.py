@@ -24,6 +24,7 @@ its config names. A command runs with the cyclic garbage collector paused
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -209,7 +210,11 @@ def _add_global_flags(parser: argparse.ArgumentParser, trailing: bool) -> None:
                         **(suppress or {"default": None}))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call: it is a web of cyclic objects, which a command run with the
+    collector paused would otherwise leave behind on every call."""
     parser = argparse.ArgumentParser(
         prog="convoforge",
         description="Analyze threaded conversational corpora.",
@@ -222,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
         _add_global_flags(command, trailing=True)
         return command
 
-    add_command("validate", "check corpus integrity").set_defaults(func=cmd_validate)
-    add_command("stats", "corpus-level counts").set_defaults(func=cmd_stats)
+    add_command("validate", "check corpus integrity").set_defaults(func="cmd_validate")
+    add_command("stats", "corpus-level counts").set_defaults(func="cmd_stats")
 
     run = add_command("run", "execute a pipeline config")
     run.add_argument("config", help="pipeline config JSON file")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func="cmd_run")
 
     fw = add_command("fightingwords", "compare two metadata-defined classes")
     fw.add_argument("--class1", required=True, help="filter, e.g. mixed=true")
@@ -242,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     # An analyzer command runs the registered stage `stage`, passing the
     # constructor parameters named in stage_params from the flags of that dest
     # that were given: a flag left out (default SUPPRESS) is not in args.
-    fw.set_defaults(func=cmd_analyze, stage="fighting_words", output=None, stage_params=(
+    fw.set_defaults(func="cmd_analyze", stage="fighting_words", output=None, stage_params=(
         "class1", "class2", "ngram_max", "min_count", "alpha", "top_k"))
 
     for name, stage in (("politeness", "politeness"), ("hyperconvo", "hyperconvo"),
@@ -257,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--min-tokens", type=int, default=argparse.SUPPRESS,
                              dest="min_tokens_per_convo")
             stage_params = ("min_tokens_per_convo",)
-        cmd.set_defaults(func=cmd_analyze, stage=stage, stage_params=stage_params)
+        cmd.set_defaults(func="cmd_analyze", stage=stage, stage_params=stage_params)
 
     export = add_command("export", "write utterances as a delimited table")
     export.add_argument("--output", required=True)
     export.add_argument("--delimiter", type=_delimiter, default=",")
     export.add_argument("--meta-columns", dest="meta_columns",
                         help="comma-separated utterance meta keys to include")
-    export.set_defaults(func=cmd_export)
+    export.set_defaults(func="cmd_export")
 
     return parser
 
@@ -278,7 +283,9 @@ def main(argv=None) -> int:
                             level=logging.ERROR if args.quiet else logging.WARNING,
                             format="%(levelname)s %(name)s: %(message)s")
         try:
-            code = args.func(args)
+            # The parser is built once, so it names the command's function,
+            # which is looked up on each call.
+            code = globals()[args.func](args)
             sys.stdout.flush()
             return code
         except BrokenPipeError:

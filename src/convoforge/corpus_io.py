@@ -18,6 +18,11 @@ saying what is wrong, and each reader has one boundary that turns it into
 MalformedRecordError naming the file, and the line where there are lines;
 a file that is not there is MissingFileError (_require_file), and a tabular
 header without a mapped column is MissingColumnError naming the file.
+
+load() keeps one str object per distinct id: an utterance's speaker_id and
+conversation_id are the objects its speaker and conversation hold, and its
+reply_to is its parent's id when the parent's line came first. Loaded
+"tokens" annotations are not shared; each token is its own str.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from typing import Iterator, Optional
 
 from .errors import (
     CountMismatchError,
+    IntegrityViolationError,
     IoFailureError,
     IrreconcilableCollisionError,
     MalformedRecordError,
@@ -316,8 +322,8 @@ class _paused_gc:
     """Run the block with the cyclic garbage collector off, then put back
     the state it had. ``load`` builds the corpus under it, and ``cli.main``
     runs each whole command under it. Corpus data is acyclic: reference
-    counting frees what a run drops, and a command leaves the same few
-    hundred cyclic objects for a corpus of any size (``tests/test_cli.py``
+    counting frees what a run drops, and a command leaves the same hundred
+    or so cyclic objects for a corpus of any size (``tests/test_cli.py``
     pins that), so a collection would only re-scan the corpus and the
     imported modules, and the process exits when the command ends (the
     batch pattern of Instagram's "Dismissing Python Garbage Collection").
@@ -371,10 +377,17 @@ def _load(directory: Path) -> Corpus:
                 utt = _utterance(line)
                 if utt.id in corpus.utterances:
                     raise ValueError(f"duplicate utterance id {utt.id!r}")
-                corpus.utterances[utt.id] = utt
+                speaker = corpus.speakers.get(utt.speaker_id)
+                if speaker is not None:
+                    utt.speaker_id = speaker.id
                 convo = corpus.conversations.get(utt.conversation_id)
                 if convo is not None:
+                    utt.conversation_id = convo.id
                     convo.utterance_ids.append(utt.id)
+                parent = corpus.utterances.get(utt.reply_to)
+                if parent is not None:
+                    utt.reply_to = parent.id
+                corpus.utterances[utt.id] = utt
         except ValueError as exc:
             raise MalformedRecordError(f"{UTTERANCES_FILE} line {line_number}: {exc}",
                                        line_number=line_number) from exc
@@ -508,7 +521,10 @@ def import_tabular(path: str | Path, mapping: ImportMapping) -> Corpus:
             line_number = max(reader.line_num + isinstance(exc, UnicodeDecodeError), 1)
             raise MalformedRecordError(f"{source} line {line_number}: {exc}",
                                        line_number=line_number) from exc
-    return build_corpus(utterances.values())
+    try:
+        return build_corpus(utterances.values())
+    except IntegrityViolationError as exc:
+        raise IntegrityViolationError(f"{source}: {exc}", exc.violations) from None
 
 
 def export_tabular(corpus: Corpus, path: str | Path, delimiter: str = ",",

@@ -316,8 +316,9 @@ def _require_integrity(corpus: Corpus, what: str) -> None:
     the corpus as ``what`` and the first violation, unless the corpus is well formed."""
     violations = check_integrity(corpus).violations
     if violations:
+        count = len(violations)
         raise IntegrityViolationError(
-            f"{what} fails integrity checks ({len(violations)} violations); "
+            f"{what} fails integrity checks ({count} violation{'s' * (count > 1)}); "
             f"first: {violations[0]}",
             violations=violations,
         )

@@ -162,8 +162,15 @@ def utterance_tokens(utt: Utterance) -> list[list[str]]:
 
 
 def _tokenized(utt: Utterance) -> list[list[str]]:
-    # The "clean_text" annotation when a cleaner ran earlier, else the text.
-    return tokenize(utt.meta.get("clean_text", utt.text))
+    """tokenize of the "clean_text" annotation when a cleaner ran earlier,
+    else of the text; a null one is missing, and any other value that is not
+    a str is a ValueError naming the utterance."""
+    text = utt.meta.get("clean_text")
+    if text is None:
+        text = utt.text
+    elif not isinstance(text, str):
+        raise ValueError(f"utterance {utt.id!r}: 'clean_text' is not a string")
+    return tokenize(text)
 
 
 class TextCleaner(Transformer):
@@ -191,15 +198,19 @@ class TextCleaner(Transformer):
 class Tokenizer(Transformer):
     """Annotates each utterance with sentence/token lists under "tokens".
 
-    Prefers the "clean_text" annotation when a cleaner ran earlier.
+    Prefers the "clean_text" annotation when a cleaner ran earlier. A run
+    stores one str object per distinct token: every sentence passes through
+    one memo of the run, so a token repeated across the corpus costs a
+    pointer, not a string.
     """
 
     name = "tokenizer"
     annotation_key = "tokens"
 
     def _transform(self, corpus: Corpus) -> None:
+        share = {}.setdefault  # token -> the run's one object for it
         for utt in corpus.utterances.values():
-            self._annotate(utt, _tokenized(utt))
+            self._annotate(utt, [list(map(share, s, s)) for s in _tokenized(utt)])
 
 
 def merge_consecutive(corpus: Corpus) -> Corpus:

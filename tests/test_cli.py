@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from convoforge import Speaker, Utterance, build_corpus, import_tabular, identity_mapping, save
+from convoforge import (Speaker, Utterance, build_corpus, import_tabular, identity_mapping,
+                        load, save, tokenize)
 from convoforge import cli, corpus_io, errors
 from convoforge.cli import main
 from convoforge.datasets import toy_movie_path
@@ -378,6 +379,43 @@ class TestRun:
         assert main(["--corpus", str(toy_movie_path()), "run", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert not out.exists()
+
+
+# Every JSON value a key that a stage reads but does not own can hold: each
+# type, empty and falsy ones, and strings that a truthiness test misreads.
+FOREIGN_VALUES = ["null", "5", "-1", "1.5", '""', '"x"', "[]", "{}", "true", "false",
+                  "[[1, 2]]", '["a"]', '[["a", null]]', '{"a": 1}', '"false"', "0"]
+
+
+@pytest.mark.parametrize("stage", ["tokenizer", "politeness"])
+@pytest.mark.parametrize("literal", FOREIGN_VALUES)
+def test_clean_text_is_a_string_or_missing(tmp_path, capsys, literal, stage):
+    # A stored clean_text is tokenized in place of the text; null is missing
+    # and falls back to the text, as an absent key does. Any other value is
+    # one stage error naming the utterance and the key.
+    value = json.loads(literal)
+    source = tmp_path / "in"
+    shutil.copytree(toy_movie_path(), source)
+    path = source / "utterances.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    target = random.Random(FOREIGN_VALUES.index(literal)).choice(records)
+    target["meta"]["clean_text"] = value
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    config = tmp_path / "pipeline.json"
+    out = tmp_path / "out"
+    config.write_text(json.dumps({"output": str(out), "stages": [{"name": stage}]}))
+    code = main(["--quiet", "--corpus", str(source), "run", str(config)])
+    err = capsys.readouterr().err
+    if value is None or isinstance(value, str):
+        assert (code, err) == (0, "")
+        if stage == "tokenizer":
+            assert load(out).utterances[target["id"]].meta["tokens"] == \
+                tokenize(target["text"] if value is None else value)
+    else:
+        assert code == 1
+        assert err.splitlines() == [f"error: stage 0 ({stage}): utterance {target['id']!r}: "
+                                    "'clean_text' is not a string"]
         assert not out.exists()
 
 
@@ -1027,6 +1065,19 @@ class TestMainPausesGc:
         (gc.enable if enabled else gc.disable)()
         assert main(argv) == code
         assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_repeated_commands_leave_no_cyclic_garbage(self, command, capsys):
+        # The parser is built once per process, so a caller that runs many
+        # commands with the collector off is left none of their garbage. The
+        # first call may build it and import modules, so it is left out.
+        gc.collect()
+        gc.disable()
+        garbage = []
+        for _ in range(5):
+            assert main(["--quiet", "--corpus", str(toy_movie_path()), command]) == 0
+            garbage.append(gc.collect())
+        assert garbage[1:] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("workload", list(WORKLOAD_STAGES))
     def test_cyclic_garbage_does_not_grow_with_the_corpus(self, tmp_path, workload):

@@ -381,6 +381,37 @@ UTTERANCE_KEYS = ("id", "conversation_id", "reply_to", "speaker", "timestamp", "
 ODD_VALUES = [None, True, False, 0, 7, -3, 2.5, "", "x", [], ["a"], {}, {"a": 1}]
 
 
+class TestLoadSharesIds:
+    """A loaded utterance's ids are the objects its owners hold."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ids_are_their_owners_objects(self, tmp_path, seed):
+        # random_corpus lists every parent before its replies.
+        save(random_corpus(random.Random(seed), min_utterances=10), tmp_path / "c")
+        corpus = load(tmp_path / "c")
+        replies = 0
+        for utt in corpus.utterances.values():
+            assert utt.speaker_id is corpus.speakers[utt.speaker_id].id
+            assert utt.conversation_id is corpus.conversations[utt.conversation_id].id
+            if utt.reply_to is not None:
+                assert utt.reply_to is corpus.utterances[utt.reply_to].id
+                replies += 1
+        assert replies
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_child_before_parent_loads_an_equal_corpus(self, tmp_path, seed):
+        corpus = random_corpus(random.Random(seed), min_utterances=10)
+        save(corpus, tmp_path / "c")
+        path = tmp_path / "c" / "utterances.jsonl"
+        path.write_text("".join(reversed(path.read_text().splitlines(keepends=True))))
+        reloaded = load(tmp_path / "c")
+        assert list(reloaded.utterances) == list(reversed(corpus.utterances))
+        for convo in reloaded.conversations.values():
+            convo.utterance_ids.reverse()
+        reloaded.utterances = {uid: reloaded.utterances[uid] for uid in corpus.utterances}
+        assert corpus_equal_strict(reloaded, corpus)
+
+
 def random_utterance_line(rng):
     """One utterances.jsonl line, as _load decodes it: a valid record, or one
     with a key missing or of a wrong type, a bool timestamp, a non-object, a
@@ -760,6 +791,17 @@ class TestTabular:
         with pytest.raises(IntegrityViolationError) as err:
             import_tabular(path, mapping)
         assert [v.code for v in err.value.violations] == ["EmptyId"]
+
+    def test_structural_fault_names_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,speaker_id,conversation_id,reply_to,timestamp,text\n"
+                        "r1,a,x,r9,,hi\nr2,b,x,r9,,yo\n")
+        with pytest.raises(IntegrityViolationError) as err:
+            import_tabular(path, identity_mapping())
+        assert str(err.value) == (f"{path}: corpus fails integrity checks (3 violations); "
+                                  "first: DanglingReply: r1 r9")
+        assert [str(v) for v in err.value.violations] == [
+            "DanglingReply: r1 r9", "DanglingReply: r2 r9", "NoRoot: x"]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "t.csv"

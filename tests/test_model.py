@@ -52,7 +52,7 @@ class TestBuildCorpus:
         assert [u.id for u in order] == ["u0", "u1", "u2"]
 
     def test_dangling_reply(self):
-        with pytest.raises(IntegrityViolationError, match=r"\(1 violations\); "
+        with pytest.raises(IntegrityViolationError, match=r"\(1 violation\); "
                            r"first: DanglingReply: u1 u9$"):
             build_corpus([utt("u0"), utt("u1", reply="u9")])
 

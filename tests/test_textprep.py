@@ -5,6 +5,8 @@ import random
 import pytest
 
 from convoforge import (
+    TextCleaner,
+    Tokenizer,
     Utterance,
     build_corpus,
     check_integrity,
@@ -128,6 +130,25 @@ class TestUtteranceTokens:
         with pytest.raises(ValueError) as info:
             utterance_tokens(utterance)
         assert str(info.value) == "utterance 'm1_0': 'tokens' is not a list of token lists"
+
+
+class TestTokenizerSharesTokens:
+    @pytest.mark.parametrize("clean", [False, True], ids=["text", "clean_text"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_tokens_are_one_object(self, seed, clean):
+        corpus = random_corpus(random.Random(seed), min_utterances=20)
+        if clean:
+            TextCleaner().transform(corpus)
+        expected = {uid: tokenize(utt.meta.get("clean_text", utt.text))
+                    for uid, utt in corpus.utterances.items()}
+        Tokenizer().transform(corpus)
+        first: dict[str, str] = {}
+        for uid, utt in corpus.utterances.items():
+            assert utt.meta["tokens"] == expected[uid]
+            for sentence in utt.meta["tokens"]:
+                for token in sentence:
+                    assert first.setdefault(token, token) is token
+        assert len(first) > 1
 
 
 def utt(uid, speaker, reply=None, ts=None, text="", meta=None):
