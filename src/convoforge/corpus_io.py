@@ -392,11 +392,12 @@ def _load(directory: Path) -> Corpus:
             raise MalformedRecordError(f"{UTTERANCES_FILE} line {line_number}: {exc}",
                                        line_number=line_number) from exc
 
-    for label, declared, actual in (
-        ("utterance", manifest.get("utterance_count"), len(corpus.utterances)),
-        ("conversation", manifest.get("conversation_count"), len(corpus.conversations)),
-        ("speaker", manifest.get("speaker_count"), len(corpus.speakers)),
-    ):
+    for label, actual in (("utterance", len(corpus.utterances)),
+                          ("conversation", len(corpus.conversations)),
+                          ("speaker", len(corpus.speakers))):
+        declared = manifest.get(f"{label}_count")
+        if type(declared) is not int:  # bool is not a count
+            raise MalformedRecordError(f"{MANIFEST_FILE}: '{label}_count' is not an integer")
         if declared != actual:
             raise CountMismatchError(
                 f"manifest declares {declared} {label}s but payload has {actual}"

@@ -105,7 +105,6 @@ class SpeakerDiversity(Transformer):
     annotation_key = ANNOTATION_KEY
 
     def __init__(self, min_tokens_per_convo: int = 1):
-        super().__init__()
         self.min_tokens_per_convo = min_tokens_per_convo
 
     def _transform(self, corpus: Corpus) -> None:

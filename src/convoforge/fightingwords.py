@@ -20,7 +20,8 @@ import logging
 import math
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import EmptyClassError, EmptyVocabularyError, NotFittedError
@@ -65,11 +66,10 @@ class FwModel:
     alpha0: float
     deltas: list[float]
     zscores: list[float]
-    index: dict[str, int] = field(default_factory=dict, repr=False)
 
-    def __post_init__(self) -> None:
-        if not self.index:
-            self.index = {term: i for i, term in enumerate(self.vocab)}
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {term: i for i, term in enumerate(self.vocab)}
 
     def zscore(self, term: str) -> float:
         return float(self.zscores[self.index[term]])
@@ -213,7 +213,6 @@ class FightingWords(Transformer):
 
     def __init__(self, class1, class2, ngram_max: int = 1, min_count: int = 1,
                  alpha: float = 0.01, top_k: int = 10):
-        super().__init__()
         _check_prior("alpha", alpha)
         _check_top_k(top_k)
         for expression in (class1, class2):

@@ -15,7 +15,7 @@ train_classifier, predict and the Classifier build no rows × features
 array. The forecaster keeps one sparse row per utterance, U; a prefix of a
 conversation is the running sum of its rows. Scoring every prefix is one
 product U @ w and running sums down each conversation. Training alone
-still multiplies a dense prefix array through BLAS (see _DenseRows).
+still multiplies a dense prefix array through BLAS (see Forecaster._fit).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .model import Corpus, Utterance, _level_objects, _speaker_histories, traverse
 from .textprep import utterance_tokens
-from .transform import SummaryTable, Transformer
+from .transform import SummaryTable, Transformer, _read_foreign
 
 
 @dataclass
@@ -86,9 +86,14 @@ def fit_vocabulary(
     objects = [o for o in _level_objects(corpus, level) if selector is None or selector(o)]
     if not objects:
         raise EmptySelectionError(f"no {level}s selected")
+    return _vocabulary(_documents(corpus, level, objects), min_df, max_terms)
+
+
+def _vocabulary(documents: Iterator[list[str]], min_df: int,
+                max_terms: Optional[int]) -> Vocabulary:
     total: Counter[str] = Counter()
     doc_freq: Counter[str] = Counter()
-    for tokens in _documents(corpus, level, objects):
+    for tokens in documents:
         tokens = [t.lower() for t in tokens]
         total.update(tokens)
         doc_freq.update(set(tokens))
@@ -170,13 +175,15 @@ class _HalvingSums:
 
 class _Rows:
     """Sparse rows in CSR form: row i holds the values
-    data[indptr[i]:indptr[i + 1]] at the columns indices[indptr[i]:indptr[i + 1]]."""
+    data[indptr[i]:indptr[i + 1]] at the columns indices[indptr[i]:indptr[i + 1]].
+    Like an array, they have a shape and take `rows @ w` and `r @ rows`."""
+
+    __array_ufunc__ = None  # so that ndarray r's `r @ rows` calls __rmatmul__ (NEP 13)
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
                  n_features: int):
         self.indptr, self.indices, self.data = indptr, indices, data
-        self.n_features = n_features
-        self.n_rows = len(indptr) - 1
+        self.shape = (len(indptr) - 1, n_features)
         self._filled = np.diff(indptr) > 0
         self._filled_starts = indptr[:-1][self._filled]
 
@@ -184,28 +191,26 @@ class _Rows:
     def _by_feature(self) -> tuple[np.ndarray, np.ndarray, _HalvingSums]:
         # The entries grouped by column, rows ascending within a column,
         # then put in the order the column sums take them.
-        column_sums = _HalvingSums(np.bincount(self.indices, minlength=self.n_features))
+        column_sums = _HalvingSums(np.bincount(self.indices, minlength=self.shape[1]))
         order = np.argsort(self.indices, kind="stable")[column_sums.order]
-        row_of = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         return self.data[order], row_of[order], column_sums
 
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        """X @ w."""
-        out = np.zeros(self.n_rows)
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.shape[0])
         if self.data.size:
             out[self._filled] = np.add.reduceat(self.data * w[self.indices],
                                                 self._filled_starts)
         return out
 
-    def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        """Xᵀ r."""
+    def __rmatmul__(self, r: np.ndarray) -> np.ndarray:
         data, row_of, column_sums = self._by_feature
         return column_sums(data * r[row_of])
 
     def to_array(self) -> np.ndarray:
         """The rows as a dense rows × features array."""
-        array = np.zeros((self.n_rows, self.n_features))
-        array[np.repeat(np.arange(self.n_rows), np.diff(self.indptr)), self.indices] = self.data
+        array = np.zeros(self.shape)
+        array[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
         return array
 
     def with_ones_column(self, where: np.ndarray) -> _Rows:
@@ -213,27 +218,8 @@ class _Rows:
         `where` is true."""
         ends = self.indptr[1:][where]
         indptr = self.indptr + np.concatenate([[0], np.cumsum(where)])
-        return _Rows(indptr, np.insert(self.indices, ends, self.n_features),
-                     np.insert(self.data, ends, 1.0), self.n_features + 1)
-
-
-class _DenseRows:
-    """Rows held in a dense array, multiplied through BLAS. The forecaster
-    trains on these: with its default step on raw prefix counts, training
-    can diverge, and its weights then amplify any change in the rounding of
-    these products, so they keep BLAS's own summation order."""
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-        self.n_rows, self.n_features = array.shape
-
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        """X @ w."""
-        return self.array @ w
-
-    def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        """Xᵀ r."""
-        return self.array.T @ r
+        return _Rows(indptr, np.insert(self.indices, ends, self.shape[1]),
+                     np.insert(self.data, ends, 1.0), self.shape[1] + 1)
 
 
 def _running_sums(values: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
@@ -292,7 +278,7 @@ def _loss_at(z: np.ndarray, weights: np.ndarray, y: np.ndarray, l2: float) -> fl
 
 def _gradient_at(z: np.ndarray, weights: np.ndarray, Xb, y: np.ndarray,
                  l2: float) -> np.ndarray:
-    grad = Xb.rmatvec(_sigmoid(z) - y) / len(y)
+    grad = (_sigmoid(z) - y) @ Xb / len(y)
     grad[:-1] += l2 * weights[:-1]
     return grad
 
@@ -311,7 +297,7 @@ def train_classifier(
     given the data and parameters. Records the loss trace."""
     y = _checked_labels(y)
     rows = _csr_rows(X, n_features)
-    return _descend(rows.with_ones_column(np.ones(rows.n_rows, dtype=bool)), y, l2, epochs,
+    return _descend(rows.with_ones_column(np.ones(rows.shape[0], dtype=bool)), y, l2, epochs,
                     learning_rate)
 
 
@@ -328,14 +314,14 @@ def _descend(Xb, y: np.ndarray, l2: float, epochs: int, learning_rate: float) ->
     """Gradient descent on rows Xb whose last column is the bias; each
     weight vector's margins serve both its loss-trace entry and the next
     gradient."""
-    if Xb.n_rows != len(y):
-        raise DimensionMismatchError(f"{Xb.n_rows} rows vs {len(y)} labels")
-    weights = np.zeros(Xb.n_features, dtype=float)
-    z = Xb.matvec(weights)
+    if Xb.shape[0] != len(y):
+        raise DimensionMismatchError(f"{Xb.shape[0]} rows vs {len(y)} labels")
+    weights = np.zeros(Xb.shape[1], dtype=float)
+    z = Xb @ weights
     trace = [_loss_at(z, weights, y, l2)]
     for _ in range(epochs):
         weights = weights - learning_rate * _gradient_at(z, weights, Xb, y, l2)
-        z = Xb.matvec(weights)
+        z = Xb @ weights
         trace.append(_loss_at(z, weights, y, l2))
     return LinearModel(weights=weights, loss_trace=trace)
 
@@ -355,12 +341,12 @@ def predict(model: LinearModel, X) -> tuple[np.ndarray, np.ndarray]:
     saturate; downstream log-losses stay finite.
     """
     rows = _csr_rows(X, model.n_features)
-    if rows.n_features != model.n_features:
+    if rows.shape[1] != model.n_features:
         raise DimensionMismatchError(
-            f"{rows.n_features} features vs model's {model.n_features}"
+            f"{rows.shape[1]} features vs model's {model.n_features}"
         )
-    rows = rows.with_ones_column(np.ones(rows.n_rows, dtype=bool))
-    return _labelled_scores(rows.matvec(model.weights))
+    rows = rows.with_ones_column(np.ones(rows.shape[0], dtype=bool))
+    return _labelled_scores(rows @ model.weights)
 
 
 class _LinearStage(Transformer):
@@ -371,7 +357,6 @@ class _LinearStage(Transformer):
 
     def __init__(self, label_key: str, min_df: int = 1, max_terms: Optional[int] = None,
                  l2: float = 0.01, epochs: int = 200, learning_rate: float = 0.5):
-        super().__init__()
         self.label_key = label_key
         self.min_df = min_df
         self.max_terms = max_terms
@@ -397,18 +382,19 @@ class Classifier(_LinearStage):
         self.level = level
 
     def _fit(self, corpus: Corpus) -> None:
-        labelled = [o for o in _level_objects(corpus, self.level)
-                    if self.label_key in o.meta]
+        labelled, y = [], []
+        for obj in _level_objects(corpus, self.level):
+            label = _read_foreign(obj, self.label_key, bool)
+            if label is not None:  # a null label leaves its object unlabelled
+                labelled.append(obj)
+                y.append(float(label))
         if not labelled:
             raise EmptySelectionError(
                 f"no {self.level}s carry label key {self.label_key!r}"
             )
-        self.vocab = fit_vocabulary(
-            corpus, self.level, selector=lambda o: self.label_key in o.meta,
-            min_df=self.min_df, max_terms=self.max_terms,
-        )
+        self.vocab = _vocabulary(_documents(corpus, self.level, labelled), self.min_df,
+                                 self.max_terms)
         X = [vectorize(self.vocab, doc) for doc in _documents(corpus, self.level, labelled)]
-        y = [1.0 if o.meta[self.label_key] else 0.0 for o in labelled]
         self.model = train_classifier(X, y, n_features=self.vocab.size, l2=self.l2,
                                       epochs=self.epochs, learning_rate=self.learning_rate)
 
@@ -436,7 +422,7 @@ class Forecaster(_LinearStage):
     the cumulative bag-of-words of its first k utterances in traversal
     order, labelled with the conversation's terminal label. Each
     utterance's own bag-of-words is a sparse row; training takes running
-    sums of those rows into a dense prefix array (see _DenseRows), and
+    sums of those rows into a dense prefix array (see _fit), and
     scoring takes running sums of their products with the weights, so the
     prefixes are never scored one at a time.
     """
@@ -463,23 +449,29 @@ class Forecaster(_LinearStage):
         return utterances, lengths, rows.with_ones_column(first)
 
     def _fit(self, corpus: Corpus) -> None:
+        labels = {}
         for convo in corpus.conversations.values():
-            if self.label_key not in convo.meta:
+            label = _read_foreign(convo, self.label_key, bool)
+            if label is None:
                 raise MissingLabelError(
                     f"conversation {convo.id!r} lacks label key {self.label_key!r}"
                 )
+            labels[convo.id] = float(label)
         self.vocab = fit_vocabulary(corpus, "utterance", min_df=self.min_df,
                                     max_terms=self.max_terms)
         utterances, lengths, rows = self._utterance_rows(corpus)
-        y = [1.0 if corpus.conversations[utt.conversation_id].meta[self.label_key] else 0.0
-             for utt in utterances]
-        prefixes = _DenseRows(_running_sums(rows.to_array(), lengths))
+        y = [labels[utt.conversation_id] for utt in utterances]
+        # The prefixes are a dense array, multiplied through BLAS: with the
+        # default step on raw prefix counts training can diverge, and its
+        # weights then amplify any change in the rounding of these products,
+        # so they keep BLAS's own summation order.
+        prefixes = _running_sums(rows.to_array(), lengths)
         self.model = _descend(prefixes, _checked_labels(y), self.l2, self.epochs,
                               self.learning_rate)
 
     def _transform(self, corpus: Corpus) -> None:
         utterances, lengths, rows = self._utterance_rows(corpus)
-        _, scores = _labelled_scores(_running_sums(rows.matvec(self.model.weights), lengths))
+        _, scores = _labelled_scores(_running_sums(rows @ self.model.weights, lengths))
         scores = scores.tolist()
         for utt, score in zip(utterances, scores):
             self._annotate(utt, score, key="forecast")

@@ -23,7 +23,7 @@ import string
 import unicodedata
 
 from .model import Corpus, Utterance, _rooted_tree
-from .transform import SummaryTable, Transformer
+from .transform import SummaryTable, Transformer, _read_foreign
 
 logger = logging.getLogger(__name__)
 
@@ -165,12 +165,8 @@ def _tokenized(utt: Utterance) -> list[list[str]]:
     """tokenize of the "clean_text" annotation when a cleaner ran earlier,
     else of the text; a null one is missing, and any other value that is not
     a str is a ValueError naming the utterance."""
-    text = utt.meta.get("clean_text")
-    if text is None:
-        text = utt.text
-    elif not isinstance(text, str):
-        raise ValueError(f"utterance {utt.id!r}: 'clean_text' is not a string")
-    return tokenize(text)
+    text = _read_foreign(utt, "clean_text", str)
+    return tokenize(utt.text if text is None else text)
 
 
 class TextCleaner(Transformer):
@@ -184,7 +180,6 @@ class TextCleaner(Transformer):
     annotation_key = "clean_text"
 
     def __init__(self, overwrite_text: bool = False):
-        super().__init__()
         self.overwrite_text = overwrite_text
 
     def _transform(self, corpus: Corpus) -> None:

@@ -72,10 +72,22 @@ def _require_annotations(objects: list, level: str, key: str) -> list[tuple]:
     return pairs
 
 
+def _read_foreign(obj, key: str, kind: type):
+    """obj.meta[key] for a key the reading stage does not own: None when it
+    is absent or null, else a ``kind`` (str or bool); any other value is a
+    ValueError naming the object and the key."""
+    value = obj.meta.get(key)
+    if value is None or isinstance(value, kind):
+        return value
+    noun = {str: "string", bool: "boolean"}[kind]
+    raise ValueError(f"{type(obj).__name__.lower()} {obj.id!r}: {key!r} is not a {noun}")
+
+
 class Transformer:
     """Base class; subclasses override _fit/_transform/summarize as needed.
 
-    ``requires_fit`` gates transform() behind a successful fit().
+    ``fitted`` is False until fit() succeeds, and ``requires_fit`` gates
+    transform() behind it.
     A transformer writes only its own annotations, through _annotate(): one
     that reads tokens takes them from textprep.utterance_tokens, which
     tokenizes an utterance without the "tokens" annotation on the fly.
@@ -89,9 +101,7 @@ class Transformer:
     requires_fit = False
     level = "utterance"
     annotation_key = ""
-
-    def __init__(self):
-        self.fitted = not self.requires_fit
+    fitted = False
 
     def fit(self, corpus: Corpus) -> "Transformer":
         """Learn whatever state transform() needs; never modifies the corpus."""
@@ -192,7 +202,6 @@ class SpeakerMixAnnotator(Transformer):
     level = "conversation"
 
     def __init__(self, speaker_key: str, output_key: str = "mixed"):
-        super().__init__()
         self.speaker_key = speaker_key
         self.annotation_key = output_key
 

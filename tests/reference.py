@@ -480,14 +480,14 @@ def ref_logistic_gradient(weights: np.ndarray, Xb: np.ndarray, y: np.ndarray,
 
 def logistic_loss(weights: np.ndarray, Xb, y: np.ndarray, l2: float) -> float:
     """ml's mean log-loss plus (l2/2)||w||^2, bias excluded from the penalty.
-    Xb is ml rows (_Rows or _DenseRows) whose last column, the bias, is all
-    ones."""
-    return _loss_at(Xb.matvec(weights), weights, y, l2)
+    Xb is ml rows (_Rows or a dense array) whose last column, the bias, is
+    all ones."""
+    return _loss_at(Xb @ weights, weights, y, l2)
 
 
 def logistic_gradient(weights: np.ndarray, Xb, y: np.ndarray, l2: float) -> np.ndarray:
     """The gradient of logistic_loss, through ml's own gradient."""
-    return _gradient_at(Xb.matvec(weights), weights, Xb, y, l2)
+    return _gradient_at(Xb @ weights, weights, Xb, y, l2)
 
 
 def ref_train_classifier(X, y, n_features: Optional[int] = None, l2: float = 1.0,

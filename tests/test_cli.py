@@ -15,6 +15,7 @@ from convoforge import (Speaker, Utterance, build_corpus, import_tabular, identi
 from convoforge import cli, corpus_io, errors
 from convoforge.cli import main
 from convoforge.datasets import toy_movie_path
+from convoforge.model import _level_objects
 from helpers import child_env, random_corpus, write_non_object_meta
 
 
@@ -1006,6 +1007,53 @@ WORKLOAD_STAGES = {
     "fold": [{"name": "merge_consecutive"}, {"name": "hyperconvo"},
              {"name": "speaker_mix", "params": {"speaker_key": "gender"}}],
 }
+
+
+@pytest.mark.parametrize("spec", WORKLOAD_STAGES["forecast"][1:],
+                         ids=["classifier-conversation", "classifier-speaker", "forecaster"])
+@pytest.mark.parametrize("literal", FOREIGN_VALUES)
+def test_label_is_a_boolean_or_missing(tmp_path, capsys, literal, spec):
+    # The other objects alternate true and false, so both classes stay. A
+    # null label is missing: the classifier predicts as if the key were
+    # absent, and the forecaster, which needs every conversation's label,
+    # refuses it. Any other value that is not a bool is one stage error
+    # naming the object and the key.
+    level = spec["params"].get("level", "conversation")
+    key = spec["params"]["label_key"]
+    value = json.loads(literal)
+
+    def run(meta_of_target, name):
+        source = tmp_path / f"in-{name}"
+        shutil.copytree(toy_movie_path(), source)
+        file = source / f"{level}s.json"
+        objects = json.loads(file.read_text())
+        for i, record in enumerate(objects.values()):
+            record["meta"][key] = i % 2 == 0
+        meta_of_target(objects[target]["meta"])
+        file.write_text(json.dumps(objects))
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"output": str(tmp_path / name), "stages": [spec]}))
+        return main(["--quiet", "--corpus", str(source), "run", str(config)])
+
+    def predictions(name):
+        return {o.id: (o.meta["prediction"], o.meta["prediction_score"])
+                for o in _level_objects(load(tmp_path / name), level)}
+
+    target = random.Random(FOREIGN_VALUES.index(literal)).choice(
+        sorted(json.loads((toy_movie_path() / f"{level}s.json").read_text())))
+    code = run(lambda meta: meta.update({key: value}), "out")
+    err = capsys.readouterr().err
+    if isinstance(value, bool) or (value is None and spec["name"] == "classifier"):
+        assert (code, err) == (0, "")
+        if value is None:
+            assert run(lambda meta: meta.pop(key), "absent") == 0
+            assert predictions("out") == predictions("absent")
+    else:
+        assert code == 1
+        problem = (f"{level} {target!r} lacks label key {key!r}" if value is None
+                   else f"{level} {target!r}: {key!r} is not a boolean")
+        assert err.splitlines() == [f"error: stage 0 ({spec['name']}): {problem}"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestMainPausesGc:

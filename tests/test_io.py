@@ -201,6 +201,22 @@ class TestSaveLoad:
         with pytest.raises(CountMismatchError):
             load(tmp_path / "c")
 
+    @pytest.mark.parametrize("key", ["utterance_count", "conversation_count", "speaker_count"])
+    @pytest.mark.parametrize("literal", ['"1"', "null", "1.0", "true", "absent"])
+    def test_count_must_be_an_integer(self, tmp_path, key, literal):
+        # Each value but "absent" equals the true count of 1 under ==; none is
+        # a JSON integer, and a bool is not a count.
+        save(build_corpus([Utterance("u0", "ann", "c0", "hi", None, 1)]), tmp_path / "c")
+        path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest[key]
+        if literal != "absent":
+            manifest[key] = json.loads(literal)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(MalformedRecordError,
+                           match=f"^manifest.json: '{key}' is not an integer$"):
+            load(tmp_path / "c")
+
     def test_truncated_line_names_line_number(self, tmp_path):
         corpus = small_corpus()
         save(corpus, tmp_path / "c")

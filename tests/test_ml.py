@@ -191,9 +191,9 @@ class TestGradient:
             first = np.zeros((n, 1))
             first[np.cumsum(lengths) - lengths] = 1.0
             U = np.hstack([random_sparse(rng, n, v), first])
-            Xb = ml._DenseRows(ml._running_sums(ml._csr_rows(U, None).to_array(), lengths))
-            assert np.allclose(Xb.array, block_lower_ones(lengths) @ U, rtol=0, atol=1e-12)
-            assert Xb.array[:, -1].tolist() == [1.0] * n
+            Xb = ml._running_sums(ml._csr_rows(U, None).to_array(), lengths)
+            assert np.allclose(Xb, block_lower_ones(lengths) @ U, rtol=0, atol=1e-12)
+            assert Xb[:, -1].tolist() == [1.0] * n
             y = rng.integers(0, 2, size=n).astype(float)
             y[:2] = [0.0, 1.0]
             w = rng.normal(scale=0.5, size=v + 1)
@@ -229,8 +229,8 @@ class TestKernels:
             U = random_sparse(rng, n, v)
             rows = ml._csr_rows(U, None)
             w, r = rng.normal(size=v), rng.normal(size=n)
-            assert np.allclose(rows.matvec(w), U @ w, rtol=0, atol=1e-12)
-            assert np.allclose(rows.rmatvec(r), U.T @ r, rtol=0, atol=1e-12)
+            assert np.allclose(rows @ w, U @ w, rtol=0, atol=1e-12)
+            assert np.allclose(r @ rows, U.T @ r, rtol=0, atol=1e-12)
 
     def test_sparse_and_dense_inputs_build_the_same_rows(self):
         dense = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
@@ -238,7 +238,7 @@ class TestKernels:
         b = ml._csr_rows([{1: 2.0}, {}, {0: 1.0, 2: 3.0}], 3)
         for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
             assert x.tolist() == y.tolist()
-        assert a.n_features == b.n_features == 3
+        assert a.shape == b.shape == (3, 3)
 
     def test_with_ones_column(self):
         rng = np.random.default_rng(44)
@@ -252,7 +252,7 @@ class TestKernels:
             for x, y in ((got.indptr, expected.indptr), (got.indices, expected.indices),
                          (got.data, expected.data)):
                 assert x.tolist() == y.tolist()
-            assert got.n_features == v + 1
+            assert got.shape == (n, v + 1)
 
     def test_feature_index_out_of_range(self):
         for bad in (3, -1):
@@ -347,7 +347,7 @@ class TestForecaster:
         forecaster = Forecaster(label_key="doomed")
         forecaster.fit(corpus)
         utterances, lengths, rows = forecaster._utterance_rows(corpus)
-        assert rows.n_rows == len(utterances) == sum(lengths) == len(corpus.utterances)
+        assert rows.shape[0] == len(utterances) == sum(lengths) == len(corpus.utterances)
 
     def test_transform_of_an_empty_corpus(self):
         forecaster = Forecaster(label_key="doomed")

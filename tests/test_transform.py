@@ -26,6 +26,7 @@ from convoforge.errors import (
     NotFittedError,
     PipelineStageError,
 )
+from convoforge.model import _level_objects
 from convoforge.registry import REGISTRY, create_transformer
 
 
@@ -34,6 +35,18 @@ def two_class_corpus():
         Utterance("u0", "a", "c0", "alpha words here", None, 1, {"side": 1}),
         Utterance("u1", "b", "c0", "beta words there", "u0", 2, {"side": 2}),
     ])
+
+
+def labelled_toy():
+    """The toy corpus with "label" alternating at every level, in id order,
+    and "side" alternating over the utterances."""
+    corpus = load_toy_movie()
+    for level in ("utterance", "conversation", "speaker"):
+        for i, obj in enumerate(sorted(_level_objects(corpus, level), key=lambda o: o.id)):
+            obj.meta["label"] = i % 2 == 0
+            if level == "utterance":
+                obj.meta["side"] = i % 2
+    return corpus
 
 
 class TestTransformerContract:
@@ -158,6 +171,26 @@ class TestRegistry:
             with pytest.raises(ValueError, match=rf"^{name}: missing required parameters "
                                                  rf"\['{missing}'\]$"):
                 create_transformer(name, params)
+
+    @pytest.mark.parametrize("name", list(PARAMETERS))
+    def test_fit_contract(self, name):
+        # fitted is False until fit(); transform() before fit() raises
+        # NotFittedError for exactly the stages that require a fit, and every
+        # other stage transforms without one.
+        values = {"speaker_key": "gender", "class1": "side=0", "class2": "side=1",
+                  "label_key": "label"}
+        stage = create_transformer(name, {p: values[p] for p in self.PARAMETERS[name][0]})
+        assert stage.fitted is False
+        if stage.requires_fit:
+            with pytest.raises(NotFittedError):
+                stage.transform(labelled_toy())
+        else:
+            stage.transform(labelled_toy())
+        assert stage.fitted is False
+        corpus = labelled_toy()
+        assert stage.fit(corpus) is stage
+        assert stage.fitted is True
+        assert stage.transform(corpus) is corpus
 
     def test_unknown_transformer_rejected(self):
         with pytest.raises(ValueError, match="unknown transformer 'nope'; known: "):
