@@ -8,11 +8,13 @@ finite differences. The forecaster reuses it over cumulative bag-of-words
 prefixes of a conversation, scoring at each utterance the probability that
 the conversation's terminal label is positive.
 
+Each fit reads each document once: one count of its lowercased tokens
+feeds the vocabulary and the document's row alike, in order of first
+occurrence, and no per-document object is kept (see _bag_of_words).
 Rows are sparse and numpy-only: a CSR triple (indptr, indices, data) whose
 last column is the bias, with X @ w taken by np.add.reduceat over the row
 segments and Xᵀ r by summing each column's entries (see _HalvingSums).
-train_classifier, predict and the Classifier build no rows × features
-array. The forecaster keeps one sparse row per utterance, U; a prefix of a
+The forecaster keeps one sparse row per utterance, U; a prefix of a
 conversation is the running sum of its rows. Scoring every prefix is one
 product U @ w and running sums down each conversation. Training alone
 still multiplies a dense prefix array through BLAS (see Forecaster._fit).
@@ -24,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -86,34 +88,40 @@ def fit_vocabulary(
     objects = [o for o in _level_objects(corpus, level) if selector is None or selector(o)]
     if not objects:
         raise EmptySelectionError(f"no {level}s selected")
-    return _vocabulary(_documents(corpus, level, objects), min_df, max_terms)
-
-
-def _vocabulary(documents: Iterator[list[str]], min_df: int,
-                max_terms: Optional[int]) -> Vocabulary:
-    total: Counter[str] = Counter()
-    doc_freq: Counter[str] = Counter()
-    for tokens in documents:
-        tokens = [t.lower() for t in tokens]
-        total.update(tokens)
-        doc_freq.update(set(tokens))
-    terms = [t for t in total if doc_freq[t] >= min_df]
-    terms.sort(key=lambda t: (-total[t], t))
-    if max_terms is not None:
-        terms = terms[:max_terms]
-    return Vocabulary(
-        index={t: i for i, t in enumerate(terms)},
-        doc_freq={t: doc_freq[t] for t in terms},
-    )
+    return _bag_of_words(_documents(corpus, level, objects), None, min_df, max_terms)[0]
 
 
 def vectorize(vocab: Vocabulary, tokens: Sequence[str]) -> dict[int, float]:
-    """Sparse count vector of the lowercased tokens; out-of-vocabulary tokens
-    are dropped."""
-    hits = Counter(map(vocab.index.get, map(str.lower, tokens)))
-    hits.pop(None, None)
-    # In order of first occurrence: a row's entries, and so its sums, follow it.
-    return {i: float(n) for i, n in hits.items()}
+    """Sparse count vector of the lowercased tokens; out-of-vocabulary tokens are dropped."""
+    _, row = _bag_of_words([tokens], vocab)
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
+
+
+def _bag_of_words(documents: Iterable[Iterable[str]], vocab: Optional[Vocabulary] = None,
+                  min_df: int = 1, max_terms: Optional[int] = None) -> tuple[Vocabulary, _Rows]:
+    """Each document's lowercased tokens, counted once, as one row over the
+    vocabulary's columns, in order of first occurrence (a row's sums follow
+    it); out-of-vocabulary tokens are dropped. Without a vocabulary, one is
+    first fitted to the same counts, and no per-document object is kept."""
+    ids: dict[str, int] = {}  # every term seen, numbered in order of first sight
+    indptr, indices, data = [0], [], []
+    for tokens in documents:
+        counts = Counter(map(str.lower, tokens))
+        indices += [ids.setdefault(term, len(ids)) for term in counts]
+        data += counts.values()
+        indptr.append(len(indices))
+    terms, indices, data = list(ids), np.array(indices, dtype=np.intp), np.array(data, dtype=float)
+    if vocab is None:
+        total = np.bincount(indices, weights=data, minlength=len(terms)).tolist()
+        doc_freq = np.bincount(indices, minlength=len(terms)).tolist()
+        kept = sorted((i for i, df in enumerate(doc_freq) if df >= min_df),
+                      key=lambda i: (-total[i], terms[i]))[:max_terms]
+        vocab = Vocabulary(index={terms[i]: j for j, i in enumerate(kept)},
+                           doc_freq={terms[i]: doc_freq[i] for i in kept})
+    columns = np.array([vocab.index.get(term, -1) for term in terms], dtype=np.intp)[indices]
+    kept = columns >= 0
+    indptr = np.concatenate([[0], np.cumsum(kept)])[indptr]
+    return vocab, _Rows(indptr, columns[kept], data[kept], vocab.size)
 
 
 @dataclass
@@ -174,7 +182,7 @@ class _HalvingSums:
 
 
 class _Rows:
-    """Sparse rows in CSR form: row i holds the values
+    """Sparse rows in CSR form: row i holds the finite values
     data[indptr[i]:indptr[i + 1]] at the columns indices[indptr[i]:indptr[i + 1]].
     Like an array, they have a shape and take `rows @ w` and `r @ rows`."""
 
@@ -182,6 +190,10 @@ class _Rows:
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
                  n_features: int):
+        unfit = np.flatnonzero(~np.isfinite(data))
+        if unfit.size:
+            row = np.searchsorted(indptr, unfit[0], side="right") - 1
+            raise DimensionMismatchError(f"row {row} holds {data[unfit[0]]}, not a finite value")
         self.indptr, self.indices, self.data = indptr, indices, data
         self.shape = (len(indptr) - 1, n_features)
         self._filled = np.diff(indptr) > 0
@@ -236,8 +248,10 @@ def _running_sums(values: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
 
 
 def _csr_rows(X, n_features: Optional[int]) -> _Rows:
-    """The rows of a dense array (a 1-D array is one row), or of a list of
-    {feature index: value} dicts over n_features features."""
+    """The rows of a dense array (a 1-D array is one row), of a list of
+    {feature index: value} dicts over n_features features, or of _Rows."""
+    if isinstance(X, _Rows):
+        return X
     if isinstance(X, np.ndarray):
         dense = np.asarray(X, dtype=float)
         if dense.ndim == 1:
@@ -246,6 +260,9 @@ def _csr_rows(X, n_features: Optional[int]) -> _Rows:
         indptr = np.zeros(len(dense) + 1, dtype=np.intp)
         np.cumsum(np.bincount(row, minlength=len(dense)), out=indptr[1:])
         return _Rows(indptr, col, dense[row, col], dense.shape[1])
+    for i, counts in enumerate(X):
+        if not isinstance(counts, dict):
+            raise DimensionMismatchError(f"row {i} is not a {{feature index: value}} dict")
     if n_features is None:
         raise DimensionMismatchError("n_features is required for sparse inputs")
     indptr = np.zeros(len(X) + 1, dtype=np.intp)
@@ -303,6 +320,8 @@ def train_classifier(
 
 def _checked_labels(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or not np.isfinite(y).all():
+        raise DimensionMismatchError("labels must be a flat sequence of finite numbers")
     if len(y) < 2:
         raise DegenerateLabelsError("need at least two training examples")
     if len(set(y.tolist())) < 2:
@@ -392,16 +411,15 @@ class Classifier(_LinearStage):
             raise EmptySelectionError(
                 f"no {self.level}s carry label key {self.label_key!r}"
             )
-        self.vocab = _vocabulary(_documents(corpus, self.level, labelled), self.min_df,
-                                 self.max_terms)
-        X = [vectorize(self.vocab, doc) for doc in _documents(corpus, self.level, labelled)]
-        self.model = train_classifier(X, y, n_features=self.vocab.size, l2=self.l2,
-                                      epochs=self.epochs, learning_rate=self.learning_rate)
+        self.vocab, rows = _bag_of_words(_documents(corpus, self.level, labelled), None,
+                                         self.min_df, self.max_terms)
+        self.model = train_classifier(rows, y, l2=self.l2, epochs=self.epochs,
+                                      learning_rate=self.learning_rate)
 
     def _transform(self, corpus: Corpus) -> None:
         objects = _level_objects(corpus, self.level)
-        labels, scores = predict(self.model, [
-            vectorize(self.vocab, doc) for doc in _documents(corpus, self.level, objects)])
+        _, rows = _bag_of_words(_documents(corpus, self.level, objects), self.vocab)
+        labels, scores = predict(self.model, rows)
         for obj, label, score in zip(objects, labels.tolist(), scores.tolist()):
             self._annotate(obj, label)
             self._annotate(obj, score, key="prediction_score")
@@ -421,29 +439,31 @@ class Forecaster(_LinearStage):
     Training has one example per prefix of each labelled conversation:
     the cumulative bag-of-words of its first k utterances in traversal
     order, labelled with the conversation's terminal label. Each
-    utterance's own bag-of-words is a sparse row; training takes running
-    sums of those rows into a dense prefix array (see _fit), and
-    scoring takes running sums of their products with the weights, so the
-    prefixes are never scored one at a time.
+    utterance's bag-of-words, counted in the walk that fits the vocabulary,
+    is a sparse row; training takes running sums of those rows into a dense
+    prefix array (see _fit), and scoring takes running sums of their
+    products with the weights, so the prefixes are never scored one at a time.
     """
 
     name = "forecaster"
     level = "conversation"
     annotation_key = "forecast_final"
 
-    def _utterance_rows(self, corpus: Corpus) -> tuple[list[Utterance], list[int], _Rows]:
+    def _utterance_rows(self, corpus: Corpus, vocab: Optional[Vocabulary] = None
+                        ) -> tuple[list[Utterance], list[int], _Rows]:
         """Every utterance, conversation by conversation in traversal order;
         the conversations' lengths; and each utterance's own bag-of-words
         row, whose bias column holds 1.0 on each conversation's first
-        utterance only, so that its running sums are all ones."""
+        utterance only, so that its running sums are all ones. Without a
+        vocabulary, self.vocab is first fitted to the same counts."""
         utterances: list[Utterance] = []
         lengths = []
         for convo in corpus.conversations.values():
             walk = traverse(corpus, convo.id, "bfs")
             utterances.extend(walk)
             lengths.append(len(walk))
-        rows = _csr_rows([vectorize(self.vocab, _words([utt])) for utt in utterances],
-                         self.vocab.size)
+        self.vocab, rows = _bag_of_words((_words([utt]) for utt in utterances), vocab,
+                                         self.min_df, self.max_terms)
         first = np.zeros(len(utterances), dtype=bool)
         first[np.cumsum(lengths, dtype=np.intp) - np.asarray(lengths, dtype=np.intp)] = True
         return utterances, lengths, rows.with_ones_column(first)
@@ -457,8 +477,8 @@ class Forecaster(_LinearStage):
                     f"conversation {convo.id!r} lacks label key {self.label_key!r}"
                 )
             labels[convo.id] = float(label)
-        self.vocab = fit_vocabulary(corpus, "utterance", min_df=self.min_df,
-                                    max_terms=self.max_terms)
+        if not corpus.utterances:
+            raise EmptySelectionError("no utterances selected")
         utterances, lengths, rows = self._utterance_rows(corpus)
         y = [labels[utt.conversation_id] for utt in utterances]
         # The prefixes are a dense array, multiplied through BLAS: with the
@@ -470,7 +490,7 @@ class Forecaster(_LinearStage):
                               self.learning_rate)
 
     def _transform(self, corpus: Corpus) -> None:
-        utterances, lengths, rows = self._utterance_rows(corpus)
+        utterances, lengths, rows = self._utterance_rows(corpus, self.vocab)
         _, scores = _labelled_scores(_running_sums(rows @ self.model.weights, lengths))
         scores = scores.tolist()
         for utt, score in zip(utterances, scores):

@@ -1,6 +1,7 @@
 import copy
 import inspect
 import random
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from helpers import random_corpus
 from reference import (
     logistic_gradient,
     logistic_loss,
+    ref_bfs,
     ref_classify,
     ref_fit_vocabulary,
     ref_forecast,
@@ -102,6 +104,97 @@ class TestVectorize:
                 assert list(counts.items()) == list(ref_vectorize(vocab, tokens).items())
 
 
+class TestExactRows:
+    """Each stage fits the vocabulary of the counting loops
+    (reference.ref_fit_vocabulary) and builds its rows as ref_vectorize
+    would: every index and document frequency with its type, and every
+    row's entries in the same order, which the row's sums follow. A row
+    merely close to the loops' would pass TestDenseOracle."""
+
+    def spy_on_rows(self, monkeypatch):
+        """Every _Rows given a bias column, in call order: a Classifier's in
+        train_classifier and predict, a Forecaster's in _utterance_rows."""
+        seen = []
+        with_ones_column = ml._Rows.with_ones_column
+
+        def spy(rows, where):
+            seen.append(rows)
+            return with_ones_column(rows, where)
+
+        monkeypatch.setattr(ml._Rows, "with_ones_column", spy)
+        return seen
+
+    def assert_same_vocabulary(self, vocab, expected):
+        for got, want in ((vocab.index, expected.index), (vocab.doc_freq, expected.doc_freq)):
+            assert [(k, type(v), v) for k, v in got.items()] == \
+                [(k, type(v), v) for k, v in want.items()]
+
+    def assert_same_rows(self, rows, vocab, documents):
+        expected = ml._csr_rows([ref_vectorize(vocab, doc) for doc in documents], vocab.size)
+        for got, want in ((rows.indptr, expected.indptr), (rows.indices, expected.indices),
+                          (rows.data, expected.data)):
+            assert got.dtype.kind == want.dtype.kind
+            assert got.tolist() == want.tolist()
+        assert rows.shape == expected.shape
+
+    def check(self, seen, corpus, min_df, max_terms):
+        """Compares every stage whose labels can train; returns how many."""
+        params = {"min_df": min_df, "max_terms": max_terms, "epochs": 2}
+        compared = 0
+        for level in LEVELS:
+            objects = _level_objects(corpus, level)
+            for i, obj in enumerate(objects):
+                obj.meta["label"] = None if i % 3 == 2 else i % 3 == 0
+            labelled = [o for o in objects if o.meta["label"] is not None]
+            if len({o.meta["label"] for o in labelled}) < 2:
+                continue
+            seen.clear()
+            stage = Classifier("label", level=level, **params)
+            stage.fit_transform(corpus)
+            expected = ref_fit_vocabulary(corpus, level, lambda o: o.meta["label"] is not None,
+                                          min_df, max_terms)
+            self.assert_same_vocabulary(stage.vocab, expected)
+            assert len(seen) == 2
+            self.assert_same_rows(seen[0], expected, ml._documents(corpus, level, labelled))
+            self.assert_same_rows(seen[1], expected, ml._documents(corpus, level, objects))
+            compared += 1
+        for i, convo in enumerate(corpus.conversations.values()):
+            convo.meta["label"] = i % 2 == 0
+        if len(corpus.conversations) >= 2:
+            seen.clear()
+            stage = Forecaster("label", **params)
+            stage.fit_transform(corpus)
+            expected = ref_fit_vocabulary(corpus, "utterance", None, min_df, max_terms)
+            walk = [ml._words([utt]) for convo in corpus.conversations.values()
+                    for utt in ref_bfs(corpus.utterances_in(convo.id))]
+            self.assert_same_vocabulary(stage.vocab, expected)
+            for rows in seen:
+                self.assert_same_rows(rows, expected, walk)
+            assert len(seen) == 2
+            compared += 1
+        return compared
+
+    def test_stages_on_random_corpora(self, monkeypatch):
+        seen = self.spy_on_rows(monkeypatch)
+        rng = random.Random(54)
+        compared = 0
+        for i in range(45):
+            corpus = random_corpus(rng, min_utterances=4, max_utterances=40)
+            compared += self.check(seen, corpus, min_df=1 + i % 3,
+                                   max_terms=[None, 1, 5][i // 3 % 3])
+        assert compared >= 120
+
+    def test_documents_without_terms_in_the_vocabulary(self, monkeypatch):
+        seen = self.spy_on_rows(monkeypatch)
+        empty = build_corpus([
+            Utterance(f"c{c}_u{j}", f"s{j % 2}", f"c{c}", "", None if j == 0 else f"c{c}_u0", j)
+            for c in range(3) for j in range(3)])
+        assert self.check(seen, empty, min_df=1, max_terms=None) == 4
+        corpus = random_corpus(random.Random(55), min_utterances=20, max_utterances=40)
+        # Above every level's document count, so the vocabulary is empty.
+        assert self.check(seen, corpus, min_df=len(corpus.utterances) + 1, max_terms=None) == 4
+
+
 class TestTrainClassifier:
     def separable(self):
         X = np.array([[-1.0], [-1.0], [1.0], [1.0]])
@@ -154,6 +247,39 @@ class TestTrainClassifier:
                                  learning_rate=0.5)
         labels, _ = predict(model, X)
         assert labels.tolist() == [True, False, True, False]
+
+
+class TestInputFaults:
+    """Rows and labels that cannot form a training set raise
+    DimensionMismatchError naming the row or the labels, before any
+    arithmetic: a NaN would otherwise train to NaN weights."""
+
+    def test_a_list_is_not_a_sparse_row(self):
+        message = re.escape("row 0 is not a {feature index: value} dict")
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            predict(LinearModel(weights=np.zeros(3)), [[1.0, 2.0, 3.0]])
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            train_classifier([[1.0, 0.0], [0.0]], [0, 1])
+        with pytest.raises(DimensionMismatchError, match="^row 1 is not a "):
+            train_classifier([{0: 1.0}, (0, 1.0)], [0, 1], n_features=2)
+
+    def test_labels_must_be_flat_and_finite(self):
+        X = [{0: 1.0}, {1: 1.0}]
+        for y in ([[0], [1]], [0.0, float("nan")], [float("inf"), 0.0], 1.0):
+            with pytest.raises(DimensionMismatchError,
+                               match="^labels must be a flat sequence of finite numbers$"):
+                train_classifier(X, y, n_features=2)
+
+    def test_non_finite_values_name_their_row(self):
+        model = LinearModel(weights=np.zeros(3))
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            dense = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, bad]])
+            sparse = [{0: 1.0}, {}, {1: 2.0, 0: bad}]
+            for X in (dense, sparse):
+                with pytest.raises(DimensionMismatchError, match=f"^row 2 holds {bad}, not a "):
+                    train_classifier(X, [0.0, 1.0, 1.0], n_features=2)
+                with pytest.raises(DimensionMismatchError, match=f"^row 2 holds {bad}, not a "):
+                    predict(model, X)
 
 
 def assert_gradient_matches_finite_differences(w, Xb, y, l2):
@@ -416,6 +542,50 @@ class TestClassifierTransformer:
     def test_unknown_level_refused_by_the_constructor(self):
         with pytest.raises(ValueError, match=r"^unknown level 'x'; expected one of "):
             Classifier(label_key="doomed", level="x")
+
+
+class TestFitThenTransform:
+    """A stage fitted to one corpus and then applied to a copy writes
+    exactly the annotations fit_transform writes; the fit writes none."""
+
+    def stages(self):
+        return [Classifier("label", level=level, epochs=20) for level in LEVELS] + \
+            [Forecaster("label", epochs=20)]
+
+    def annotations(self, corpus):
+        return [(obj.id, obj.meta) for obj in (*corpus.utterances.values(),
+                                               *corpus.conversations.values(),
+                                               *corpus.speakers.values())]
+
+    def test_on_random_corpora(self):
+        rng = random.Random(56)
+        for _ in range(12):
+            corpus = random_corpus(rng, min_utterances=12, max_utterances=40)
+            for level in LEVELS:
+                for i, obj in enumerate(_level_objects(corpus, level)):
+                    obj.meta["label"] = i % 2 == 0
+            if min(len(_level_objects(corpus, level)) for level in LEVELS) < 2:
+                continue
+            for stage, fresh in zip(self.stages(), self.stages()):
+                before = copy.deepcopy(self.annotations(corpus))
+                applied, expected = copy.deepcopy(corpus), copy.deepcopy(corpus)
+                stage.fit(corpus)
+                assert self.annotations(corpus) == before
+                stage.transform(applied)
+                fresh.fit_transform(expected)
+                assert self.annotations(applied) == self.annotations(expected) != before
+
+    def test_empty_and_unlabelled_corpora(self):
+        unlabelled = labelled_conversations()
+        for corpus in (build_corpus([]), unlabelled):
+            for level in LEVELS:
+                with pytest.raises(EmptySelectionError,
+                                   match=f"^no {level}s carry label key 'label'$"):
+                    Classifier("label", level=level).fit(corpus)
+        with pytest.raises(EmptySelectionError, match="^no utterances selected$"):
+            Forecaster("label").fit(build_corpus([]))
+        with pytest.raises(MissingLabelError, match="^conversation 'p0' lacks label key 'label'$"):
+            Forecaster("label").fit(unlabelled)
 
 
 def test_forecaster_takes_the_classifier_parameters_but_level():
