@@ -18,13 +18,16 @@ including a standard output closed early (as by ``| head``).
 Parsing the arguments loads nothing of the package but ``errors``; each
 command imports the modules it uses, and ``run`` only those of the stages
 its config names. A command runs with the cyclic garbage collector paused
-(``corpus_io._paused_gc`` says why that is safe).
+(``corpus_io._paused_gc`` says why that is safe). ``main`` then gives the
+caller's state back; run as a program (``console_main``), it leaves the
+collector off until the process ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import logging
 import os
 import sys
@@ -302,5 +305,15 @@ def main(argv=None) -> int:
             return _fail(str(exc), exc.exit_code)
 
 
-if __name__ == "__main__":
+def console_main() -> None:
+    """``python -m convoforge.cli`` and the ``convoforge`` script. The
+    process ends with the command, so the collector stays off after it:
+    given back, it would start a collection over everything the command
+    left at the next allocation, that of ``SystemExit``, just before the
+    interpreter's own collection at exit."""
+    gc.disable()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -17,7 +17,10 @@ segments and Xᵀ r by summing each column's entries (see _HalvingSums).
 The forecaster keeps one sparse row per utterance, U; a prefix of a
 conversation is the running sum of its rows. Scoring every prefix is one
 product U @ w and running sums down each conversation. Training alone
-still multiplies a dense prefix array through BLAS (see Forecaster._fit).
+still multiplies a dense prefix array through BLAS, because
+benchmarks/reference.json pins the rounding of those products (ROADMAP
+items 1-3). Forecaster._fit scatters U into that array, drops U, and takes
+the running sums in place, so the array is the only large thing it holds.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
+from numbers import Integral, Real
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -219,12 +223,6 @@ class _Rows:
         data, row_of, column_sums = self._by_feature
         return column_sums(data * r[row_of])
 
-    def to_array(self) -> np.ndarray:
-        """The rows as a dense rows × features array."""
-        array = np.zeros(self.shape)
-        array[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
-        return array
-
     def with_ones_column(self, where: np.ndarray) -> _Rows:
         """These rows and one more column, holding 1.0 in the rows where
         `where` is true."""
@@ -235,14 +233,16 @@ class _Rows:
 
 
 def _running_sums(values: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-    """Cumulative sums, in place along the first axis, within each run of
-    `lengths` consecutive entries: no sum carries over from one run into the
-    next, as a global cumulative sum minus its value at each run's start
-    would, with a cancellation error that grows with the number of runs."""
+    """Cumulative sums of a vector, in place, within each run of `lengths`
+    consecutive entries: no sum carries over from one run into the next, as
+    a global cumulative sum minus its value at each run's start would, with
+    a cancellation error that grows with the number of runs. The forecaster
+    scores its prefixes with it; its training array sums its own rows (see
+    Forecaster._fit)."""
     start = 0
     for length in lengths:
         run = values[start:start + length]
-        np.cumsum(run, axis=0, out=run)
+        np.cumsum(run, out=run)
         start += length
     return values
 
@@ -253,6 +253,8 @@ def _csr_rows(X, n_features: Optional[int]) -> _Rows:
     if isinstance(X, _Rows):
         return X
     if isinstance(X, np.ndarray):
+        if X.ndim > 2:
+            raise DimensionMismatchError(f"X has {X.ndim} dimensions; rows need 1 or 2")
         dense = np.asarray(X, dtype=float)
         if dense.ndim == 1:
             dense = dense.reshape(1, -1)
@@ -263,6 +265,12 @@ def _csr_rows(X, n_features: Optional[int]) -> _Rows:
     for i, counts in enumerate(X):
         if not isinstance(counts, dict):
             raise DimensionMismatchError(f"row {i} is not a {{feature index: value}} dict")
+        for index, value in counts.items():
+            if not isinstance(index, Integral):
+                raise DimensionMismatchError(f"row {i}: feature index {index!r} is not an integer")
+            if not isinstance(value, Real):
+                raise DimensionMismatchError(
+                    f"row {i}: value {value!r} of feature {index} is not a number")
     if n_features is None:
         raise DimensionMismatchError("n_features is required for sparse inputs")
     indptr = np.zeros(len(X) + 1, dtype=np.intp)
@@ -319,9 +327,13 @@ def train_classifier(
 
 
 def _checked_labels(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or not np.isfinite(y).all():
+    try:
+        y = np.asarray(y)
+    except ValueError:  # ragged, as [[0], [1, 2]]
+        y = None
+    if y is None or y.ndim != 1 or y.dtype.kind not in "biuf" or not np.isfinite(y).all():
         raise DimensionMismatchError("labels must be a flat sequence of finite numbers")
+    y = y.astype(float)
     if len(y) < 2:
         raise DegenerateLabelsError("need at least two training examples")
     if len(set(y.tolist())) < 2:
@@ -440,9 +452,10 @@ class Forecaster(_LinearStage):
     the cumulative bag-of-words of its first k utterances in traversal
     order, labelled with the conversation's terminal label. Each
     utterance's bag-of-words, counted in the walk that fits the vocabulary,
-    is a sparse row; training takes running sums of those rows into a dense
-    prefix array (see _fit), and scoring takes running sums of their
-    products with the weights, so the prefixes are never scored one at a time.
+    is a sparse row. Training scatters those rows into a dense prefix
+    array, drops them, and takes running sums down each conversation in
+    place (see _fit); scoring takes running sums of their products with the
+    weights, so the prefixes are never scored one at a time.
     """
 
     name = "forecaster"
@@ -453,9 +466,8 @@ class Forecaster(_LinearStage):
                         ) -> tuple[list[Utterance], list[int], _Rows]:
         """Every utterance, conversation by conversation in traversal order;
         the conversations' lengths; and each utterance's own bag-of-words
-        row, whose bias column holds 1.0 on each conversation's first
-        utterance only, so that its running sums are all ones. Without a
-        vocabulary, self.vocab is first fitted to the same counts."""
+        row, without a bias column. Without a vocabulary, self.vocab is
+        first fitted to the same counts."""
         utterances: list[Utterance] = []
         lengths = []
         for convo in corpus.conversations.values():
@@ -464,9 +476,7 @@ class Forecaster(_LinearStage):
             lengths.append(len(walk))
         self.vocab, rows = _bag_of_words((_words([utt]) for utt in utterances), vocab,
                                          self.min_df, self.max_terms)
-        first = np.zeros(len(utterances), dtype=bool)
-        first[np.cumsum(lengths, dtype=np.intp) - np.asarray(lengths, dtype=np.intp)] = True
-        return utterances, lengths, rows.with_ones_column(first)
+        return utterances, lengths, rows
 
     def _fit(self, corpus: Corpus) -> None:
         labels = {}
@@ -480,17 +490,35 @@ class Forecaster(_LinearStage):
         if not corpus.utterances:
             raise EmptySelectionError("no utterances selected")
         utterances, lengths, rows = self._utterance_rows(corpus)
-        y = [labels[utt.conversation_id] for utt in utterances]
+        y = _checked_labels([labels[utt.conversation_id] for utt in utterances])
         # The prefixes are a dense array, multiplied through BLAS: with the
         # default step on raw prefix counts training can diverge, and its
         # weights then amplify any change in the rounding of these products,
-        # so they keep BLAS's own summation order.
-        prefixes = _running_sums(rows.to_array(), lengths)
-        self.model = _descend(prefixes, _checked_labels(y), self.l2, self.epochs,
-                              self.learning_rate)
+        # so they keep BLAS's own summation order, which
+        # benchmarks/reference.json pins (ROADMAP items 1-3). The array is
+        # built in place, and the rows are dropped before its sums: the bias
+        # column is all ones (the running sum of a 1.0 on each
+        # conversation's first row), and every other row of a conversation
+        # adds the one before it, as cumsum would, with no temporary.
+        n, n_terms = rows.shape
+        prefixes = np.zeros((n, n_terms + 1))
+        prefixes[np.repeat(np.arange(n), np.diff(rows.indptr)), rows.indices] = rows.data
+        del rows
+        prefixes[:, -1] = 1.0
+        start = 0
+        for length in lengths:
+            for i in range(start + 1, start + length):
+                prefixes[i, :-1] += prefixes[i - 1, :-1]
+            start += length
+        self.model = _descend(prefixes, y, self.l2, self.epochs, self.learning_rate)
 
     def _transform(self, corpus: Corpus) -> None:
         utterances, lengths, rows = self._utterance_rows(corpus, self.vocab)
+        # The bias weight joins each conversation's first row inside that
+        # row's sum, so that the running sums add it once to every prefix.
+        first = np.zeros(len(utterances), dtype=bool)
+        first[np.cumsum(lengths, dtype=np.intp) - np.asarray(lengths, dtype=np.intp)] = True
+        rows = rows.with_ones_column(first)
         _, scores = _labelled_scores(_running_sums(rows @ self.model.weights, lengths))
         scores = scores.tolist()
         for utt, score in zip(utterances, scores):

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import random
+import runpy
 import shutil
 import subprocess
 import sys
@@ -1103,6 +1104,41 @@ class TestMainPausesGc:
             gc.callbacks.remove(spy)
         assert code == 0
         assert collections == 0
+
+    def test_no_collection_after_main_in_a_program_run(self, monkeypatch, capsys):
+        # Run as a program, the process ends with the command, so the
+        # collector stays off after main: otherwise the allocation of
+        # SystemExit starts a collection over all the command left (here,
+        # among others, the parser that the module's fresh copy builds).
+        monkeypatch.setattr(sys, "argv", ["convoforge", "--corpus", str(toy_movie_path()),
+                                          "validate"])
+        # As under `python -m`, the module is not imported before it runs.
+        monkeypatch.delitem(sys.modules, "convoforge.cli")
+        returned, starts = [], []
+
+        def profile(frame, event, arg):
+            if (event == "return" and frame.f_code.co_name == "main"
+                    and frame.f_globals.get("__name__") == "__main__"):
+                returned.append(True)
+
+        def spy(phase, info):
+            if phase == "start" and returned:
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(spy)
+        sys.setprofile(profile)
+        try:
+            with pytest.raises(SystemExit) as raised:
+                runpy.run_module("convoforge.cli", run_name="__main__")
+        finally:
+            sys.setprofile(None)
+            gc.callbacks.remove(spy)
+        assert raised.value.code == 0
+        assert capsys.readouterr().out == "ok\n"
+        assert returned == [True]
+        assert starts == []
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("code", [0, 1, 2])

@@ -2,6 +2,8 @@ import copy
 import inspect
 import random
 import re
+import weakref
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from convoforge.ml import LinearModel
 from convoforge.model import LEVELS, _level_objects, speaker_history
 from convoforge.registry import create_transformer
 from convoforge.textprep import utterance_tokens
-from helpers import random_corpus
+from helpers import random_corpus, random_text
 from reference import (
     logistic_gradient,
     logistic_loss,
@@ -112,16 +114,26 @@ class TestExactRows:
     merely close to the loops' would pass TestDenseOracle."""
 
     def spy_on_rows(self, monkeypatch):
-        """Every _Rows given a bias column, in call order: a Classifier's in
-        train_classifier and predict, a Forecaster's in _utterance_rows."""
+        """Every _Rows a stage builds from its documents, in call order: a
+        Classifier's as train_classifier and predict give them a bias
+        column; a Forecaster's as _utterance_rows returns them to _fit and
+        to _transform, and the latter's again as _transform gives them a
+        bias column."""
         seen = []
         with_ones_column = ml._Rows.with_ones_column
+        utterance_rows = Forecaster._utterance_rows
 
-        def spy(rows, where):
+        def bias_spy(rows, where):
             seen.append(rows)
             return with_ones_column(rows, where)
 
-        monkeypatch.setattr(ml._Rows, "with_ones_column", spy)
+        def rows_spy(stage, corpus, vocab=None):
+            utterances, lengths, rows = utterance_rows(stage, corpus, vocab)
+            seen.append(rows)
+            return utterances, lengths, rows
+
+        monkeypatch.setattr(ml._Rows, "with_ones_column", bias_spy)
+        monkeypatch.setattr(Forecaster, "_utterance_rows", rows_spy)
         return seen
 
     def assert_same_vocabulary(self, vocab, expected):
@@ -170,7 +182,8 @@ class TestExactRows:
             self.assert_same_vocabulary(stage.vocab, expected)
             for rows in seen:
                 self.assert_same_rows(rows, expected, walk)
-            assert len(seen) == 2
+            assert len(seen) == 3
+            assert seen[2] is seen[1]
             compared += 1
         return compared
 
@@ -270,6 +283,47 @@ class TestInputFaults:
                                match="^labels must be a flat sequence of finite numbers$"):
                 train_classifier(X, y, n_features=2)
 
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(ml, "_descend", fail)
+
+    def test_string_labels(self, no_training):
+        for y in (["a", "b"], ["0", "1"]):
+            with pytest.raises(DimensionMismatchError,
+                               match="^labels must be a flat sequence of finite numbers$"):
+                train_classifier([{0: 1.0}, {1: 1.0}], y, n_features=2)
+
+    def test_ragged_labels(self, no_training):
+        with pytest.raises(DimensionMismatchError,
+                           match="^labels must be a flat sequence of finite numbers$"):
+            train_classifier([{0: 1.0}, {1: 1.0}], [[0], [1, 2]], n_features=2)
+
+    def test_three_dimensional_rows_in_train_classifier(self, no_training):
+        with pytest.raises(DimensionMismatchError, match="^X has 3 dimensions; rows need 1 or 2$"):
+            train_classifier(np.ones((2, 2, 2)), [0.0, 1.0])
+
+    def test_three_dimensional_rows_in_predict(self):
+        with pytest.raises(DimensionMismatchError, match="^X has 3 dimensions; rows need 1 or 2$"):
+            predict(LinearModel(weights=np.zeros(3)), np.ones((2, 2, 2)))
+
+    def test_sparse_row_with_a_string_index(self, no_training):
+        message = re.escape("row 1: feature index 'a' is not an integer")
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            train_classifier([{0: 1.0}, {"a": 1.0}], [0, 1], n_features=2)
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            predict(LinearModel(weights=np.zeros(3)), [{0: 1.0}, {"a": 1.0}])
+
+    def test_sparse_row_with_a_string_value(self, no_training):
+        for value in ("x", "1.5"):
+            message = re.escape(f"row 0: value {value!r} of feature 1 is not a number")
+            with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+                train_classifier([{1: value}, {0: 1.0}], [0, 1], n_features=2)
+            with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+                predict(LinearModel(weights=np.zeros(3)), [{1: value}])
+
     def test_non_finite_values_name_their_row(self):
         model = LinearModel(weights=np.zeros(3))
         for bad in (float("nan"), float("inf"), -float("inf")):
@@ -308,21 +362,16 @@ class TestGradient:
             l2 = float(rng.uniform(0.0, 1.0))
             assert_gradient_matches_finite_differences(w, Xb, y, l2)
 
-    def test_prefix_array_matches_central_finite_differences(self):
+    def test_prefix_array_matches_central_finite_differences(self, monkeypatch):
         rng = np.random.default_rng(43)
-        for lengths in ([1, 4, 2, 7, 3], [6, 1, 2], [2, 9, 1, 1, 4, 3]):
-            n, v = sum(lengths), int(rng.integers(1, 8))
-            # The bias column of U holds 1.0 on each conversation's first
-            # utterance, so that of L·U is all ones.
-            first = np.zeros((n, 1))
-            first[np.cumsum(lengths) - lengths] = 1.0
-            U = np.hstack([random_sparse(rng, n, v), first])
-            Xb = ml._running_sums(ml._csr_rows(U, None).to_array(), lengths)
-            assert np.allclose(Xb, block_lower_ones(lengths) @ U, rtol=0, atol=1e-12)
-            assert Xb[:, -1].tolist() == [1.0] * n
-            y = rng.integers(0, 2, size=n).astype(float)
-            y[:2] = [0.0, 1.0]
-            w = rng.normal(scale=0.5, size=v + 1)
+        for seed, lengths in enumerate(([1, 4, 2, 7, 3], [6, 1, 2], [2, 9, 1, 1, 4, 3])):
+            corpus = conversations_of(random.Random(seed), lengths)
+            (Xb, y), = forecaster_training(monkeypatch, corpus)
+            U, walk_lengths = dense_utterance_rows(corpus)
+            assert walk_lengths == lengths
+            assert np.array_equal(Xb, block_lower_ones(lengths) @ U)
+            assert Xb[:, -1].tolist() == [1.0] * sum(lengths)
+            w = rng.normal(scale=0.5, size=Xb.shape[1])
             l2 = float(rng.uniform(0.0, 1.0))
             assert_gradient_matches_finite_differences(w, Xb, y, l2)
 
@@ -334,6 +383,55 @@ def random_sparse(rng, n, v):
     U[rng.integers(0, n)] = 0.0
     U[:, rng.integers(0, v)] = 0.0
     return U
+
+
+def conversations_of(rng, lengths):
+    """A tokenized corpus with one conversation of each length, each a
+    random reply tree of short texts over a small word list (so terms
+    repeat, and some utterances are empty), labelled alternately."""
+    utterances = []
+    for c, length in enumerate(lengths):
+        ids = [f"c{c}_u{j}" for j in range(length)]
+        utterances += [Utterance(uid, f"s{j % 3}", f"c{c}", random_text(rng),
+                                 None if j == 0 else rng.choice(ids[:j]), j)
+                       for j, uid in enumerate(ids)]
+    corpus = build_corpus(utterances)
+    Tokenizer().transform(corpus)
+    for i, convo in enumerate(corpus.conversations.values()):
+        convo.meta["label"] = i % 2 == 0
+    return corpus
+
+
+def forecaster_training(monkeypatch, corpus, **params):
+    """The (prefix array, labels) that each Forecaster fit on the corpus
+    hands to training, seen at _descend."""
+    trained = []
+    descend = ml._descend
+
+    def spy(Xb, y, *args):
+        trained.append((Xb, y))
+        return descend(Xb, y, *args)
+
+    monkeypatch.setattr(ml, "_descend", spy)
+    Forecaster("label", epochs=1, **params).fit(corpus)
+    return trained
+
+
+def dense_utterance_rows(corpus, min_df=1, max_terms=None):
+    """U, the counting loops' dense row of each utterance, conversation by
+    conversation in traversal order, with a bias column holding 1.0 on each
+    conversation's first utterance only (so that the running sums of that
+    column are all ones); and the conversations' lengths."""
+    vocab = ref_fit_vocabulary(corpus, "utterance", None, min_df, max_terms)
+    walks = [ref_bfs(corpus.utterances_in(convo.id)) for convo in corpus.conversations.values()]
+    lengths = [len(walk) for walk in walks]
+    U = np.zeros((sum(lengths), vocab.size + 1))
+    for i, utt in enumerate(chain.from_iterable(walks)):
+        tokens = [tok for sentence in utterance_tokens(utt) for tok in sentence]
+        for j, count in ref_vectorize(vocab, tokens).items():
+            U[i, j] = count
+    U[np.cumsum(lengths) - lengths, -1] = 1.0
+    return U, lengths
 
 
 def block_lower_ones(lengths):
@@ -387,13 +485,6 @@ class TestKernels:
         with pytest.raises(DimensionMismatchError, match="n_features is required"):
             ml._csr_rows([{0: 1.0}], None)
 
-    def test_to_array_rebuilds_the_dense_rows(self):
-        rng = np.random.default_rng(45)
-        for _ in range(20):
-            U = random_sparse(rng, int(rng.integers(1, 12)), int(rng.integers(1, 6)))
-            assert np.array_equal(ml._csr_rows(U, None).to_array(), U)
-        assert ml._csr_rows([{}, {}], 3).to_array().tolist() == [[0.0] * 3] * 2
-
     def test_running_sums_match_block_lower_triangular_products(self):
         rng = np.random.default_rng(42)
         for lengths in ([1], [3], [1, 4, 2, 7, 3], [9, 1, 1, 16, 5], [1, 1, 1]):
@@ -402,7 +493,6 @@ class TestKernels:
             L = block_lower_ones(lengths)
             w = rng.normal(size=v)
             assert np.allclose(ml._running_sums(U @ w, lengths), L @ U @ w, rtol=0, atol=1e-12)
-            assert np.allclose(ml._running_sums(U.copy(), lengths), L @ U, rtol=0, atol=1e-12)
 
     def test_running_sums_do_not_cancel_across_conversations(self):
         # A running total carried over from a conversation of huge values
@@ -410,6 +500,65 @@ class TestKernels:
         big = [1e17, 1e17, 1e17]
         sums = ml._running_sums(np.array(big + [1.0, 1.0, 1.0]), [3, 3])
         assert sums.tolist()[3:] == [1.0, 2.0, 3.0]
+
+
+class TestPrefixArray:
+    """The forecaster trains on the prefix array L·U: U holds each
+    utterance's count row and a bias column of 1.0 on each conversation's
+    first utterance, and L is block lower-triangular ones over the
+    conversations. On count data every sum is exact, so the array must
+    equal the product exactly."""
+
+    def test_one_utterance_conversations_give_the_dense_rows(self, monkeypatch):
+        rng = random.Random(45)
+        for n in range(2, 22):
+            corpus = conversations_of(rng, [1] * n)
+            (Xb, _), = forecaster_training(monkeypatch, corpus)
+            U, _ = dense_utterance_rows(corpus)
+            assert np.array_equal(Xb, U)
+        # No utterance holds a term of the vocabulary: only the bias is left.
+        corpus = conversations_of(rng, [1, 1, 1])
+        (Xb, _), = forecaster_training(monkeypatch, corpus, min_df=4)
+        assert Xb.tolist() == [[1.0]] * 3
+
+    def test_matches_block_lower_triangular_products(self, monkeypatch):
+        rng = random.Random(42)
+        compared = 0
+        for i in range(40):
+            corpus = random_corpus(rng, max_utterances=50)
+            if len(corpus.conversations) < 2:
+                continue
+            for j, convo in enumerate(corpus.conversations.values()):
+                convo.meta["label"] = j % 2 == 0
+            params = {"min_df": 1 + i % 2, "max_terms": None if i % 3 else 6}
+            (Xb, _), = forecaster_training(monkeypatch, corpus, **params)
+            U, lengths = dense_utterance_rows(corpus, **params)
+            assert Xb.dtype == np.float64 and Xb.flags.c_contiguous
+            assert np.array_equal(Xb, block_lower_ones(lengths) @ U)
+            compared += 1
+        assert compared >= 30
+
+    def test_fit_drops_its_rows_before_training(self, monkeypatch):
+        # The sparse rows have been copied into the prefix array, which is
+        # as large as training gets: by then nothing may hold them.
+        rows_alive = []
+        refs = []
+        utterance_rows = Forecaster._utterance_rows
+        descend = ml._descend
+
+        def rows_spy(stage, corpus, vocab=None):
+            utterances, lengths, rows = utterance_rows(stage, corpus, vocab)
+            refs.append(weakref.ref(rows))
+            return utterances, lengths, rows
+
+        def descend_spy(*args):
+            rows_alive.append([ref() is not None for ref in refs])
+            return descend(*args)
+
+        monkeypatch.setattr(Forecaster, "_utterance_rows", rows_spy)
+        monkeypatch.setattr(ml, "_descend", descend_spy)
+        Forecaster("label", epochs=1).fit(conversations_of(random.Random(46), [3, 2, 4]))
+        assert rows_alive == [[False]]
 
 
 class TestPredict:
