@@ -19,8 +19,8 @@ _EXPORTS = {
     "diversity": ("SpeakerDiversity", "compute_diversity", "jensen_shannon"),
     "fightingwords": ("FightingWords", "FwModel", "fit_fw", "summarize_fw"),
     "hyperconvo": ("HyperConvo", "ResponseGraph", "build_response_graph", "extract_features"),
-    "ml": ("Classifier", "Forecaster", "LinearModel", "Vocabulary", "fit_vocabulary",
-           "predict", "train_classifier", "vectorize"),
+    "ml": ("Classifier", "Forecaster", "LinearModel", "Vocabulary", "predict",
+           "train_classifier"),
     "model": ("Conversation", "Corpus", "IntegrityReport", "Speaker", "Utterance", "Violation",
               "build_corpus", "check_integrity", "speaker_history", "traverse"),
     "politeness": ("PolitenessStrategies", "extract_strategies", "summarize_politeness"),

@@ -535,6 +535,7 @@ def export_tabular(corpus: Corpus, path: str | Path, delimiter: str = ",",
     UTF-8 cannot encode raises UnserializableValueError and leaves no file.
     """
     check_delimiter(delimiter)
+    path = os.fspath(path)  # open() would take an int or bool as a file descriptor
     meta_columns = meta_columns or []
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 from numbers import Integral, Real
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,15 +51,10 @@ class Vocabulary:
     lexicographically, filtered by document frequency and capped."""
 
     index: dict[str, int]
-    doc_freq: dict[str, int]
 
     @property
     def size(self) -> int:
         return len(self.index)
-
-    @property
-    def terms(self) -> list[str]:
-        return sorted(self.index, key=self.index.__getitem__)
 
 
 def _words(utterances) -> list[str]:
@@ -78,27 +73,6 @@ def _documents(corpus: Corpus, level: str, objects: list) -> Iterator[list[str]]
     else:
         groups = ([obj] for obj in objects)
     return (_words(utterances) for utterances in groups)
-
-
-def fit_vocabulary(
-    corpus: Corpus,
-    level: str = "utterance",
-    selector: Optional[Callable] = None,
-    min_df: int = 1,
-    max_terms: Optional[int] = None,
-) -> Vocabulary:
-    """Build a vocabulary of lowercased tokens from one document per selected
-    object; conversation and speaker documents concatenate their utterances."""
-    objects = [o for o in _level_objects(corpus, level) if selector is None or selector(o)]
-    if not objects:
-        raise EmptySelectionError(f"no {level}s selected")
-    return _bag_of_words(_documents(corpus, level, objects), None, min_df, max_terms)[0]
-
-
-def vectorize(vocab: Vocabulary, tokens: Sequence[str]) -> dict[int, float]:
-    """Sparse count vector of the lowercased tokens; out-of-vocabulary tokens are dropped."""
-    _, row = _bag_of_words([tokens], vocab)
-    return dict(zip(row.indices.tolist(), row.data.tolist()))
 
 
 def _bag_of_words(documents: Iterable[Iterable[str]], vocab: Optional[Vocabulary] = None,
@@ -120,8 +94,7 @@ def _bag_of_words(documents: Iterable[Iterable[str]], vocab: Optional[Vocabulary
         doc_freq = np.bincount(indices, minlength=len(terms)).tolist()
         kept = sorted((i for i, df in enumerate(doc_freq) if df >= min_df),
                       key=lambda i: (-total[i], terms[i]))[:max_terms]
-        vocab = Vocabulary(index={terms[i]: j for j, i in enumerate(kept)},
-                           doc_freq={terms[i]: doc_freq[i] for i in kept})
+        vocab = Vocabulary(index={terms[i]: j for j, i in enumerate(kept)})
     columns = np.array([vocab.index.get(term, -1) for term in terms], dtype=np.intp)[indices]
     kept = columns >= 0
     indptr = np.concatenate([[0], np.cumsum(kept)])[indptr]
@@ -248,16 +221,16 @@ def _running_sums(values: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
 
 
 def _csr_rows(X, n_features: Optional[int]) -> _Rows:
-    """The rows of a dense array (a 1-D array is one row), of a list of
-    {feature index: value} dicts over n_features features, or of _Rows."""
+    """The rows of a 2-D numeric array, of a list of {feature index: value}
+    dicts over n_features features, or of _Rows."""
     if isinstance(X, _Rows):
         return X
     if isinstance(X, np.ndarray):
-        if X.ndim > 2:
-            raise DimensionMismatchError(f"X has {X.ndim} dimensions; rows need 1 or 2")
+        if X.ndim != 2:
+            raise DimensionMismatchError(f"X is {X.ndim}-D; rows need a 2-D array")
+        if X.dtype.kind not in "biuf":
+            raise DimensionMismatchError(f"X holds {X.dtype}, not numbers")
         dense = np.asarray(X, dtype=float)
-        if dense.ndim == 1:
-            dense = dense.reshape(1, -1)
         row, col = np.nonzero(dense)
         indptr = np.zeros(len(dense) + 1, dtype=np.intp)
         np.cumsum(np.bincount(row, minlength=len(dense)), out=indptr[1:])
@@ -317,7 +290,7 @@ def train_classifier(
     learning_rate: float = 0.1,
 ) -> LinearModel:
     """Full-batch gradient descent from zero weights for a fixed number of
-    epochs at a fixed learning rate. X is a dense array or a list of
+    epochs at a fixed learning rate. X is a 2-D numeric array or a list of
     {feature index: value} dicts over n_features features. Deterministic
     given the data and parameters. Records the loss trace."""
     y = _checked_labels(y)
@@ -365,8 +338,8 @@ def _labelled_scores(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def predict(model: LinearModel, X) -> tuple[np.ndarray, np.ndarray]:
-    """Labels (score >= 0.5) and probability scores for each row of a dense
-    array or a list of {feature index: value} dicts.
+    """Labels (score >= 0.5) and probability scores for each row of a 2-D
+    numeric array or a list of {feature index: value} dicts.
 
     Scores are nudged off exact 0 and 1 so extreme activations cannot
     saturate; downstream log-losses stay finite.

@@ -92,9 +92,6 @@ class IntegrityReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __str__(self) -> str:
-        return "\n".join(str(v) for v in self.violations)
-
 
 def _sibling_key(utt: Utterance):
     # Ascending (timestamp, id); missing timestamps after all present ones.

@@ -26,8 +26,6 @@ from .transform import SummaryTable, Transformer, _require_annotations
 
 ANNOTATION_KEY = "politeness_strategies"
 
-_SCOPES = ("anywhere", "sentence_initial", "utterance_initial", "non_initial")
-
 
 @dataclass(frozen=True)
 class Strategy:
@@ -37,32 +35,17 @@ class Strategy:
 
 
 def _parse_inventory(text: str) -> tuple[Strategy, ...]:
-    strategies: list[Strategy] = []
-    name: Optional[str] = None
-    scope = ""
-    entries: list[tuple[str, ...]] = []
-
-    def flush() -> None:
-        if name is not None:
-            strategies.append(Strategy(name, scope, tuple(entries)))
-
+    sections: list[tuple[str, str, list[tuple[str, ...]]]] = []  # name, scope, entries
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("[") and line.endswith("]"):
-            flush()
-            header = line[1:-1].split()
-            if len(header) != 2 or header[1] not in _SCOPES:
-                raise ValueError(f"bad marker section header: {line!r}")
-            name, scope = header[0], header[1]
-            entries = []
+        if line.startswith("["):
+            name, scope = line[1:-1].split()
+            sections.append((name, scope, []))
         else:
-            if name is None:
-                raise ValueError("marker entry before any section header")
-            entries.append(tuple(line.lower().split()))
-    flush()
-    return tuple(strategies)
+            sections[-1][2].append(tuple(line.lower().split()))
+    return tuple(Strategy(name, scope, tuple(entries)) for name, scope, entries in sections)
 
 
 @lru_cache(maxsize=1)

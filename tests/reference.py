@@ -418,10 +418,7 @@ def ref_fit_vocabulary(corpus, level="utterance", selector=None, min_df=1, max_t
     terms.sort(key=lambda t: (-total[t], t))
     if max_terms is not None:
         terms = terms[:max_terms]
-    return Vocabulary(
-        index={t: i for i, t in enumerate(terms)},
-        doc_freq={t: doc_freq[t] for t in terms},
-    )
+    return Vocabulary(index={t: i for i, t in enumerate(terms)})
 
 
 def ref_vectorize(vocab, tokens) -> dict[int, float]:

@@ -60,6 +60,11 @@ class TestFeatures:
         assert set(features) == set(FEATURE_NAMES)
         assert all(v == 0 for v in features.values())
 
+    def test_graph_without_nodes_all_zero(self):
+        features = extract_features(ResponseGraph(nodes=[]))
+        assert list(features) == list(FEATURE_NAMES)
+        assert list(features.values()) == [0] * 15
+
     def test_mutual_dyad(self):
         features = extract_features(graph_from("AB", [("A", "B"), ("B", "A")]))
         assert features["reciprocity"] == 1.0

@@ -1,4 +1,5 @@
-"""The package's lazy names, and which modules each command loads.
+"""The package's lazy names, which modules each command loads, and
+README's Quick start run as written.
 
 Every submodule, ``convoforge.ml`` and numpy among them, loads on first use.
 The subprocess cases start a fresh interpreter, because this test process
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +21,8 @@ from convoforge.datasets import toy_movie_path
 from convoforge.registry import REGISTRY
 from helpers import child_env
 
-ML_NAMES = ["Classifier", "Forecaster", "LinearModel", "Vocabulary", "fit_vocabulary",
-            "predict", "train_classifier", "vectorize"]
+ML_NAMES = ["Classifier", "Forecaster", "LinearModel", "Vocabulary", "predict",
+            "train_classifier"]
 
 
 class TestLazyNames:
@@ -178,10 +180,10 @@ PUBLIC_NAMES = [
     "Tokenizer", "Transformer", "Utterance", "Violation", "Vocabulary",
     "build_corpus", "build_response_graph", "check_integrity", "clean_text",
     "compute_diversity", "errors", "export_tabular", "extract_features",
-    "extract_strategies", "fit_fw", "fit_vocabulary", "identity_mapping", "import_tabular",
+    "extract_strategies", "fit_fw", "identity_mapping", "import_tabular",
     "jensen_shannon", "load", "merge", "merge_consecutive", "predict", "save",
     "speaker_history", "summarize_fw", "summarize_politeness", "tokenize",
-    "train_classifier", "traverse", "vectorize",
+    "train_classifier", "traverse",
 ]
 
 MODULES = """
@@ -242,3 +244,9 @@ class TestModulesLoadOnDemand:
     def test_public_names_are_unchanged(self):
         assert _run_child("import json, convoforge; print(json.dumps(convoforge.__all__))") == (
             PUBLIC_NAMES)
+
+
+def test_readme_quick_start_prints_one():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert _run_child(block) == 1

@@ -2,6 +2,7 @@ import copy
 import csv
 import gc
 import json
+import os
 import random
 import re
 import shutil
@@ -709,6 +710,20 @@ class TestTabular:
         with pytest.raises(UnserializableValueError, match="lone surrogate"):
             export_tabular(corpus, tmp_path / "t.csv")
         assert list(tmp_path.iterdir()) == []
+
+    def test_export_refuses_a_file_descriptor(self):
+        read_end, write_end = os.pipe()
+        try:
+            for path in (write_end, True):
+                with pytest.raises(TypeError):
+                    export_tabular(small_corpus(), path)
+                os.fstat(path)  # still open
+            os.set_blocking(read_end, False)
+            with pytest.raises(BlockingIOError):
+                os.read(read_end, 1)  # nothing was written
+        finally:
+            os.close(read_end)
+            os.close(write_end)
 
     def test_rows_without_reply_mapping_are_roots(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -14,10 +14,8 @@ from convoforge import (
     Tokenizer,
     Utterance,
     build_corpus,
-    fit_vocabulary,
     predict,
     train_classifier,
-    vectorize,
 )
 from convoforge import ml
 from convoforge.errors import (
@@ -43,30 +41,30 @@ from reference import (
 )
 
 
-def tokenized(texts):
-    corpus = build_corpus([
-        Utterance(f"u{i}", "s", f"c{i}", text, None, i) for i, text in enumerate(texts)
-    ])
-    Tokenizer().transform(corpus)
-    return corpus
+def fit(documents, **params):
+    """The vocabulary a stage fits to the documents."""
+    return ml._bag_of_words(documents, None, **params)[0]
+
+
+def counts_of(vocab, tokens):
+    """The tokens' row over the vocabulary, as {column: count}."""
+    _, row = ml._bag_of_words([tokens], vocab)
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
+
+
+def level_documents(corpus, level):
+    return ml._documents(corpus, level, _level_objects(corpus, level))
 
 
 class TestVocabulary:
     def test_frequency_then_lexicographic_order(self):
-        vocab = fit_vocabulary(tokenized(["a b", "b c"]), min_df=1)
-        assert vocab.terms == ["b", "a", "c"]
+        assert fit([["a", "b"], ["b", "c"]], min_df=1).index == {"b": 0, "a": 1, "c": 2}
 
     def test_min_df_filters(self):
-        vocab = fit_vocabulary(tokenized(["a b", "b c"]), min_df=2)
-        assert vocab.terms == ["b"]
+        assert fit([["a", "b"], ["b", "c"]], min_df=2).index == {"b": 0}
 
     def test_max_terms_caps_after_ordering(self):
-        vocab = fit_vocabulary(tokenized(["a b", "b c"]), max_terms=1)
-        assert vocab.terms == ["b"]
-
-    def test_empty_selection(self):
-        with pytest.raises(EmptySelectionError):
-            fit_vocabulary(tokenized(["a"]), selector=lambda u: False)
+        assert fit([["a", "b"], ["b", "c"]], max_terms=1).index == {"b": 0}
 
     def test_conversation_documents_concatenate(self):
         corpus = build_corpus([
@@ -74,20 +72,24 @@ class TestVocabulary:
             Utterance("u1", "s", "c0", "b c", "u0", 1),
         ])
         Tokenizer().transform(corpus)
-        vocab = fit_vocabulary(corpus, level="conversation", min_df=1)
-        assert vocab.doc_freq == {"a": 1, "b": 1, "c": 1}
+        vocab, rows = ml._bag_of_words(level_documents(corpus, "conversation"))
+        assert vocab.index == {"b": 0, "a": 1, "c": 2}
+        assert rows.indptr.tolist() == [0, 3]
+        assert rows.indices.tolist() == [1, 0, 2] and rows.data.tolist() == [1.0, 2.0, 1.0]
+        # One document holds every term, so no term is in two.
+        assert fit(level_documents(corpus, "conversation"), min_df=2).index == {}
 
 
 class TestVectorize:
     def test_counts_and_oov(self):
-        vocab = fit_vocabulary(tokenized(["a b", "b c"]))
-        counts = vectorize(vocab, ["b", "b", "z"])
-        assert counts == {vocab.index["b"]: 2.0}
+        vocab = fit([["a", "b"], ["b", "c"]])
+        assert counts_of(vocab, ["b", "b", "z"]) == {vocab.index["b"]: 2.0}
 
     def test_empty_and_all_oov(self):
-        vocab = fit_vocabulary(tokenized(["a b", "b c"]))
-        assert vectorize(vocab, []) == {}
-        assert vectorize(vocab, ["zz", "qq"]) == {}
+        vocab = fit([["a", "b"], ["b", "c"]])
+        _, rows = ml._bag_of_words([[], ["zz", "qq"]], vocab)
+        assert rows.indptr.tolist() == [0, 0, 0]
+        assert rows.shape == (2, 3)
 
     def test_matches_counting_loops_on_random_corpora(self):
         rng = random.Random(53)
@@ -95,23 +97,22 @@ class TestVectorize:
             corpus = random_corpus(rng, max_utterances=40)
             level = LEVELS[i % len(LEVELS)]
             params = {"min_df": 1 + i % 3, "max_terms": None if i % 2 else 5}
-            vocab = fit_vocabulary(corpus, level, **params)
+            vocab = fit(level_documents(corpus, level), **params)
             expected = ref_fit_vocabulary(corpus, level, **params)
             assert list(vocab.index.items()) == list(expected.index.items())
-            assert list(vocab.doc_freq.items()) == list(expected.doc_freq.items())
             for utt in corpus.utterances.values():
                 tokens = [tok for sentence in utterance_tokens(utt) for tok in sentence]
                 tokens += [tok.upper() for tok in tokens[:2]]
-                counts = vectorize(vocab, tokens)
+                counts = counts_of(vocab, tokens)
                 assert list(counts.items()) == list(ref_vectorize(vocab, tokens).items())
 
 
 class TestExactRows:
     """Each stage fits the vocabulary of the counting loops
     (reference.ref_fit_vocabulary) and builds its rows as ref_vectorize
-    would: every index and document frequency with its type, and every
-    row's entries in the same order, which the row's sums follow. A row
-    merely close to the loops' would pass TestDenseOracle."""
+    would: every index with its type, and every row's entries in the same
+    order, which the row's sums follow. A row merely close to the loops'
+    would pass TestDenseOracle."""
 
     def spy_on_rows(self, monkeypatch):
         """Every _Rows a stage builds from its documents, in call order: a
@@ -137,9 +138,8 @@ class TestExactRows:
         return seen
 
     def assert_same_vocabulary(self, vocab, expected):
-        for got, want in ((vocab.index, expected.index), (vocab.doc_freq, expected.doc_freq)):
-            assert [(k, type(v), v) for k, v in got.items()] == \
-                [(k, type(v), v) for k, v in want.items()]
+        assert [(k, type(v), v) for k, v in vocab.index.items()] == \
+            [(k, type(v), v) for k, v in expected.index.items()]
 
     def assert_same_rows(self, rows, vocab, documents):
         expected = ml._csr_rows([ref_vectorize(vocab, doc) for doc in documents], vocab.size)
@@ -302,12 +302,32 @@ class TestInputFaults:
             train_classifier([{0: 1.0}, {1: 1.0}], [[0], [1, 2]], n_features=2)
 
     def test_three_dimensional_rows_in_train_classifier(self, no_training):
-        with pytest.raises(DimensionMismatchError, match="^X has 3 dimensions; rows need 1 or 2$"):
+        with pytest.raises(DimensionMismatchError, match="^X is 3-D; rows need a 2-D array$"):
             train_classifier(np.ones((2, 2, 2)), [0.0, 1.0])
 
     def test_three_dimensional_rows_in_predict(self):
-        with pytest.raises(DimensionMismatchError, match="^X has 3 dimensions; rows need 1 or 2$"):
+        with pytest.raises(DimensionMismatchError, match="^X is 3-D; rows need a 2-D array$"):
             predict(LinearModel(weights=np.zeros(3)), np.ones((2, 2, 2)))
+
+    def test_one_dimensional_rows(self, no_training):
+        with pytest.raises(DimensionMismatchError, match="^X is 1-D; rows need a 2-D array$"):
+            train_classifier(np.ones(2), [0.0, 1.0])
+        with pytest.raises(DimensionMismatchError, match="^X is 1-D; rows need a 2-D array$"):
+            predict(LinearModel(weights=np.zeros(3)), np.ones(2))
+
+    def test_string_array(self, no_training):
+        X = np.array([["a", "b"], ["c", "d"]])
+        with pytest.raises(DimensionMismatchError, match="^X holds <U1, not numbers$"):
+            train_classifier(X, [0, 1])
+        with pytest.raises(DimensionMismatchError, match="^X holds <U1, not numbers$"):
+            predict(LinearModel(weights=np.zeros(3)), X)
+
+    def test_object_array(self, no_training):
+        X = np.array([[1.0, None], [0.0, 2.0]])
+        with pytest.raises(DimensionMismatchError, match="^X holds object, not numbers$"):
+            train_classifier(X, [0, 1])
+        with pytest.raises(DimensionMismatchError, match="^X holds object, not numbers$"):
+            predict(LinearModel(weights=np.zeros(3)), X)
 
     def test_sparse_row_with_a_string_index(self, no_training):
         message = re.escape("row 1: feature index 'a' is not an integer")

@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 
 import pytest
 
@@ -35,6 +36,20 @@ def vector(text, **expected):
 class TestInventory:
     def test_exactly_18_strategies(self):
         assert len(strategy_names()) == 18
+
+    def test_bundled_file_parses_every_entry_into_a_known_scope(self):
+        text = resources.files("convoforge.data").joinpath("politeness_markers.txt").read_text(
+            encoding="utf-8")
+        lines = [line.strip() for line in text.splitlines()]
+        entries = [line for line in lines
+                   if line and not line.startswith("#") and not line.startswith("[")]
+        strategies = _parse_inventory(text)
+        assert strategies == inventory()
+        # The scopes _count_markers matches.
+        assert {s.scope for s in strategies} <= {
+            "anywhere", "sentence_initial", "utterance_initial", "non_initial"}
+        assert sum(len(s.entries) for s in strategies) == len(entries)
+        assert all(entry for s in strategies for entry in s.entries)
 
     def test_order_is_stable(self):
         assert strategy_names()[:4] == ["gratitude", "apologizing", "please",

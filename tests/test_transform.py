@@ -79,6 +79,13 @@ class TestTransformerContract:
         for term, z in zip(fw2.model.vocab, fw2.model.zscores):
             assert z == pytest.approx(-first[term], abs=1e-12)
 
+    def test_subclass_without_transform_raises(self):
+        class Bare(Transformer):
+            name = "bare"
+
+        with pytest.raises(NotImplementedError):
+            Bare().transform(two_class_corpus())
+
     def test_transform_returns_same_object(self):
         corpus = two_class_corpus()
         assert Tokenizer().transform(corpus) is corpus
