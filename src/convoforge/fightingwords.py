@@ -86,8 +86,9 @@ class FwModel:
 
 def _check_prior(name: str, value) -> None:
     # A zero, negative or non-finite prior makes math.log or a division fail
-    # part-way through the fit; refuse it up front.
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    # part-way through the fit; refuse it up front. A bool is not a prior.
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 

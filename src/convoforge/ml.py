@@ -14,13 +14,10 @@ occurrence, and no per-document object is kept (see _bag_of_words).
 Rows are sparse and numpy-only: a CSR triple (indptr, indices, data) whose
 last column is the bias, with X @ w taken by np.add.reduceat over the row
 segments and Xᵀ r by summing each column's entries (see _HalvingSums).
-The forecaster keeps one sparse row per utterance, U; a prefix of a
-conversation is the running sum of its rows. Scoring every prefix is one
-product U @ w and running sums down each conversation. Training alone
-still multiplies a dense prefix array through BLAS, because
-benchmarks/reference.json pins the rounding of those products (ROADMAP
-items 1-3). Forecaster._fit scatters U into that array, drops U, and takes
-the running sums in place, so the array is the only large thing it holds.
+The forecaster keeps one sparse row per utterance, U, with the bias on
+each conversation's first row. A prefix of a conversation is the running
+sum of its rows (see _running_sums): scoring takes the running sums of
+U @ w, and training those of U itself (see Forecaster._fit).
 """
 
 from __future__ import annotations
@@ -206,16 +203,15 @@ class _Rows:
 
 
 def _running_sums(values: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-    """Cumulative sums of a vector, in place, within each run of `lengths`
-    consecutive entries: no sum carries over from one run into the next, as
-    a global cumulative sum minus its value at each run's start would, with
-    a cancellation error that grows with the number of runs. The forecaster
-    scores its prefixes with it; its training array sums its own rows (see
-    Forecaster._fit)."""
+    """Cumulative sums along axis 0 of a vector or of a block of rows, in
+    place, within each run of `lengths` consecutive entries: no sum carries
+    over from one run into the next, as a global cumulative sum minus its
+    value at each run's start would, with a cancellation error that grows
+    with the number of runs. This is the forecaster's one prefix rule."""
     start = 0
     for length in lengths:
         run = values[start:start + length]
-        np.cumsum(run, out=run)
+        np.cumsum(run, axis=0, out=run)
         start += length
     return values
 
@@ -425,10 +421,10 @@ class Forecaster(_LinearStage):
     the cumulative bag-of-words of its first k utterances in traversal
     order, labelled with the conversation's terminal label. Each
     utterance's bag-of-words, counted in the walk that fits the vocabulary,
-    is a sparse row. Training scatters those rows into a dense prefix
-    array, drops them, and takes running sums down each conversation in
-    place (see _fit); scoring takes running sums of their products with the
-    weights, so the prefixes are never scored one at a time.
+    is a sparse row, and the bias sits on each conversation's first row.
+    Training takes the running sums of the rows (see _fit), and scoring
+    those of their products with the weights, so the prefixes are never
+    scored one at a time.
     """
 
     name = "forecaster"
@@ -439,8 +435,9 @@ class Forecaster(_LinearStage):
                         ) -> tuple[list[Utterance], list[int], _Rows]:
         """Every utterance, conversation by conversation in traversal order;
         the conversations' lengths; and each utterance's own bag-of-words
-        row, without a bias column. Without a vocabulary, self.vocab is
-        first fitted to the same counts."""
+        row, with a bias column of 1.0 on each conversation's first row, so
+        that the running sums add it once to every prefix. Without a
+        vocabulary, self.vocab is first fitted to the same counts."""
         utterances: list[Utterance] = []
         lengths = []
         for convo in corpus.conversations.values():
@@ -449,7 +446,9 @@ class Forecaster(_LinearStage):
             lengths.append(len(walk))
         self.vocab, rows = _bag_of_words((_words([utt]) for utt in utterances), vocab,
                                          self.min_df, self.max_terms)
-        return utterances, lengths, rows
+        first = np.zeros(len(utterances), dtype=bool)
+        first[np.cumsum(lengths, dtype=np.intp) - np.asarray(lengths, dtype=np.intp)] = True
+        return utterances, lengths, rows.with_ones_column(first)
 
     def _fit(self, corpus: Corpus) -> None:
         labels = {}
@@ -468,30 +467,17 @@ class Forecaster(_LinearStage):
         # default step on raw prefix counts training can diverge, and its
         # weights then amplify any change in the rounding of these products,
         # so they keep BLAS's own summation order, which
-        # benchmarks/reference.json pins (ROADMAP items 1-3). The array is
-        # built in place, and the rows are dropped before its sums: the bias
-        # column is all ones (the running sum of a 1.0 on each
-        # conversation's first row), and every other row of a conversation
-        # adds the one before it, as cumsum would, with no temporary.
-        n, n_terms = rows.shape
-        prefixes = np.zeros((n, n_terms + 1))
-        prefixes[np.repeat(np.arange(n), np.diff(rows.indptr)), rows.indices] = rows.data
+        # benchmarks/reference.json pins (ROADMAP items 1-3). The rows are
+        # scattered into it and dropped; their running sums, exact on
+        # counts, then fill it in place.
+        prefixes = np.zeros(rows.shape)
+        prefixes[np.repeat(np.arange(len(y)), np.diff(rows.indptr)), rows.indices] = rows.data
         del rows
-        prefixes[:, -1] = 1.0
-        start = 0
-        for length in lengths:
-            for i in range(start + 1, start + length):
-                prefixes[i, :-1] += prefixes[i - 1, :-1]
-            start += length
-        self.model = _descend(prefixes, y, self.l2, self.epochs, self.learning_rate)
+        self.model = _descend(_running_sums(prefixes, lengths), y, self.l2, self.epochs,
+                              self.learning_rate)
 
     def _transform(self, corpus: Corpus) -> None:
         utterances, lengths, rows = self._utterance_rows(corpus, self.vocab)
-        # The bias weight joins each conversation's first row inside that
-        # row's sum, so that the running sums add it once to every prefix.
-        first = np.zeros(len(utterances), dtype=bool)
-        first[np.cumsum(lengths, dtype=np.intp) - np.asarray(lengths, dtype=np.intp)] = True
-        rows = rows.with_ones_column(first)
         _, scores = _labelled_scores(_running_sums(rows @ self.model.weights, lengths))
         scores = scores.tolist()
         for utt, score in zip(utterances, scores):

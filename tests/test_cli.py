@@ -475,6 +475,19 @@ class TestFightingWordsCommand:
         assert captured.err == ("error: stage 0 (fighting_words): "
                                 "alpha must be a positive finite number, got 0.0\n")
 
+    def test_bool_alpha_in_a_run_config_exits_2(self, mixed_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = tmp_path / "bool_alpha.json"
+        config.write_text(json.dumps({"input": str(mixed_dir), "output": str(out), "stages": [
+            {"name": "fighting_words",
+             "params": {"class1": "mixed=true", "class2": "mixed=false", "alpha": True}}]}))
+        assert main(["run", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: stage 0 (fighting_words): "
+                                "alpha must be a positive finite number, got True\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("top_k", ["0", "-1", "-60"])
     def test_non_positive_top_k_exits_2_before_load(self, mixed_dir, capsys, monkeypatch,
                                                     top_k):

@@ -144,7 +144,7 @@ class TestFit:
         assert type(model.n1) is int and type(model.n2) is int
         assert type(model.alpha0) is float
 
-    @pytest.mark.parametrize("alpha", [0, -0.5, float("nan"), float("inf"), "0.1"])
+    @pytest.mark.parametrize("alpha", [0, -0.5, float("nan"), float("inf"), "0.1", True])
     def test_prior_must_be_positive_and_finite(self, alpha):
         with pytest.raises(ValueError, match="alpha must be a positive finite number"):
             fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), alpha=alpha)
