@@ -7,8 +7,8 @@ it builds, loads, runs and saves as ``run`` does, so a failing stage is
 reported as ``stage 0 (<name>): ...``, and then prints the stage's summary.
 Its flags are the stage's parameters; a flag left out means the stage's
 constructor default, which the CLI does not restate.
-Tables go to standard output as tab-separated text with floats pinned to 6
-significant digits, so output is byte-stable and diffable.
+Tables print as tab-separated text, and --export writes them to a file, both
+through ``SummaryTable.to_delimited``, so output is byte-stable and diffable.
 
 Exit codes: 0 success; otherwise one ``error:`` line and the code that the
 error's class declares in ``exit_code`` (1 for a domain failure, 2 for I/O
@@ -82,16 +82,6 @@ def _run_stages(stages: list, corpus_path, output_path):
     return corpus
 
 
-def _export_table(table, path: str, delimiter: str) -> None:
-    import csv
-
-    # Through the csv module, as export_tabular writes: a cell holding the
-    # delimiter, a double quote or a line break is quoted, so that a term
-    # such as "1,000" stays one field.
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(table.cells())
-
-
 def cmd_validate(args) -> int:
     # load() runs check_integrity and raises with every violation it finds.
     try:
@@ -115,11 +105,9 @@ def cmd_stats(args) -> int:
     for convo in corpus.conversations.values():
         sizes.append(len(convo.utterance_ids))
         depth = {}
-        longest = 0
         for utt in traverse(corpus, convo.id, "bfs"):
             depth[utt.id] = 1 if utt.reply_to is None else depth[utt.reply_to] + 1
-            longest = max(longest, depth[utt.id])
-        depths.append(longest)
+        depths.append(max(depth.values()))  # a loaded conversation is never empty
     n = len(sizes)
     table = SummaryTable(columns=["value"], label_header="metric")
     for name, value in (
@@ -171,7 +159,9 @@ def cmd_analyze(args) -> int:
             table = SummaryTable(columns=["y1", "y2", "zscore"], label_header="term")
             for term, y1, y2, z in stages[0].model.ranking():
                 table.add_row(term, [y1, y2, z])
-        _export_table(table, args.export, args.delimiter)
+        text = table.to_delimited(args.delimiter)  # first, so a failed render leaves no file
+        with open(args.export, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text + "\n")
     if args.output and not args.quiet:
         print(f"wrote {args.output}", file=sys.stderr)
     return 0

@@ -528,12 +528,23 @@ def import_tabular(path: str | Path, mapping: ImportMapping) -> Corpus:
         raise IntegrityViolationError(f"{source}: {exc}", exc.violations) from None
 
 
+def _meta_cell(utt: Utterance, key: str) -> str:
+    value = utt.meta.get(key, "")
+    try:
+        return value if isinstance(value, str) else _ONE_LINE.encode(value)
+    except (TypeError, ValueError) as exc:
+        raise UnserializableValueError(
+            f"utterance {utt.id!r} meta key {key!r} cannot be exported as JSON: {exc}") from None
+
+
 def export_tabular(corpus: Corpus, path: str | Path, delimiter: str = ",",
                    meta_columns: Optional[list[str]] = None) -> None:
-    """Write utterances as one delimited row each; inverse of import_tabular
-    under the identity mapping (meta columns export as strings). Text that
-    UTF-8 cannot encode raises UnserializableValueError and leaves no file.
-    """
+    """Write utterances as one delimited row each through the csv module: CRLF
+    line ends and RFC 4180 quoting. A meta cell holds a string as itself, any
+    other value as the compact JSON text utterances.jsonl holds, and nothing
+    for a missing key. Inverse of import_tabular under the identity mapping
+    (meta columns import as strings). Text UTF-8 cannot encode, or a meta value
+    JSON cannot hold, raises UnserializableValueError and leaves no file."""
     check_delimiter(delimiter)
     path = os.fspath(path)  # open() would take an int or bool as a file descriptor
     meta_columns = meta_columns or []
@@ -542,18 +553,14 @@ def export_tabular(corpus: Corpus, path: str | Path, delimiter: str = ",",
             writer = csv.writer(fh, delimiter=delimiter)
             writer.writerow(list(TABULAR_FIELDS) + meta_columns)
             for utt in corpus.utterances.values():
-                row = [
-                    utt.id,
-                    utt.speaker_id,
-                    utt.conversation_id,
-                    utt.reply_to if utt.reply_to is not None else "",
-                    str(utt.timestamp) if utt.timestamp is not None else "",
-                    utt.text,
-                ]
-                row.extend(str(utt.meta.get(col, "")) for col in meta_columns)
-                writer.writerow(row)
-    except UnicodeEncodeError as exc:
+                # The csv module writes None as an empty cell and a number as str() does.
+                writer.writerow([utt.id, utt.speaker_id, utt.conversation_id, utt.reply_to,
+                                 utt.timestamp, utt.text,
+                                 *(_meta_cell(utt, col) for col in meta_columns)])
+    except (UnicodeEncodeError, UnserializableValueError) as exc:
         os.remove(path)
+        if isinstance(exc, UnserializableValueError):
+            raise
         raise UnserializableValueError(f"cannot export corpus: {_unencodable(exc)}") from None
 
 

@@ -47,15 +47,17 @@ class SummaryTable:
             )
         self.rows.append((label, list(values)))
 
-    def cells(self) -> list[list[str]]:
-        """The header row, then one row per label, each value rendered by
-        format_value."""
-        return [[self.label_header, *self.columns]] + [
+    def to_delimited(self, delimiter: str = "\t") -> str:
+        """The header row, then one row per label with its values rendered by
+        format_value, joined by "\\n" with none after the last. A cell holding
+        the delimiter, a double quote, CR or LF is quoted as RFC 4180 does, its
+        quotes doubled: by hand, as the csv module's quoting of a lone CR varies
+        with the Python version, so the bytes are the same on every one."""
+        plain = frozenset(delimiter + '"\r\n').isdisjoint
+        rows = [[self.label_header, *self.columns]] + [
             [label, *map(format_value, values)] for label, values in self.rows]
-
-    def to_delimited(self) -> str:
-        """The cells as tab-separated lines."""
-        return "\n".join("\t".join(row) for row in self.cells())
+        return "\n".join(delimiter.join(c if plain(c) else '"' + c.replace('"', '""') + '"'
+                                        for c in row) for row in rows)
 
 
 def _require_annotations(objects: list, level: str, key: str) -> list[tuple]:

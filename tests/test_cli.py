@@ -1,6 +1,7 @@
 import csv
 import gc
 import inspect
+import io
 import json
 import os
 import random
@@ -806,6 +807,24 @@ class TestAnalyzerCommands:
         assert target.read_text() == \
             'speaker,diversity,n_conversations\n"x,y",0.693147,2\n'
 
+    def test_stdout_quotes_cells_as_export_does(self, tmp_path, capsys):
+        # Speaker ids holding a tab, a line feed, a carriage return and a
+        # double quote each stay one field of one row on standard output.
+        ids = ["ann\tlee", "bob\nx", "cy\rd", 'q"r']
+        source = tmp_path / "odd_ids"
+        save(build_corpus([
+            Utterance(f"{cid}_{i}", sid, cid, f"{cid} word{i}",
+                      None if i == 0 else f"{cid}_{i - 1}", i)
+            for cid in ("c0", "c1") for i, sid in enumerate(ids)]), source)
+        target = tmp_path / "diversity.tsv"
+        assert main(["--corpus", str(source), "diversity", "--export", str(target),
+                     "--delimiter", "\t"]) == 0
+        out = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(out, newline=""), delimiter="\t"))
+        assert {len(row) for row in rows} == {3}
+        assert [row[0] for row in rows] == ["speaker", *ids]
+        assert out.encode() == target.read_bytes()
+
 
 class TestExport:
     def test_export_reimports(self, chain_dir, tmp_path):
@@ -821,6 +840,18 @@ class TestExport:
         assert main(["--quiet", "--corpus", str(chain_dir), "export", "--output", str(a)]) == 0
         assert main(["--quiet", "--corpus", str(chain_dir), "export", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_export_meta_cells_hold_the_saved_json_text(self, tmp_path):
+        source = tmp_path / "meta"
+        meta = {"none": None, "word": "None", "flag": True, "obj": {"k": 1}, "n": 3}
+        save(build_corpus([Utterance("u0", "a", "c0", "hi", None, 0, meta)]), source)
+        target = tmp_path / "dump.csv"
+        assert main(["--quiet", "--corpus", str(source), "export", "--output", str(target),
+                     "--meta-columns", "none,word,flag,obj,n,absent"]) == 0
+        assert target.read_text(encoding="utf-8").splitlines()[1].endswith(
+            ',null,None,true,"{""k"":1}",3,')
+        saved = (source / "utterances.jsonl").read_text(encoding="utf-8")
+        assert '"none":null' in saved and '"flag":true' in saved and '"obj":{"k":1}' in saved
 
     @pytest.mark.parametrize("delimiter", ["", "::", '"', "\n"])
     def test_export_delimiter_must_be_one_plain_character(self, tmp_path, capsys, delimiter):

@@ -912,3 +912,28 @@ class TestTabular:
             assert other.timestamp == utt.timestamp
             assert other.speaker_id == utt.speaker_id
             assert other.conversation_id == utt.conversation_id
+
+    def test_export_writes_meta_values_as_their_json_text(self, tmp_path):
+        # A string is itself; any other value is the compact JSON text that
+        # utterances.jsonl holds, so null, true and the string "None" differ.
+        meta = {"none": None, "word": "None", "flag": True, "obj": {"k": 1},
+                "list": [1, "café"], "n": 3, "x": 2.5, "big": 10**20}
+        corpus = build_corpus([Utterance("u0", "ann", "c0", "hi", None, 5, meta),
+                               Utterance("u1", "bob", "c0", "ok", "u0", 6)])
+        path = tmp_path / "dump.csv"
+        export_tabular(corpus, path, meta_columns=list(meta))
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][6:] == ["null", "None", "true", '{"k":1}', '[1,"café"]', "3", "2.5",
+                               "100000000000000000000"]
+        assert rows[2][6:] == [""] * len(meta)  # keys the utterance lacks
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), {1, 2}],
+                             ids=["nan", "inf", "set"])
+    def test_export_refuses_a_meta_value_json_cannot_hold(self, tmp_path, value):
+        corpus = small_corpus()
+        corpus.utterances["u1"].meta["bad"] = value
+        with pytest.raises(UnserializableValueError,
+                           match=r"^utterance 'u1' meta key 'bad' cannot be exported as JSON"):
+            export_tabular(corpus, tmp_path / "t.csv", meta_columns=["n", "bad"])
+        assert list(tmp_path.iterdir()) == []

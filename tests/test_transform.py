@@ -1,4 +1,7 @@
 import copy
+import csv
+import io
+import random
 from itertools import chain
 
 import pytest
@@ -28,6 +31,7 @@ from convoforge.errors import (
 )
 from convoforge.model import _level_objects
 from convoforge.registry import REGISTRY, create_transformer
+from convoforge.transform import format_value
 
 
 def two_class_corpus():
@@ -216,6 +220,48 @@ class TestSummaryTable:
         table.add_row("y", [2])
         table.add_row("z", [None])
         assert table.to_delimited() == "row\tv\nx\t0.333333\ny\t2\nz\t"
+
+    def test_to_delimited_quotes_by_one_rule(self):
+        # A cell holding the delimiter, a double quote, CR or LF is quoted with
+        # its quotes doubled, a lone CR included; no other cell is.
+        table = SummaryTable(columns=["v", 'say "hi"'], label_header="row")
+        table.add_row("a\tb", ["x,y", "cr\rhere"])
+        table.add_row("plain", ["line\nbreak", 1.5])
+        assert table.to_delimited() == (
+            'row\tv\t"say ""hi"""\n"a\tb"\tx,y\t"cr\rhere"\nplain\t"line\nbreak"\t1.5')
+        assert table.to_delimited(",") == (
+            'row,v,"say ""hi"""\na\tb,"x,y","cr\rhere"\nplain,"line\nbreak",1.5')
+
+    @pytest.mark.parametrize("delimiter", ["\t", ",", ";", "|"],
+                             ids=["tab", "comma", "semicolon", "pipe"])
+    def test_to_delimited_reads_back_through_csv(self, delimiter):
+        rng = random.Random(28)
+        pieces = [delimiter, '"', "\r", "\n", "\r\n", " ", "", "a", "b c", "é"]
+
+        def text():
+            return "".join(rng.choice(pieces) for _ in range(rng.randint(0, 4)))
+
+        def value():
+            roll = rng.random()
+            if roll < 0.15:
+                return None
+            if roll < 0.3:
+                return rng.choice([True, False])
+            if roll < 0.5:
+                return rng.uniform(-1e6, 1e6)
+            if roll < 0.6:
+                return rng.randint(-1000, 1000)
+            return text()
+
+        for _ in range(300):
+            table = SummaryTable(columns=[text() for _ in range(rng.randint(1, 4))],
+                                 label_header=text())
+            for _ in range(rng.randint(0, 5)):
+                table.add_row(text(), [value() for _ in table.columns])
+            rendered = table.to_delimited(delimiter)
+            read = csv.reader(io.StringIO(rendered + "\n", newline=""), delimiter=delimiter)
+            assert list(read) == [[table.label_header, *table.columns]] + [
+                [label, *map(format_value, values)] for label, values in table.rows], rendered
 
 
 class TestPipeline:
