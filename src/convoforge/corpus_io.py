@@ -9,7 +9,8 @@ On-disk layout of a corpus directory (all files UTF-8):
     speakers.json        map speaker id -> {"meta": {...}}
     conversations.json   map conversation id -> {"meta": {...}}
 
-Records are written in corpus insertion order, which makes output bytes
+save() writes each .json file, and each record, as one line of compact JSON
+(load() reads any layout) in corpus insertion order, which makes output bytes
 stable across runs and lets load() reconstruct an equal corpus. Numbers in
 metadata keep their integer/float identity through the JSON round trip.
 
@@ -75,9 +76,8 @@ def _finite_float(literal: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
 
 
-# One encoder per file layout, reused for every record and fault probe rather
-# than built anew for each call.
-_INDENTED = json.JSONEncoder(ensure_ascii=False, allow_nan=False, indent=2)
+# The one encoder of every corpus file and fault probe, built once. Without
+# indent, json encodes in C, which leaves the collector no cyclic garbage.
 _ONE_LINE = json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":"))
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \uD800 to \uDFFF
@@ -177,11 +177,11 @@ def _meta_owners(corpus: Corpus) -> Iterator[tuple[str, dict]]:
         yield f"conversation {cid!r}", convo.meta
 
 
-def _to_json(value, corpus: Corpus, encoder: json.JSONEncoder) -> str:
-    """``encoder.encode(value)``, refusing what standard JSON cannot hold;
-    the error names the first meta key of ``corpus`` at fault."""
+def _to_json(value, corpus: Corpus) -> str:
+    """``value`` as one line of compact JSON, refusing what standard JSON
+    cannot hold; the error names the first meta key of ``corpus`` at fault."""
     try:
-        return encoder.encode(value)
+        return _ONE_LINE.encode(value)
     except (TypeError, ValueError):
         for owner, meta in _meta_owners(corpus):
             for key, item in meta.items():
@@ -200,14 +200,13 @@ def _write_files(corpus: Corpus, directory: Path) -> None:
                 "speaker_count": len(corpus.speakers), "corpus_meta": corpus.meta}
     speakers = {sid: {"meta": spk.meta} for sid, spk in corpus.speakers.items()}
     conversations = {cid: {"meta": convo.meta} for cid, convo in corpus.conversations.items()}
-    for name, document in ((MANIFEST_FILE, manifest), (SPEAKERS_FILE, speakers),
-                           (CONVERSATIONS_FILE, conversations)):
-        (directory / name).write_text(_to_json(document, corpus, _INDENTED) + "\n",
-                                      encoding="utf-8")
-    with open(directory / UTTERANCES_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        for utt in corpus.utterances.values():
-            fh.write(_to_json(_utterance_record(utt), corpus, _ONE_LINE))
-            fh.write("\n")
+    records = map(_utterance_record, corpus.utterances.values())
+    for name, values in ((MANIFEST_FILE, [manifest]), (SPEAKERS_FILE, [speakers]),
+                         (CONVERSATIONS_FILE, [conversations]), (UTTERANCES_FILE, records)):
+        with open(directory / name, "w", encoding="utf-8", newline="\n") as fh:
+            for value in values:
+                fh.write(_to_json(value, corpus))
+                fh.write("\n")
 
 
 def _replace_directory(staging: Path, directory: Path) -> None:
@@ -322,8 +321,8 @@ class _paused_gc:
     """Run the block with the cyclic garbage collector off, then put back
     the state it had. ``load`` builds the corpus under it, and ``cli.main``
     runs each whole command under it. Corpus data is acyclic: reference
-    counting frees what a run drops, and a command leaves the same hundred
-    or so cyclic objects for a corpus of any size (``tests/test_cli.py``
+    counting frees what a run drops, and a command leaves the same few
+    dozen cyclic objects for a corpus of any size (``tests/test_cli.py``
     pins that), so a collection would only re-scan the corpus and the
     imported modules, and the process exits when the command ends (the
     batch pattern of Instagram's "Dismissing Python Garbage Collection").

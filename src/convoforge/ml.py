@@ -207,12 +207,11 @@ def _running_sums(values: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
     place, within each run of `lengths` consecutive entries: no sum carries
     over from one run into the next, as a global cumulative sum minus its
     value at each run's start would, with a cancellation error that grows
-    with the number of runs. This is the forecaster's one prefix rule."""
-    start = 0
-    for length in lengths:
-        run = values[start:start + length]
-        np.cumsum(run, axis=0, out=run)
-        start += length
+    with the number of runs. Each row adds its predecessor, in np.cumsum's
+    order but along contiguous rows. This is the forecaster's one prefix rule."""
+    for end, length in zip(accumulate(lengths), lengths):
+        for i in range(end - length + 1, end):
+            values[i] += values[i - 1]
     return values
 
 

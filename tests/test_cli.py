@@ -1194,16 +1194,23 @@ class TestMainPausesGc:
         assert main(argv) == code
         assert gc.isenabled() is enabled
 
-    @pytest.mark.parametrize("command", ["validate", "stats"])
-    def test_repeated_commands_leave_no_cyclic_garbage(self, command, capsys):
+    @pytest.mark.parametrize("command", ["validate", "stats", "run"])
+    def test_repeated_commands_leave_no_cyclic_garbage(self, tmp_path, command, capsys):
         # The parser is built once per process, so a caller that runs many
         # commands with the collector off is left none of their garbage. The
-        # first call may build it and import modules, so it is left out.
+        # first call may build it and import modules, so it is left out. A
+        # run saves its output, whose encoder must leave no cycles either.
+        argv = ["--quiet", "--corpus", str(toy_movie_path()), command]
+        if command == "run":
+            config = tmp_path / "pipeline.json"
+            config.write_text(json.dumps({"output": str(tmp_path / "out"),
+                                          "stages": [{"name": "text_cleaner"}]}))
+            argv.append(str(config))
         gc.collect()
         gc.disable()
         garbage = []
         for _ in range(5):
-            assert main(["--quiet", "--corpus", str(toy_movie_path()), command]) == 0
+            assert main(argv) == 0
             garbage.append(gc.collect())
         assert garbage[1:] == [0, 0, 0, 0]
 

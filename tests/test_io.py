@@ -38,26 +38,10 @@ from convoforge.errors import (
 from helpers import corpus_equal_strict, random_corpus, write_non_object_meta
 from reference import ref_parse_utterance_line
 
-MANIFEST_BYTES = """\
-{
-  "format_version": "1.0",
-  "utterance_count": 1,
-  "conversation_count": 1,
-  "speaker_count": 1,
-  "corpus_meta": {
-    "name": "naïve",
-    "n": 1,
-    "x": 0.5,
-    "nested": {
-      "a": [
-        1,
-        null,
-        true
-      ]
-    }
-  }
-}
-""".encode("utf-8")
+MANIFEST_BYTES = (
+    '{"format_version":"1.0","utterance_count":1,"conversation_count":1,"speaker_count":1,'
+    '"corpus_meta":{"name":"naïve","n":1,"x":0.5,"nested":{"a":[1,null,true]}}}\n'
+).encode("utf-8")
 
 
 def small_corpus():
@@ -126,8 +110,8 @@ class TestSaveLoad:
         assert manifest["utterance_count"] == 1
 
     def test_manifest_bytes(self, tmp_path):
-        # The manifest layout is part of the format: key order, indentation,
-        # and non-ASCII text written as itself.
+        # The manifest layout is part of the format: key order, one line of
+        # compact JSON ending in a newline, and non-ASCII text written as itself.
         corpus = build_corpus([Utterance("u0", "s", "c0")],
                               corpus_meta={"name": "naïve", "n": 1, "x": 0.5,
                                            "nested": {"a": [1, None, True]}})
@@ -167,6 +151,25 @@ class TestSaveLoad:
                      "conversations.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_indented_corpus_loads_equal_to_its_compact_save(self, tmp_path):
+        # The bundled toy corpus keeps the indented layout that earlier saves
+        # wrote; load reads either layout, and save writes the compact one.
+        indented = tmp_path / "indented"
+        shutil.copytree(toy_movie_path(), indented)
+        assert (indented / "speakers.json").read_text(encoding="utf-8").count("\n") > 1
+        corpus = load(indented)
+        save(corpus, tmp_path / "a")
+        reloaded = load(tmp_path / "a")
+        assert reloaded == corpus
+        assert corpus_equal_strict(reloaded, corpus)
+        save(reloaded, tmp_path / "b")
+        for name in corpus_io.CORPUS_FILES:
+            compact = (tmp_path / "a" / name).read_bytes()
+            assert compact == (tmp_path / "b" / name).read_bytes()
+            if name.endswith(".json"):
+                assert compact.count(b"\n") == 1 and compact.endswith(b"\n")
+                assert json.loads(compact) == json.loads((indented / name).read_bytes())
 
     def test_load_hand_written_fixture(self, tmp_path):
         # Fixture authored directly against the documented layout.

@@ -510,6 +510,18 @@ class TestKernels:
             assert ml._running_sums(X, lengths) is X
             assert np.array_equal(X, expected)
 
+    def test_running_sums_equal_per_run_cumsum_bit_for_bit(self):
+        # The row walk makes np.cumsum's additions in its order, so on floats
+        # that round, vectors and blocks alike, the sums are the same bits.
+        rng = np.random.default_rng(7)
+        for lengths in ([1], [1, 1, 1], [5], [1, 6, 1, 2, 9, 1], [13, 1, 4]):
+            for shape in ((sum(lengths),), (sum(lengths), 6)):
+                values = rng.normal(scale=1e3, size=shape)
+                expected = np.concatenate([np.cumsum(run, axis=0) for run in np.split(
+                    values, np.cumsum(lengths)[:-1])])
+                assert ml._running_sums(values, lengths) is values
+                assert np.array_equal(values, expected)
+
     def test_running_sums_do_not_cancel_across_conversations(self):
         # A running total carried over from a conversation of huge values
         # would swallow the next conversation's small ones.
