@@ -105,7 +105,7 @@ class SpeakerDiversity(Transformer):
     annotation_key = ANNOTATION_KEY
 
     def __init__(self, min_tokens_per_convo: int = 1):
-        self.min_tokens_per_convo = min_tokens_per_convo
+        self._set_params(min_tokens_per_convo=min_tokens_per_convo)
 
     def _transform(self, corpus: Corpus) -> None:
         grouped = _token_counts_by_speaker(corpus)

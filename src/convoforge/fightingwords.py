@@ -25,10 +25,10 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import EmptyClassError, EmptyVocabularyError, NotFittedError
-from .filters import build_meta_predicate, parse_expression
+from .filters import build_meta_predicate
 from .model import Corpus, Utterance
 from .textprep import utterance_tokens
-from .transform import SummaryTable, Transformer
+from .transform import SummaryTable, Transformer, _check_params
 
 logger = logging.getLogger(__name__)
 
@@ -45,8 +45,6 @@ def _word_tokens(utt: Utterance) -> list[str]:
 
 def _ngrams(tokens: list[str], ngram_max: int) -> list[str]:
     # The unigrams are the tokens themselves; longer n-grams follow, by n.
-    if ngram_max < 2:
-        return tokens if ngram_max == 1 else []
     grams = list(tokens)
     for n in range(2, ngram_max + 1):
         grams.extend(" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
@@ -84,19 +82,6 @@ class FwModel:
         ]
 
 
-def _check_prior(name: str, value) -> None:
-    # A zero, negative or non-finite prior makes math.log or a division fail
-    # part-way through the fit; refuse it up front. A bool is not a prior.
-    if isinstance(value, bool) or not (isinstance(value, (int, float))
-                                       and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-
-
-def _check_top_k(top_k) -> None:
-    if type(top_k) is not int or top_k < 1:  # bool is not a count
-        raise ValueError(f"top_k must be a positive integer, got {top_k!r}")
-
-
 def _count_class(utterances: list[Utterance], ngram_max: int) -> Counter:
     counts: Counter = Counter()
     for utt in utterances:
@@ -120,12 +105,12 @@ def fit_fw(
     excluded) whose combined count reaches min_count. With a background
     corpus, per-term priors are add-one background frequencies normalized to
     alpha_total (default: alpha per vocab term); otherwise the prior is
-    uniform alpha. A prior that is not a positive finite number is a
-    ValueError.
+    uniform alpha. A prior that is not a positive finite number, or an
+    ngram_max or min_count below 1, is a ValueError.
     """
-    _check_prior("alpha", alpha)
+    _check_params(ngram_max=ngram_max, min_count=min_count, alpha=alpha)
     if alpha_total is not None:
-        _check_prior("alpha_total", alpha_total)
+        _check_params(alpha_total=alpha_total)
     utts1, utts2 = ([u for u in corpus.utterances.values() if member(u)]
                     for member in (class1, class2))
     for n, utts in enumerate((utts1, utts2), 1):
@@ -185,7 +170,7 @@ def fit_fw(
 def summarize_fw(model: Optional[FwModel], top_k: int = 10) -> SummaryTable:
     """Top class-1 terms (descending z) then top class-2 terms (ascending z);
     top_k must be a positive integer."""
-    _check_top_k(top_k)
+    _check_params(top_k=top_k)
     if model is None:
         raise NotFittedError("fighting words model is not fitted")
     ranking = model.ranking()
@@ -205,7 +190,8 @@ class FightingWords(Transformer):
     class1/class2 may be utterance predicates or metadata filter expressions
     (see filters module), e.g. FightingWords(class1="mixed=true",
     class2="mixed=false"). An expression is parsed here, so a malformed one
-    is a ValueError before any corpus is read, as is a top_k below 1.
+    is a ValueError before any corpus is read, as is any value that its
+    parameter's rule in transform._PARAM_RULES refuses.
     """
 
     name = "fighting_words"
@@ -214,22 +200,13 @@ class FightingWords(Transformer):
 
     def __init__(self, class1, class2, ngram_max: int = 1, min_count: int = 1,
                  alpha: float = 0.01, top_k: int = 10):
-        _check_prior("alpha", alpha)
-        _check_top_k(top_k)
-        for expression in (class1, class2):
-            if isinstance(expression, str):
-                parse_expression(expression)
-        self._class1 = class1
-        self._class2 = class2
-        self.ngram_max = ngram_max
-        self.min_count = min_count
-        self.alpha = alpha
-        self.top_k = top_k
+        self._set_params(class1=class1, class2=class2, ngram_max=ngram_max,
+                         min_count=min_count, alpha=alpha, top_k=top_k)
         self.model: Optional[FwModel] = None
 
     def _predicates(self, corpus: Corpus):
         return tuple(build_meta_predicate(corpus, spec) if isinstance(spec, str) else spec
-                     for spec in (self._class1, self._class2))
+                     for spec in (self.class1, self.class2))
 
     def _fit(self, corpus: Corpus) -> None:
         class1, class2 = self._predicates(corpus)

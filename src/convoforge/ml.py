@@ -356,12 +356,8 @@ class _LinearStage(Transformer):
 
     def __init__(self, label_key: str, min_df: int = 1, max_terms: Optional[int] = None,
                  l2: float = 0.01, epochs: int = 200, learning_rate: float = 0.5):
-        self.label_key = label_key
-        self.min_df = min_df
-        self.max_terms = max_terms
-        self.l2 = l2
-        self.epochs = epochs
-        self.learning_rate = learning_rate
+        self._set_params(label_key=label_key, min_df=min_df, max_terms=max_terms, l2=l2,
+                         epochs=epochs, learning_rate=learning_rate)
         self.vocab: Optional[Vocabulary] = None
         self.model: Optional[LinearModel] = None
 
@@ -376,9 +372,8 @@ class Classifier(_LinearStage):
     def __init__(self, label_key: str, level: str = "utterance", min_df: int = 1,
                  max_terms: Optional[int] = None, l2: float = 0.01,
                  epochs: int = 200, learning_rate: float = 0.5):
+        self._set_params(level=level)
         super().__init__(label_key, min_df, max_terms, l2, epochs, learning_rate)
-        _level_objects(Corpus(), level)  # refuses an unknown level before any corpus is read
-        self.level = level
 
     def _fit(self, corpus: Corpus) -> None:
         labelled, y = [], []

@@ -1,8 +1,8 @@
 """Name -> transformer registry backing pipeline configs and the CLI.
 
 A config's parameters for a stage are the keyword arguments of its
-transformer's constructor, so a config file can be validated against the
-constructor signature before any corpus is touched.
+transformer's constructor, which checks their values, so a config file can be
+validated against the constructor before any corpus is touched.
 
 ``REGISTRY`` is a read-only mapping from stage name to the name of a class
 the package exports, which ``__init__._EXPORTS`` alone locates and which is
@@ -13,6 +13,7 @@ with ``classifier`` or ``forecaster``).
 
 from __future__ import annotations
 
+import functools
 import importlib
 import inspect
 from collections.abc import Iterator, Mapping
@@ -52,12 +53,17 @@ REGISTRY: Mapping[str, type[Transformer]] = _Registry({
 })
 
 
+# Read once per class: for a class without its own __init__, inspect builds a
+# class on every call, cyclic garbage a caller with the collector off keeps.
+_signature = functools.cache(inspect.signature)
+
+
 def create_transformer(name: str, params: dict) -> Transformer:
-    """Instantiate a registered transformer, validating parameter names."""
+    """Instantiate a registered transformer: names checked here, values by its constructor."""
     cls = REGISTRY.get(name)
     if cls is None:
         raise ValueError(f"unknown transformer {name!r}; known: {sorted(REGISTRY)}")
-    accepted = inspect.signature(cls).parameters
+    accepted = _signature(cls).parameters
     required = {p for p, spec in accepted.items() if spec.default is inspect.Parameter.empty}
     missing = required - set(params)
     if missing:

@@ -180,7 +180,7 @@ class TextCleaner(Transformer):
     annotation_key = "clean_text"
 
     def __init__(self, overwrite_text: bool = False):
-        self.overwrite_text = overwrite_text
+        self._set_params(overwrite_text=overwrite_text)
 
     def _transform(self, corpus: Corpus) -> None:
         for utt in corpus.utterances.values():

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import MissingAnnotationError, NotFittedError, PipelineStageError
-from .model import Corpus, _level_objects
+from .model import LEVELS, Corpus, _level_objects
 
 logger = logging.getLogger(__name__)
 
@@ -85,6 +86,50 @@ def _read_foreign(obj, key: str, kind: type):
     raise ValueError(f"{type(obj).__name__.lower()} {obj.id!r}: {key!r} is not a {noun}")
 
 
+def _real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _level(value) -> bool:
+    if value not in LEVELS:
+        raise ValueError(f"unknown level {value!r}; expected one of {LEVELS}")
+    return True
+
+
+def _filter(value) -> bool:
+    from .filters import parse_expression  # loaded only by a stage that takes a filter
+
+    # A bad filter string raises parse_expression's own error, quoting the clause.
+    return callable(value) or isinstance(value, str) and bool(parse_expression(value))
+
+
+# Parameter name -> (test, wording): the one rule for that parameter of every
+# registered stage's constructor and of fit_fw. A bool is never a number.
+_PARAM_RULES = {name: rule for names, rule in (
+    ("learning_rate alpha alpha_total",
+     (lambda v: _real(v) and 0 < v < math.inf, "a positive finite number")),
+    ("l2", (lambda v: _real(v) and 0 <= v < math.inf, "a finite number of at least 0")),
+    ("epochs min_df ngram_max min_count top_k min_tokens_per_convo",
+     (lambda v: type(v) is int and v >= 1, "a positive integer")),
+    ("max_terms", (lambda v: v is None or type(v) is int and v >= 1,
+                   "null or a positive integer")),
+    ("label_key speaker_key output_key",
+     (lambda v: isinstance(v, str) and v != "", "a non-empty string")),
+    ("overwrite_text", (lambda v: type(v) is bool, "true or false")),
+    ("level", (_level, f"one of {LEVELS}")),
+    ("class1 class2", (_filter, "a predicate or a filter expression string")),
+) for name in names.split()}
+
+
+def _check_params(**params) -> None:
+    """ValueError("<name> must be <wording>, got <value!r>") for the first
+    value that its name's rule in _PARAM_RULES refuses."""
+    for name, value in params.items():
+        accepts, wording = _PARAM_RULES[name]
+        if not accepts(value):
+            raise ValueError(f"{name} must be {wording}, got {value!r}")
+
+
 class Transformer:
     """Base class; subclasses override _fit/_transform/summarize as needed.
 
@@ -95,8 +140,8 @@ class Transformer:
     tokenizes an utterance without the "tokens" annotation on the fly.
     summarize() defaults to one row per ``level`` object holding its
     annotation under ``annotation_key``, read through _annotations(). A
-    registered transformer's config parameters are its constructor's
-    parameters.
+    registered transformer's config parameters are its constructor's, which
+    _set_params checks and keeps as the attributes of those names.
     """
 
     name = "transformer"
@@ -138,6 +183,12 @@ class Transformer:
         for obj, value in self._annotations(corpus):
             table.add_row(obj.id, [value])
         return table
+
+    def _set_params(self, **params) -> None:
+        """A constructor's arguments, checked by _check_params, so that a bad
+        value fails before any corpus is read, and kept as attributes."""
+        _check_params(**params)
+        vars(self).update(params)
 
     def _fit(self, corpus: Corpus) -> None:
         pass
@@ -204,7 +255,7 @@ class SpeakerMixAnnotator(Transformer):
     level = "conversation"
 
     def __init__(self, speaker_key: str, output_key: str = "mixed"):
-        self.speaker_key = speaker_key
+        self._set_params(speaker_key=speaker_key, output_key=output_key)
         self.annotation_key = output_key
 
     def _transform(self, corpus: Corpus) -> None:

@@ -1199,20 +1199,26 @@ class TestMainPausesGc:
         # The parser is built once per process, so a caller that runs many
         # commands with the collector off is left none of their garbage. The
         # first call may build it and import modules, so it is left out. A
-        # run saves its output, whose encoder must leave no cycles either.
-        argv = ["--quiet", "--corpus", str(toy_movie_path()), command]
+        # run saves its output, whose encoder must leave no cycles either. Its
+        # stage's constructor signature is read once per class, also for one
+        # without its own __init__ (hyperconvo), whose signature inspect
+        # builds a class to read.
+        argvs = [[command]]
         if command == "run":
-            config = tmp_path / "pipeline.json"
-            config.write_text(json.dumps({"output": str(tmp_path / "out"),
-                                          "stages": [{"name": "text_cleaner"}]}))
-            argv.append(str(config))
+            argvs = []
+            for stage in ("text_cleaner", "hyperconvo"):
+                config = tmp_path / f"{stage}.json"
+                config.write_text(json.dumps({"output": str(tmp_path / stage),
+                                              "stages": [{"name": stage}]}))
+                argvs.append([command, str(config)])
         gc.collect()
         gc.disable()
-        garbage = []
-        for _ in range(5):
-            assert main(argv) == 0
-            garbage.append(gc.collect())
-        assert garbage[1:] == [0, 0, 0, 0]
+        for argv in argvs:
+            garbage = []
+            for _ in range(5):
+                assert main(["--quiet", "--corpus", str(toy_movie_path()), *argv]) == 0
+                garbage.append(gc.collect())
+            assert garbage[1:] == [0, 0, 0, 0], argv
 
     @pytest.mark.parametrize("workload", list(WORKLOAD_STAGES))
     def test_cyclic_garbage_does_not_grow_with_the_corpus(self, tmp_path, workload):
@@ -1240,3 +1246,112 @@ class TestMainPausesGc:
 
         garbage(40)
         assert garbage(160) <= garbage(40)
+
+
+# Values that a fuzz of the stage parameters found a run accepting silently
+# (or, for max_terms "x", failing after load with Python-internal text).
+SILENT_ACCEPTS = {
+    ("forecaster", "learning_rate"): [-1, 0],
+    ("classifier", "l2"): [-1],
+    ("classifier", "epochs"): [-1, 0, True],
+    ("classifier", "max_terms"): [-1, 0, True, "x"],
+    ("classifier", "min_df"): [-1, 0, 1.5, 1e308, True],
+    ("fighting_words", "min_count"): [-1, 0, 1.5],
+    ("fighting_words", "ngram_max"): [True],
+    ("speaker_diversity", "min_tokens_per_convo"): [-1, 0, 1.5, 1e308, True],
+    ("speaker_mix", "speaker_key"): ["", 5],
+    ("speaker_mix", "output_key"): [5, ""],
+    ("text_cleaner", "overwrite_text"): ["no", 1],
+}
+
+# The kind of value each constructor parameter takes, spelled out here as
+# the oracle for the rules in transform._PARAM_RULES.
+PARAM_KINDS = {
+    "learning_rate": "positive", "alpha": "positive", "l2": "non-negative",
+    "epochs": "count", "min_df": "count", "ngram_max": "count", "min_count": "count",
+    "top_k": "count", "min_tokens_per_convo": "count", "max_terms": "count or null",
+    "label_key": "key", "speaker_key": "key", "output_key": "key",
+    "overwrite_text": "bool", "level": "level", "class1": "class", "class2": "class",
+}
+
+REQUIRED_PARAMS = {"label_key": "y", "speaker_key": "gender", "class1": "a=1",
+                   "class2": "a=2"}
+
+
+def _bad_values(rng: random.Random, param: str) -> list:
+    """Two values that the rule for ``param`` must refuse, drawn at random."""
+    count, number = rng.randint(1, 50), rng.uniform(0.1, 10)
+    word = "".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(1, 8)))
+    not_a_count = [-count, 0, count + 0.5, float(count), True, str(count), [count]]
+    pool = {
+        "positive": [-number, 0, 0.0, -count, True, str(number), None, [number]],
+        "non-negative": [-number, -count, True, False, str(number), None],
+        "count": not_a_count + [None],
+        "count or null": not_a_count,
+        "key": ["", count, number, True, None, [word]],
+        "bool": [0, 1, word, "true", None, [True]],
+        "level": [word, word.upper(), count, None, "Utterance"],
+        "class": [count, number, None, True, [f"{word}=1"], {word: 1}],
+    }[PARAM_KINDS[param]]
+    return rng.sample(pool, 2)
+
+
+def _contract_cases() -> list:
+    """(stage, parameter, bad value): every constructor parameter of every
+    registered stage with two random bad values, then SILENT_ACCEPTS."""
+    from convoforge.registry import REGISTRY
+
+    rng = random.Random("parameter contract")
+    cases = [(name, param, value)
+             for name, cls in REGISTRY.items() for param in inspect.signature(cls).parameters
+             for value in _bad_values(rng, param)]
+    cases += [(name, param, value)
+              for (name, param), values in SILENT_ACCEPTS.items() for value in values]
+    return [pytest.param(*case, id=f"{case[0]}-{case[1]}-{case[2]!r}") for case in cases]
+
+
+class TestParameterContract:
+    """Every stage parameter is checked by its name's one rule when the stage
+    is built, so a bad value exits 2 before the corpus is read."""
+
+    @pytest.mark.parametrize("stage,param,value", _contract_cases())
+    def test_bad_value_exits_2_before_load(self, tmp_path, capsys, monkeypatch, stage, param,
+                                          value):
+        from convoforge.registry import REGISTRY
+
+        loaded = []
+        monkeypatch.setattr(corpus_io, "load", lambda path: loaded.append(path))
+        params = {p: REQUIRED_PARAMS[p] for p, spec in
+                  inspect.signature(REGISTRY[stage]).parameters.items()
+                  if spec.default is spec.empty}
+        params[param] = value
+        out = tmp_path / "out"
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"input": str(toy_movie_path()), "output": str(out),
+                                      "stages": [{"name": stage, "params": params}]}))
+        assert main(["run", str(config)]) == 2
+        captured = capsys.readouterr()
+        # A library constructor raises the same error.
+        with pytest.raises(ValueError) as raised:
+            REGISTRY[stage](**params)
+        assert param in str(raised.value)
+        assert captured.err == f"error: stage 0 ({stage}): {raised.value}\n"
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert loaded == []
+        assert not out.exists()
+
+    def test_defaults_and_the_values_tests_and_workloads_use_construct(self):
+        from convoforge.registry import REGISTRY
+        from test_algebra import _params
+
+        configs = [spec for specs in WORKLOAD_STAGES.values() for spec in specs]
+        for name, cls in REGISTRY.items():
+            # Each default, passed explicitly.
+            configs.append({"name": name, "params": {
+                p: REQUIRED_PARAMS[p] if spec.default is spec.empty else spec.default
+                for p, spec in inspect.signature(cls).parameters.items()}})
+            configs += [{"name": name, "params": _params(random.Random(seed), name)}
+                        for seed in range(20)]
+        stages = cli._build_stages(configs)
+        assert [stage.name for stage in stages] == [spec["name"] for spec in configs]

@@ -144,6 +144,19 @@ class TestFit:
         assert type(model.n1) is int and type(model.n2) is int
         assert type(model.alpha0) is float
 
+    @pytest.mark.parametrize("param", ["ngram_max", "min_count"])
+    def test_count_below_one_is_refused_before_counting(self, param):
+        # Refused before the corpus is read: an ngram_max of 0 would count no
+        # n-grams and fail later with EmptyClassError.
+        with pytest.raises(ValueError, match=f"^{param} must be a positive integer, got 0$"):
+            fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), **{param: 0})
+
+    def test_numpy_float_prior_is_a_prior(self):
+        import numpy
+        expected = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), alpha=0.5)
+        model = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), alpha=numpy.float64(0.5))
+        assert model.zscores == expected.zscores
+
     @pytest.mark.parametrize("alpha", [0, -0.5, float("nan"), float("inf"), "0.1", True])
     def test_prior_must_be_positive_and_finite(self, alpha):
         with pytest.raises(ValueError, match="alpha must be a positive finite number"):

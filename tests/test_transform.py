@@ -1,8 +1,11 @@
 import copy
 import csv
+import inspect
 import io
 import random
+import re
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +34,7 @@ from convoforge.errors import (
 )
 from convoforge.model import _level_objects
 from convoforge.registry import REGISTRY, create_transformer
-from convoforge.transform import format_value
+from convoforge.transform import _PARAM_RULES, format_value
 
 
 def two_class_corpus():
@@ -202,6 +205,19 @@ class TestRegistry:
         assert stage.fit(corpus) is stage
         assert stage.fitted is True
         assert stage.transform(corpus) is corpus
+
+    def test_every_parameter_has_one_rule(self):
+        # A new constructor parameter cannot skip the contract; alpha_total
+        # is fit_fw's own.
+        names = {p for cls in REGISTRY.values() for p in inspect.signature(cls).parameters}
+        assert set(_PARAM_RULES) == names | {"alpha_total"}
+
+    def test_readme_table_names_every_rule(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Pipeline config", 1)[1].split("\n### ", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        named = [name for cell in rows for name in re.findall(r"`(\w+)`", cell)]
+        assert sorted(named) == sorted(_PARAM_RULES)
 
     def test_unknown_transformer_rejected(self):
         with pytest.raises(ValueError, match="unknown transformer 'nope'; known: "):
