@@ -1,13 +1,11 @@
 """Disk format, corpus merging, and tabular import/export.
 
-On-disk layout of a corpus directory (all files UTF-8):
-
-    manifest.json        keys in order: format_version, utterance_count,
-                         conversation_count, speaker_count, corpus_meta
-    utterances.jsonl     one record per line, fixed key order:
-                         id, conversation_id, reply_to, speaker, timestamp, text, meta
-    speakers.json        map speaker id -> {"meta": {...}}
-    conversations.json   map conversation id -> {"meta": {...}}
+A corpus directory holds four UTF-8 files: manifest.json, one object;
+utterances.jsonl, one record per line; speakers.json and conversations.json,
+each a map from id to a record {"meta": {...}}. _FORMAT_RULES names every key
+of the manifest and of each record, in the order save() writes them, with
+the one rule for its value; load() checks each key through it, and README's
+"Corpus directory format" states the same rules.
 
 save() writes each .json file, and each record, as one line of compact JSON
 (load() reads any layout) in corpus insertion order, which makes output bytes
@@ -16,7 +14,7 @@ metadata keep their integer/float identity through the JSON round trip.
 
 Input faults follow one rule: the code that finds a fault raises ValueError
 saying what is wrong, and each reader has one boundary that turns it into
-MalformedRecordError naming the file, and the line where there are lines;
+MalformedRecordError naming the file, and the line or record where there is one;
 a file that is not there is MissingFileError (_require_file), and a tabular
 header without a mapped column is MissingColumnError naming the file.
 
@@ -33,6 +31,7 @@ import csv
 import gc
 import json
 import math
+import operator
 import os
 import re
 import shutil
@@ -101,6 +100,69 @@ def _decode(text: str):
 
 def _unencodable(exc: UnicodeEncodeError) -> str:
     return f"lone surrogate {exc.object[exc.start]!r} cannot be encoded as UTF-8"
+
+
+def _refusal(name: str, wording: str, value) -> ValueError:
+    """ValueError("<name> must be <wording>, got <value>"), the value spelled as
+    compact JSON, or by its repr where JSON cannot hold it (a Python predicate)."""
+    try:
+        spelled = _ONE_LINE.encode(value)
+    except (TypeError, ValueError):
+        spelled = repr(value)
+    return ValueError(f"{name} must be {wording}, got {spelled}")
+
+
+_OBJECT = ({dict}, None, "an object")
+_STRING = ({str}, None, "a string")
+_INTEGER = ({int}, None, "an integer")
+
+# file -> key -> (the JSON types its value may have, a further test of such a
+# value or None, the wording of a refusal), each file's keys in the order
+# save() writes them. Every key is required, and a bool is never an integer.
+_FORMAT_RULES = {
+    MANIFEST_FILE: {
+        "format_version": ({str}, re.compile("[0-9]+[.][0-9]+").fullmatch,
+                           "a string of the form <digits>.<digits>"),
+        "utterance_count": _INTEGER, "conversation_count": _INTEGER,
+        "speaker_count": _INTEGER, "corpus_meta": _OBJECT},
+    UTTERANCES_FILE: {
+        "id": ({str}, bool, "a non-empty string"), "conversation_id": _STRING,
+        "reply_to": ({str, type(None)}, None, "null or a string"), "speaker": _STRING,
+        "timestamp": ({int, type(None)}, None, "null or an integer"), "text": _STRING,
+        "meta": _OBJECT},
+    SPEAKERS_FILE: {"meta": _OBJECT},
+    CONVERSATIONS_FILE: {"meta": _OBJECT},
+}
+
+
+def _reader(rules: dict) -> tuple:
+    """A getter of a record's values under the keys of rules, as a tuple, and
+    the (key, rule) pairs in order: what _checked walks for each record."""
+    keys = tuple(rules)
+    # itemgetter gives the bare value of one key, and a tuple of two or more.
+    get = operator.itemgetter(*keys) if len(keys) > 1 else lambda record: (record[keys[0]],)
+    return get, tuple(rules.items())
+
+
+_READERS = {name: _reader(rules) for name, rules in _FORMAT_RULES.items()}
+
+
+def _checked(name: str, record) -> tuple:
+    """The values of record's keys in _FORMAT_RULES[name], in order; ValueError
+    if it is not an object, lacks a key, or holds a value its rule refuses.
+    Accepting a value takes a set lookup of its type, and its further test."""
+    if not isinstance(record, dict):
+        raise ValueError("record is not an object")
+    get, rules = _READERS[name]
+    try:
+        values = get(record)
+    except KeyError:
+        missing = [key for key, _ in rules if key not in record]
+        raise ValueError(f"missing keys {missing}") from None
+    for value, (key, (kinds, test, wording)) in zip(values, rules):
+        if type(value) not in kinds or test and not test(value):
+            raise _refusal(repr(key), wording, value)
+    return values
 
 
 # Canonical field names understood by the tabular importer/exporter.
@@ -269,51 +331,30 @@ def _require_file(path: Path) -> Path:
 
 
 def _decode_object(path: Path, name: str) -> dict:
-    """The JSON object in the file at path; a fault in it is MalformedRecordError naming name."""
+    """The JSON object in the file at path; a fault in it is MalformedRecordError
+    naming name. Of a corpus file, _checked checks the manifest's keys, or
+    those of each record of speakers.json and conversations.json, whose id
+    the error names too."""
+    object_id = None
     try:
         value = _decode(_require_file(path).read_text(encoding="utf-8"))
         if not isinstance(value, dict):
             raise ValueError("top-level value is not an object")
+        if name == MANIFEST_FILE:
+            _checked(name, value)
+        elif name in _FORMAT_RULES:
+            for object_id, record in value.items():
+                _checked(name, record)
     except ValueError as exc:
-        raise MalformedRecordError(f"{name}: {exc}") from exc
+        where = name if object_id is None else f"{name}: record {object_id!r}"
+        raise MalformedRecordError(f"{where}: {exc}") from exc
     return value
-
-
-def _meta_by_id(directory: Path, name: str) -> Iterator[tuple[str, dict]]:
-    """The (id, meta) pairs of speakers.json or conversations.json."""
-    for object_id, payload in _decode_object(directory / name, name).items():
-        if not isinstance(payload, dict):
-            raise MalformedRecordError(f"{name}: record {object_id!r} is not an object")
-        meta = payload.get("meta", {})
-        if not isinstance(meta, dict):
-            raise MalformedRecordError(f"{name}: record {object_id!r} meta is not an object")
-        yield object_id, meta
-
-
-# The keys of an utterances.jsonl record, in the order save() writes them.
-_RECORD_KEYS = ("id", "conversation_id", "reply_to", "speaker", "timestamp", "text", "meta")
 
 
 def _utterance(line: str) -> Utterance:
     """The utterance of one utterances.jsonl line; ValueError saying what is wrong with it."""
-    record = _decode(line)
-    if not isinstance(record, dict):
-        raise ValueError("record is not an object")
-    try:
-        uid, conversation_id, reply_to, speaker, timestamp, text, meta = map(
-            record.__getitem__, _RECORD_KEYS)
-    except KeyError:
-        raise ValueError(f"missing keys {[k for k in _RECORD_KEYS if k not in record]}") from None
-    if not isinstance(uid, str) or not uid:
-        raise ValueError("bad utterance id")
-    if reply_to is not None and not isinstance(reply_to, str):
-        raise ValueError("bad reply_to")
-    if timestamp is not None and (isinstance(timestamp, bool) or not isinstance(timestamp, int)):
-        raise ValueError("bad timestamp")
-    if not isinstance(speaker, str) or not isinstance(conversation_id, str):
-        raise ValueError("bad speaker or conversation id")
-    if not isinstance(text, str) or not isinstance(meta, dict):
-        raise ValueError("bad text or meta")
+    uid, conversation_id, reply_to, speaker, timestamp, text, meta = _checked(
+        UTTERANCES_FILE, _decode(line))
     return Utterance(uid, speaker, conversation_id, text, reply_to, timestamp, meta)
 
 
@@ -350,20 +391,15 @@ def _load(directory: Path) -> Corpus:
         raise MissingFileError(f"not a corpus directory: {directory}")
 
     manifest = _decode_object(directory / MANIFEST_FILE, MANIFEST_FILE)
-    version = str(manifest.get("format_version", ""))
+    version = manifest["format_version"]
     if version.split(".", 1)[0] != FORMAT_VERSION.split(".", 1)[0]:
         raise UnsupportedVersionError(f"unsupported corpus format version: {version!r}")
 
-    corpus_meta = manifest.get("corpus_meta", {})
-    if not isinstance(corpus_meta, dict):
-        raise MalformedRecordError(f"{MANIFEST_FILE}: corpus_meta is not an object")
-    corpus = Corpus(meta=corpus_meta)
-
-    for sid, meta in _meta_by_id(directory, SPEAKERS_FILE):
-        corpus.speakers[sid] = Speaker(id=sid, meta=meta)
-
-    for cid, meta in _meta_by_id(directory, CONVERSATIONS_FILE):
-        corpus.conversations[cid] = Conversation(id=cid, meta=meta)
+    corpus = Corpus(meta=manifest["corpus_meta"])
+    for name, kind, objects in ((SPEAKERS_FILE, Speaker, corpus.speakers),
+                                (CONVERSATIONS_FILE, Conversation, corpus.conversations)):
+        for object_id, record in _decode_object(directory / name, name).items():
+            objects[object_id] = kind(id=object_id, meta=record["meta"])
 
     # Lines end at \n alone; each is decoded on its own, so that invalid
     # UTF-8 is reported at its line like any other fault.
@@ -394,13 +430,10 @@ def _load(directory: Path) -> Corpus:
     for label, actual in (("utterance", len(corpus.utterances)),
                           ("conversation", len(corpus.conversations)),
                           ("speaker", len(corpus.speakers))):
-        declared = manifest.get(f"{label}_count")
-        if type(declared) is not int:  # bool is not a count
-            raise MalformedRecordError(f"{MANIFEST_FILE}: '{label}_count' is not an integer")
+        declared = manifest[f"{label}_count"]
         if declared != actual:
             raise CountMismatchError(
-                f"manifest declares {declared} {label}s but payload has {actual}"
-            )
+                f"manifest declares {declared} {label}s but payload has {actual}")
 
     _require_integrity(corpus, "loaded corpus")
     return corpus

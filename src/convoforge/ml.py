@@ -39,7 +39,7 @@ from .errors import (
 )
 from .model import Corpus, Utterance, _level_objects, _speaker_histories, traverse
 from .textprep import utterance_tokens
-from .transform import SummaryTable, Transformer, _read_foreign
+from .transform import SummaryTable, Transformer, _check_params, _read_foreign
 
 
 @dataclass
@@ -60,8 +60,7 @@ def _words(utterances) -> list[str]:
 
 def _documents(corpus: Corpus, level: str, objects: list) -> Iterator[list[str]]:
     """The tokens of each object, in order: conversation documents follow
-    traversal order and speaker documents speaker_history order. The
-    objects come from _level_objects, which refuses an unknown level."""
+    traversal order and speaker documents speaker_history order."""
     if level == "conversation":
         groups = (traverse(corpus, obj.id, "bfs") for obj in objects)
     elif level == "speaker":
@@ -286,8 +285,10 @@ def train_classifier(
 ) -> LinearModel:
     """Full-batch gradient descent from zero weights for a fixed number of
     epochs at a fixed learning rate. X is a 2-D numeric array or a list of
-    {feature index: value} dicts over n_features features. Deterministic
-    given the data and parameters. Records the loss trace."""
+    {feature index: value} dicts over n_features features; l2, epochs and
+    learning_rate obey the stages' rules for them. Deterministic given the
+    data and parameters. Records the loss trace."""
+    _check_params(l2=l2, epochs=epochs, learning_rate=learning_rate)
     y = _checked_labels(y)
     rows = _csr_rows(X, n_features)
     return _descend(rows.with_ones_column(np.ones(rows.shape[0], dtype=bool)), y, l2, epochs,

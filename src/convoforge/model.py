@@ -224,14 +224,10 @@ def _speaker_histories(corpus: Corpus) -> dict[str, list[Utterance]]:
 
 
 def _level_objects(corpus: Corpus, level: str) -> list:
-    """Every utterance, conversation or speaker of the corpus, in insertion order."""
-    if level == "utterance":
-        return list(corpus.utterances.values())
-    if level == "conversation":
-        return list(corpus.conversations.values())
-    if level == "speaker":
-        return list(corpus.speakers.values())
-    raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
+    """Every utterance, conversation or speaker of the corpus, in insertion
+    order; a level is one of LEVELS, as the stages' level rule ensures."""
+    return list({"utterance": corpus.utterances, "conversation": corpus.conversations,
+                 "speaker": corpus.speakers}[level].values())
 
 
 def check_integrity(corpus: Corpus) -> IntegrityReport:

@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .corpus_io import _refusal
 from .errors import MissingAnnotationError, NotFittedError, PipelineStageError
 from .model import LEVELS, Corpus, _level_objects
 
@@ -122,12 +123,12 @@ _PARAM_RULES = {name: rule for names, rule in (
 
 
 def _check_params(**params) -> None:
-    """ValueError("<name> must be <wording>, got <value!r>") for the first
-    value that its name's rule in _PARAM_RULES refuses."""
+    """corpus_io._refusal's ValueError for the first value that its name's
+    rule in _PARAM_RULES refuses."""
     for name, value in params.items():
         accepts, wording = _PARAM_RULES[name]
         if not accepts(value):
-            raise ValueError(f"{name} must be {wording}, got {value!r}")
+            raise _refusal(name, wording, value)
 
 
 class Transformer:

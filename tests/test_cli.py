@@ -486,7 +486,7 @@ class TestFightingWordsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: stage 0 (fighting_words): "
-                                "alpha must be a positive finite number, got True\n")
+                                "alpha must be a positive finite number, got true\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("top_k", ["0", "-1", "-60"])

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -267,7 +268,7 @@ class TestSummarize:
         # A slice by zero or a negative count would print a truncated ranking.
         model = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2))
         with pytest.raises(ValueError, match=re.escape(
-                f"top_k must be a positive integer, got {top_k!r}")):
+                f"top_k must be a positive integer, got {json.dumps(top_k)}")):
             summarize_fw(model, top_k=top_k)
 
     def test_ranking_export_rows(self):
@@ -301,7 +302,7 @@ class TestTransformer:
     @pytest.mark.parametrize("top_k", BAD_TOP_K, ids=repr)
     def test_bad_top_k_refused_by_constructor(self, top_k):
         with pytest.raises(ValueError, match=re.escape(
-                f"top_k must be a positive integer, got {top_k!r}")):
+                f"top_k must be a positive integer, got {json.dumps(top_k)}")):
             FightingWords(class1="cls=1", class2="cls=2", top_k=top_k)
 
     def test_overlapping_classes_warn(self, caplog):

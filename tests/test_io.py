@@ -6,6 +6,7 @@ import os
 import random
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -217,8 +218,9 @@ class TestSaveLoad:
         if literal != "absent":
             manifest[key] = json.loads(literal)
         path.write_text(json.dumps(manifest))
-        with pytest.raises(MalformedRecordError,
-                           match=f"^manifest.json: '{key}' is not an integer$"):
+        fault = (f"missing keys ['{key}']" if literal == "absent"
+                 else f"'{key}' must be an integer, got {literal}")
+        with pytest.raises(MalformedRecordError, match=f"^manifest.json: {re.escape(fault)}$"):
             load(tmp_path / "c")
 
     def test_truncated_line_names_line_number(self, tmp_path):
@@ -325,8 +327,9 @@ class TestSaveLoad:
         # Utterance lines refuse a non-object meta; so do the other files,
         # before any analyzer meets it.
         owner = write_non_object_meta(tmp_path / "toy", name, value)
-        with pytest.raises(MalformedRecordError,
-                           match=rf"^{re.escape(name)}: .*{owner}.* is not an object$"):
+        spelled = json.dumps(value, separators=(",", ":"))
+        with pytest.raises(MalformedRecordError, match=(
+                rf"^{re.escape(name)}: .*{owner}.* must be an object, got {re.escape(spelled)}$")):
             load(tmp_path / "toy")
 
     @pytest.mark.parametrize("name", ["utterances.jsonl", "manifest.json", "speakers.json",
@@ -472,8 +475,18 @@ def random_utterance_line(rng):
     return line + rng.choice(["\n", "\r\n", "", " \n"])
 
 
+# The keys each field-level reason of ref_parse_utterance_line covers; the
+# format rules name the one key at fault instead.
+REASON_KEYS = {"bad utterance id": {"id"}, "bad reply_to": {"reply_to"},
+               "bad timestamp": {"timestamp"},
+               "bad speaker or conversation id": {"speaker", "conversation_id"},
+               "bad text or meta": {"text", "meta"}}
+
+
 class TestUtteranceOracle:
-    """_utterance against ref_parse_utterance_line, the reader it replaced."""
+    """_utterance against ref_parse_utterance_line, the reader it replaced:
+    the same lines are refused, for the same reason or, where the reference
+    names a field, with a message naming one key that reason covers."""
 
     def test_random_lines_match_reference(self):
         rng = random.Random(15)
@@ -489,15 +502,19 @@ class TestUtteranceOracle:
                 actual = corpus_io._utterance(line)
             except ValueError as exc:
                 actual = str(exc)
-            assert type(actual) is type(expected) and actual == expected, line
+            assert type(actual) is type(expected), line
+            if isinstance(expected, str) and expected in REASON_KEYS:
+                named = re.fullmatch(r"'(\w+)' must be [^,]+, got .+", actual)
+                assert named and named.group(1) in REASON_KEYS[expected], (line, actual)
+            else:
+                assert actual == expected, line
             if isinstance(actual, str):
-                reasons.add(re.sub(r" ?[(\[].*", "", actual))
+                reasons.add(re.sub(r" ?[(\[].*", "", expected))
             else:
                 accepted += 1
         assert accepted > 300
         assert {"invalid JSON", "non-finite number NaN", "record is not an object",
-                "missing keys", "bad utterance id", "bad reply_to", "bad timestamp",
-                "bad speaker or conversation id", "bad text or meta"} <= reasons
+                "missing keys", *REASON_KEYS} <= reasons
         assert any(r.startswith("lone surrogate") for r in reasons)
 
     def test_missing_keys_are_listed_in_format_order(self):
@@ -505,6 +522,159 @@ class TestUtteranceOracle:
         with pytest.raises(ValueError) as info:
             corpus_io._utterance(line)
         assert str(info.value) == "missing keys ['conversation_id', 'reply_to', 'timestamp']"
+
+
+# Each value every format rule is probed with; MISSING leaves the key out.
+MISSING = object()
+FORMAT_POOL = [None, True, 0, -1, 1.5, "", "x", "1.0", [], {}, MISSING]
+STRINGS = ["", "x", "1.0"]
+
+# The values of FORMAT_POOL that each key's rule accepts, spelled out here, from
+# README's "Corpus directory format", as the oracle for corpus_io._FORMAT_RULES.
+FORMAT_ACCEPTS = {
+    ("manifest.json", "format_version"): ["1.0"],
+    ("manifest.json", "utterance_count"): [0, -1],
+    ("manifest.json", "conversation_count"): [0, -1],
+    ("manifest.json", "speaker_count"): [0, -1],
+    ("manifest.json", "corpus_meta"): [{}],
+    ("utterances.jsonl", "id"): ["x", "1.0"],
+    ("utterances.jsonl", "conversation_id"): STRINGS,
+    ("utterances.jsonl", "reply_to"): [None, *STRINGS],
+    ("utterances.jsonl", "speaker"): STRINGS,
+    ("utterances.jsonl", "timestamp"): [None, 0, -1],
+    ("utterances.jsonl", "text"): STRINGS,
+    ("utterances.jsonl", "meta"): [{}],
+    ("speakers.json", "meta"): [{}],
+    ("conversations.json", "meta"): [{}],
+}
+
+# Keys whose accepted values still fail a later check: no pool count equals the
+# toy corpus's, and these ids name no utterance, conversation or speaker there.
+LATER_CHECKS = {"utterance_count": CountMismatchError, "conversation_count": CountMismatchError,
+                "speaker_count": CountMismatchError, "conversation_id": IntegrityViolationError,
+                "reply_to": IntegrityViolationError, "speaker": IntegrityViolationError}
+
+
+def _same_value(a, b) -> bool:
+    return type(a) is type(b) and a == b
+
+
+def write_format_value(directory, name, key, value, rng) -> tuple:
+    """Copy the toy corpus to directory with value under key in name's one
+    object (manifest.json) or in one record drawn by rng: a reply that has no
+    reply, so that a new id leaves none behind and a null reply_to makes a
+    second root, or a speaker or conversation.
+    Returns where an error names the record (or "") and the record's id."""
+    shutil.copytree(toy_movie_path(), directory)
+    path = directory / name
+    if name == "utterances.jsonl":
+        lines = path.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        parents = {r["reply_to"] for r in records}
+        index = rng.choice([i for i, r in enumerate(records)
+                            if r["id"] not in parents and r["reply_to"] is not None])
+        record, where = records[index], f" line {index + 1}"
+        owner = record["id"]
+    else:
+        document = json.loads(path.read_text(encoding="utf-8"))
+        owner = "" if name == "manifest.json" else rng.choice(sorted(document))
+        record = document if name == "manifest.json" else document[owner]
+        where = f": record {owner!r}" if owner else ""
+    del record[key]
+    if value is not MISSING:
+        record[key] = value
+    if name == "utterances.jsonl":
+        lines[index] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        path.write_text(json.dumps(document), encoding="utf-8")
+    return where, owner
+
+
+def _format_cases() -> list:
+    return [pytest.param(name, key, value, id=f"{name}-{key}-" + (
+                "missing" if value is MISSING else json.dumps(value)))
+            for name, rules in corpus_io._FORMAT_RULES.items() for key in rules
+            for value in FORMAT_POOL]
+
+
+class TestFormatRules:
+    """Every key of the four corpus files, given each value of one pool: a
+    value is refused, naming the file, the key and the line or record,
+    exactly when its rule refuses it, and every other value loads."""
+
+    def test_the_oracle_covers_every_rule(self):
+        assert list(FORMAT_ACCEPTS) == [(name, key) for name, rules in
+                                        corpus_io._FORMAT_RULES.items() for key in rules]
+
+    def test_readme_table_states_every_rule(self):
+        # Each row names a file and its keys, in order, and starts its value
+        # cell with the rule's wording.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Corpus directory format", 1)[1].split("\n## ", 1)[0]
+        stated = []
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                name, keys, value = (cell.strip() for cell in line.split("|")[1:4])
+                for key in re.findall(r"`(\w+)`", keys):
+                    wording = corpus_io._FORMAT_RULES[name.strip("`")][key][2]
+                    assert value.replace("`", "").startswith(wording), line
+                    stated.append((name.strip("`"), key))
+        assert stated == list(FORMAT_ACCEPTS)
+
+    @pytest.mark.parametrize("version,error", [
+        (1.5, MalformedRecordError), (1, MalformedRecordError), ("1.x", MalformedRecordError),
+        ("1", MalformedRecordError), ("1.", MalformedRecordError), (" 1.0", MalformedRecordError),
+        ("1.0\n", MalformedRecordError), ("\u0661.\u0660", MalformedRecordError),
+        ("2.0", UnsupportedVersionError), ("0.9", UnsupportedVersionError),
+        ("1.7", None), ("1.10", None),
+    ], ids=repr)
+    def test_format_version_is_digits_a_dot_and_digits(self, tmp_path, version, error):
+        # Arabic-Indic digits are digits to str.isdigit, but not to the format.
+        write_format_value(tmp_path / "toy", "manifest.json", "format_version", version,
+                           random.Random(0))
+        if error is None:
+            load(tmp_path / "toy")
+        else:
+            with pytest.raises(error, match="^(manifest.json: 'format_version' must be a string "
+                                            "of the form |unsupported corpus format version)"):
+                load(tmp_path / "toy")
+
+    @pytest.mark.parametrize("name,key,value", _format_cases())
+    def test_value_is_refused_exactly_when_its_rule_refuses_it(self, tmp_path, name, key,
+                                                                  value):
+        rng = random.Random(f"format rules {name} {key}")
+        where, owner = write_format_value(tmp_path / "toy", name, key, value, rng)
+        accepted = value is not MISSING and any(
+            _same_value(value, ok) for ok in FORMAT_ACCEPTS[name, key])
+        if not accepted:
+            with pytest.raises(MalformedRecordError) as err:
+                load(tmp_path / "toy")
+            message = str(err.value)
+            if value is MISSING:
+                assert message == f"{name}{where}: missing keys [{key!r}]"
+            else:
+                spelled = json.dumps(value, separators=(",", ":"))
+                assert message.startswith(f"{name}{where}: {key!r} must be "), message
+                assert message.endswith(f", got {spelled}"), message
+            if name == "utterances.jsonl":
+                assert err.value.line_number == int(where.split()[-1])
+        elif key in LATER_CHECKS:
+            with pytest.raises(LATER_CHECKS[key]):
+                load(tmp_path / "toy")
+        else:
+            corpus = load(tmp_path / "toy")
+            if name == "utterances.jsonl":
+                uid = value if key == "id" else owner
+                utt = corpus.utterances[uid]
+                held = {"timestamp": utt.timestamp, "text": utt.text, "meta": utt.meta,
+                        "id": utt.id}[key]
+            elif name == "manifest.json":
+                held = corpus.meta if key == "corpus_meta" else value
+            else:
+                objects = corpus.speakers if name == "speakers.json" else corpus.conversations
+                held = objects[owner].meta
+            assert _same_value(held, value)
 
 
 class TestLoadPausesGc:

@@ -252,6 +252,19 @@ class TestTrainClassifier:
         labels, _ = predict(model, X)
         assert labels.tolist() == [True, False, True, False]
 
+    # Before these arguments went through the stages' rules, each value trained
+    # on these rows: with no epoch, to a final loss of 6.6e59, and of -5.0e33.
+    @pytest.mark.parametrize("param,value,message", [
+        ("epochs", 0, "epochs must be a positive integer, got 0"),
+        ("learning_rate", -1.0, "learning_rate must be a positive finite number, got -1.0"),
+        ("l2", -5.0, "l2 must be a finite number of at least 0, got -5.0"),
+    ])
+    def test_argument_its_rule_refuses(self, monkeypatch, param, value, message):
+        monkeypatch.setattr(ml, "_descend", lambda *args: pytest.fail("training started"))
+        X = np.array([[-1.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_classifier(X, [0, 1, 1], **{param: value})
+
 
 class TestInputFaults:
     """Rows and labels that cannot form a training set raise
