@@ -104,12 +104,13 @@ def _unencodable(exc: UnicodeEncodeError) -> str:
 
 def _refusal(name: str, wording: str, value) -> ValueError:
     """ValueError("<name> must be <wording>, got <value>"), the value spelled as
-    compact JSON, or by its repr where JSON cannot hold it (a Python predicate)."""
+    compact JSON, or by its repr where JSON cannot hold it (a Python predicate),
+    and cut to its first 60 characters and "..." where it is longer."""
     try:
         spelled = _ONE_LINE.encode(value)
     except (TypeError, ValueError):
         spelled = repr(value)
-    return ValueError(f"{name} must be {wording}, got {spelled}")
+    return ValueError(f"{name} must be {wording}, got {spelled[:60]}{'...' * (len(spelled) > 60)}")
 
 
 _OBJECT = ({dict}, None, "an object")

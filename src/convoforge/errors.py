@@ -20,7 +20,7 @@ class ConvoForgeError(Exception):
 # -- corpus structure ------------------------------------------------------
 
 class IntegrityViolationError(ConvoForgeError):
-    """A corpus that fails check_integrity; ``violations`` is its whole report."""
+    """A corpus that fails check_integrity; ``violations`` is the list it returns."""
 
     def __init__(self, message, violations=None):
         super().__init__(message)
@@ -124,3 +124,7 @@ class DimensionMismatchError(ConvoForgeError):
 
 class MissingLabelError(ConvoForgeError):
     pass
+
+
+class NumericOverflowError(ConvoForgeError):
+    """A parameter so large that a training loss or a prior total overflows."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .errors import EmptyClassError, EmptyVocabularyError, NotFittedError
+from .errors import EmptyClassError, EmptyVocabularyError, NotFittedError, NumericOverflowError
 from .filters import build_meta_predicate
 from .model import Corpus, Utterance
 from .textprep import utterance_tokens
@@ -106,7 +106,8 @@ def fit_fw(
     corpus, per-term priors are add-one background frequencies normalized to
     alpha_total (default: alpha per vocab term); otherwise the prior is
     uniform alpha. A prior that is not a positive finite number, or an
-    ngram_max or min_count below 1, is a ValueError.
+    ngram_max or min_count below 1, is a ValueError; a prior whose total
+    overflows is a NumericOverflowError.
     """
     _check_params(ngram_max=ngram_max, min_count=min_count, alpha=alpha)
     if alpha_total is not None:
@@ -150,7 +151,14 @@ def fit_fw(
         alpha_vec = [r * scale for r in raw]
     else:
         alpha_vec = [float(alpha)] * len(vocab)
-    alpha0 = math.fsum(alpha_vec)
+    try:  # inf where alpha * len(vocab) made each prior inf; finite priors can overflow it
+        alpha0 = math.fsum(alpha_vec)
+    except OverflowError:
+        alpha0 = math.inf
+    if alpha0 == math.inf:
+        prior = (f"alpha_total {alpha_total}" if background is not None and alpha_total is not None
+                 else f"alpha {alpha}")
+        raise NumericOverflowError(f"{prior} overflows the prior total over {len(vocab)} terms")
 
     deltas = []
     zscores = []

@@ -22,6 +22,7 @@ U @ w, and training those of U itself (see Forecaster._fit).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,22 +37,15 @@ from .errors import (
     DimensionMismatchError,
     EmptySelectionError,
     MissingLabelError,
+    NumericOverflowError,
 )
 from .model import Corpus, Utterance, _level_objects, _speaker_histories, traverse
 from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer, _check_params, _read_foreign
 
 
-@dataclass
-class Vocabulary:
-    """Deterministic term ordering: descending total frequency, ties broken
-    lexicographically, filtered by document frequency and capped."""
-
-    index: dict[str, int]
-
-    @property
-    def size(self) -> int:
-        return len(self.index)
+class _Vocab(dict):
+    size = property(len)  # read only by benchmarks/traced.py (ROADMAP item 1)
 
 
 def _words(utterances) -> list[str]:
@@ -71,12 +65,14 @@ def _documents(corpus: Corpus, level: str, objects: list) -> Iterator[list[str]]
     return (_words(utterances) for utterances in groups)
 
 
-def _bag_of_words(documents: Iterable[Iterable[str]], vocab: Optional[Vocabulary] = None,
-                  min_df: int = 1, max_terms: Optional[int] = None) -> tuple[Vocabulary, _Rows]:
+def _bag_of_words(documents: Iterable[Iterable[str]], vocab: Optional[dict] = None,
+                  min_df: int = 1, max_terms: Optional[int] = None) -> tuple[dict, _Rows]:
     """Each document's lowercased tokens, counted once, as one row over the
-    vocabulary's columns, in order of first occurrence (a row's sums follow
-    it); out-of-vocabulary tokens are dropped. Without a vocabulary, one is
-    first fitted to the same counts, and no per-document object is kept."""
+    columns of the {term: column} dict vocab, in order of first occurrence (a
+    row's sums follow it); out-of-vocabulary tokens are dropped. Without a
+    vocab, one is fitted to the same counts, with no per-document object kept:
+    the terms of at least min_df documents, by descending total count, ties
+    broken by term, take columns 0, 1, ... up to max_terms."""
     ids: dict[str, int] = {}  # every term seen, numbered in order of first sight
     indptr, indices, data = [0], [], []
     for tokens in documents:
@@ -90,11 +86,11 @@ def _bag_of_words(documents: Iterable[Iterable[str]], vocab: Optional[Vocabulary
         doc_freq = np.bincount(indices, minlength=len(terms)).tolist()
         kept = sorted((i for i, df in enumerate(doc_freq) if df >= min_df),
                       key=lambda i: (-total[i], terms[i]))[:max_terms]
-        vocab = Vocabulary(index={terms[i]: j for j, i in enumerate(kept)})
-    columns = np.array([vocab.index.get(term, -1) for term in terms], dtype=np.intp)[indices]
+        vocab = _Vocab((terms[i], j) for j, i in enumerate(kept))
+    columns = np.array([vocab.get(term, -1) for term in terms], dtype=np.intp)[indices]
     kept = columns >= 0
     indptr = np.concatenate([[0], np.cumsum(kept)])[indptr]
-    return vocab, _Rows(indptr, columns[kept], data[kept], vocab.size)
+    return vocab, _Rows(indptr, columns[kept], data[kept], len(vocab))
 
 
 @dataclass
@@ -287,7 +283,8 @@ def train_classifier(
     epochs at a fixed learning rate. X is a 2-D numeric array or a list of
     {feature index: value} dicts over n_features features; l2, epochs and
     learning_rate obey the stages' rules for them. Deterministic given the
-    data and parameters. Records the loss trace."""
+    data and parameters. Records the loss trace; a loss that overflows is a
+    NumericOverflowError naming its epoch."""
     _check_params(l2=l2, epochs=epochs, learning_rate=learning_rate)
     y = _checked_labels(y)
     rows = _csr_rows(X, n_features)
@@ -311,18 +308,22 @@ def _checked_labels(y) -> np.ndarray:
 
 
 def _descend(Xb, y: np.ndarray, l2: float, epochs: int, learning_rate: float) -> LinearModel:
-    """Gradient descent on rows Xb whose last column is the bias; each
-    weight vector's margins serve both its loss-trace entry and the next
-    gradient."""
+    """Gradient descent on rows Xb whose last column is the bias; each weight
+    vector's margins serve both its loss-trace entry and the next gradient. An
+    overflow leaves its epoch's loss inf or NaN, and NumericOverflowError names it."""
     if Xb.shape[0] != len(y):
         raise DimensionMismatchError(f"{Xb.shape[0]} rows vs {len(y)} labels")
     weights = np.zeros(Xb.shape[1], dtype=float)
     z = Xb @ weights
     trace = [_loss_at(z, weights, y, l2)]
-    for _ in range(epochs):
-        weights = weights - learning_rate * _gradient_at(z, weights, Xb, y, l2)
-        z = Xb @ weights
-        trace.append(_loss_at(z, weights, y, l2))
+    with np.errstate(all="ignore"):
+        for epoch in range(1, epochs + 1):
+            weights = weights - learning_rate * _gradient_at(z, weights, Xb, y, l2)
+            z = Xb @ weights
+            trace.append(_loss_at(z, weights, y, l2))
+            if not math.isfinite(trace[-1]):
+                raise NumericOverflowError(f"training loss is {trace[-1]} at epoch {epoch} of "
+                                         f"{epochs} (learning_rate {learning_rate}, l2 {l2})")
     return LinearModel(weights=weights, loss_trace=trace)
 
 
@@ -359,7 +360,7 @@ class _LinearStage(Transformer):
                  l2: float = 0.01, epochs: int = 200, learning_rate: float = 0.5):
         self._set_params(label_key=label_key, min_df=min_df, max_terms=max_terms, l2=l2,
                          epochs=epochs, learning_rate=learning_rate)
-        self.vocab: Optional[Vocabulary] = None
+        self.vocab: Optional[dict] = None  # {term: column}
         self.model: Optional[LinearModel] = None
 
 
@@ -426,7 +427,7 @@ class Forecaster(_LinearStage):
     level = "conversation"
     annotation_key = "forecast_final"
 
-    def _utterance_rows(self, corpus: Corpus, vocab: Optional[Vocabulary] = None
+    def _utterance_rows(self, corpus: Corpus, vocab: Optional[dict] = None
                         ) -> tuple[list[Utterance], list[int], _Rows]:
         """Every utterance, conversation by conversation in traversal order;
         the conversations' lengths; and each utterance's own bag-of-words

@@ -84,13 +84,10 @@ class Violation:
         return f"{self.code}: {' '.join(self.ids)}"
 
 
-@dataclass
-class IntegrityReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+class _Violations(list):
+    # ok and violations are read only by benchmarks/check.py (ROADMAP item 1).
+    ok = property(lambda self: not self)
+    violations = property(lambda self: self)
 
 
 def _sibling_key(utt: Utterance):
@@ -230,13 +227,13 @@ def _level_objects(corpus: Corpus, level: str) -> list:
                  "speaker": corpus.speakers}[level].values())
 
 
-def check_integrity(corpus: Corpus) -> IntegrityReport:
+def check_integrity(corpus: Corpus) -> list[Violation]:
     """Validate every structural invariant; violations are data, not errors.
 
-    Returns an empty report iff the corpus is well formed. Never mutates.
+    Returns them as a list, empty iff the corpus is well formed. Never mutates.
     """
-    report = IntegrityReport()
-    add = report.violations.append
+    violations = _Violations()
+    add = violations.append
 
     # Utterance id -> its conversation id, where that conversation lists it.
     listed_in: dict[str, str] = {}
@@ -301,13 +298,13 @@ def check_integrity(corpus: Corpus) -> IntegrityReport:
                 unreached = {u.id for u in members}.difference(u.id for u in reached)
                 add(Violation("CycleDetected", (cid, *sorted(unreached))))
 
-    return report
+    return violations
 
 
 def _require_integrity(corpus: Corpus, what: str) -> None:
-    """IntegrityViolationError carrying check_integrity's report, its message naming
+    """IntegrityViolationError carrying check_integrity's list, its message naming
     the corpus as ``what`` and the first violation, unless the corpus is well formed."""
-    violations = check_integrity(corpus).violations
+    violations = check_integrity(corpus)
     if violations:
         count = len(violations)
         raise IntegrityViolationError(

@@ -49,7 +49,7 @@ from convoforge.errors import (
     EmptyVocabularyError,
     MalformedRecordError,
 )
-from convoforge.ml import LinearModel, Vocabulary, _documents, _gradient_at, _loss_at, _words
+from convoforge.ml import LinearModel, _documents, _gradient_at, _loss_at, _words
 from convoforge.model import _level_objects
 from convoforge.textprep import (
     ABBREVIATIONS,
@@ -418,13 +418,13 @@ def ref_fit_vocabulary(corpus, level="utterance", selector=None, min_df=1, max_t
     terms.sort(key=lambda t: (-total[t], t))
     if max_terms is not None:
         terms = terms[:max_terms]
-    return Vocabulary(index={t: i for i, t in enumerate(terms)})
+    return {t: i for i, t in enumerate(terms)}
 
 
 def ref_vectorize(vocab, tokens) -> dict[int, float]:
     counts: dict[int, float] = {}
     for tok in tokens:
-        i = vocab.index.get(tok.lower())
+        i = vocab.get(tok.lower())
         if i is not None:
             counts[i] = counts.get(i, 0.0) + 1.0
     return counts
@@ -529,7 +529,7 @@ def ref_classify(corpus, label_key, level, min_df=1, max_terms=None, l2=0.01,
                                min_df=min_df, max_terms=max_terms)
     X = [ref_vectorize(vocab, doc) for doc in _documents(corpus, level, labelled)]
     y = [1.0 if o.meta[label_key] else 0.0 for o in labelled]
-    model = ref_train_classifier(X, y, n_features=vocab.size, l2=l2, epochs=epochs,
+    model = ref_train_classifier(X, y, n_features=len(vocab), l2=l2, epochs=epochs,
                                  learning_rate=learning_rate)
     objects = _level_objects(corpus, level)
     predictions = {}
@@ -562,7 +562,7 @@ def ref_forecast(corpus, label_key, min_df=1, max_terms=None, l2=0.01, epochs=20
         for _, vector in ref_prefix_vectors(corpus, vocab, convo.id):
             X.append(vector)
             y.append(1.0 if convo.meta[label_key] else 0.0)
-    model = ref_train_classifier(X, y, n_features=vocab.size, l2=l2, epochs=epochs,
+    model = ref_train_classifier(X, y, n_features=len(vocab), l2=l2, epochs=epochs,
                                  learning_rate=learning_rate)
     forecasts, finals = {}, {}
     for convo in corpus.conversations.values():

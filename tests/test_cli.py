@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import runpy
 import shutil
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 from convoforge import (Speaker, Utterance, build_corpus, import_tabular, identity_mapping,
                         load, save, tokenize)
-from convoforge import cli, corpus_io, errors
+from convoforge import Transformer, cli, corpus_io, errors
 from convoforge.cli import main
 from convoforge.datasets import toy_movie_path
 from convoforge.model import _level_objects
@@ -322,6 +323,40 @@ class TestRun:
         err = capsys.readouterr().err
         assert "stage 0 (fighting_words)" in err and "alpha must be a positive" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage,message", [
+        ({"name": "classifier",
+          "params": {"label_key": "derailed", "level": "conversation", "l2": 1e308}},
+         r"training loss is (inf|nan) at epoch \d+ of 200 \(learning_rate 0\.5, l2 1e\+308\)"),
+        ({"name": "forecaster", "params": {"label_key": "derailed", "learning_rate": 1e308}},
+         r"training loss is (inf|nan) at epoch \d+ of 200 \(learning_rate 1e\+308, l2 0\.01\)"),
+        ({"name": "fighting_words",
+          "params": {"class1": "mixed=true", "class2": "mixed=false", "alpha": 1e308}},
+         r"alpha 1e\+308 overflows the prior total over \d+ terms"),
+    ], ids=["classifier-l2", "forecaster-learning_rate", "fighting_words-alpha"])
+    def test_a_value_that_overflows_fails_its_stage_in_one_line(
+            self, tmp_path, capsys, monkeypatch, recwarn, speaker_mix_dir, stage, message):
+        # The stage fails where the overflow happens: no later stage is
+        # fitted, and numpy warns of nothing.
+        conversations = json.loads((speaker_mix_dir / "conversations.json").read_text())
+        for i, record in enumerate(conversations.values()):
+            record["meta"]["derailed"] = i % 2 == 0
+        (speaker_mix_dir / "conversations.json").write_text(json.dumps(conversations))
+        fitted = []
+        fit = Transformer.fit
+        monkeypatch.setattr(Transformer, "fit",
+                            lambda self, corpus: fitted.append(self.name) or fit(self, corpus))
+        out = tmp_path / "out"
+        config = self.make_config(tmp_path, [{"name": "tokenizer"}, stage, {"name": "hyperconvo"}],
+                                  speaker_mix_dir, out)
+        assert main(["run", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: stage 1 \({stage['name']}\): {message}\n", captured.err), \
+            captured.err
+        assert fitted == ["tokenizer", stage["name"]]
+        assert not out.exists()
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
     def test_speaker_mix_on_object_and_array_values(self, tmp_path, capsys):
         # Lists and objects compare by canonical JSON (key order ignored);

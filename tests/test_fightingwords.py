@@ -6,7 +6,8 @@ import re
 import pytest
 
 from convoforge import FightingWords, Utterance, build_corpus, fit_fw, summarize_fw
-from convoforge.errors import EmptyClassError, EmptyVocabularyError, NotFittedError
+from convoforge.errors import (EmptyClassError, EmptyVocabularyError, NotFittedError,
+                               NumericOverflowError)
 from helpers import random_corpus
 from reference import ref_fit_fw
 
@@ -167,6 +168,15 @@ class TestFit:
         with pytest.raises(ValueError, match="alpha_total must be a positive finite"):
             fit_fw(worked_example_corpus(), by_cls(1), by_cls(2),
                    background=worked_example_corpus(), alpha_total=alpha)
+
+    @pytest.mark.parametrize("background", [False, True])
+    def test_a_prior_whose_total_overflows_is_named(self, background):
+        # Uniform, the priors are finite and their fsum overflows; scaled to
+        # a background, each prior is already inf.
+        kwargs = {"background": worked_example_corpus()} if background else {}
+        with pytest.raises(NumericOverflowError,
+                           match=r"^alpha 1e\+308 overflows the prior total over 2 terms$"):
+            fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), alpha=1e308, **kwargs)
 
 
 def _close(actual, expected, rel=1e-12):

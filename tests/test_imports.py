@@ -21,8 +21,7 @@ from convoforge.datasets import toy_movie_path
 from convoforge.registry import REGISTRY
 from helpers import child_env
 
-ML_NAMES = ["Classifier", "Forecaster", "LinearModel", "Vocabulary", "predict",
-            "train_classifier"]
+ML_NAMES = ["Classifier", "Forecaster", "LinearModel", "predict", "train_classifier"]
 
 
 class TestLazyNames:
@@ -174,10 +173,10 @@ class TestNumpyLoadsOnlyWhenUsed:
 # The public names, in the order __all__ lists them.
 PUBLIC_NAMES = [
     "Classifier", "Conversation", "Corpus", "FightingWords", "Forecaster",
-    "FwModel", "HyperConvo", "ImportMapping", "IntegrityReport", "LinearModel",
+    "FwModel", "HyperConvo", "ImportMapping", "LinearModel",
     "MergeConsecutive", "Pipeline", "PolitenessStrategies", "ResponseGraph", "Speaker",
     "SpeakerDiversity", "SpeakerMixAnnotator", "SummaryTable", "TextCleaner",
-    "Tokenizer", "Transformer", "Utterance", "Violation", "Vocabulary",
+    "Tokenizer", "Transformer", "Utterance", "Violation",
     "build_corpus", "build_response_graph", "check_integrity", "clean_text",
     "compute_diversity", "errors", "export_tabular", "extract_features",
     "extract_strategies", "fit_fw", "identity_mapping", "import_tabular",

@@ -137,7 +137,7 @@ class TestSaveLoad:
         corpus.utterances["u1"].reply_to = "u9"
         corpus.utterances["u3"] = Utterance("u3", "bob", "c0", "again", None, 7)
         corpus.conversations["c0"].utterance_ids.append("u3")
-        violations = check_integrity(corpus).violations
+        violations = check_integrity(corpus)
         with pytest.raises(IntegrityViolationError) as err:
             entry(corpus, tmp_path / "c")
         assert err.value.violations == violations
@@ -195,7 +195,7 @@ class TestSaveLoad:
         assert len(corpus.utterances) == 2
         assert len(corpus.conversations) == 1
         assert corpus.utterances["s"].reply_to == "r"
-        assert check_integrity(corpus).ok
+        assert check_integrity(corpus) == []
 
     def test_count_mismatch(self, tmp_path):
         corpus = small_corpus()
@@ -640,6 +640,31 @@ class TestFormatRules:
                                             "of the form |unsupported corpus format version)"):
                 load(tmp_path / "toy")
 
+    @pytest.mark.parametrize("length,spelled", [
+        (58, '"' + "a" * 58 + '"'), (59, '"' + "a" * 59 + "..."), (20000, '"' + "a" * 59 + "...")])
+    def test_a_long_refused_value_is_cut_to_60_characters(self, tmp_path, length, spelled):
+        write_format_value(tmp_path / "toy", "manifest.json", "format_version", "a" * length,
+                           random.Random(0))
+        with pytest.raises(MalformedRecordError, match=f"^manifest.json: 'format_version' must "
+                                                       f"be .*, got {re.escape(spelled)}$"):
+            load(tmp_path / "toy")
+
+    def test_validate_spells_a_20000_item_text_in_one_short_line(self, tmp_path, capsys):
+        from convoforge.cli import main
+
+        shutil.copytree(toy_movie_path(), tmp_path / "toy")
+        path = tmp_path / "toy" / "utterances.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record["text"] = list(range(20000))
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["--corpus", str(tmp_path / "toy"), "validate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: utterances.jsonl line 1: 'text' must be a string, got "
+                                "[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,...\n")
+
     @pytest.mark.parametrize("name,key,value", _format_cases())
     def test_value_is_refused_exactly_when_its_rule_refuses_it(self, tmp_path, name, key,
                                                                   value):
@@ -824,7 +849,7 @@ class TestMerge:
         merged = merge(a, b)
         assert set(merged.utterances) == {"u0", "u1"}
         assert set(merged.conversations) == {"c0", "c1"}
-        assert check_integrity(merged).ok
+        assert check_integrity(merged) == []
 
     def test_structural_collision_is_error(self):
         a = build_corpus([Utterance("u0", "s", "c0", "one text")])

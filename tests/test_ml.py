@@ -2,6 +2,7 @@ import copy
 import inspect
 import random
 import re
+import warnings
 import weakref
 from itertools import chain
 
@@ -24,6 +25,7 @@ from convoforge.errors import (
     EmptySelectionError,
     MissingLabelError,
     NotFittedError,
+    NumericOverflowError,
 )
 from convoforge.ml import LinearModel
 from convoforge.model import LEVELS, _level_objects, speaker_history
@@ -58,13 +60,13 @@ def level_documents(corpus, level):
 
 class TestVocabulary:
     def test_frequency_then_lexicographic_order(self):
-        assert fit([["a", "b"], ["b", "c"]], min_df=1).index == {"b": 0, "a": 1, "c": 2}
+        assert fit([["a", "b"], ["b", "c"]], min_df=1) == {"b": 0, "a": 1, "c": 2}
 
     def test_min_df_filters(self):
-        assert fit([["a", "b"], ["b", "c"]], min_df=2).index == {"b": 0}
+        assert fit([["a", "b"], ["b", "c"]], min_df=2) == {"b": 0}
 
     def test_max_terms_caps_after_ordering(self):
-        assert fit([["a", "b"], ["b", "c"]], max_terms=1).index == {"b": 0}
+        assert fit([["a", "b"], ["b", "c"]], max_terms=1) == {"b": 0}
 
     def test_conversation_documents_concatenate(self):
         corpus = build_corpus([
@@ -73,17 +75,17 @@ class TestVocabulary:
         ])
         Tokenizer().transform(corpus)
         vocab, rows = ml._bag_of_words(level_documents(corpus, "conversation"))
-        assert vocab.index == {"b": 0, "a": 1, "c": 2}
+        assert vocab == {"b": 0, "a": 1, "c": 2}
         assert rows.indptr.tolist() == [0, 3]
         assert rows.indices.tolist() == [1, 0, 2] and rows.data.tolist() == [1.0, 2.0, 1.0]
         # One document holds every term, so no term is in two.
-        assert fit(level_documents(corpus, "conversation"), min_df=2).index == {}
+        assert fit(level_documents(corpus, "conversation"), min_df=2) == {}
 
 
 class TestVectorize:
     def test_counts_and_oov(self):
         vocab = fit([["a", "b"], ["b", "c"]])
-        assert counts_of(vocab, ["b", "b", "z"]) == {vocab.index["b"]: 2.0}
+        assert counts_of(vocab, ["b", "b", "z"]) == {vocab["b"]: 2.0}
 
     def test_empty_and_all_oov(self):
         vocab = fit([["a", "b"], ["b", "c"]])
@@ -99,7 +101,7 @@ class TestVectorize:
             params = {"min_df": 1 + i % 3, "max_terms": None if i % 2 else 5}
             vocab = fit(level_documents(corpus, level), **params)
             expected = ref_fit_vocabulary(corpus, level, **params)
-            assert list(vocab.index.items()) == list(expected.index.items())
+            assert list(vocab.items()) == list(expected.items())
             for utt in corpus.utterances.values():
                 tokens = [tok for sentence in utterance_tokens(utt) for tok in sentence]
                 tokens += [tok.upper() for tok in tokens[:2]]
@@ -130,11 +132,11 @@ class TestExactRows:
         return seen
 
     def assert_same_vocabulary(self, vocab, expected):
-        assert [(k, type(v), v) for k, v in vocab.index.items()] == \
-            [(k, type(v), v) for k, v in expected.index.items()]
+        assert [(k, type(v), v) for k, v in vocab.items()] == \
+            [(k, type(v), v) for k, v in expected.items()]
 
     def assert_same_rows(self, rows, vocab, documents):
-        expected = ml._csr_rows([ref_vectorize(vocab, doc) for doc in documents], vocab.size)
+        expected = ml._csr_rows([ref_vectorize(vocab, doc) for doc in documents], len(vocab))
         for got, want in ((rows.indptr, expected.indptr), (rows.indices, expected.indices),
                           (rows.data, expected.data)):
             assert got.dtype.kind == want.dtype.kind
@@ -264,6 +266,29 @@ class TestTrainClassifier:
         X = np.array([[-1.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             train_classifier(X, [0, 1, 1], **{param: value})
+
+    @pytest.mark.parametrize("param,value,epoch", [
+        ("l2", 1e308, 2), ("learning_rate", 1e308, 1), ("learning_rate", 1e3, 52)])
+    def test_a_loss_that_overflows_ends_training_at_its_epoch(self, monkeypatch, param,
+                                                               value, epoch):
+        # Each epoch's loss is tested once, and none after the first that is
+        # not finite is computed; numpy warns of none of the overflows.
+        losses = []
+        loss_at = ml._loss_at
+
+        def recorded_loss_at(*args):
+            losses.append(loss_at(*args))
+            return losses[-1]
+
+        monkeypatch.setattr(ml, "_loss_at", recorded_loss_at)
+        X, y = self.separable()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError,
+                               match=rf"^training loss is (inf|nan) at epoch {epoch} of 100 "):
+                train_classifier(X * 10, y, **{param: value})
+        assert len(losses) == epoch + 1
+        assert all(np.isfinite(losses[:-1])) and not np.isfinite(losses[-1])
 
 
 class TestInputFaults:
@@ -449,7 +474,7 @@ def dense_utterance_rows(corpus, min_df=1, max_terms=None):
     vocab = ref_fit_vocabulary(corpus, "utterance", None, min_df, max_terms)
     walks = [ref_bfs(corpus.utterances_in(convo.id)) for convo in corpus.conversations.values()]
     lengths = [len(walk) for walk in walks]
-    U = np.zeros((sum(lengths), vocab.size + 1))
+    U = np.zeros((sum(lengths), len(vocab) + 1))
     for i, utt in enumerate(chain.from_iterable(walks)):
         tokens = [tok for sentence in utterance_tokens(utt) for tok in sentence]
         for j, count in ref_vectorize(vocab, tokens).items():

@@ -297,31 +297,31 @@ class TestSpeakerHistory:
 
 class TestCheckIntegrity:
     def test_valid_corpus_empty_report(self):
-        assert check_integrity(build_corpus(chain3())).ok
+        assert check_integrity(build_corpus(chain3())) == []
 
     def test_missing_speaker_after_mutation(self):
         corpus = build_corpus(chain3())
         del corpus.speakers["s"]
-        report = check_integrity(corpus)
-        assert [v.code for v in report.violations] == ["MissingSpeaker"] * 3
+        violations = check_integrity(corpus)
+        assert [v.code for v in violations] == ["MissingSpeaker"] * 3
 
     def test_multiple_roots_violation(self):
         # u2 hangs under the second root: reachable, so not a cycle.
         corpus = build_corpus(chain3())
         corpus.utterances["u1"].reply_to = None
-        violations = check_integrity(corpus).violations
+        violations = check_integrity(corpus)
         assert [(v.code, v.ids) for v in violations] == [("MultipleRoots", ("c0", "u0", "u1"))]
 
     def test_dangling_reply_violation(self):
         corpus = build_corpus(chain3())
         corpus.utterances["u2"].reply_to = "gone"
-        codes = [v.code for v in check_integrity(corpus).violations]
+        codes = [v.code for v in check_integrity(corpus)]
         assert "DanglingReply" in codes
 
     def test_empty_conversation_violation(self):
         corpus = build_corpus(chain3())
         corpus.conversations["c0"].utterance_ids.clear()
-        codes = [v.code for v in check_integrity(corpus).violations]
+        codes = [v.code for v in check_integrity(corpus)]
         assert "EmptyConversation" in codes
         assert "NotInConversation" in codes
 
@@ -330,7 +330,7 @@ class TestCheckIntegrity:
         # a second root.
         corpus = build_corpus(chain3())
         corpus.conversations["c0"].utterance_ids.append("u0")
-        violations = check_integrity(corpus).violations
+        violations = check_integrity(corpus)
         assert [(v.code, v.ids) for v in violations] == [("DuplicateMembership", ("c0", "u0"))]
 
     def test_utterance_also_listed_by_a_later_conversation(self):
@@ -338,7 +338,7 @@ class TestCheckIntegrity:
         # a mismatch, and m1_0 is a second root among m2's members.
         corpus = load_toy_movie()
         corpus.conversations["m2"].utterance_ids.append("m1_0")
-        violations = check_integrity(corpus).violations
+        violations = check_integrity(corpus)
         assert [(v.code, v.ids) for v in violations] == [
             ("ConversationMismatch", ("m1_0", "m2", "m1")),
             ("MultipleRoots", ("m2", "m1_0", "m2_0")),
@@ -388,7 +388,7 @@ class TestRandomTrees:
     def test_build_then_check_is_clean(self):
         rng = random.Random(4242)
         for _ in range(50):
-            assert check_integrity(random_corpus(rng, max_utterances=40)).ok
+            assert check_integrity(random_corpus(rng, max_utterances=40)) == []
 
 
 def _subtree(corpus, uid):
@@ -480,7 +480,7 @@ class TestCheckIntegrityOracle:
             corpus = random_corpus(rng, max_utterances=20)
             for _ in range(rng.randint(0, 3)):
                 corrupt(rng, corpus)
-            report = [(v.code, v.ids) for v in check_integrity(corpus).violations]
+            report = [(v.code, v.ids) for v in check_integrity(corpus)]
             assert report == ref_check_integrity(corpus)
             codes.update(code for code, _ in report)
         assert codes == {

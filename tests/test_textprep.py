@@ -167,7 +167,7 @@ class TestMergeConsecutive:
         assert set(corpus.utterances) == {"u0", "u2"}
         assert corpus.utterances["u0"].text == "first\nsecond"
         assert corpus.utterances["u2"].reply_to == "u0"
-        assert check_integrity(corpus).ok
+        assert check_integrity(corpus) == []
 
     def test_two_roots_is_no_root_error(self):
         # build_corpus refuses a second root, so it is made by hand.
@@ -227,7 +227,7 @@ class TestMergeConsecutive:
             )
             node_count = len(corpus.utterances)
             merge_consecutive(corpus)
-            assert check_integrity(corpus).ok
+            assert check_integrity(corpus) == []
             assert len(corpus.utterances) <= node_count
             after = sorted(
                 (u.speaker_id, line)

@@ -108,7 +108,7 @@ class TestTransformerContract:
         PolitenessStrategies().fit_transform(corpus)
         assert all("politeness_strategies" in u.meta
                    for u in corpus.utterances.values())
-        assert check_integrity(corpus).ok
+        assert check_integrity(corpus) == []
 
     def test_summarize_is_deterministic(self):
         corpus = two_class_corpus()
