@@ -16,15 +16,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "corpus_io": ("ImportMapping", "export_tabular", "identity_mapping", "import_tabular",
                   "load", "merge", "save"),
-    "diversity": ("SpeakerDiversity", "compute_diversity", "jensen_shannon"),
-    "fightingwords": ("FightingWords", "FwModel", "fit_fw", "summarize_fw"),
+    "diversity": ("SpeakerDiversity", "jensen_shannon"),
+    "fightingwords": ("FightingWords", "FwModel", "fit_fw"),
     "hyperconvo": ("HyperConvo", "ResponseGraph", "build_response_graph", "extract_features"),
     "ml": ("Classifier", "Forecaster", "LinearModel", "predict", "train_classifier"),
     "model": ("Conversation", "Corpus", "Speaker", "Utterance", "Violation", "build_corpus",
               "check_integrity", "speaker_history", "traverse"),
-    "politeness": ("PolitenessStrategies", "extract_strategies", "summarize_politeness"),
-    "textprep": ("MergeConsecutive", "TextCleaner", "Tokenizer", "clean_text",
-                 "merge_consecutive", "tokenize"),
+    "politeness": ("PolitenessStrategies", "extract_strategies"),
+    "textprep": ("MergeConsecutive", "TextCleaner", "Tokenizer", "clean_text", "tokenize"),
     "transform": ("Pipeline", "SpeakerMixAnnotator", "SummaryTable", "Transformer"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -4,7 +4,8 @@ A speaker's diversity is the mean Jensen-Shannon divergence (natural log,
 so bounded by ln 2) over all unordered pairs of their per-conversation
 lowercased unigram distributions. Identical language in every conversation
 scores 0; fully disjoint vocabularies score ln 2. Speakers active in fewer
-than two eligible conversations get a null score.
+than two eligible conversations get a null score. SpeakerDiversity is the
+one way to compute it over a corpus; jensen_shannon is its per-pair kernel.
 """
 
 from __future__ import annotations
@@ -91,14 +92,9 @@ def _distributions(
     ]
 
 
-def compute_diversity(corpus: Corpus, min_tokens_per_convo: int = 1) -> Corpus:
-    """Annotate every speaker with their diversity score under
-    "convo_diversity": {"value": float or None, "n_conversations": int}."""
-    return SpeakerDiversity(min_tokens_per_convo).transform(corpus)
-
-
 class SpeakerDiversity(Transformer):
-    """Annotates every speaker with their diversity score (see compute_diversity)."""
+    """Annotates every speaker with their diversity score under
+    "convo_diversity": {"value": float or None, "n_conversations": int}."""
 
     name = "speaker_diversity"
     level = "speaker"

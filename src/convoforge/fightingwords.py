@@ -44,9 +44,10 @@ def _word_tokens(utt: Utterance) -> list[str]:
 
 
 def _ngrams(tokens: list[str], ngram_max: int) -> list[str]:
-    # The unigrams are the tokens themselves; longer n-grams follow, by n.
+    # The unigrams are the tokens themselves; longer n-grams follow, by n,
+    # up to the longest the tokens hold.
     grams = list(tokens)
-    for n in range(2, ngram_max + 1):
+    for n in range(2, min(ngram_max, len(tokens)) + 1):
         grams.extend(" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
     return grams
 
@@ -175,22 +176,6 @@ def fit_fw(
     )
 
 
-def summarize_fw(model: Optional[FwModel], top_k: int = 10) -> SummaryTable:
-    """Top class-1 terms (descending z) then top class-2 terms (ascending z);
-    top_k must be a positive integer."""
-    _check_params(top_k=top_k)
-    if model is None:
-        raise NotFittedError("fighting words model is not fitted")
-    ranking = model.ranking()
-    # Re-sorted rather than reversed, so that ties stay in term order.
-    by_class2 = sorted(ranking, key=lambda row: (row[3], row[0]))
-    table = SummaryTable(columns=["class", "y1", "y2", "zscore"], label_header="term")
-    for label, rows in (("class1", ranking), ("class2", by_class2)):
-        for term, y1, y2, z in rows[:top_k]:
-            table.add_row(term, [label, y1, y2, z])
-    return table
-
-
 class FightingWords(Transformer):
     """Transformer wrapper: fit() learns the comparison, transform() tags
     each utterance's class membership under "fw_class".
@@ -229,4 +214,14 @@ class FightingWords(Transformer):
             self._annotate(utt, label)
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
-        return summarize_fw(self.model, top_k=self.top_k)
+        """Top class-1 terms (descending z) then top class-2 terms (ascending z)."""
+        if self.model is None:
+            raise NotFittedError("fighting words model is not fitted")
+        ranking = self.model.ranking()
+        # Re-sorted rather than reversed, so that ties stay in term order.
+        by_class2 = sorted(ranking, key=lambda row: (row[3], row[0]))
+        table = SummaryTable(columns=["class", "y1", "y2", "zscore"], label_header="term")
+        for label, rows in (("class1", ranking), ("class2", by_class2)):
+            for term, y1, y2, z in rows[:self.top_k]:
+                table.add_row(term, [label, y1, y2, z])
+        return table

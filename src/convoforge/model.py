@@ -73,15 +73,26 @@ class Corpus:
         return [self.utterances[uid] for uid in convo.utterance_ids]
 
 
+def _field(cell: str, delimiter: str) -> str:
+    """One cell of a delimited line: as it is, or, when it holds the
+    delimiter, a double quote, CR or LF, quoted as RFC 4180 does, its quotes
+    doubled. By hand, as the csv module's quoting of a lone CR varies with
+    the Python version, so the bytes are the same on every one."""
+    if frozenset(delimiter + '"\r\n').isdisjoint(cell):
+        return cell
+    return '"' + cell.replace('"', '""') + '"'
+
+
 @dataclass(frozen=True)
 class Violation:
-    """One integrity violation: a code plus the offending object ids."""
+    """One integrity violation: a code plus the offending object ids, which
+    print space-delimited, each through _field."""
 
     code: str
     ids: tuple[str, ...]
 
     def __str__(self) -> str:
-        return f"{self.code}: {' '.join(self.ids)}"
+        return f"{self.code}: {' '.join(_field(i, ' ') for i in self.ids)}"
 
 
 class _Violations(list):

@@ -5,7 +5,8 @@ initial question words, ...) counted over lowercased tokens. The inventory
 and every marker list live in data/politeness_markers.txt; its section
 order fixes the key order of every extracted vector, and the file declares
 per-strategy matching scope (anywhere / sentence-initial / utterance-
-initial / non-initial).
+initial / non-initial). extract_strategies is the per-utterance kernel;
+PolitenessStrategies runs it over a corpus and summarizes the means.
 
 Matching is one pass over the tokens: the inventory is compiled into an
 index from each entry's first token to the entries it starts, so the cost
@@ -17,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Optional
 
 from .errors import EmptySelectionError
 from .model import Corpus, Utterance
 from .textprep import utterance_tokens
-from .transform import SummaryTable, Transformer, _require_annotations
+from .transform import SummaryTable, Transformer
 
 ANNOTATION_KEY = "politeness_strategies"
 
@@ -118,26 +118,10 @@ def extract_strategies(utterance: Utterance) -> dict[str, int]:
     return _count_markers(sentences, inventory(), _marker_index())
 
 
-def summarize_politeness(
-    corpus: Corpus, selector: Optional[Callable[[Utterance], bool]] = None
-) -> SummaryTable:
-    """Mean count of each strategy over the selected annotated utterances."""
-    selected = [
-        u for u in corpus.utterances.values() if selector is None or selector(u)
-    ]
-    if not selected:
-        raise EmptySelectionError("no utterances selected")
-    vectors = [v for _, v in _require_annotations(selected, "utterance", ANNOTATION_KEY)]
-    table = SummaryTable(columns=["mean"], label_header="strategy")
-    n = len(selected)
-    for name in strategy_names():
-        total = sum(vector[name] for vector in vectors)
-        table.add_row(name, [total / n])
-    return table
-
-
 class PolitenessStrategies(Transformer):
-    """Annotates every utterance with its strategy-count vector."""
+    """Annotates every utterance with its strategy-count vector; summarize()
+    reports each strategy's mean count over all utterances, every one of
+    which must be annotated, and refuses a corpus with none."""
 
     name = "politeness"
     annotation_key = ANNOTATION_KEY
@@ -147,4 +131,10 @@ class PolitenessStrategies(Transformer):
             self._annotate(utt, extract_strategies(utt))
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
-        return summarize_politeness(corpus)
+        if not corpus.utterances:
+            raise EmptySelectionError("no utterances selected")
+        vectors = [v for _, v in self._annotations(corpus)]
+        table = SummaryTable(columns=["mean"], label_header="strategy")
+        for name in strategy_names():
+            table.add_row(name, [sum(vector[name] for vector in vectors) / len(vectors)])
+        return table

@@ -1,5 +1,7 @@
 """Preprocessing: web-text cleaning, tokenization, and merging of
-consecutive same-speaker utterances.
+consecutive same-speaker utterances. clean_text and tokenize are per-string
+kernels; TextCleaner, Tokenizer and MergeConsecutive are the stages that
+run over a corpus.
 
 clean_text applies, in order: markup stripping with entity decoding, URL and
 email replacement by the sentinel tokens <url> and <email>, compatibility
@@ -208,63 +210,57 @@ class Tokenizer(Transformer):
             self._annotate(utt, [list(map(share, s, s)) for s in _tokenized(utt)])
 
 
-def merge_consecutive(corpus: Corpus) -> Corpus:
-    """Fold every utterance that is its parent's only child and shares the
+class MergeConsecutive(Transformer):
+    """Folds every utterance that is its parent's only child and shares the
     parent's speaker into that parent, repeatedly, until no pair is left.
 
     Texts join with a newline, the child's children re-parent, metadata
     merges key-wise with the parent winning, and the earliest timestamp is
     kept. Branch points never merge. Structural: utterances are removed.
     Each metadata conflict is logged at DEBUG, and their count in one
-    WARNING.
+    WARNING. summarize() reports each conversation's utterance count.
     """
-    conflicts = 0
-    for convo in corpus.conversations.values():
-        queue, children = _rooted_tree(corpus, convo.id)
-        folded: set[str] = set()
-        # Each node absorbs its whole same-speaker chain before the walk goes
-        # below it, so a chain always folds top-down into its top utterance.
-        for parent in queue:
-            kids = children.get(parent.id, [])
-            texts = [parent.text]
-            while len(kids) == 1 and kids[0].speaker_id == parent.speaker_id:
-                child = kids[0]
-                texts.append(child.text)
-                for key, value in child.meta.items():
-                    if key not in parent.meta:
-                        parent.meta[key] = value
-                    elif parent.meta[key] != value:
-                        conflicts += 1
-                        logger.debug(
-                            "merge_consecutive: keeping %r's value for meta key %r, "
-                            "dropping %r's", parent.id, key, child.id,
-                        )
-                if child.timestamp is not None and (
-                        parent.timestamp is None or child.timestamp < parent.timestamp):
-                    parent.timestamp = child.timestamp
-                kids = children.pop(child.id, [])
-                for grandchild in kids:
-                    grandchild.reply_to = parent.id
-                folded.add(child.id)
-            parent.text = "\n".join(texts)
-            queue.extend(kids)
-        if folded:
-            convo.utterance_ids = [uid for uid in convo.utterance_ids if uid not in folded]
-            for uid in folded:
-                del corpus.utterances[uid]
-    if conflicts:
-        logger.warning("merge_consecutive: %d metadata conflicts kept the parent "
-                       "utterance's value", conflicts)
-    return corpus
-
-
-class MergeConsecutive(Transformer):
-    """Structural transformer wrapping merge_consecutive()."""
 
     name = "merge_consecutive"
 
     def _transform(self, corpus: Corpus) -> None:
-        merge_consecutive(corpus)
+        conflicts = 0
+        for convo in corpus.conversations.values():
+            queue, children = _rooted_tree(corpus, convo.id)
+            folded: set[str] = set()
+            # Each node absorbs its whole same-speaker chain before the walk goes
+            # below it, so a chain always folds top-down into its top utterance.
+            for parent in queue:
+                kids = children.get(parent.id, [])
+                texts = [parent.text]
+                while len(kids) == 1 and kids[0].speaker_id == parent.speaker_id:
+                    child = kids[0]
+                    texts.append(child.text)
+                    for key, value in child.meta.items():
+                        if key not in parent.meta:
+                            parent.meta[key] = value
+                        elif parent.meta[key] != value:
+                            conflicts += 1
+                            logger.debug(
+                                "merge_consecutive: keeping %r's value for meta key %r, "
+                                "dropping %r's", parent.id, key, child.id,
+                            )
+                    if child.timestamp is not None and (
+                            parent.timestamp is None or child.timestamp < parent.timestamp):
+                        parent.timestamp = child.timestamp
+                    kids = children.pop(child.id, [])
+                    for grandchild in kids:
+                        grandchild.reply_to = parent.id
+                    folded.add(child.id)
+                parent.text = "\n".join(texts)
+                queue.extend(kids)
+            if folded:
+                convo.utterance_ids = [uid for uid in convo.utterance_ids if uid not in folded]
+                for uid in folded:
+                    del corpus.utterances[uid]
+        if conflicts:
+            logger.warning("merge_consecutive: %d metadata conflicts kept the parent "
+                           "utterance's value", conflicts)
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
         table = SummaryTable(columns=["utterances"], label_header="conversation")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .corpus_io import _refusal
 from .errors import MissingAnnotationError, NotFittedError, PipelineStageError
-from .model import LEVELS, Corpus, _level_objects
+from .model import LEVELS, Corpus, _field, _level_objects
 
 logger = logging.getLogger(__name__)
 
@@ -51,29 +51,11 @@ class SummaryTable:
 
     def to_delimited(self, delimiter: str = "\t") -> str:
         """The header row, then one row per label with its values rendered by
-        format_value, joined by "\\n" with none after the last. A cell holding
-        the delimiter, a double quote, CR or LF is quoted as RFC 4180 does, its
-        quotes doubled: by hand, as the csv module's quoting of a lone CR varies
-        with the Python version, so the bytes are the same on every one."""
-        plain = frozenset(delimiter + '"\r\n').isdisjoint
+        format_value, joined by "\\n" with none after the last; each cell goes
+        through model._field, so one holding the delimiter is quoted."""
         rows = [[self.label_header, *self.columns]] + [
             [label, *map(format_value, values)] for label, values in self.rows]
-        return "\n".join(delimiter.join(c if plain(c) else '"' + c.replace('"', '""') + '"'
-                                        for c in row) for row in rows)
-
-
-def _require_annotations(objects: list, level: str, key: str) -> list[tuple]:
-    """(object, annotation under ``key``) for every object, or
-    MissingAnnotationError naming the first ``level`` object without one."""
-    pairs = []
-    for obj in objects:
-        value = obj.meta.get(key)
-        if value is None:
-            raise MissingAnnotationError(
-                f"{level} {obj.id!r} lacks {key!r}; run transform first"
-            )
-        pairs.append((obj, value))
-    return pairs
+        return "\n".join(delimiter.join(_field(c, delimiter) for c in row) for row in rows)
 
 
 def _read_foreign(obj, key: str, kind: type):
@@ -198,8 +180,16 @@ class Transformer:
         raise NotImplementedError
 
     def _annotations(self, corpus: Corpus) -> list[tuple]:
-        return _require_annotations(_level_objects(corpus, self.level), self.level,
-                                    self.annotation_key)
+        """(object, its annotation) for every ``level`` object, or
+        MissingAnnotationError naming the first object without one."""
+        pairs = []
+        for obj in _level_objects(corpus, self.level):
+            value = obj.meta.get(self.annotation_key)
+            if value is None:
+                raise MissingAnnotationError(
+                    f"{self.level} {obj.id!r} lacks {self.annotation_key!r}; run transform first")
+            pairs.append((obj, value))
+        return pairs
 
     def _annotate(self, obj, value, key: str = "") -> None:
         """obj.meta[key] = value, key defaulting to ``annotation_key``. An

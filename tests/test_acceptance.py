@@ -17,10 +17,10 @@ import pytest
 from convoforge import (
     Forecaster,
     ResponseGraph,
+    SpeakerDiversity,
     Tokenizer,
     Utterance,
     build_corpus,
-    compute_diversity,
     extract_strategies,
     fit_fw,
     load,
@@ -153,7 +153,7 @@ def test_diversity_bounds_100_random_speakers():
             utts.append(Utterance(f"c{c}_u", "spk", f"c{c}", text, None, c))
         corpus = build_corpus(utts)
         Tokenizer().transform(corpus)
-        compute_diversity(corpus)
+        SpeakerDiversity().transform(corpus)
         value = corpus.speakers["spk"].meta["convo_diversity"]["value"]
         assert 0.0 <= value <= ln2 + 1e-12
     identical = build_corpus([
@@ -161,14 +161,14 @@ def test_diversity_bounds_100_random_speakers():
         Utterance("b", "spk", "c1", "same words here", None, 1),
     ])
     Tokenizer().transform(identical)
-    compute_diversity(identical)
+    SpeakerDiversity().transform(identical)
     assert identical.speakers["spk"].meta["convo_diversity"]["value"] == 0.0
     disjoint = build_corpus([
         Utterance("a", "spk", "c0", "apple pear", None, 0),
         Utterance("b", "spk", "c1", "rock stone", None, 1),
     ])
     Tokenizer().transform(disjoint)
-    compute_diversity(disjoint)
+    SpeakerDiversity().transform(disjoint)
     assert disjoint.speakers["spk"].meta["convo_diversity"]["value"] == \
         pytest.approx(ln2, abs=1e-12)
     print("\nACCEPTANCE diversity (100 speakers in [0, ln2]; 0 and ln2 exact to 1e-12): PASS")

@@ -95,6 +95,17 @@ class TestValidate:
         assert len(lines) == 1
         assert lines[0].startswith("DanglingReply")
 
+    def test_an_id_holding_a_space_is_quoted(self, tmp_path, capsys):
+        save(build_corpus([Utterance("m1_0", "a", "m1", "hi", None, 1),
+                           Utterance("m1 1", "b", "m1", "yo", "m1_0", 2)]), tmp_path / "c")
+        path = tmp_path / "c" / "utterances.jsonl"
+        path.write_text(path.read_text().replace('"reply_to":"m1_0"', '"reply_to":"ghost"'))
+        assert main(["--corpus", str(tmp_path / "c"), "validate"]) == 1
+        out = capsys.readouterr().out
+        assert out == 'DanglingReply: "m1 1" ghost\n'
+        assert list(csv.reader(io.StringIO(out), delimiter=" ")) == [
+            ["DanglingReply:", "m1 1", "ghost"]]
+
     def test_nonexistent_path_exits_2(self, tmp_path):
         assert main(["--corpus", str(tmp_path / "missing"), "validate"]) == 2
 
@@ -1313,12 +1324,12 @@ REQUIRED_PARAMS = {"label_key": "y", "speaker_key": "gender", "class1": "a=1",
                    "class2": "a=2"}
 
 
-def _bad_values(rng: random.Random, param: str) -> list:
-    """Two values that the rule for ``param`` must refuse, drawn at random."""
+def _bad_pool(rng: random.Random, param: str) -> list:
+    """Values that the rule for ``param`` must refuse, some drawn at random."""
     count, number = rng.randint(1, 50), rng.uniform(0.1, 10)
     word = "".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(1, 8)))
     not_a_count = [-count, 0, count + 0.5, float(count), True, str(count), [count]]
-    pool = {
+    return {
         "positive": [-number, 0, 0.0, -count, True, str(number), None, [number]],
         "non-negative": [-number, -count, True, False, str(number), None],
         "count": not_a_count + [None],
@@ -1328,7 +1339,11 @@ def _bad_values(rng: random.Random, param: str) -> list:
         "level": [word, word.upper(), count, None, "Utterance"],
         "class": [count, number, None, True, [f"{word}=1"], {word: 1}],
     }[PARAM_KINDS[param]]
-    return rng.sample(pool, 2)
+
+
+def _bad_values(rng: random.Random, param: str) -> list:
+    """Two values that the rule for ``param`` must refuse, drawn at random."""
+    return rng.sample(_bad_pool(rng, param), 2)
 
 
 def _contract_cases() -> list:

@@ -15,11 +15,11 @@ import sys
 
 from convoforge import (
     Speaker,
+    SpeakerDiversity,
     Tokenizer,
     Utterance,
     build_corpus,
     clean_text,
-    compute_diversity,
     jensen_shannon,
     tokenize,
 )
@@ -220,7 +220,7 @@ class TestDiversity:
             corpus = diversity_corpus(rng)
             for min_tokens in (1, 4):
                 expected = ref_speaker_diversity(corpus, min_tokens)
-                compute_diversity(corpus, min_tokens)
+                SpeakerDiversity(min_tokens).transform(corpus)
                 for speaker in corpus.speakers.values():
                     got = speaker.meta["convo_diversity"]
                     want = expected[speaker.id]
@@ -236,6 +236,6 @@ class TestDiversity:
             sentences = token_sentences(rng) + [["word"]]
             utterances = [Utterance(f"c{c}_u", "s", f"c{c}", meta={"tokens": sentences})
                           for c in range(rng.randint(2, 5))]
-            corpus = compute_diversity(build_corpus(utterances))
+            corpus = SpeakerDiversity().transform(build_corpus(utterances))
             assert corpus.speakers["s"].meta["convo_diversity"]["value"] == 0.0
             assert utterance_tokens(utterances[0]) is sentences

@@ -9,11 +9,10 @@ from convoforge import (
     Tokenizer,
     Utterance,
     build_corpus,
-    compute_diversity,
     jensen_shannon,
 )
 from convoforge.diversity import _distributions, _token_counts_by_speaker
-from helpers import corpus_equal_strict, random_corpus
+from helpers import random_corpus
 from reference import ref_jensen_shannon
 
 LN2 = math.log(2)
@@ -117,7 +116,7 @@ class TestJensenShannonMatchesReference:
         for _ in range(30):
             corpus = random_corpus(rng)
             Tokenizer().transform(corpus)
-            compute_diversity(corpus)
+            SpeakerDiversity().transform(corpus)
             for speaker in corpus.speakers.values():
                 distributions = speaker_distributions(corpus, speaker.id)
                 n = len(distributions)
@@ -129,50 +128,50 @@ class TestJensenShannonMatchesReference:
                     pytest.approx(sum(pairs) / len(pairs), abs=1e-12)
 
 
-class TestComputeDiversity:
+class TestScores:
     def test_identical_text_scores_zero(self):
-        corpus = compute_diversity(speaker_corpus(["a b", "a b"]))
+        corpus = SpeakerDiversity().transform(speaker_corpus(["a b", "a b"]))
         assert score(corpus)["value"] == 0.0
         assert score(corpus)["n_conversations"] == 2
 
     def test_disjoint_text_scores_ln2(self):
-        corpus = compute_diversity(speaker_corpus(["a", "b"]))
+        corpus = SpeakerDiversity().transform(speaker_corpus(["a", "b"]))
         assert score(corpus)["value"] == pytest.approx(LN2, abs=1e-12)
 
     def test_three_conversations_mean_pairwise(self):
         # P1 = P2 (both "a"), P3 disjoint ("b"): pairwise JSDs {0, ln2, ln2}.
-        corpus = compute_diversity(speaker_corpus(["a", "a", "b"]))
+        corpus = SpeakerDiversity().transform(speaker_corpus(["a", "a", "b"]))
         assert score(corpus)["value"] == pytest.approx(2 / 3 * LN2, abs=1e-12)
 
     def test_single_conversation_is_null(self):
-        corpus = compute_diversity(speaker_corpus(["a b c"]))
+        corpus = SpeakerDiversity().transform(speaker_corpus(["a b c"]))
         assert score(corpus)["value"] is None
         assert score(corpus)["n_conversations"] == 1
 
     def test_min_tokens_excludes_short_conversations(self):
-        corpus = compute_diversity(speaker_corpus(["a", "b b b"]),
-                                   min_tokens_per_convo=2)
+        corpus = SpeakerDiversity(min_tokens_per_convo=2).transform(
+            speaker_corpus(["a", "b b b"]))
         assert score(corpus)["value"] is None
         assert score(corpus)["n_conversations"] == 1
 
     def test_duplicating_utterances_keeps_score(self):
-        base = compute_diversity(speaker_corpus(["red fish", "blue fish"]))
+        base = SpeakerDiversity().transform(speaker_corpus(["red fish", "blue fish"]))
         doubled_utts = []
         for i, text in enumerate(["red fish", "blue fish"]):
             doubled_utts.append(Utterance(f"c{i}_u", "s", f"c{i}", text, None, i))
             doubled_utts.append(Utterance(f"c{i}_v", "s", f"c{i}", text, f"c{i}_u", i + 10))
         doubled = build_corpus(doubled_utts)
         Tokenizer().transform(doubled)
-        compute_diversity(doubled)
+        SpeakerDiversity().transform(doubled)
         assert score(doubled)["value"] == pytest.approx(score(base)["value"], abs=1e-15)
 
     def test_case_folding(self):
-        corpus = compute_diversity(speaker_corpus(["Apple apple", "APPLE apple"]))
+        corpus = SpeakerDiversity().transform(speaker_corpus(["Apple apple", "APPLE apple"]))
         assert score(corpus)["value"] == 0.0
 
     def test_conversation_relabeling_invariance(self):
-        a = compute_diversity(speaker_corpus(["x y", "y z", "z q"]))
-        shuffled = compute_diversity(speaker_corpus(["z q", "x y", "y z"]))
+        a = SpeakerDiversity().transform(speaker_corpus(["x y", "y z", "z q"]))
+        shuffled = SpeakerDiversity().transform(speaker_corpus(["z q", "x y", "y z"]))
         assert score(a)["value"] == pytest.approx(score(shuffled)["value"], abs=1e-15)
 
     def test_requires_tokens(self):
@@ -184,8 +183,8 @@ class TestComputeDiversity:
             tokenized = copy.deepcopy(bare)
             Tokenizer().transform(tokenized)
             for min_tokens in (1, 3):
-                compute_diversity(bare, min_tokens)
-                compute_diversity(tokenized, min_tokens)
+                SpeakerDiversity(min_tokens).transform(bare)
+                SpeakerDiversity(min_tokens).transform(tokenized)
                 assert ({s.id: s.meta["convo_diversity"] for s in bare.speakers.values()}
                         == {s.id: s.meta["convo_diversity"]
                             for s in tokenized.speakers.values()})
@@ -199,7 +198,7 @@ class TestComputeDiversity:
                 " ".join(rng.choice(words) for _ in range(rng.randint(1, 12)))
                 for _ in range(rng.randint(2, 5))
             ]
-            corpus = compute_diversity(speaker_corpus(texts))
+            corpus = SpeakerDiversity().transform(speaker_corpus(texts))
             value = score(corpus)["value"]
             assert 0.0 <= value <= LN2 + 1e-12
 
@@ -209,13 +208,13 @@ class TestComputeDiversity:
             corpus = random_corpus(rng)
             Tokenizer().transform(corpus)
             for min_tokens in (1, 3):
-                compute_diversity(corpus, min_tokens)
+                SpeakerDiversity(min_tokens).transform(corpus)
                 for speaker in corpus.speakers.values():
                     distributions = speaker_distributions(corpus, speaker.id, min_tokens)
                     n = len(distributions)
                     expected = None
                     if n >= 2:
-                        # Left-to-right float sum, as compute_diversity does.
+                        # Left-to-right float sum, as SpeakerDiversity does.
                         total = 0.0
                         for i in range(n):
                             for j in range(i + 1, n):
@@ -243,15 +242,3 @@ class TestTransformer:
         assert labels[0] == "varied"
         assert labels[-1] == "lurker"
         assert table.rows[-1][1][0] is None
-
-    def test_compute_diversity_equals_transformer(self):
-        rng = random.Random(97)
-        for _ in range(20):
-            corpus = random_corpus(rng)
-            if rng.random() < 0.5:
-                Tokenizer().transform(corpus)
-            for min_tokens in (1, 3):
-                expected = SpeakerDiversity(min_tokens).transform(copy.deepcopy(corpus))
-                actual = copy.deepcopy(corpus)
-                assert compute_diversity(actual, min_tokens) is actual
-                assert corpus_equal_strict(actual, expected)

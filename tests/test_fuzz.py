@@ -1,5 +1,6 @@
-"""The command-line contract over mutated corpora, after Miller et al. 1990
-("An Empirical Study of the Reliability of UNIX Utilities", CACM).
+"""The command-line contract over mutated corpora and over stage
+parameters, after Miller et al. 1990 ("An Empirical Study of the
+Reliability of UNIX Utilities", CACM).
 
 The base corpus is the toy corpus after speaker_mix on gender, which gives
 fighting words a "mixed" key to compare on. Each copy mutates one of its
@@ -9,12 +10,23 @@ random.Random. Eight commands run on every copy through cli.main, in
 process. Each one succeeds, or exits 1 or 2 with one ``error:`` line on
 stderr and no output: no stdout, and no file where an output was asked
 for. It never raises. ``validate`` prints its violations on stdout instead.
+
+fuzz_corpora runs one kind on any seed and number of copies; CI runs more
+copies, on seeds tier-1 does not draw, by calling it from ``python -c``.
+
+The config half runs one ``run`` per value of every parameter of every
+registered stage, on the base corpus with boolean "derailed" labels on its
+conversations, under the same contract.
 """
 
+import inspect
+import io
 import json
 import random
 import re
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -43,17 +55,32 @@ VALUE_POOL = [None, True, False, 0, 1, -1, 1.5, -0.0, 1e308, 2 ** 64, float("inf
 DELETE = object()
 
 
-@pytest.fixture(scope="module")
-def base(tmp_path_factory):
-    """The four files of the base corpus, as text by name."""
-    root = tmp_path_factory.mktemp("fuzz_base")
+def base_corpus(root: Path) -> dict:
+    """The four files of the base corpus, made under ``root``, as text by name."""
     config = root / "speaker_mix.json"
+    root.mkdir(parents=True, exist_ok=True)
     config.write_text(json.dumps({
-        "input": str(toy_movie_path()), "output": str(root / "corpus"),
+        "input": str(toy_movie_path()), "output": str(root / "base"),
         "stages": [{"name": "speaker_mix", "params": {"speaker_key": "gender"}}]}))
     assert main(["--quiet", "run", str(config)]) == 0
-    return {name: (root / "corpus" / name).read_text(encoding="utf-8")
+    return {name: (root / "base" / name).read_text(encoding="utf-8")
             for name in CORPUS_FILES}
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    return base_corpus(tmp_path_factory.mktemp("fuzz_base"))
+
+
+def run_main(argv: list) -> tuple:
+    """cli.main's exit code, or the exception it raised, then its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:  # a traceback, were it a program run
+            code = exc
+    return code, out.getvalue(), err.getvalue()
 
 
 def mutate_tokens(rng: random.Random, text: str) -> tuple[str, list]:
@@ -146,19 +173,23 @@ def breaches(command: str, code, out: str, err: str, output) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("kind", ["token", "value"])
-def test_every_command_keeps_the_contract_on_mutated_corpora(tmp_path, capsys, base, kind):
-    rng = random.Random(f"fuzz {kind}")
+def fuzz_corpora(base: dict, kind: str, seed: str, copies: int, root: Path) -> dict:
+    """Run every command on ``copies`` copies of ``base``, each mutated by
+    ``kind``, drawn from random.Random(seed), in fresh directories under
+    ``root``. AssertionError on any breach of the contract, or when a command
+    succeeds on no copy, since such a command tests nothing; else each
+    command's count of successes."""
+    rng = random.Random(seed)
     # Ids that exist, so that a replaced reference can point at the wrong object.
     ids = sorted({record[key] for line in base["utterances.jsonl"].splitlines()
                   for record in [json.loads(line)] for key in ("id", "conversation_id", "speaker")})
-    corpus, work = tmp_path / "corpus", tmp_path / "work"
-    corpus.mkdir()
+    corpus, work = root / "corpus", root / "work"
+    corpus.mkdir(parents=True)
     work.mkdir()
     argvs = commands(corpus, work)
     succeeded = dict.fromkeys(argvs, 0)
     problems = []
-    for copy in range(COPIES):
+    for copy in range(copies):
         name = rng.choice(sorted(base))
         text = base[name]
         if kind == "token":
@@ -169,19 +200,78 @@ def test_every_command_keeps_the_contract_on_mutated_corpora(tmp_path, capsys, b
             (corpus / file_name).write_text(mutated if file_name == name else file_text,
                                             encoding="utf-8")
         for command, (argv, output) in argvs.items():
-            try:
-                code = main(argv)
-            except Exception as exc:  # a traceback, were it a program run
-                code = exc
-            captured = capsys.readouterr()
-            found = breaches(command, code, captured.out, captured.err, output)
+            code, out, err = run_main(argv)
             problems += [f"copy {copy} ({name} {done}), {command}: {problem}"
-                         for problem in found]
+                         for problem in breaches(command, code, out, err, output)]
             succeeded[command] += code == 0
             if output is not None and output.is_dir():
                 shutil.rmtree(output)
             elif output is not None:
                 output.unlink(missing_ok=True)
     assert problems == []
-    # A command that fails on every copy tests nothing.
+    assert all(succeeded.values()), succeeded
+    return succeeded
+
+
+@pytest.mark.parametrize("kind", ["token", "value"])
+def test_every_command_keeps_the_contract_on_mutated_corpora(tmp_path, base, kind):
+    fuzz_corpora(base, kind, f"fuzz {kind}", COPIES, tmp_path)
+
+
+# Each stage's required parameters, and the classifier's level: labels are
+# on conversations.
+BASE_PARAMS = {"label_key": "derailed", "speaker_key": "gender", "class1": "mixed=true",
+               "class2": "mixed=false", "level": "conversation"}
+# Beyond the refused pools: the largest double, a negative zero, an int that
+# fits no C integer, and a line break that must not reach stderr raw.
+EDGE_VALUES = [1e308, -0.0, 2 ** 64, "line\nbreak"]
+
+
+def config_cases() -> list:
+    """(stage, parameter, value, params): every parameter of every registered
+    stage, set in turn to its base value (BASE_PARAMS, else its default), to
+    each value of the refused pools of test_cli's parameter contract, and to
+    EDGE_VALUES; the others keep their base values. ``epochs`` takes no int
+    above 2**63, as training time is linear in it and the rules set no bound."""
+    from convoforge.registry import REGISTRY
+    from test_cli import SILENT_ACCEPTS, _bad_pool
+
+    rng = random.Random("config fuzz")
+    cases = []
+    for stage, cls in REGISTRY.items():
+        signature = inspect.signature(cls).parameters
+        base_params = {param: BASE_PARAMS.get(param, spec.default)
+                       for param, spec in signature.items()}
+        for param in signature:
+            values = [base_params[param], *_bad_pool(rng, param),
+                      *SILENT_ACCEPTS.get((stage, param), ()), *EDGE_VALUES]
+            for value in values:
+                if param == "epochs" and type(value) is int and value > 2 ** 63:
+                    continue
+                cases.append((stage, param, value, {**base_params, param: value}))
+    return cases
+
+
+def test_every_stage_parameter_keeps_the_contract(tmp_path, base):
+    corpus, output = tmp_path / "corpus", tmp_path / "out"
+    corpus.mkdir()
+    for name, text in base.items():
+        if name == "conversations.json":
+            conversations = json.loads(text)
+            for index, record in enumerate(conversations.values()):
+                record["meta"]["derailed"] = index % 2 == 0
+            text = json.dumps(conversations)
+        (corpus / name).write_text(text, encoding="utf-8")
+    config = tmp_path / "run.json"
+    succeeded, problems = {}, []
+    for stage, param, value, params in config_cases():
+        config.write_text(json.dumps({"output": str(output),
+                                      "stages": [{"name": stage, "params": params}]}))
+        code, out, err = run_main(["--quiet", "--corpus", str(corpus), "run", str(config)])
+        problems += [f"{stage} {param}={value!r}: {problem}"
+                     for problem in breaches("run", code, out, err, output)]
+        succeeded[stage] = succeeded.get(stage, 0) + (code == 0)
+        shutil.rmtree(output, ignore_errors=True)
+    assert problems == []
+    # A stage that fails on every value tests nothing.
     assert all(succeeded.values()), succeeded

@@ -178,11 +178,9 @@ PUBLIC_NAMES = [
     "SpeakerDiversity", "SpeakerMixAnnotator", "SummaryTable", "TextCleaner",
     "Tokenizer", "Transformer", "Utterance", "Violation",
     "build_corpus", "build_response_graph", "check_integrity", "clean_text",
-    "compute_diversity", "errors", "export_tabular", "extract_features",
-    "extract_strategies", "fit_fw", "identity_mapping", "import_tabular",
-    "jensen_shannon", "load", "merge", "merge_consecutive", "predict", "save",
-    "speaker_history", "summarize_fw", "summarize_politeness", "tokenize",
-    "train_classifier", "traverse",
+    "errors", "export_tabular", "extract_features", "extract_strategies", "fit_fw",
+    "identity_mapping", "import_tabular", "jensen_shannon", "load", "merge", "predict",
+    "save", "speaker_history", "tokenize", "train_classifier", "traverse",
 ]
 
 MODULES = """

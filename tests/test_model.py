@@ -6,6 +6,7 @@ import pytest
 from convoforge import (
     Speaker,
     Utterance,
+    Violation,
     build_corpus,
     check_integrity,
     speaker_history,
@@ -317,6 +318,13 @@ class TestCheckIntegrity:
         corpus.utterances["u2"].reply_to = "gone"
         codes = [v.code for v in check_integrity(corpus)]
         assert "DanglingReply" in codes
+
+    @pytest.mark.parametrize("uid,shown", [
+        ("u_1", "u_1"), ("", ""), ("u,1", "u,1"), ("u\t1", "u\t1"),
+        ("u 1", '"u 1"'), ('u"1', '"u""1"'), ("u\r1", '"u\r1"'), ("u\n1", '"u\n1"'),
+    ])
+    def test_violation_quotes_an_id_that_would_split_its_line(self, uid, shown):
+        assert str(Violation("DanglingReply", (uid, "ghost"))) == f"DanglingReply: {shown} ghost"
 
     def test_empty_conversation_violation(self):
         corpus = build_corpus(chain3())

@@ -4,11 +4,12 @@ from importlib import resources
 import pytest
 
 from convoforge import (
+    Corpus,
+    PolitenessStrategies,
     Tokenizer,
     Utterance,
     build_corpus,
     extract_strategies,
-    summarize_politeness,
 )
 from convoforge.errors import EmptySelectionError
 from convoforge.politeness import (
@@ -141,48 +142,36 @@ class TestFixture:
         assert extract_strategies(tokenized_utterance(text)) == vector(text, **expected)
 
 
-class TestSummarize:
-    def fixture_corpus(self):
-        utts = [
-            Utterance(f"u{i}", "s", "c0", text, None if i == 0 else "u0", i)
-            for i, (text, _) in enumerate(FIXTURE)
-        ]
-        corpus = build_corpus(utts)
-        Tokenizer().transform(corpus)
-        for utt in corpus.utterances.values():
-            utt.meta["politeness_strategies"] = extract_strategies(utt)
-        return corpus
+def annotated(texts):
+    """One conversation of ``texts``, each replying to the first, after the
+    politeness stage."""
+    corpus = build_corpus([Utterance(f"u{i}", "s", "c0", text, None if i == 0 else "u0", i)
+                           for i, text in enumerate(texts)])
+    return PolitenessStrategies().transform(corpus)
 
+
+class TestSummarize:
     def test_mean_over_utterances(self):
-        corpus = build_corpus([
-            Utterance("u0", "s", "c0", "fine", None, 1),
-            Utterance("u1", "s", "c0", "please please", "u0", 2),
-        ])
-        Tokenizer().transform(corpus)
-        for utt in corpus.utterances.values():
-            utt.meta["politeness_strategies"] = extract_strategies(utt)
-        table = summarize_politeness(corpus)
+        table = PolitenessStrategies().summarize(annotated(["fine", "please please"]))
         means = {label: values[0] for label, values in table.rows}
         assert means["please"] == 1.0
 
-    def test_empty_selection(self):
+    def test_corpus_without_utterances_is_empty_selection(self):
         with pytest.raises(EmptySelectionError):
-            summarize_politeness(self.fixture_corpus(), selector=lambda u: False)
+            PolitenessStrategies().summarize(Corpus())
 
     def test_single_utterance_table_equals_vector(self):
-        corpus = self.fixture_corpus()
-        table = summarize_politeness(corpus, selector=lambda u: u.id == "u1")
-        expected = corpus.utterances["u1"].meta["politeness_strategies"]
+        corpus = annotated([FIXTURE[1][0]])
+        table = PolitenessStrategies().summarize(corpus)
+        expected = corpus.utterances["u0"].meta["politeness_strategies"]
         assert {label: values[0] for label, values in table.rows} == \
             {k: float(v) for k, v in expected.items()}
 
     def test_partition_weighted_mean_consistency(self):
-        corpus = self.fixture_corpus()
-        whole = summarize_politeness(corpus)
-        part_a = summarize_politeness(corpus, selector=lambda u: u.id < "u5")
-        part_b = summarize_politeness(corpus, selector=lambda u: u.id >= "u5")
-        n_a = sum(1 for u in corpus.utterances.values() if u.id < "u5")
-        n_b = len(corpus.utterances) - n_a
+        texts = [text for text, _ in FIXTURE]
+        whole, part_a, part_b = (PolitenessStrategies().summarize(annotated(part))
+                                 for part in (texts, texts[:5], texts[5:]))
+        n_a, n_b = 5, len(texts) - 5
         for (name, whole_vals), (_, a_vals), (_, b_vals) in zip(
             whole.rows, part_a.rows, part_b.rows
         ):

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from convoforge import (
+    MergeConsecutive,
     TextCleaner,
     Tokenizer,
     Utterance,
     build_corpus,
     check_integrity,
     clean_text,
-    merge_consecutive,
     tokenize,
 )
 from convoforge.errors import NoRootError
@@ -163,7 +163,7 @@ class TestMergeConsecutive:
             utt("u1", "A", reply="u0", text="second", ts=2),
             utt("u2", "B", reply="u1", text="third", ts=3),
         ])
-        merge_consecutive(corpus)
+        MergeConsecutive().transform(corpus)
         assert set(corpus.utterances) == {"u0", "u2"}
         assert corpus.utterances["u0"].text == "first\nsecond"
         assert corpus.utterances["u2"].reply_to == "u0"
@@ -174,7 +174,7 @@ class TestMergeConsecutive:
         corpus = build_corpus([utt("u0", "A"), utt("u1", "A", reply="u0")])
         corpus.utterances["u1"].reply_to = None
         with pytest.raises(NoRootError, match="conversation 'c0' does not have exactly one root"):
-            merge_consecutive(corpus)
+            MergeConsecutive().transform(corpus)
         assert set(corpus.utterances) == {"u0", "u1"}
 
     def test_branching_blocks_merge(self):
@@ -183,7 +183,7 @@ class TestMergeConsecutive:
             utt("u1", "A", reply="u0", text="kid1", ts=2),
             utt("u2", "A", reply="u0", text="kid2", ts=3),
         ])
-        merge_consecutive(corpus)
+        MergeConsecutive().transform(corpus)
         assert set(corpus.utterances) == {"u0", "u1", "u2"}
 
     def test_distinct_speakers_unchanged(self):
@@ -192,7 +192,7 @@ class TestMergeConsecutive:
             utt("u1", "B", reply="u0", text="b", ts=2),
         ])
         snapshot = [u.id for u in corpus.utterances.values()]
-        merge_consecutive(corpus)
+        MergeConsecutive().transform(corpus)
         assert [u.id for u in corpus.utterances.values()] == snapshot
 
     def test_long_run_folds_to_one(self):
@@ -201,7 +201,7 @@ class TestMergeConsecutive:
             utt("u1", "A", reply="u0", text="two", ts=2),
             utt("u2", "A", reply="u1", text="three", ts=3),
         ])
-        merge_consecutive(corpus)
+        MergeConsecutive().transform(corpus)
         assert set(corpus.utterances) == {"u0"}
         assert corpus.utterances["u0"].text == "one\ntwo\nthree"
 
@@ -210,7 +210,7 @@ class TestMergeConsecutive:
             utt("u0", "A", text="a", ts=5, meta={"k": "parent", "only_parent": 1}),
             utt("u1", "A", reply="u0", text="b", ts=2, meta={"k": "child", "only_child": 2}),
         ])
-        merge_consecutive(corpus)
+        MergeConsecutive().transform(corpus)
         merged = corpus.utterances["u0"]
         assert merged.meta["k"] == "parent"
         assert merged.meta["only_child"] == 2
@@ -226,7 +226,7 @@ class TestMergeConsecutive:
                 for line in u.text.split("\n")
             )
             node_count = len(corpus.utterances)
-            merge_consecutive(corpus)
+            MergeConsecutive().transform(corpus)
             assert check_integrity(corpus) == []
             assert len(corpus.utterances) <= node_count
             after = sorted(
@@ -236,7 +236,7 @@ class TestMergeConsecutive:
             )
             assert after == before
             once = {uid: u.text for uid, u in corpus.utterances.items()}
-            merge_consecutive(corpus)
+            MergeConsecutive().transform(corpus)
             assert {uid: u.text for uid, u in corpus.utterances.items()} == once
 
 
@@ -280,7 +280,7 @@ class TestMergeMatchesReference:
         # The oracle warns once per conflict. The fast path logs each of
         # those lines at DEBUG and warns once with their count.
         with caplog.at_level("DEBUG"):
-            merge_consecutive(corpus)
+            MergeConsecutive().transform(corpus)
         records = [r for r in caplog.records if r.name == "convoforge.textprep"]
         messages = sorted(r.getMessage() for r in records if r.levelno == logging.DEBUG)
         warnings = [r.getMessage() for r in records if r.levelno == logging.WARNING]
@@ -324,7 +324,7 @@ class TestMergeMatchesReference:
             utt(f"u{i}", "A", reply=f"u{i - 1}" if i else None, ts=n - i, text=str(i))
             for i in range(n)
         )
-        merge_consecutive(corpus)
+        MergeConsecutive().transform(corpus)
         assert list(corpus.utterances) == ["u0"]
         assert corpus.conversations["c0"].utterance_ids == ["u0"]
         merged = corpus.utterances["u0"]
