@@ -267,14 +267,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record comes,
+    so that every call of ``main`` writes to its own caller's stream."""
+
+    stream = property(lambda self: sys.stderr)
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)  # StreamHandler's would assign the stream
+        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
+# Built once, as the parser is, so that a call leaves no handler behind.
+_STDERR_HANDLER = _StderrHandler()
+
+
 def main(argv=None) -> int:
     from .corpus_io import _paused_gc
 
     with _paused_gc():
         args = build_parser().parse_args(argv)
-        logging.basicConfig(stream=sys.stderr,
-                            level=logging.ERROR if args.quiet else logging.WARNING,
-                            format="%(levelname)s %(name)s: %(message)s")
+        # The command's warnings go to this call's standard error alone, at
+        # this call's level; the logger is given back as it was found.
+        logger = logging.getLogger("convoforge")
+        level, propagate = logger.level, logger.propagate
+        logger.setLevel(logging.ERROR if args.quiet else logging.WARNING)
+        logger.propagate = False
+        logger.addHandler(_STDERR_HANDLER)
         try:
             # The parser is built once, so it names the command's function,
             # which is looked up on each call.
@@ -293,6 +312,10 @@ def main(argv=None) -> int:
             return _fail(str(exc), 2)
         except ConvoForgeError as exc:
             return _fail(str(exc), exc.exit_code)
+        finally:
+            logger.removeHandler(_STDERR_HANDLER)
+            logger.setLevel(level)
+            logger.propagate = propagate
 
 
 def console_main() -> None:

@@ -30,6 +30,7 @@ import copy
 import csv
 import gc
 import json
+import logging
 import math
 import operator
 import os
@@ -50,7 +51,8 @@ from .errors import (
     UnserializableValueError,
     UnsupportedVersionError,
 )
-from .model import Conversation, Corpus, Speaker, Utterance, _require_integrity, build_corpus
+from .model import (Conversation, Corpus, Speaker, Utterance, _field, _require_integrity,
+                    build_corpus)
 
 FORMAT_VERSION = "1.0"
 
@@ -59,6 +61,8 @@ UTTERANCES_FILE = "utterances.jsonl"
 SPEAKERS_FILE = "speakers.json"
 CONVERSATIONS_FILE = "conversations.json"
 CORPUS_FILES = (MANIFEST_FILE, UTTERANCES_FILE, SPEAKERS_FILE, CONVERSATIONS_FILE)
+
+logger = logging.getLogger(__name__)
 
 
 def _finite_float(literal: str) -> float:
@@ -172,9 +176,9 @@ MANDATORY_TABULAR_FIELDS = ("id", "speaker_id", "conversation_id", "text")
 
 
 def check_delimiter(delimiter: str) -> str:
-    """Return ``delimiter`` if the csv module can write and read it back:
-    one character, and not the double quote or a line break that its
-    quoting relies on; raise ValueError otherwise."""
+    """Return ``delimiter`` if model._field can write it and the csv module
+    read it back: one character, and not the double quote or a line break
+    that quoting relies on; raise ValueError otherwise."""
     if len(delimiter) != 1 or delimiter in '"\r\n':
         raise ValueError("delimiter must be one character other than a double quote "
                          f"or line break, got {delimiter!r}")
@@ -204,17 +208,6 @@ class ImportMapping:
         check_delimiter(self.delimiter)
 
 
-@dataclass(frozen=True)
-class MergeConflict:
-    """A metadata key that differed between the two merged corpora."""
-
-    kind: str  # corpus_meta | speaker_meta | conversation_meta | utterance_meta
-    object_id: str
-    key: str
-    kept: object
-    discarded: object
-
-
 def _utterance_record(utt: Utterance) -> dict:
     # Key order is part of the format; do not reorder.
     return {
@@ -240,21 +233,23 @@ def _meta_owners(corpus: Corpus) -> Iterator[tuple[str, dict]]:
         yield f"conversation {cid!r}", convo.meta
 
 
-def _to_json(value, corpus: Corpus) -> str:
-    """``value`` as one line of compact JSON, refusing what standard JSON
-    cannot hold; the error names the first meta key of ``corpus`` at fault."""
+def _to_json(value, corpus: Corpus, name: str) -> str:
+    """``value``, a record of the corpus file ``name``, as one line of compact
+    JSON, refusing what standard JSON cannot hold. The error names the first
+    meta key of ``corpus`` at fault, or else the utterance or file of value."""
     try:
         return _ONE_LINE.encode(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError) as exc:
         for owner, meta in _meta_owners(corpus):
             for key, item in meta.items():
                 try:
                     _ONE_LINE.encode({key: item})
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError) as key_exc:
                     raise UnserializableValueError(
-                        f"{owner} meta key {key!r} cannot be saved as JSON: {exc}"
+                        f"{owner} meta key {key!r} cannot be saved as JSON: {key_exc}"
                     ) from None
-        raise
+        owner = f"utterance {value['id']!r}" if name == UTTERANCES_FILE else name
+        raise UnserializableValueError(f"{owner} cannot be saved as JSON: {exc}") from None
 
 
 def _write_files(corpus: Corpus, directory: Path) -> None:
@@ -268,7 +263,7 @@ def _write_files(corpus: Corpus, directory: Path) -> None:
                          (CONVERSATIONS_FILE, [conversations]), (UTTERANCES_FILE, records)):
         with open(directory / name, "w", encoding="utf-8", newline="\n") as fh:
             for value in values:
-                fh.write(_to_json(value, corpus))
+                fh.write(_to_json(value, corpus, name))
                 fh.write("\n")
 
 
@@ -440,40 +435,41 @@ def _load(directory: Path) -> Corpus:
     return corpus
 
 
-def _merge_meta(kind: str, object_id: str, base: dict, incoming: dict,
-                log: list) -> dict:
-    merged = dict(base)
+def _merge_meta(owner: str, base: dict, incoming: dict) -> int:
+    """Update base with incoming, whose values win; log each key whose values
+    differed at DEBUG under owner, spelled as _meta_owners does, and count them."""
+    conflicts = 0
     for key, value in incoming.items():
-        if key in merged and merged[key] != value:
-            log.append(MergeConflict(kind, object_id, key, kept=value,
-                                     discarded=merged[key]))
-        merged[key] = value
-    return merged
+        if key in base and base[key] != value:
+            conflicts += 1
+            logger.debug("merge: keeping the second corpus's value for %s meta key %r",
+                         owner, key)
+        base[key] = value
+    return conflicts
 
 
 def merge(a: Corpus, b: Corpus) -> Corpus:
-    """Union of two corpora. Metadata conflicts resolve in b's favor and are
-    recorded in the result's merge_log; differing structural fields on a
-    shared utterance id are irreconcilable.
+    """Union of two corpora. A metadata key both hold with different values
+    takes b's value, and the count of such keys is one warning; differing
+    structural fields on a shared utterance id are irreconcilable.
     """
-    log: list[MergeConflict] = []
     # Deep copies of both sides, so the result shares no object with either.
     result, b = copy.deepcopy(a), copy.deepcopy(b)
-    result.meta = _merge_meta("corpus_meta", "", result.meta, b.meta, log)
+    conflicts = _merge_meta("corpus", result.meta, b.meta)
 
     for sid, spk in b.speakers.items():
         target = result.speakers.get(sid)
         if target is None:
             result.speakers[sid] = spk
         else:
-            target.meta = _merge_meta("speaker_meta", sid, target.meta, spk.meta, log)
+            conflicts += _merge_meta(f"speaker {sid!r}", target.meta, spk.meta)
 
     for cid, convo in b.conversations.items():
         target = result.conversations.get(cid)
         if target is None:
             result.conversations[cid] = convo
             continue
-        target.meta = _merge_meta("conversation_meta", cid, target.meta, convo.meta, log)
+        conflicts += _merge_meta(f"conversation {cid!r}", target.meta, convo.meta)
         known = set(target.utterance_ids)
         target.utterance_ids.extend(u for u in convo.utterance_ids if u not in known)
 
@@ -488,10 +484,11 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
                 raise IrreconcilableCollisionError(
                     f"utterance {uid!r} differs in {fname} between the merged corpora"
                 )
-        existing.meta = _merge_meta("utterance_meta", uid, existing.meta, utt.meta, log)
+        conflicts += _merge_meta(f"utterance {uid!r}", existing.meta, utt.meta)
 
-    result.merge_log = log
     _require_integrity(result, "merged corpus")
+    if conflicts:
+        logger.warning("merge: %d metadata conflicts kept the second corpus's value", conflicts)
     return result
 
 
@@ -572,29 +569,28 @@ def _meta_cell(utt: Utterance, key: str) -> str:
 
 def export_tabular(corpus: Corpus, path: str | Path, delimiter: str = ",",
                    meta_columns: Optional[list[str]] = None) -> None:
-    """Write utterances as one delimited row each through the csv module: CRLF
-    line ends and RFC 4180 quoting. A meta cell holds a string as itself, any
-    other value as the compact JSON text utterances.jsonl holds, and nothing
-    for a missing key. Inverse of import_tabular under the identity mapping
-    (meta columns import as strings). Text UTF-8 cannot encode, or a meta value
-    JSON cannot hold, raises UnserializableValueError and leaves no file."""
+    """Write utterances as one delimited row each, every cell through model._field
+    and every line ending in CRLF; None is an empty cell, any other value its str().
+    A meta cell holds a string as itself, any other value as the compact JSON text
+    utterances.jsonl holds, and nothing for a missing key. Inverse of import_tabular
+    under the identity mapping (meta columns import as strings). The file is rendered
+    before it is opened: text UTF-8 cannot encode, or a meta value JSON cannot hold,
+    raises UnserializableValueError and leaves no file."""
     check_delimiter(delimiter)
     path = os.fspath(path)  # open() would take an int or bool as a file descriptor
     meta_columns = meta_columns or []
+    rows = [[*TABULAR_FIELDS, *meta_columns]]
+    rows += ([utt.id, utt.speaker_id, utt.conversation_id, utt.reply_to, utt.timestamp, utt.text,
+              *(_meta_cell(utt, col) for col in meta_columns)]
+             for utt in corpus.utterances.values())
+    text = "".join(delimiter.join(_field("" if cell is None else str(cell), delimiter)
+                                  for cell in row) + "\r\n" for row in rows)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, delimiter=delimiter)
-            writer.writerow(list(TABULAR_FIELDS) + meta_columns)
-            for utt in corpus.utterances.values():
-                # The csv module writes None as an empty cell and a number as str() does.
-                writer.writerow([utt.id, utt.speaker_id, utt.conversation_id, utt.reply_to,
-                                 utt.timestamp, utt.text,
-                                 *(_meta_cell(utt, col) for col in meta_columns)])
-    except (UnicodeEncodeError, UnserializableValueError) as exc:
-        os.remove(path)
-        if isinstance(exc, UnserializableValueError):
-            raise
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
         raise UnserializableValueError(f"cannot export corpus: {_unencodable(exc)}") from None
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def identity_mapping(delimiter: str = ",", with_optional: bool = True) -> ImportMapping:

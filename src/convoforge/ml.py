@@ -456,7 +456,7 @@ class Forecaster(_LinearStage):
                 )
             labels[convo.id] = float(label)
         if not corpus.utterances:
-            raise EmptySelectionError("no utterances selected")
+            raise EmptySelectionError("corpus has no utterances")
         utterances, lengths, rows = self._utterance_rows(corpus)
         y = _checked_labels([labels[utt.conversation_id] for utt in utterances])
         # The prefixes are a dense array, multiplied through BLAS: with the

@@ -62,9 +62,6 @@ class Corpus:
     conversations: dict[str, Conversation] = field(default_factory=dict)
     utterances: dict[str, Utterance] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    # Populated by merge(); diagnostic only, excluded from equality and
-    # serialization so merge(x, x) == x holds.
-    merge_log: list = field(default_factory=list, compare=False, repr=False)
 
     def utterances_in(self, conversation_id: str) -> list[Utterance]:
         convo = self.conversations.get(conversation_id)
@@ -74,10 +71,11 @@ class Corpus:
 
 
 def _field(cell: str, delimiter: str) -> str:
-    """One cell of a delimited line: as it is, or, when it holds the
-    delimiter, a double quote, CR or LF, quoted as RFC 4180 does, its quotes
-    doubled. By hand, as the csv module's quoting of a lone CR varies with
-    the Python version, so the bytes are the same on every one."""
+    """One cell of a delimited line (a table, a violation's ids, a row of
+    corpus_io.export_tabular): as it is, or, when it holds the delimiter, a
+    double quote, CR or LF, quoted as RFC 4180 does, its quotes doubled. By
+    hand, as the csv module's quoting of a lone CR varies with the Python
+    version, so the bytes are the same on every one."""
     if frozenset(delimiter + '"\r\n').isdisjoint(cell):
         return cell
     return '"' + cell.replace('"', '""') + '"'

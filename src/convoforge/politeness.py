@@ -132,7 +132,7 @@ class PolitenessStrategies(Transformer):
 
     def summarize(self, corpus: Corpus) -> SummaryTable:
         if not corpus.utterances:
-            raise EmptySelectionError("no utterances selected")
+            raise EmptySelectionError("corpus has no utterances")
         vectors = [v for _, v in self._annotations(corpus)]
         table = SummaryTable(columns=["mean"], label_header="strategy")
         for name in strategy_names():

@@ -3,6 +3,7 @@ import gc
 import inspect
 import io
 import json
+import logging
 import os
 import random
 import re
@@ -225,6 +226,38 @@ class TestRun:
             "WARNING convoforge.transform: tokenizer: overwrote 14 existing "
             "'tokens' annotations",
         ]
+
+    def test_each_call_of_main_warns_on_its_own_stream_at_its_own_level(self, tmp_path):
+        # Several calls in one interpreter, as a library caller makes them,
+        # after the caller's own logging.basicConfig: no call fixes the stream
+        # or level of a later one, none writes through the root handler, and
+        # each gives the loggers back as it found them.
+        first, second = tmp_path / "out1", tmp_path / "out2"
+        config = self.make_config(tmp_path, [{"name": "tokenizer"}], toy_movie_path(), first)
+        assert main(["--quiet", "run", str(config)]) == 0
+        config = self.make_config(tmp_path, [{"name": "tokenizer"}], first, second)
+        script = (
+            "import contextlib, io, json, logging, sys\n"
+            "from convoforge.cli import main\n"
+            "logging.basicConfig()\n"
+            "root, logger = logging.getLogger(), logging.getLogger('convoforge')\n"
+            "streams = []\n"
+            "for quiet in (True, False, False, True, False):\n"
+            "    err, out = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):\n"
+            "        assert main(['--quiet'] * quiet + ['run', sys.argv[1]]) == 0\n"
+            "    streams.append(err.getvalue())\n"
+            "print(json.dumps([streams, len(root.handlers), logger.handlers == [],\n"
+            "                  logger.level, logger.propagate]))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script, str(config)], env=child_env(),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        warning = ("WARNING convoforge.transform: tokenizer: overwrote 14 existing "
+                   "'tokens' annotations\n")
+        assert json.loads(result.stdout) == [["", warning, warning, "", warning], 1, True,
+                                             logging.NOTSET, True]
 
     def test_output_equal_to_input(self, tmp_path, chain_dir, capsys):
         config = self.make_config(tmp_path, [{"name": "tokenizer"}], chain_dir, chain_dir)

@@ -1,6 +1,7 @@
 import copy
 import csv
 import gc
+import io
 import json
 import os
 import random
@@ -274,6 +275,19 @@ class TestSaveLoad:
         path = tmp_path / "c" / "utterances.jsonl"
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert corpus_equal_strict(load(tmp_path / "c"), small_corpus())
+
+    def test_blank_lines_are_skipped_and_faults_keep_their_line(self, tmp_path):
+        save(small_corpus(), tmp_path / "c")
+        path = tmp_path / "c" / "utterances.jsonl"
+        first, second, third = path.read_bytes().splitlines(keepends=True)
+        # Empty, whitespace-only and \r-only lines before line 1, between
+        # records and at the end; the third record is on line 7.
+        path.write_bytes(b"\n" + b"  \r\n" + first + b"\r\n" + second + b" \t\n" + third
+                         + b"\n\r\n   ")
+        assert corpus_equal_strict(load(tmp_path / "c"), small_corpus())
+        path.write_bytes(path.read_bytes().replace(third, b"{" + third))
+        with pytest.raises(MalformedRecordError, match=r"^utterances.jsonl line 7: invalid JSON"):
+            load(tmp_path / "c")
 
     @pytest.mark.parametrize("name", ["manifest.json", "utterances.jsonl", "speakers.json",
                                       "conversations.json"])
@@ -782,6 +796,20 @@ class TestAtomicSave:
         assert corpus_equal_strict(load(target), small_corpus())
         assert [p.name for p in tmp_path.iterdir()] == ["c"]
 
+    @pytest.mark.parametrize("name, value", [
+        ("timestamp", {"a"}), ("timestamp", float("nan")), ("timestamp", float("inf")),
+        ("text", {"a"})], ids=["set-timestamp", "nan-timestamp", "inf-timestamp", "set-text"])
+    def test_unserializable_field_names_the_utterance_and_writes_nothing(self, tmp_path, name,
+                                                                         value):
+        target = self.saved(tmp_path)
+        corpus = self.bigger_corpus()
+        setattr(corpus.utterances["u3"], name, value)
+        with pytest.raises(UnserializableValueError,
+                           match=r"^utterance 'u3' cannot be saved as JSON: "):
+            save(corpus, target)
+        assert corpus_equal_strict(load(target), small_corpus())
+        assert [p.name for p in tmp_path.iterdir()] == ["c"]
+
     @pytest.mark.parametrize("owner, value", [
         ("corpus", float("nan")), ("speaker", float("inf")),
         ("conversation", [1.0, float("-inf")]), ("utterance", {"k": float("nan")}),
@@ -829,19 +857,71 @@ class TestMerge:
         assert merge(corpus, empty) == corpus
         assert merge(empty, corpus) == corpus
 
-    def test_merge_idempotent(self):
+    def test_merge_idempotent(self, caplog):
         corpus = small_corpus()
-        merged = merge(corpus, corpus)
+        with caplog.at_level("DEBUG", logger="convoforge"):
+            merged = merge(corpus, corpus)
         assert merged == corpus
-        assert merged.merge_log == []
+        assert caplog.records == []
 
-    def test_meta_conflict_b_wins_and_logged(self):
+    def test_meta_conflict_b_wins_and_logged(self, caplog):
         a = build_corpus([Utterance("u0", "s", "c0")], [Speaker("s", {"age": 3})])
         b = build_corpus([Utterance("u0", "s", "c0")], [Speaker("s", {"age": 4})])
-        merged = merge(a, b)
+        with caplog.at_level("DEBUG", logger="convoforge"):
+            merged = merge(a, b)
         assert merged.speakers["s"].meta["age"] == 4
-        assert len(merged.merge_log) == 1
-        assert merged.merge_log[0].key == "age"
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("DEBUG", "merge: keeping the second corpus's value for speaker 's' meta key 'age'"),
+            ("WARNING", "merge: 1 metadata conflicts kept the second corpus's value")]
+
+    @staticmethod
+    def meta_tables(corpus):
+        """(owner, meta) of every table, owners spelled as merge logs them."""
+        return [("corpus", corpus.meta),
+                *((f"speaker {i!r}", o.meta) for i, o in corpus.speakers.items()),
+                *((f"conversation {i!r}", o.meta) for i, o in corpus.conversations.items()),
+                *((f"utterance {i!r}", o.meta) for i, o in corpus.utterances.items())]
+
+    def test_seeded_conflicts_warn_once_and_log_each_at_debug(self, caplog):
+        rng = random.Random(34)
+        for _ in range(30):
+            a = random_corpus(rng, max_utterances=20)
+            for owner, meta in self.meta_tables(a):
+                meta.setdefault("shared", rng.randint(0, 3))  # each level can conflict
+            b = copy.deepcopy(a)
+            changed, levels_seen = [], set()
+            for index, (owner, meta) in enumerate(self.meta_tables(b)):
+                level = owner.split()[0]
+                if level not in levels_seen or rng.random() < 0.3:  # each level conflicts
+                    levels_seen.add(level)
+                    key = rng.choice(list(meta))
+                    meta[key] = ["changed", meta[key]]
+                    changed.append((owner, key))
+                if rng.random() < 0.3:
+                    meta[f"new{index}"] = index
+                items = list(meta.items())
+                rng.shuffle(items)
+                meta.clear()
+                meta.update(items)
+            expected = [(owner, list({**meta_a, **meta_b}.items()))
+                        for (owner, meta_a), (_, meta_b)
+                        in zip(self.meta_tables(a), self.meta_tables(b))]
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="convoforge"):
+                merged = merge(a, b)
+            assert [(owner, list(meta.items())) for owner, meta
+                    in self.meta_tables(merged)] == expected
+            levels = [r.levelname for r in caplog.records]
+            assert levels.count("WARNING") == 1 and set(levels) == {"DEBUG", "WARNING"}
+            assert caplog.records[-1].getMessage() == (
+                f"merge: {len(changed)} metadata conflicts kept the second corpus's value")
+            assert sorted(r.getMessage() for r in caplog.records[:-1]) == sorted(
+                f"merge: keeping the second corpus's value for {owner} meta key {key!r}"
+                for owner, key in changed)
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="convoforge"):
+                assert merge(a, a) == a
+            assert caplog.records == []
 
     def test_disjoint_merge_is_union(self):
         a = build_corpus([Utterance("u0", "s", "c0", "x")])
@@ -1135,3 +1215,40 @@ class TestTabular:
                            match=r"^utterance 'u1' meta key 'bad' cannot be exported as JSON"):
             export_tabular(corpus, tmp_path / "t.csv", meta_columns=["n", "bad"])
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", "|", "x", " "])
+    def test_export_bytes_equal_the_csv_writer(self, tmp_path, delimiter):
+        rng = random.Random(f"export {delimiter}")
+        alphabet = [delimiter, '"', "\r", "\n", " ", "é", "a"]
+
+        def cell():
+            return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+
+        columns = [cell() + f"m{i}" for i in range(3)]
+        utterances = []
+        for c in range(60):
+            cid, ids = cell() + f"c{c}", []
+            for _ in range(rng.randint(1, 5)):
+                ids.append(cell() + f"u{len(utterances)}")
+                meta = {column: rng.choice([cell(), 7, None, True, {"k": cell()}])
+                        for column in columns if rng.random() < 0.7}
+                utterances.append(Utterance(
+                    ids[-1], cell() + f"s{rng.randint(0, 9)}", cid, cell(),
+                    rng.choice(ids[:-1]) if len(ids) > 1 else None,
+                    rng.choice([None, rng.randint(-10**12, 10**12)]), meta))
+        corpus = build_corpus(utterances)
+
+        def meta_cell(utt, column):
+            value = utt.meta.get(column, "")
+            return value if isinstance(value, str) else json.dumps(
+                value, ensure_ascii=False, separators=(",", ":"))
+
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, delimiter=delimiter, lineterminator="\r\n")
+        writer.writerow([*corpus_io.TABULAR_FIELDS, *columns])
+        for utt in corpus.utterances.values():
+            writer.writerow([utt.id, utt.speaker_id, utt.conversation_id, utt.reply_to,
+                             utt.timestamp, utt.text, *(meta_cell(utt, c) for c in columns)])
+        path = tmp_path / "dump.csv"
+        export_tabular(corpus, path, delimiter=delimiter, meta_columns=columns)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")

@@ -797,7 +797,7 @@ class TestFitThenTransform:
                 with pytest.raises(EmptySelectionError,
                                    match=f"^no {level}s carry label key 'label'$"):
                     Classifier("label", level=level).fit(corpus)
-        with pytest.raises(EmptySelectionError, match="^no utterances selected$"):
+        with pytest.raises(EmptySelectionError, match="^corpus has no utterances$"):
             Forecaster("label").fit(build_corpus([]))
         with pytest.raises(MissingLabelError, match="^conversation 'p0' lacks label key 'label'$"):
             Forecaster("label").fit(unlabelled)
