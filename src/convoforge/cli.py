@@ -76,7 +76,7 @@ def _run_stages(stages: list, corpus_path, output_path):
     from .corpus_io import save
     from .transform import Pipeline
 
-    corpus = Pipeline(stages).run(_load_corpus(corpus_path), fit_first=True)
+    corpus = Pipeline(stages).run(_load_corpus(corpus_path))
     if output_path:
         save(corpus, output_path)
     return corpus

@@ -38,7 +38,7 @@ import re
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     CountMismatchError,
@@ -95,11 +95,17 @@ def _decode(text: str):
         raise ValueError(f"invalid JSON ({exc.msg})") from None
     # Only text with such an escape pays; the memchr first is far faster than the regex.
     if "\\" in text and _SURROGATE_ESCAPE.search(text):
-        try:
-            _ONE_LINE.encode(value).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ValueError(_unencodable(exc)) from None
+        _line(value)
     return value
+
+
+def _line(value) -> bytes:
+    """value as compact JSON in UTF-8; TypeError or ValueError where JSON or
+    UTF-8 cannot hold it, a lone surrogate worded as _unencodable does."""
+    try:
+        return _ONE_LINE.encode(value).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(_unencodable(exc)) from None
 
 
 def _unencodable(exc: UnicodeEncodeError) -> str:
@@ -221,30 +227,21 @@ def _utterance_record(utt: Utterance) -> dict:
     }
 
 
-def _meta_owners(corpus: Corpus) -> Iterator[tuple[str, dict]]:
-    """Every metadata table with its owner's name: the corpus's, then each
-    utterance's, speaker's and conversation's in insertion order."""
-    yield "corpus", corpus.meta
-    for utt in corpus.utterances.values():
-        yield f"utterance {utt.id!r}", utt.meta
-    for sid, spk in corpus.speakers.items():
-        yield f"speaker {sid!r}", spk.meta
-    for cid, convo in corpus.conversations.items():
-        yield f"conversation {cid!r}", convo.meta
-
-
-def _to_json(value, corpus: Corpus, name: str) -> str:
+def _to_json(value, owners: Iterable, name: str) -> bytes:
     """``value``, a record of the corpus file ``name``, as one line of compact
-    JSON, refusing what standard JSON cannot hold. The error names the first
-    meta key of ``corpus`` at fault, or else the utterance or file of value."""
+    JSON in UTF-8, refusing what standard JSON or UTF-8 cannot hold. The error
+    names the first meta key at fault of ``owners``, the corpus, speakers,
+    conversations or utterance that value holds, or else its utterance or file."""
     try:
-        return _ONE_LINE.encode(value)
+        return _line(value)
     except (TypeError, ValueError) as exc:
-        for owner, meta in _meta_owners(corpus):
-            for key, item in meta.items():
+        for obj in owners:
+            for key, item in obj.meta.items():
                 try:
-                    _ONE_LINE.encode({key: item})
+                    _line({key: item})
                 except (TypeError, ValueError) as key_exc:
+                    owner = ("corpus" if isinstance(obj, Corpus)
+                             else f"{type(obj).__name__.lower()} {obj.id!r}")
                     raise UnserializableValueError(
                         f"{owner} meta key {key!r} cannot be saved as JSON: {key_exc}"
                     ) from None
@@ -258,13 +255,16 @@ def _write_files(corpus: Corpus, directory: Path) -> None:
                 "speaker_count": len(corpus.speakers), "corpus_meta": corpus.meta}
     speakers = {sid: {"meta": spk.meta} for sid, spk in corpus.speakers.items()}
     conversations = {cid: {"meta": convo.meta} for cid, convo in corpus.conversations.items()}
-    records = map(_utterance_record, corpus.utterances.values())
-    for name, values in ((MANIFEST_FILE, [manifest]), (SPEAKERS_FILE, [speakers]),
-                         (CONVERSATIONS_FILE, [conversations]), (UTTERANCES_FILE, records)):
-        with open(directory / name, "w", encoding="utf-8", newline="\n") as fh:
-            for value in values:
-                fh.write(_to_json(value, corpus, name))
-                fh.write("\n")
+    # Each file's lines, each with the objects whose metadata it holds.
+    lines = ((_utterance_record(utt), (utt,)) for utt in corpus.utterances.values())
+    for name, values in ((MANIFEST_FILE, [(manifest, [corpus])]),
+                         (SPEAKERS_FILE, [(speakers, corpus.speakers.values())]),
+                         (CONVERSATIONS_FILE, [(conversations, corpus.conversations.values())]),
+                         (UTTERANCES_FILE, lines)):
+        with open(directory / name, "wb") as fh:
+            for value, owners in values:
+                fh.write(_to_json(value, owners, name))
+                fh.write(b"\n")
 
 
 def _replace_directory(staging: Path, directory: Path) -> None:
@@ -289,8 +289,9 @@ def save(corpus: Corpus, path: str | Path) -> None:
 
     The files are written into a temporary sibling directory, which then
     takes the place of ``path``: a save that fails leaves what was there.
-    An existing ``path`` may hold nothing but corpus files. Metadata that
-    standard JSON cannot hold (NaN, Infinity, sets, ...) is refused.
+    An existing ``path`` may hold nothing but corpus files. A value that
+    standard JSON or UTF-8 cannot hold (NaN, Infinity, a set, a lone
+    surrogate) is refused, naming its object and key as _to_json does.
     """
     _require_integrity(corpus, "corpus to save")
     # Resolved, so that a symlinked directory is replaced at its target.
@@ -311,8 +312,6 @@ def save(corpus: Corpus, path: str | Path) -> None:
         try:
             _write_files(corpus, staging)
             _replace_directory(staging, directory)
-        except UnicodeEncodeError as exc:
-            raise UnserializableValueError(f"cannot save corpus: {_unencodable(exc)}") from None
         finally:
             shutil.rmtree(staging, ignore_errors=True)
     except OSError as exc:
@@ -437,7 +436,7 @@ def _load(directory: Path) -> Corpus:
 
 def _merge_meta(owner: str, base: dict, incoming: dict) -> int:
     """Update base with incoming, whose values win; log each key whose values
-    differed at DEBUG under owner, spelled as _meta_owners does, and count them."""
+    differed at DEBUG under owner ("corpus", "speaker 's'", ...), and count them."""
     conflicts = 0
     for key, value in incoming.items():
         if key in base and base[key] != value:
@@ -593,7 +592,7 @@ def export_tabular(corpus: Corpus, path: str | Path, delimiter: str = ",",
         fh.write(data)
 
 
-def identity_mapping(delimiter: str = ",", with_optional: bool = True) -> ImportMapping:
-    """Mapping matching export_tabular's header, for lossless re-import."""
-    fields = TABULAR_FIELDS if with_optional else MANDATORY_TABULAR_FIELDS
-    return ImportMapping(column_for={name: name for name in fields}, delimiter=delimiter)
+def identity_mapping(delimiter: str = ",") -> ImportMapping:
+    """Mapping of all TABULAR_FIELDS to the columns of export_tabular's header,
+    for lossless re-import."""
+    return ImportMapping(column_for={name: name for name in TABULAR_FIELDS}, delimiter=delimiter)

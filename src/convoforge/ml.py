@@ -26,8 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
-from numbers import Integral, Real
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -210,9 +209,8 @@ def _running_sums(values: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
     return values
 
 
-def _csr_rows(X, n_features: Optional[int]) -> _Rows:
-    """The rows of a 2-D numeric array, of a list of {feature index: value}
-    dicts over n_features features, or of _Rows."""
+def _csr_rows(X) -> _Rows:
+    """The rows of a 2-D numeric array, or of _Rows."""
     if isinstance(X, _Rows):
         return X
     if isinstance(X, np.ndarray):
@@ -225,28 +223,7 @@ def _csr_rows(X, n_features: Optional[int]) -> _Rows:
         indptr = np.zeros(len(dense) + 1, dtype=np.intp)
         np.cumsum(np.bincount(row, minlength=len(dense)), out=indptr[1:])
         return _Rows(indptr, col, dense[row, col], dense.shape[1])
-    for i, counts in enumerate(X):
-        if not isinstance(counts, dict):
-            raise DimensionMismatchError(f"row {i} is not a {{feature index: value}} dict")
-        for index, value in counts.items():
-            if not isinstance(index, Integral):
-                raise DimensionMismatchError(f"row {i}: feature index {index!r} is not an integer")
-            if not isinstance(value, Real):
-                raise DimensionMismatchError(
-                    f"row {i}: value {value!r} of feature {index} is not a number")
-    if n_features is None:
-        raise DimensionMismatchError("n_features is required for sparse inputs")
-    indptr = np.zeros(len(X) + 1, dtype=np.intp)
-    np.cumsum([len(counts) for counts in X], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(X), dtype=np.intp, count=indptr[-1])
-    data = np.fromiter(chain.from_iterable(counts.values() for counts in X), dtype=float,
-                       count=indptr[-1])
-    outside = indices[(indices < 0) | (indices >= n_features)]
-    if outside.size:
-        raise DimensionMismatchError(
-            f"feature index {outside[0]} out of range for {n_features} features"
-        )
-    return _Rows(indptr, indices, data, n_features)
+    raise DimensionMismatchError(f"X is a {type(X).__name__}; rows need a 2-D numeric array")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -274,20 +251,18 @@ def _gradient_at(z: np.ndarray, weights: np.ndarray, Xb, y: np.ndarray,
 def train_classifier(
     X,
     y,
-    n_features: Optional[int] = None,
     l2: float = 1.0,
     epochs: int = 100,
     learning_rate: float = 0.1,
 ) -> LinearModel:
     """Full-batch gradient descent from zero weights for a fixed number of
-    epochs at a fixed learning rate. X is a 2-D numeric array or a list of
-    {feature index: value} dicts over n_features features; l2, epochs and
-    learning_rate obey the stages' rules for them. Deterministic given the
-    data and parameters. Records the loss trace; a loss that overflows is a
-    NumericOverflowError naming its epoch."""
+    epochs at a fixed learning rate. X is a 2-D numeric numpy array, one row
+    per label of y; l2, epochs and learning_rate obey the stages' rules for
+    them. Deterministic given the data and parameters. Records the loss
+    trace; a loss that overflows is a NumericOverflowError naming its epoch."""
     _check_params(l2=l2, epochs=epochs, learning_rate=learning_rate)
     y = _checked_labels(y)
-    rows = _csr_rows(X, n_features)
+    rows = _csr_rows(X)
     return _descend(rows.with_ones_column(np.ones(rows.shape[0], dtype=bool)), y, l2, epochs,
                     learning_rate)
 
@@ -336,12 +311,12 @@ def _labelled_scores(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def predict(model: LinearModel, X) -> tuple[np.ndarray, np.ndarray]:
     """Labels (score >= 0.5) and probability scores for each row of a 2-D
-    numeric array or a list of {feature index: value} dicts.
+    numeric numpy array with the model's n_features columns.
 
     Scores are nudged off exact 0 and 1 so extreme activations cannot
     saturate; downstream log-losses stay finite.
     """
-    rows = _csr_rows(X, model.n_features)
+    rows = _csr_rows(X)
     if rows.shape[1] != model.n_features:
         raise DimensionMismatchError(
             f"{rows.shape[1]} features vs model's {model.n_features}"

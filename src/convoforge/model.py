@@ -108,15 +108,13 @@ def build_corpus(
     utterances: Iterable[Utterance],
     speakers: Optional[Iterable[Speaker]] = None,
     corpus_meta: Optional[dict] = None,
-    strict_speakers: bool = False,
 ) -> Corpus:
     """Assemble a corpus from utterances, inferring conversations by grouping.
 
-    Speakers not in ``speakers`` are auto-created with empty metadata unless
-    ``strict_speakers`` is set. A repeated speaker or utterance id is
-    DuplicateIdError, since a dict cannot hold it; any other defect, such as
-    an unregistered speaker under ``strict_speakers``, is _require_integrity's
-    IntegrityViolationError.
+    Speakers not in ``speakers`` are auto-created with empty metadata on
+    first reference. A repeated speaker or utterance id is DuplicateIdError,
+    since a dict cannot hold it; any other defect, such as a reply to a
+    missing utterance, is _require_integrity's IntegrityViolationError.
     """
     corpus = Corpus(meta=dict(corpus_meta) if corpus_meta else {})
 
@@ -129,7 +127,7 @@ def build_corpus(
         if utt.id in corpus.utterances:
             raise DuplicateIdError(f"duplicate utterance id: {utt.id!r}")
         corpus.utterances[utt.id] = utt
-        if not strict_speakers and utt.speaker_id not in corpus.speakers:
+        if utt.speaker_id not in corpus.speakers:
             corpus.speakers[utt.speaker_id] = Speaker(id=utt.speaker_id)
         convo = corpus.conversations.get(utt.conversation_id)
         if convo is None:

@@ -204,7 +204,8 @@ class Transformer:
 
 @dataclass
 class Pipeline:
-    """Applies transformers strictly in order on one corpus."""
+    """Fits each transformer to one corpus, as the stages before it left it,
+    and applies it, strictly in order."""
 
     stages: list[Transformer]
 
@@ -212,11 +213,10 @@ class Pipeline:
         if not self.stages:
             raise ValueError("pipeline needs at least one stage")
 
-    def run(self, corpus: Corpus, fit_first: bool = True) -> Corpus:
+    def run(self, corpus: Corpus) -> Corpus:
         for index, stage in enumerate(self.stages):
             try:
-                if fit_first:
-                    stage.fit(corpus)
+                stage.fit(corpus)
                 corpus = stage.transform(corpus)
             except PipelineStageError:
                 raise

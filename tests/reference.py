@@ -229,10 +229,10 @@ def ref_merge_consecutive(corpus):
     return corpus
 
 
-def ref_build_corpus(utterances, speakers=None, corpus_meta=None, strict_speakers=False):
+def ref_build_corpus(utterances, speakers=None, corpus_meta=None):
     """The corpus build_corpus assembles, before its integrity check: a
     repeated speaker or utterance id is DuplicateIdError, and speakers are
-    auto-created unless strict_speakers is set."""
+    auto-created on first reference."""
     corpus = Corpus(meta=dict(corpus_meta) if corpus_meta else {})
 
     for spk in speakers or []:
@@ -244,7 +244,7 @@ def ref_build_corpus(utterances, speakers=None, corpus_meta=None, strict_speaker
         if utt.id in corpus.utterances:
             raise DuplicateIdError(f"duplicate utterance id: {utt.id!r}")
         corpus.utterances[utt.id] = utt
-        if utt.speaker_id not in corpus.speakers and not strict_speakers:
+        if utt.speaker_id not in corpus.speakers:
             corpus.speakers[utt.speaker_id] = Speaker(id=utt.speaker_id)
         if utt.conversation_id not in corpus.conversations:
             corpus.conversations[utt.conversation_id] = Conversation(id=utt.conversation_id)
@@ -430,21 +430,12 @@ def ref_vectorize(vocab, tokens) -> dict[int, float]:
     return counts
 
 
-def ref_to_dense(X, n_features: Optional[int]) -> np.ndarray:
-    if isinstance(X, np.ndarray):
-        dense = np.asarray(X, dtype=float)
-        if dense.ndim == 1:
-            dense = dense.reshape(1, -1)
-        return dense
-    if n_features is None:
-        raise DimensionMismatchError("n_features is required for sparse inputs")
-    dense = np.zeros((len(X), n_features), dtype=float)
-    for row, counts in enumerate(X):
+def ref_to_dense(rows: list[dict], n_features: int) -> np.ndarray:
+    """{feature index: value} rows, as ref_vectorize gives them, as a dense
+    array of n_features columns."""
+    dense = np.zeros((len(rows), n_features), dtype=float)
+    for row, counts in enumerate(rows):
         for i, value in counts.items():
-            if i >= n_features:
-                raise DimensionMismatchError(
-                    f"feature index {i} out of range for {n_features} features"
-                )
             dense[row, i] = value
     return dense
 
@@ -487,14 +478,14 @@ def logistic_gradient(weights: np.ndarray, Xb, y: np.ndarray, l2: float) -> np.n
     return _gradient_at(Xb @ weights, weights, Xb, y, l2)
 
 
-def ref_train_classifier(X, y, n_features: Optional[int] = None, l2: float = 1.0,
-                         epochs: int = 100, learning_rate: float = 0.1) -> LinearModel:
+def ref_train_classifier(X: np.ndarray, y, l2: float = 1.0, epochs: int = 100,
+                         learning_rate: float = 0.1) -> LinearModel:
     y = np.asarray(y, dtype=float)
     if len(y) < 2:
         raise DegenerateLabelsError("need at least two training examples")
     if len(set(y.tolist())) < 2:
         raise DegenerateLabelsError("training labels are all identical")
-    dense = ref_to_dense(X, n_features)
+    dense = np.asarray(X, dtype=float)
     if len(dense) != len(y):
         raise DimensionMismatchError(f"{len(dense)} rows vs {len(y)} labels")
     Xb = np.hstack([dense, np.ones((len(dense), 1))])
@@ -507,8 +498,8 @@ def ref_train_classifier(X, y, n_features: Optional[int] = None, l2: float = 1.0
     return LinearModel(weights=weights, loss_trace=trace)
 
 
-def ref_predict(model: LinearModel, X) -> tuple[np.ndarray, np.ndarray]:
-    dense = ref_to_dense(X, model.n_features)
+def ref_predict(model: LinearModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    dense = np.asarray(X, dtype=float)
     if dense.shape[1] != model.n_features:
         raise DimensionMismatchError(
             f"{dense.shape[1]} features vs model's {model.n_features}"
@@ -527,14 +518,14 @@ def ref_classify(corpus, label_key, level, min_df=1, max_terms=None, l2=0.01,
     labelled = [o for o in _level_objects(corpus, level) if label_key in o.meta]
     vocab = ref_fit_vocabulary(corpus, level, selector=lambda o: label_key in o.meta,
                                min_df=min_df, max_terms=max_terms)
-    X = [ref_vectorize(vocab, doc) for doc in _documents(corpus, level, labelled)]
+    X = ref_to_dense([ref_vectorize(vocab, doc) for doc in _documents(corpus, level, labelled)],
+                     len(vocab))
     y = [1.0 if o.meta[label_key] else 0.0 for o in labelled]
-    model = ref_train_classifier(X, y, n_features=len(vocab), l2=l2, epochs=epochs,
-                                 learning_rate=learning_rate)
+    model = ref_train_classifier(X, y, l2=l2, epochs=epochs, learning_rate=learning_rate)
     objects = _level_objects(corpus, level)
     predictions = {}
     for obj, doc in zip(objects, _documents(corpus, level, objects)):
-        labels, scores = ref_predict(model, [ref_vectorize(vocab, doc)])
+        labels, scores = ref_predict(model, ref_to_dense([ref_vectorize(vocab, doc)], len(vocab)))
         predictions[obj.id] = (bool(labels[0]), float(scores[0]))
     return model, predictions
 
@@ -562,12 +553,12 @@ def ref_forecast(corpus, label_key, min_df=1, max_terms=None, l2=0.01, epochs=20
         for _, vector in ref_prefix_vectors(corpus, vocab, convo.id):
             X.append(vector)
             y.append(1.0 if convo.meta[label_key] else 0.0)
-    model = ref_train_classifier(X, y, n_features=len(vocab), l2=l2, epochs=epochs,
+    model = ref_train_classifier(ref_to_dense(X, len(vocab)), y, l2=l2, epochs=epochs,
                                  learning_rate=learning_rate)
     forecasts, finals = {}, {}
     for convo in corpus.conversations.values():
         for utt, vector in ref_prefix_vectors(corpus, vocab, convo.id):
-            _, scores = ref_predict(model, [vector])
+            _, scores = ref_predict(model, ref_to_dense([vector], len(vocab)))
             forecasts[utt.id] = finals[convo.id] = float(scores[0])
     return model, forecasts, finals
 

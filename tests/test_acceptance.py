@@ -179,7 +179,7 @@ def test_classifier_gradient_and_separable_accuracy():
     for _ in range(20):
         n = int(rng.integers(2, 21))
         v = int(rng.integers(1, 11))
-        Xb = _csr_rows(np.hstack([rng.normal(size=(n, v)), np.ones((n, 1))]), None)
+        Xb = _csr_rows(np.hstack([rng.normal(size=(n, v)), np.ones((n, 1))]))
         y = rng.integers(0, 2, size=n).astype(float)
         if len(set(y.tolist())) < 2:
             y[0] = 1.0 - y[0]

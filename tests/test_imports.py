@@ -6,6 +6,7 @@ The subprocess cases start a fresh interpreter, because this test process
 has imported them all already.
 """
 
+import inspect
 import json
 import subprocess
 import sys
@@ -22,6 +23,32 @@ from convoforge.registry import REGISTRY
 from helpers import child_env
 
 ML_NAMES = ["Classifier", "Forecaster", "LinearModel", "predict", "train_classifier"]
+
+# The parameter names of every public function, and of Pipeline.run: adding
+# or removing an option is an edit of this pin.
+PUBLIC_PARAMETERS = {
+    "build_corpus": ["utterances", "speakers", "corpus_meta"],
+    "build_response_graph": ["corpus", "conversation_id"],
+    "check_integrity": ["corpus"],
+    "clean_text": ["raw"],
+    "export_tabular": ["corpus", "path", "delimiter", "meta_columns"],
+    "extract_features": ["graph"],
+    "extract_strategies": ["utterance"],
+    "fit_fw": ["corpus", "class1", "class2", "ngram_max", "min_count", "alpha", "background",
+               "alpha_total"],
+    "identity_mapping": ["delimiter"],
+    "import_tabular": ["path", "mapping"],
+    "jensen_shannon": ["p", "q"],
+    "load": ["path"],
+    "merge": ["a", "b"],
+    "predict": ["model", "X"],
+    "save": ["corpus", "path"],
+    "speaker_history": ["corpus", "speaker_id"],
+    "tokenize": ["text"],
+    "train_classifier": ["X", "y", "l2", "epochs", "learning_rate"],
+    "traverse": ["corpus", "conversation_id", "order"],
+    "Pipeline.run": ["self", "corpus"],
+}
 
 
 class TestLazyNames:
@@ -43,6 +70,13 @@ class TestLazyNames:
         assert set(ML_NAMES) <= set(convoforge.__all__)
         for name in ML_NAMES:
             assert getattr(convoforge, name) is getattr(convoforge.ml, name), name
+
+    def test_public_function_parameters_are_pinned(self):
+        functions = {name: getattr(convoforge, name) for name in convoforge.__all__}
+        functions = {name: f for name, f in functions.items() if inspect.isfunction(f)}
+        functions["Pipeline.run"] = convoforge.Pipeline.run
+        assert {name: list(inspect.signature(f).parameters)
+                for name, f in functions.items()} == PUBLIC_PARAMETERS
 
     def test_unknown_attribute_raises_standard_error(self):
         with pytest.raises(AttributeError) as info:

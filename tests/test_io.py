@@ -24,7 +24,7 @@ from convoforge import (
     save,
 )
 from convoforge import corpus_io, model
-from convoforge.corpus_io import ImportMapping
+from convoforge.corpus_io import MANDATORY_TABULAR_FIELDS, ImportMapping
 from convoforge.datasets import toy_movie_path
 from convoforge.errors import (
     CountMismatchError,
@@ -387,8 +387,13 @@ class TestSaveLoad:
         save(corpus, tmp_path / "again")
         assert (tmp_path / "again" / "utterances.jsonl").read_bytes() == before
 
-    @pytest.mark.parametrize("where", ["text", "meta", "speaker"])
-    def test_save_refuses_lone_surrogate(self, tmp_path, where):
+    @pytest.mark.parametrize("where, message", [
+        ("text", "utterance 'u1' cannot be saved as JSON: lone surrogate '\\ud800'"),
+        ("meta", "utterance 'u1' meta key 'x' cannot be saved as JSON: lone surrogate '\\udc00'"),
+        ("speaker", "speaker 'bob' meta key 'nick' cannot be saved as JSON: "
+                    "lone surrogate '\\ud800'"),
+    ], ids=["text", "meta", "speaker"])
+    def test_save_refuses_lone_surrogate(self, tmp_path, where, message):
         corpus = small_corpus()
         if where == "text":
             corpus.utterances["u1"].text = "ok\ud800"
@@ -396,8 +401,9 @@ class TestSaveLoad:
             corpus.utterances["u1"].meta["x"] = ["\udc00"]
         else:
             corpus.speakers["bob"].meta["nick"] = "\ud800"
-        with pytest.raises(UnserializableValueError, match="lone surrogate"):
+        with pytest.raises(UnserializableValueError) as err:
             save(corpus, tmp_path / "c")
+        assert str(err.value) == f"{message} cannot be encoded as UTF-8"
         assert list(tmp_path.iterdir()) == []
 
     def test_largest_finite_float_loads(self, tmp_path):
@@ -827,6 +833,28 @@ class TestAtomicSave:
             save(corpus, tmp_path / "c")
         assert list(tmp_path.iterdir()) == []
 
+    # With two faults, the one named is in the record being written: u0's line
+    # comes before u1's, and speakers.json before utterances.jsonl.
+    @pytest.mark.parametrize("first, second, message", [
+        (("utterance", "u0", "timestamp"), ("utterance", "u1", "k"),
+         "utterance 'u0' cannot be saved as JSON"),
+        (("speaker", "bob", "k"), ("utterance", "u0", "k"),
+         "speaker 'bob' meta key 'k' cannot be saved as JSON"),
+    ], ids=["utterance-field", "speaker-meta"])
+    def test_fault_is_named_in_the_record_being_written(self, tmp_path, first, second,
+                                                         message):
+        corpus = small_corpus()
+        for kind, oid, key in (first, second):
+            obj = (corpus.speakers if kind == "speaker" else corpus.utterances)[oid]
+            if key == "timestamp":
+                obj.timestamp = {"a"}
+            else:
+                obj.meta[key] = {"a"}
+        with pytest.raises(UnserializableValueError) as err:
+            save(corpus, tmp_path / "c")
+        assert str(err.value) == f"{message}: Object of type set is not JSON serializable"
+        assert list(tmp_path.iterdir()) == []
+
     def test_refuses_to_replace_directory_with_other_files(self, tmp_path):
         target = self.saved(tmp_path)
         (target / "notes.txt").write_text("keep me")
@@ -1043,7 +1071,7 @@ class TestTabular:
         with pytest.raises(MalformedRecordError,
                            match=rf"^{re.escape(str(path))} line 3: expected 4 fields, got 3$"
                            ) as err:
-            import_tabular(path, identity_mapping(with_optional=False))
+            import_tabular(path, ImportMapping({n: n for n in MANDATORY_TABULAR_FIELDS}))
         assert err.value.line_number == 3
 
     @pytest.mark.parametrize("text,line,message", [
@@ -1074,7 +1102,7 @@ class TestTabular:
         path.write_bytes(b"\n".join(data))
         with pytest.raises(MalformedRecordError,
                            match=rf"^{re.escape(str(path))} line {line}: ") as err:
-            import_tabular(path, identity_mapping(with_optional=False))
+            import_tabular(path, ImportMapping({n: n for n in MANDATORY_TABULAR_FIELDS}))
         assert err.value.line_number == line
 
     def test_cell_over_the_field_limit_names_the_file(self, tmp_path):
@@ -1083,7 +1111,7 @@ class TestTabular:
                         f"r1,a,c1,{'x' * (csv.field_size_limit() + 1)}\n")
         with pytest.raises(MalformedRecordError,
                            match=rf"^{re.escape(str(path))} line 2: .*field limit"):
-            import_tabular(path, identity_mapping(with_optional=False))
+            import_tabular(path, ImportMapping({n: n for n in MANDATORY_TABULAR_FIELDS}))
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "none.csv"
@@ -1130,7 +1158,7 @@ class TestTabular:
         path = tmp_path / "t.csv"
         path.write_text("id,who\n1,a\n" if not meta_columns else
                         "id,speaker_id,conversation_id,text\n1,a,x,hi\n")
-        mapping = identity_mapping(with_optional=False)
+        mapping = ImportMapping({n: n for n in MANDATORY_TABULAR_FIELDS})
         mapping.meta_columns = meta_columns
         with pytest.raises(MissingColumnError) as err:
             import_tabular(path, mapping)

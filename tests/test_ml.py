@@ -39,6 +39,8 @@ from reference import (
     ref_classify,
     ref_fit_vocabulary,
     ref_forecast,
+    ref_predict,
+    ref_train_classifier,
     ref_vectorize,
 )
 
@@ -52,6 +54,15 @@ def counts_of(vocab, tokens):
     """The tokens' row over the vocabulary, as {column: count}."""
     _, row = ml._bag_of_words([tokens], vocab)
     return dict(zip(row.indices.tolist(), row.data.tolist()))
+
+
+def csr_of(dict_rows, n_features):
+    """{column: value} rows, as ref_vectorize gives them, as ml._Rows with
+    each row's entries in dict order."""
+    indptr = np.cumsum([0] + [len(row) for row in dict_rows])
+    indices = np.array([i for row in dict_rows for i in row], dtype=np.intp)
+    data = np.array([v for row in dict_rows for v in row.values()], dtype=float)
+    return ml._Rows(indptr, indices, data, n_features)
 
 
 def level_documents(corpus, level):
@@ -136,7 +147,7 @@ class TestExactRows:
             [(k, type(v), v) for k, v in expected.items()]
 
     def assert_same_rows(self, rows, vocab, documents):
-        expected = ml._csr_rows([ref_vectorize(vocab, doc) for doc in documents], len(vocab))
+        expected = csr_of([ref_vectorize(vocab, doc) for doc in documents], len(vocab))
         for got, want in ((rows.indptr, expected.indptr), (rows.indices, expected.indices),
                           (rows.data, expected.data)):
             assert got.dtype.kind == want.dtype.kind
@@ -240,19 +251,22 @@ class TestTrainClassifier:
         assert len(trace) == 201
         assert (np.diff(trace) <= 1e-9).all()
 
+    def test_rows_and_their_dense_array_train_the_same_model(self):
+        # The stages pass _Rows; the public form is the dense array.
+        X, y = self.separable()
+        X[1] = 0.0
+        dense = train_classifier(X, y, l2=0.1, epochs=50, learning_rate=0.3)
+        rows = train_classifier(ml._csr_rows(X), y, l2=0.1, epochs=50, learning_rate=0.3)
+        assert np.array_equal(dense.weights, rows.weights)
+        assert dense.loss_trace == rows.loss_trace
+        for got, want in zip(predict(rows, ml._csr_rows(X)), predict(dense, X)):
+            assert np.array_equal(got, want)
+
     def test_deterministic(self):
         X, y = self.separable()
         a = train_classifier(X, y, epochs=80)
         b = train_classifier(X, y, epochs=80)
         assert np.array_equal(a.weights, b.weights)
-
-    def test_sparse_input(self):
-        X = [{0: 1.0}, {}, {0: 2.0}, {1: 1.0}]
-        y = [1.0, 0.0, 1.0, 0.0]
-        model = train_classifier(X, y, n_features=2, l2=0.001, epochs=400,
-                                 learning_rate=0.5)
-        labels, _ = predict(model, X)
-        assert labels.tolist() == [True, False, True, False]
 
     # Before these arguments went through the stages' rules, each value trained
     # on these rows: with no epoch, to a final loss of 6.6e59, and of -5.0e33.
@@ -296,21 +310,19 @@ class TestInputFaults:
     DimensionMismatchError naming the row or the labels, before any
     arithmetic: a NaN would otherwise train to NaN weights."""
 
-    def test_a_list_is_not_a_sparse_row(self):
-        message = re.escape("row 0 is not a {feature index: value} dict")
-        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
-            predict(LinearModel(weights=np.zeros(3)), [[1.0, 2.0, 3.0]])
-        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
-            train_classifier([[1.0, 0.0], [0.0]], [0, 1])
-        with pytest.raises(DimensionMismatchError, match="^row 1 is not a "):
-            train_classifier([{0: 1.0}, (0, 1.0)], [0, 1], n_features=2)
+    def test_a_list_is_not_an_array(self, no_training):
+        for X in ([[1.0, 0.0], [0.0, 1.0]], [{0: 1.0}, {1: 1.0}], ((1.0,), (0.0,))):
+            message = f"^X is a {type(X).__name__}; rows need a 2-D numeric array$"
+            with pytest.raises(DimensionMismatchError, match=message):
+                train_classifier(X, [0, 1])
+            with pytest.raises(DimensionMismatchError, match=message):
+                predict(LinearModel(weights=np.zeros(3)), X)
 
     def test_labels_must_be_flat_and_finite(self):
-        X = [{0: 1.0}, {1: 1.0}]
         for y in ([[0], [1]], [0.0, float("nan")], [float("inf"), 0.0], 1.0):
             with pytest.raises(DimensionMismatchError,
                                match="^labels must be a flat sequence of finite numbers$"):
-                train_classifier(X, y, n_features=2)
+                train_classifier(np.eye(2), y)
 
     @pytest.fixture
     def no_training(self, monkeypatch):
@@ -323,12 +335,12 @@ class TestInputFaults:
         for y in (["a", "b"], ["0", "1"]):
             with pytest.raises(DimensionMismatchError,
                                match="^labels must be a flat sequence of finite numbers$"):
-                train_classifier([{0: 1.0}, {1: 1.0}], y, n_features=2)
+                train_classifier(np.eye(2), y)
 
     def test_ragged_labels(self, no_training):
         with pytest.raises(DimensionMismatchError,
                            match="^labels must be a flat sequence of finite numbers$"):
-            train_classifier([{0: 1.0}, {1: 1.0}], [[0], [1, 2]], n_features=2)
+            train_classifier(np.eye(2), [[0], [1, 2]])
 
     def test_three_dimensional_rows_in_train_classifier(self, no_training):
         with pytest.raises(DimensionMismatchError, match="^X is 3-D; rows need a 2-D array$"):
@@ -358,31 +370,14 @@ class TestInputFaults:
         with pytest.raises(DimensionMismatchError, match="^X holds object, not numbers$"):
             predict(LinearModel(weights=np.zeros(3)), X)
 
-    def test_sparse_row_with_a_string_index(self, no_training):
-        message = re.escape("row 1: feature index 'a' is not an integer")
-        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
-            train_classifier([{0: 1.0}, {"a": 1.0}], [0, 1], n_features=2)
-        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
-            predict(LinearModel(weights=np.zeros(3)), [{0: 1.0}, {"a": 1.0}])
-
-    def test_sparse_row_with_a_string_value(self, no_training):
-        for value in ("x", "1.5"):
-            message = re.escape(f"row 0: value {value!r} of feature 1 is not a number")
-            with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
-                train_classifier([{1: value}, {0: 1.0}], [0, 1], n_features=2)
-            with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
-                predict(LinearModel(weights=np.zeros(3)), [{1: value}])
-
     def test_non_finite_values_name_their_row(self):
         model = LinearModel(weights=np.zeros(3))
         for bad in (float("nan"), float("inf"), -float("inf")):
-            dense = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, bad]])
-            sparse = [{0: 1.0}, {}, {1: 2.0, 0: bad}]
-            for X in (dense, sparse):
-                with pytest.raises(DimensionMismatchError, match=f"^row 2 holds {bad}, not a "):
-                    train_classifier(X, [0.0, 1.0, 1.0], n_features=2)
-                with pytest.raises(DimensionMismatchError, match=f"^row 2 holds {bad}, not a "):
-                    predict(model, X)
+            X = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, bad]])
+            with pytest.raises(DimensionMismatchError, match=f"^row 2 holds {bad}, not a "):
+                train_classifier(X, [0.0, 1.0, 1.0])
+            with pytest.raises(DimensionMismatchError, match=f"^row 2 holds {bad}, not a "):
+                predict(model, X)
 
 
 def assert_gradient_matches_finite_differences(w, Xb, y, l2):
@@ -403,7 +398,7 @@ class TestGradient:
         for _ in range(10):
             n = int(rng.integers(2, 20))
             v = int(rng.integers(1, 10))
-            Xb = ml._csr_rows(np.hstack([rng.normal(size=(n, v)), np.ones((n, 1))]), None)
+            Xb = ml._csr_rows(np.hstack([rng.normal(size=(n, v)), np.ones((n, 1))]))
             y = rng.integers(0, 2, size=n).astype(float)
             if len(set(y.tolist())) < 2:
                 y[0] = 1.0 - y[0]
@@ -500,18 +495,19 @@ class TestKernels:
         for _ in range(20):
             n, v = int(rng.integers(1, 30)), int(rng.integers(1, 12))
             U = random_sparse(rng, n, v)
-            rows = ml._csr_rows(U, None)
+            rows = ml._csr_rows(U)
             w, r = rng.normal(size=v), rng.normal(size=n)
             assert np.allclose(rows @ w, U @ w, rtol=0, atol=1e-12)
             assert np.allclose(r @ rows, U.T @ r, rtol=0, atol=1e-12)
 
-    def test_sparse_and_dense_inputs_build_the_same_rows(self):
+    def test_dense_array_builds_its_nonzero_entries_in_row_order(self):
         dense = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
-        a = ml._csr_rows(dense, None)
-        b = ml._csr_rows([{1: 2.0}, {}, {0: 1.0, 2: 3.0}], 3)
-        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
-            assert x.tolist() == y.tolist()
-        assert a.shape == b.shape == (3, 3)
+        rows = ml._csr_rows(dense)
+        assert rows.indptr.tolist() == [0, 1, 1, 3]
+        assert rows.indices.tolist() == [1, 0, 2]
+        assert rows.data.tolist() == [2.0, 1.0, 3.0]
+        assert rows.shape == (3, 3)
+        assert ml._csr_rows(rows) is rows
 
     def test_with_ones_column(self):
         rng = np.random.default_rng(44)
@@ -520,19 +516,12 @@ class TestKernels:
             U = random_sparse(rng, n, v)
             U[rng.random(size=n) < 0.3] = 0.0
             where = rng.random(size=n) < 0.6
-            got = ml._csr_rows(U, None).with_ones_column(where)
-            expected = ml._csr_rows(np.hstack([U, where[:, None].astype(float)]), None)
+            got = ml._csr_rows(U).with_ones_column(where)
+            expected = ml._csr_rows(np.hstack([U, where[:, None].astype(float)]))
             for x, y in ((got.indptr, expected.indptr), (got.indices, expected.indices),
                          (got.data, expected.data)):
                 assert x.tolist() == y.tolist()
             assert got.shape == (n, v + 1)
-
-    def test_feature_index_out_of_range(self):
-        for bad in (3, -1):
-            with pytest.raises(DimensionMismatchError, match=f"feature index {bad} out"):
-                ml._csr_rows([{0: 1.0}, {bad: 1.0}], 3)
-        with pytest.raises(DimensionMismatchError, match="n_features is required"):
-            ml._csr_rows([{0: 1.0}], None)
 
     def test_running_sums_match_block_lower_triangular_products(self):
         rng = np.random.default_rng(42)
@@ -902,6 +891,33 @@ class TestDenseOracle:
                                   max_terms=None if i % 2 else 6)
             compared[level] += 1
         assert min(compared.values()) >= 15
+
+    def test_train_classifier_and_predict_on_random_arrays(self):
+        # The public form, a dense array: float, integer and bool dtypes, one
+        # column or several, with an all-zero row and an all-zero column.
+        rng = np.random.default_rng(53)
+        dtypes = [np.float64, np.int64, np.int32, np.bool_]
+        for i in range(48):
+            dtype = dtypes[i % len(dtypes)]
+            n, v = int(rng.integers(2, 25)), 1 if i % 3 == 0 else int(rng.integers(2, 9))
+            X, Z = (rng.integers(-3, 4, size=(m, v)).astype(dtype) if dtype != np.float64
+                    else rng.normal(size=(m, v)) for m in (n, int(rng.integers(1, 12))))
+            X[rng.integers(0, n)] = 0
+            if v > 1:
+                X[:, rng.integers(0, v)] = 0
+            y = rng.integers(0, 2, size=n)
+            y[0], y[-1] = 1, 0
+            params = {"l2": float(rng.uniform(0.0, 0.5)), "epochs": int(rng.integers(1, 60)),
+                      "learning_rate": float(rng.uniform(0.05, 0.5))}
+            model = train_classifier(X, y, **params)
+            expected = ref_train_classifier(X, y, **params)
+            assert self.close(model.weights, expected.weights), i
+            assert self.close(model.loss_trace, expected.loss_trace), i
+            for rows in (X, Z):
+                labels, scores = predict(model, rows)
+                ref_labels, ref_scores = ref_predict(model, rows)
+                assert labels.tolist() == ref_labels.tolist(), i
+                assert self.close(scores, ref_scores), i
 
     def test_forecaster_on_random_corpora(self):
         rng = random.Random(52)

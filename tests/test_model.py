@@ -4,6 +4,8 @@ import random
 import pytest
 
 from convoforge import (
+    Conversation,
+    Corpus,
     Speaker,
     Utterance,
     Violation,
@@ -33,10 +35,10 @@ def chain3():
     return [utt("u0"), utt("u1", reply="u0"), utt("u2", reply="u1")]
 
 
-def build_violations(utterances, speakers=None, strict_speakers=False):
+def build_violations(utterances, speakers=None):
     """The (code, ids) report of build_corpus's IntegrityViolationError."""
     with pytest.raises(IntegrityViolationError) as err:
-        build_corpus(utterances, speakers, strict_speakers=strict_speakers)
+        build_corpus(utterances, speakers)
     return [(v.code, v.ids) for v in err.value.violations]
 
 
@@ -91,13 +93,9 @@ class TestBuildCorpus:
     def test_speakers_auto_created(self):
         corpus = build_corpus([utt("u0", speaker="ghost")])
         assert corpus.speakers["ghost"].meta == {}
-
-    def test_strict_speakers(self):
-        assert build_violations([utt("u0", speaker="ghost")], [Speaker("s")],
-                                strict_speakers=True) == [("MissingSpeaker", ("u0", "ghost"))]
-        corpus = build_corpus([utt("u0", speaker="s")], [Speaker("s")],
-                              strict_speakers=True)
-        assert "s" in corpus.speakers
+        given = Speaker("s", meta={"age": 3})
+        corpus = build_corpus([utt("u0", speaker="ghost"), utt("u1", reply="u0")], [given])
+        assert list(corpus.speakers) == ["s", "ghost"] and corpus.speakers["s"] is given
 
 
 def defective_inputs(rng, n_defects):
@@ -112,7 +110,6 @@ def defective_inputs(rng, n_defects):
                                   ts=rng.choice([None, rng.randint(0, 5)]),
                                   speaker=rng.choice(speaker_ids)))
     speakers = [Speaker(sid) for sid in speaker_ids] if rng.random() < 0.5 else None
-    strict = False
     for k in range(n_defects):
         defect = rng.choice(["dangling", "cross", "no_root", "multiple_roots", "cycle",
                              "empty_id", "duplicate_id", "unknown_speaker"])
@@ -139,31 +136,30 @@ def defective_inputs(rng, n_defects):
             utterances.append(utt(victim.id, conv=rng.choice(["c0", "c1"]), speaker="s0"))
             if speakers and rng.random() < 0.5:
                 speakers.append(Speaker(rng.choice(speaker_ids)))
-        else:
-            strict = True
+        else:  # build_corpus creates the unregistered speaker
             victim.speaker_id = "stranger"
     if rng.random() < 0.5:
         rng.shuffle(utterances)
-    return utterances, speakers, strict
+    return utterances, speakers
 
 
-def build_outcome(utterances, speakers, strict):
+def build_outcome(utterances, speakers):
     """The corpus build_corpus returns, the (type, message) of its DuplicateIdError,
     or the (code, ids) report of its IntegrityViolationError."""
     utterances, speakers = copy.deepcopy((utterances, speakers))
     try:
-        return build_corpus(utterances, speakers, strict_speakers=strict)
+        return build_corpus(utterances, speakers)
     except DuplicateIdError as exc:
         return DuplicateIdError, str(exc)
     except IntegrityViolationError as exc:
         return [(v.code, v.ids) for v in exc.violations]
 
 
-def reference_outcome(utterances, speakers, strict):
+def reference_outcome(utterances, speakers):
     """build_outcome by the reference: its assembly, then ref_check_integrity."""
     utterances, speakers = copy.deepcopy((utterances, speakers))
     try:
-        corpus = ref_build_corpus(utterances, speakers, strict_speakers=strict)
+        corpus = ref_build_corpus(utterances, speakers)
     except DuplicateIdError as exc:
         return DuplicateIdError, str(exc)
     return ref_check_integrity(corpus) or corpus
@@ -185,7 +181,7 @@ class TestBuildCorpusMatchesReference:
             elif isinstance(expected, list):
                 seen.update(code for code, _ in expected)
         assert seen == {DuplicateIdError, "DanglingReply", "CrossConversationReply", "NoRoot",
-                        "MultipleRoots", "CycleDetected", "EmptyId", "MissingSpeaker"}
+                        "MultipleRoots", "CycleDetected", "EmptyId"}
 
     def test_valid_inputs(self):
         rng = random.Random(405)
@@ -305,6 +301,16 @@ class TestCheckIntegrity:
         del corpus.speakers["s"]
         violations = check_integrity(corpus)
         assert [v.code for v in violations] == ["MissingSpeaker"] * 3
+
+    def test_missing_speaker_in_a_hand_built_corpus(self):
+        # build_corpus creates unregistered speakers; a caller who wants them
+        # refused builds the Corpus and checks it.
+        utterances = [utt("u0", speaker="s"), utt("u1", reply="u0", speaker="ghost")]
+        corpus = Corpus(speakers={"s": Speaker("s")},
+                        conversations={"c0": Conversation("c0", ["u0", "u1"])},
+                        utterances={u.id: u for u in utterances})
+        assert [(v.code, v.ids) for v in check_integrity(corpus)] == [
+            ("MissingSpeaker", ("u1", "ghost"))]
 
     def test_multiple_roots_violation(self):
         # u2 hangs under the second root: reachable, so not a cycle.

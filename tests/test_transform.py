@@ -28,6 +28,7 @@ from convoforge import (
 )
 from convoforge.datasets import load_toy_movie
 from convoforge.errors import (
+    EmptySelectionError,
     MissingAnnotationError,
     NotFittedError,
     PipelineStageError,
@@ -305,28 +306,25 @@ class TestPipeline:
         assert full == split
 
     def test_stage_error_names_index(self):
-        pipeline = Pipeline([
-            Tokenizer(),
-            FightingWords(class1="side=1", class2="side=2"),
-        ])
+        pipeline = Pipeline([Tokenizer(), Classifier(label_key="absent")])
         with pytest.raises(PipelineStageError) as err:
-            pipeline.run(two_class_corpus(), fit_first=False)
-        assert err.value.stage_index == 1
-        assert isinstance(err.value.__cause__, NotFittedError)
+            pipeline.run(two_class_corpus())
+        assert (err.value.stage_index, err.value.stage_name) == (1, "classifier")
+        assert isinstance(err.value.__cause__, EmptySelectionError)
+        assert str(err.value) == "stage 1 (classifier): no utterances carry label key 'absent'"
 
     def test_nested_stage_error_is_reported_once(self):
         class Nested(Transformer):
             name = "nested"
 
             def _transform(self, corpus):
-                Pipeline([Tokenizer(), FightingWords(class1="side=1", class2="side=2")]).run(
-                    corpus, fit_first=False)
+                Pipeline([Tokenizer(), Classifier(label_key="absent")]).run(corpus)
 
         with pytest.raises(PipelineStageError) as err:
-            Pipeline([TextCleaner(), Nested()]).run(two_class_corpus())
-        assert (err.value.stage_index, err.value.stage_name) == (1, "fighting_words")
-        assert str(err.value) == (
-            "stage 1 (fighting_words): fighting_words: transform() called before fit()")
+            Pipeline([TextCleaner(), Tokenizer(), Nested()]).run(two_class_corpus())
+        assert (err.value.stage_index, err.value.stage_name) == (1, "classifier")
+        assert isinstance(err.value.__cause__, EmptySelectionError)
+        assert str(err.value) == "stage 1 (classifier): no utterances carry label key 'absent'"
 
     def test_empty_pipeline_rejected(self):
         with pytest.raises(ValueError):
