@@ -17,7 +17,7 @@ _EXPORTS = {
     "corpus_io": ("ImportMapping", "export_tabular", "identity_mapping", "import_tabular",
                   "load", "merge", "save"),
     "diversity": ("SpeakerDiversity", "jensen_shannon"),
-    "fightingwords": ("FightingWords", "FwModel", "fit_fw"),
+    "fightingwords": ("FightingWords", "FwModel"),
     "hyperconvo": ("HyperConvo", "ResponseGraph", "build_response_graph", "extract_features"),
     "ml": ("Classifier", "Forecaster", "LinearModel", "predict", "train_classifier"),
     "model": ("Conversation", "Corpus", "Speaker", "Utterance", "Violation", "build_corpus",

@@ -230,18 +230,26 @@ def _utterance_record(utt: Utterance) -> dict:
 def _to_json(value, owners: Iterable, name: str) -> bytes:
     """``value``, a record of the corpus file ``name``, as one line of compact
     JSON in UTF-8, refusing what standard JSON or UTF-8 cannot hold. The error
-    names the first meta key at fault of ``owners``, the corpus, speakers,
-    conversations or utterance that value holds, or else its utterance or file."""
+    names the first id or meta key at fault of ``owners``, the corpus,
+    speakers, conversations or utterance that value holds, or else its
+    utterance or file."""
     try:
         return _line(value)
     except (TypeError, ValueError) as exc:
         for obj in owners:
+            if isinstance(obj, Corpus):
+                owner = "corpus"
+            else:
+                owner = f"{type(obj).__name__.lower()} {obj.id!r}"
+                try:
+                    _line(obj.id)
+                except (TypeError, ValueError) as id_exc:
+                    raise UnserializableValueError(
+                        f"{owner} cannot be saved as JSON: {id_exc}") from None
             for key, item in obj.meta.items():
                 try:
                     _line({key: item})
                 except (TypeError, ValueError) as key_exc:
-                    owner = ("corpus" if isinstance(obj, Corpus)
-                             else f"{type(obj).__name__.lower()} {obj.id!r}")
                     raise UnserializableValueError(
                         f"{owner} meta key {key!r} cannot be saved as JSON: {key_exc}"
                     ) from None

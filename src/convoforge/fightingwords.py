@@ -10,8 +10,8 @@ a0 = sum(a_w):
     z_w      = delta_w / sqrt(sigma2_w)
 
 Positive z marks class-1-associated terms. Natural logarithm throughout.
-The prior keeps every z finite; by default it is uniform (alpha per term),
-optionally proportional to term frequency in a background corpus.
+The prior is uniform, a_w = alpha for every term, which keeps every z
+finite (Monroe, Colaresi & Quinn 2008).
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import EmptyClassError, EmptyVocabularyError, NotFittedError, NumericOverflowError
 from .filters import build_meta_predicate
 from .model import Corpus, Utterance
 from .textprep import utterance_tokens
-from .transform import SummaryTable, Transformer, _check_params
+from .transform import SummaryTable, Transformer
 
 logger = logging.getLogger(__name__)
 
@@ -90,98 +90,14 @@ def _count_class(utterances: list[Utterance], ngram_max: int) -> Counter:
     return counts
 
 
-def fit_fw(
-    corpus: Corpus,
-    class1: Callable[[Utterance], bool],
-    class2: Callable[[Utterance], bool],
-    ngram_max: int = 1,
-    min_count: int = 1,
-    alpha: float = 0.01,
-    background: Optional[Corpus] = None,
-    alpha_total: Optional[float] = None,
-) -> FwModel:
-    """Count both classes and score every vocabulary term.
+class FightingWords(Transformer):
+    """fit() scores every vocabulary term of the two classes into ``model``;
+    transform() tags each utterance's class membership under "fw_class".
 
     The vocabulary is all lowercased 1..ngram_max-grams (punctuation tokens
-    excluded) whose combined count reaches min_count. With a background
-    corpus, per-term priors are add-one background frequencies normalized to
-    alpha_total (default: alpha per vocab term); otherwise the prior is
-    uniform alpha. A prior that is not a positive finite number, or an
-    ngram_max or min_count below 1, is a ValueError; a prior whose total
-    overflows is a NumericOverflowError.
-    """
-    _check_params(ngram_max=ngram_max, min_count=min_count, alpha=alpha)
-    if alpha_total is not None:
-        _check_params(alpha_total=alpha_total)
-    utts1, utts2 = ([u for u in corpus.utterances.values() if member(u)]
-                    for member in (class1, class2))
-    for n, utts in enumerate((utts1, utts2), 1):
-        if not utts:
-            raise EmptyClassError(f"class {n} selects no utterances")
-    overlap = {u.id for u in utts1} & {u.id for u in utts2}
-    if overlap:
-        logger.warning("fighting words: %d utterances fall in both classes", len(overlap))
-
-    counts1, counts2 = _count_class(utts1, ngram_max), _count_class(utts2, ngram_max)
-    for n, counts in enumerate((counts1, counts2), 1):
-        if not counts:
-            raise EmptyClassError(f"class {n} selects utterances but no word tokens")
-    vocab = sorted(
-        term
-        for term in set(counts1) | set(counts2)
-        if counts1.get(term, 0) + counts2.get(term, 0) >= min_count
-    )
-    if len(vocab) < 2:
-        # With one term the rest-of-vocabulary mass is exactly zero and the
-        # log-odds degenerate to +/-inf; there is nothing to contrast.
-        raise EmptyVocabularyError(
-            f"{len(vocab)} term(s) reach min_count; need at least two for a contrast"
-        )
-
-    y1 = [float(counts1.get(t, 0)) for t in vocab]
-    y2 = [float(counts2.get(t, 0)) for t in vocab]
-    n1 = math.fsum(y1)
-    n2 = math.fsum(y2)
-
-    if background is not None:
-        bg_counts = _count_class(list(background.utterances.values()), ngram_max)
-        # Add-one smoothing keeps every prior strictly positive.
-        raw = [float(bg_counts.get(t, 0) + 1) for t in vocab]
-        total = alpha_total if alpha_total is not None else alpha * len(vocab)
-        scale = total / math.fsum(raw)
-        alpha_vec = [r * scale for r in raw]
-    else:
-        alpha_vec = [float(alpha)] * len(vocab)
-    try:  # inf where alpha * len(vocab) made each prior inf; finite priors can overflow it
-        alpha0 = math.fsum(alpha_vec)
-    except OverflowError:
-        alpha0 = math.inf
-    if alpha0 == math.inf:
-        prior = (f"alpha_total {alpha_total}" if background is not None and alpha_total is not None
-                 else f"alpha {alpha}")
-        raise NumericOverflowError(f"{prior} overflows the prior total over {len(vocab)} terms")
-
-    deltas = []
-    zscores = []
-    for c1, c2, a in zip(y1, y2, alpha_vec):
-        delta = (math.log((c1 + a) / (n1 + alpha0 - c1 - a))
-                 - math.log((c2 + a) / (n2 + alpha0 - c2 - a)))
-        sigma2 = 1.0 / (c1 + a) + 1.0 / (c2 + a)
-        deltas.append(delta)
-        zscores.append(delta / math.sqrt(sigma2))
-
-    return FwModel(
-        vocab=vocab, y1=y1, y2=y2, n1=int(n1), n2=int(n2),
-        alpha=alpha_vec, alpha0=alpha0, deltas=deltas, zscores=zscores,
-    )
-
-
-class FightingWords(Transformer):
-    """Transformer wrapper: fit() learns the comparison, transform() tags
-    each utterance's class membership under "fw_class".
-
-    class1/class2 may be utterance predicates or metadata filter expressions
-    (see filters module), e.g. FightingWords(class1="mixed=true",
+    excluded) whose combined count reaches min_count, and every term's prior
+    is alpha. class1/class2 may be utterance predicates or metadata filter
+    expressions (see filters module), e.g. FightingWords(class1="mixed=true",
     class2="mixed=false"). An expression is parsed here, so a malformed one
     is a ValueError before any corpus is read, as is any value that its
     parameter's rule in transform._PARAM_RULES refuses.
@@ -203,8 +119,57 @@ class FightingWords(Transformer):
 
     def _fit(self, corpus: Corpus) -> None:
         class1, class2 = self._predicates(corpus)
-        self.model = fit_fw(corpus, class1, class2, ngram_max=self.ngram_max,
-                            min_count=self.min_count, alpha=self.alpha)
+        utts1, utts2 = ([u for u in corpus.utterances.values() if member(u)]
+                        for member in (class1, class2))
+        for n, utts in enumerate((utts1, utts2), 1):
+            if not utts:
+                raise EmptyClassError(f"class {n} selects no utterances")
+        overlap = {u.id for u in utts1} & {u.id for u in utts2}
+        if overlap:
+            logger.warning("fighting words: %d utterances fall in both classes", len(overlap))
+
+        counts1, counts2 = _count_class(utts1, self.ngram_max), _count_class(utts2, self.ngram_max)
+        for n, counts in enumerate((counts1, counts2), 1):
+            if not counts:
+                raise EmptyClassError(f"class {n} selects utterances but no word tokens")
+        vocab = sorted(
+            term
+            for term in set(counts1) | set(counts2)
+            if counts1.get(term, 0) + counts2.get(term, 0) >= self.min_count
+        )
+        if len(vocab) < 2:
+            # With one term the rest-of-vocabulary mass is exactly zero and the
+            # log-odds degenerate to +/-inf; there is nothing to contrast.
+            raise EmptyVocabularyError(
+                f"{len(vocab)} term(s) reach min_count; need at least two for a contrast"
+            )
+
+        y1 = [float(counts1.get(t, 0)) for t in vocab]
+        y2 = [float(counts2.get(t, 0)) for t in vocab]
+        n1 = math.fsum(y1)
+        n2 = math.fsum(y2)
+
+        a = float(self.alpha)
+        # One rounding of the real product, as a sum of len(vocab) copies
+        # of a would give; a product too large for a float is inf.
+        alpha0 = a * len(vocab)
+        if alpha0 == math.inf:
+            raise NumericOverflowError(
+                f"alpha {self.alpha} overflows the prior total over {len(vocab)} terms")
+
+        deltas = []
+        zscores = []
+        for c1, c2 in zip(y1, y2):
+            delta = (math.log((c1 + a) / (n1 + alpha0 - c1 - a))
+                     - math.log((c2 + a) / (n2 + alpha0 - c2 - a)))
+            sigma2 = 1.0 / (c1 + a) + 1.0 / (c2 + a)
+            deltas.append(delta)
+            zscores.append(delta / math.sqrt(sigma2))
+
+        self.model = FwModel(
+            vocab=vocab, y1=y1, y2=y2, n1=int(n1), n2=int(n2),
+            alpha=[a] * len(vocab), alpha0=alpha0, deltas=deltas, zscores=zscores,
+        )
 
     def _transform(self, corpus: Corpus) -> None:
         class1, class2 = self._predicates(corpus)

@@ -44,8 +44,9 @@ class ResponseGraph:
     nodes: list[str]
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def add_edge(self, source: str, target: str, weight: int = 1) -> None:
-        self.edges[(source, target)] = self.edges.get((source, target), 0) + weight
+    def add_edge(self, source: str, target: str) -> None:
+        """Count one more reply from source to target."""
+        self.edges[(source, target)] = self.edges.get((source, target), 0) + 1
 
 
 def build_response_graph(corpus: Corpus, conversation_id: str) -> ResponseGraph:

@@ -73,12 +73,6 @@ def _real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _level(value) -> bool:
-    if value not in LEVELS:
-        raise ValueError(f"unknown level {value!r}; expected one of {LEVELS}")
-    return True
-
-
 def _filter(value) -> bool:
     from .filters import parse_expression  # loaded only by a stage that takes a filter
 
@@ -87,9 +81,9 @@ def _filter(value) -> bool:
 
 
 # Parameter name -> (test, wording): the one rule for that parameter of every
-# registered stage's constructor and of fit_fw. A bool is never a number.
+# registered stage's constructor. A bool is never a number.
 _PARAM_RULES = {name: rule for names, rule in (
-    ("learning_rate alpha alpha_total",
+    ("learning_rate alpha",
      (lambda v: _real(v) and 0 < v < math.inf, "a positive finite number")),
     ("l2", (lambda v: _real(v) and 0 <= v < math.inf, "a finite number of at least 0")),
     ("epochs min_df ngram_max min_count top_k min_tokens_per_convo",
@@ -99,7 +93,7 @@ _PARAM_RULES = {name: rule for names, rule in (
     ("label_key speaker_key output_key",
      (lambda v: isinstance(v, str) and v != "", "a non-empty string")),
     ("overwrite_text", (lambda v: type(v) is bool, "true or false")),
-    ("level", (_level, f"one of {LEVELS}")),
+    ("level", (lambda v: v in LEVELS, f"one of {LEVELS}")),
     ("class1 class2", (_filter, "a predicate or a filter expression string")),
 ) for name in names.split()}
 

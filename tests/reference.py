@@ -18,9 +18,10 @@ ref_classify and ref_forecast the original Classifier and Forecaster on
 top of them: one predict per object, and one cumulative bag-of-words copy
 per conversation prefix. logistic_loss and logistic_gradient are not
 oracles: they evaluate ml's own loss and gradient at given weights, for the
-finite-difference checks. ref_fit_fw is the original numpy fit_fw, one
-vector expression per quantity, and ref_jensen_shannon the original
-two-loop divergence, one logarithm per positive entry of each side.
+finite-difference checks. ref_fit_fw is the original numpy fit of the
+FightingWords stage, one vector expression per quantity, and
+ref_jensen_shannon the original two-loop divergence, one logarithm per
+positive entry of each side.
 ref_clean_text, ref_tokenize, ref_word_tokens, ref_ngrams and
 ref_count_class are the text layers' original per-character and per-token
 loops, and ref_speaker_diversity the original per-token counting under
@@ -35,7 +36,7 @@ import re
 import string
 import unicodedata
 from itertools import combinations, permutations
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -570,10 +571,8 @@ def ref_fit_fw(
     ngram_max: int = 1,
     min_count: int = 1,
     alpha: float = 0.01,
-    background: Optional[Corpus] = None,
-    alpha_total: Optional[float] = None,
 ) -> FwModel:
-    """The numpy fit_fw: the same vocabulary and errors, and every per-term
+    """The numpy fit: the same vocabulary and errors, and every per-term
     quantity computed as one vector expression."""
     utts1 = [u for u in corpus.utterances.values() if class1(u)]
     utts2 = [u for u in corpus.utterances.values() if class2(u)]
@@ -608,14 +607,7 @@ def ref_fit_fw(
     n1 = float(y1.sum())
     n2 = float(y2.sum())
 
-    if background is not None:
-        bg_counts = ref_count_class(list(background.utterances.values()), ngram_max)
-        # Add-one smoothing keeps every prior strictly positive.
-        raw = np.array([bg_counts.get(t, 0) + 1 for t in vocab], dtype=float)
-        total = alpha_total if alpha_total is not None else alpha * len(vocab)
-        alpha_vec = raw * (total / raw.sum())
-    else:
-        alpha_vec = np.full(len(vocab), alpha, dtype=float)
+    alpha_vec = np.full(len(vocab), alpha, dtype=float)
     alpha0 = float(alpha_vec.sum())
 
     deltas = (

@@ -22,7 +22,6 @@ from convoforge import (
     Utterance,
     build_corpus,
     extract_strategies,
-    fit_fw,
     load,
     predict,
     save,
@@ -43,7 +42,7 @@ from reference import (
     ref_motifs,
     ref_reciprocity,
 )
-from test_fightingwords import GOLDEN_Z_A, GOLDEN_Z_B, worked_example_corpus, by_cls
+from test_fightingwords import GOLDEN_Z_A, GOLDEN_Z_B, by_cls, fw_model, worked_example_corpus
 from test_politeness import FIXTURE, tokenized_utterance, vector
 
 
@@ -106,13 +105,13 @@ def test_fighting_words_antisymmetry_and_golden():
             split = {ids[0]}
         in_a = lambda u, s=frozenset(split): u.id in s  # noqa: E731
         in_b = lambda u, s=frozenset(split): u.id not in s  # noqa: E731
-        forward = fit_fw(corpus, in_a, in_b)
-        backward = fit_fw(corpus, in_b, in_a)
+        forward = fw_model(corpus, in_a, in_b)
+        backward = fw_model(corpus, in_b, in_a)
         assert forward.vocab == backward.vocab
         assert np.all(np.abs(np.asarray(forward.zscores) + np.asarray(backward.zscores)) <= 1e-12)
-    same = fit_fw(corpus, lambda u: True, lambda u: True)
+    same = fw_model(corpus, lambda u: True, lambda u: True)
     assert np.all(np.asarray(same.zscores) == 0.0)
-    golden = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), alpha=0.01)
+    golden = fw_model(worked_example_corpus(), by_cls(1), by_cls(2), alpha=0.01)
     assert golden.zscore("a") == pytest.approx(GOLDEN_Z_A, abs=1e-9)
     assert golden.zscore("b") == pytest.approx(GOLDEN_Z_B, abs=1e-9)
     print("\nACCEPTANCE fighting words (100 swaps within 1e-12, zeros, golden 1e-9): PASS")

@@ -351,9 +351,23 @@ class TestRun:
         )
         assert main(["run", str(config)]) == 2
         assert capsys.readouterr().err == (
-            "error: stage 0 (classifier): unknown level 'x'; expected one of "
-            "('utterance', 'conversation', 'speaker')\n")
+            "error: stage 0 (classifier): level must be one of "
+            "('utterance', 'conversation', 'speaker'), got \"x\"\n")
         assert loaded == []
+        assert not (tmp_path / "out").exists()
+
+    def test_long_classifier_level_exits_2_with_one_cut_line(self, tmp_path, capsys):
+        config = self.make_config(
+            tmp_path, [{"name": "classifier", "params": {"label_key": "y", "level": "x" * 80}}],
+            toy_movie_path(), tmp_path / "out",
+        )
+        assert main(["run", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: stage 0 (classifier): level must be one of "
+            f"('utterance', 'conversation', 'speaker'), got \"{'x' * 59}...\n")
+        assert len(captured.err.encode()) < 300
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_bad_prior_exits_2_naming_stage(self, tmp_path, capsys):

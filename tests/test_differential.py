@@ -158,7 +158,7 @@ class TestFightingWordsCounts:
             utt = Utterance("u", "s", "c", meta={"tokens": token_sentences(rng)})
             words = _word_tokens(utt)
             assert words == ref_word_tokens(utt.meta["tokens"])
-            # fit_fw refuses an ngram_max below 1, so _ngrams is not asked for one.
+            # FightingWords refuses an ngram_max below 1, so _ngrams is not asked for one.
             for ngram_max in range(1, 4):
                 assert _ngrams(words, ngram_max) == ref_ngrams(words, ngram_max)
 

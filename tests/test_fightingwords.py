@@ -2,14 +2,16 @@ import json
 import math
 import random
 import re
+import sys
 import time
 
+import numpy
 import pytest
 
-from convoforge import FightingWords, Utterance, build_corpus, fit_fw
+from convoforge import FightingWords, Utterance, build_corpus
 from convoforge.errors import (EmptyClassError, EmptyVocabularyError, NotFittedError,
                                NumericOverflowError)
-from helpers import random_corpus
+from helpers import corpus_equal_strict, random_corpus
 from reference import ref_fit_fw
 
 # Golden values for the two-term worked example, computed by direct
@@ -32,9 +34,14 @@ def by_cls(value):
     return lambda u: u.meta.get("cls") == value
 
 
+def fw_model(corpus, class1, class2, **params):
+    """The FwModel that the stage fits to corpus."""
+    return FightingWords(class1, class2, **params).fit(corpus).model
+
+
 class TestFit:
     def test_golden_worked_example(self):
-        model = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), alpha=0.01)
+        model = fw_model(worked_example_corpus(), by_cls(1), by_cls(2), alpha=0.01)
         assert model.vocab == ["a", "b"]
         assert model.n1 == 3 and model.n2 == 2
         assert model.alpha0 == pytest.approx(0.02, abs=1e-15)
@@ -45,33 +52,33 @@ class TestFit:
     def test_identical_classes_all_zero(self):
         corpus = worked_example_corpus()
         everything = lambda u: True  # noqa: E731
-        model = fit_fw(corpus, everything, everything)
+        model = fw_model(corpus, everything, everything)
         assert all(z == 0.0 for z in model.zscores)
 
     def test_swap_negates_z(self):
         corpus = worked_example_corpus()
-        forward = fit_fw(corpus, by_cls(1), by_cls(2))
-        backward = fit_fw(corpus, by_cls(2), by_cls(1))
+        forward = fw_model(corpus, by_cls(1), by_cls(2))
+        backward = fw_model(corpus, by_cls(2), by_cls(1))
         for term in forward.vocab:
             assert backward.zscore(term) == pytest.approx(-forward.zscore(term),
                                                           abs=1e-12)
 
     def test_duplication_preserves_delta_signs(self):
-        base = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2))
+        base = fw_model(worked_example_corpus(), by_cls(1), by_cls(2))
         tripled = build_corpus([
             Utterance(f"u{i}", "s", f"c{i}", text, None, i, {"cls": cls})
             for i, (text, cls) in enumerate(
                 [("a a b", 1)] * 3 + [("b b", 2)] * 3
             )
         ])
-        scaled = fit_fw(tripled, by_cls(1), by_cls(2))
+        scaled = fw_model(tripled, by_cls(1), by_cls(2))
         for term in base.vocab:
             i, j = base.index[term], scaled.index[term]
             assert math.copysign(1, base.deltas[i]) == math.copysign(1, scaled.deltas[j])
 
     def test_empty_class(self):
         with pytest.raises(EmptyClassError):
-            fit_fw(worked_example_corpus(), by_cls(1), by_cls(99))
+            fw_model(worked_example_corpus(), by_cls(1), by_cls(99))
 
     def test_class_with_only_punctuation_tokens(self):
         corpus = build_corpus([
@@ -79,7 +86,7 @@ class TestFit:
             Utterance("u2", "s", "c2", "!!! ...", None, 2, {"cls": 2}),
         ])
         with pytest.raises(EmptyClassError):
-            fit_fw(corpus, by_cls(1), by_cls(2))
+            fw_model(corpus, by_cls(1), by_cls(2))
 
     def test_empty_vocabulary_after_min_count(self):
         corpus = build_corpus([
@@ -87,23 +94,23 @@ class TestFit:
             Utterance("u2", "s", "c2", "cc dd", None, 2, {"cls": 2}),
         ])
         with pytest.raises(EmptyVocabularyError):
-            fit_fw(corpus, by_cls(1), by_cls(2), min_count=3)
+            fw_model(corpus, by_cls(1), by_cls(2), min_count=3)
 
     def test_min_count_filters(self):
         corpus = build_corpus([
             Utterance("u1", "s", "c1", "a a b rare", None, 1, {"cls": 1}),
             Utterance("u2", "s", "c2", "a b b", None, 2, {"cls": 2}),
         ])
-        model = fit_fw(corpus, by_cls(1), by_cls(2), min_count=3)
+        model = fw_model(corpus, by_cls(1), by_cls(2), min_count=3)
         assert model.vocab == ["a", "b"]
 
     def test_single_term_vocabulary_rejected(self):
         # One surviving term leaves zero rest-of-vocabulary mass: no contrast.
         with pytest.raises(EmptyVocabularyError):
-            fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), min_count=3)
+            fw_model(worked_example_corpus(), by_cls(1), by_cls(2), min_count=3)
 
     def test_bigrams(self):
-        model = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), ngram_max=2)
+        model = fw_model(worked_example_corpus(), by_cls(1), by_cls(2), ngram_max=2)
         assert "a a" in model.vocab and "a b" in model.vocab
 
     def test_ngram_max_beyond_the_longest_utterance_adds_nothing(self):
@@ -114,9 +121,9 @@ class TestFit:
             Utterance("u2", "s2", "c2", "b c", None, 2, {"cls": 2}),
         ])
         started = time.perf_counter()
-        model = fit_fw(corpus, by_cls(1), by_cls(2), ngram_max=10**9)
+        model = fw_model(corpus, by_cls(1), by_cls(2), ngram_max=10**9)
         assert time.perf_counter() - started < 0.5
-        assert model == fit_fw(corpus, by_cls(1), by_cls(2), ngram_max=5)
+        assert model == fw_model(corpus, by_cls(1), by_cls(2), ngram_max=5)
         assert "a b c d e" in model.vocab
 
     def test_punctuation_excluded(self):
@@ -124,7 +131,7 @@ class TestFit:
             Utterance("u1", "s", "c1", "yes! yes.", None, 1, {"cls": 1}),
             Utterance("u2", "s", "c2", "no?", None, 2, {"cls": 2}),
         ])
-        model = fit_fw(corpus, by_cls(1), by_cls(2))
+        model = fw_model(corpus, by_cls(1), by_cls(2))
         assert model.vocab == ["no", "yes"]
 
     def test_all_z_finite_on_random_splits(self):
@@ -135,23 +142,12 @@ class TestFit:
             if len(ids) < 2:
                 continue
             half = set(ids[: len(ids) // 2]) or {ids[0]}
-            model = fit_fw(corpus, lambda u: u.id in half,
-                           lambda u: u.id not in half and bool(u.text.strip()))
+            model = fw_model(corpus, lambda u: u.id in half,
+                             lambda u: u.id not in half and bool(u.text.strip()))
             assert all(math.isfinite(z) for z in model.zscores)
 
-    def test_background_prior(self):
-        background = build_corpus([
-            Utterance("bg", "s", "c", "b b b b a", None, 1),
-        ])
-        model = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2),
-                       background=background, alpha_total=0.5)
-        assert model.alpha0 == pytest.approx(0.5, abs=1e-12)
-        assert all(a > 0 for a in model.alpha)
-        # "b" dominates the background, so it takes the larger prior share.
-        assert model.alpha[model.index["b"]] > model.alpha[model.index["a"]]
-
     def test_fields_are_lists_of_float(self):
-        model = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2))
+        model = fw_model(worked_example_corpus(), by_cls(1), by_cls(2))
         for name in ("y1", "y2", "alpha", "deltas", "zscores"):
             values = getattr(model, name)
             assert type(values) is list, name
@@ -165,32 +161,60 @@ class TestFit:
         # Refused before the corpus is read: an ngram_max of 0 would count no
         # n-grams and fail later with EmptyClassError.
         with pytest.raises(ValueError, match=f"^{param} must be a positive integer, got 0$"):
-            fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), **{param: 0})
+            FightingWords(by_cls(1), by_cls(2), **{param: 0})
 
     def test_numpy_float_prior_is_a_prior(self):
-        import numpy
-        expected = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), alpha=0.5)
-        model = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), alpha=numpy.float64(0.5))
+        expected = fw_model(worked_example_corpus(), by_cls(1), by_cls(2), alpha=0.5)
+        model = fw_model(worked_example_corpus(), by_cls(1), by_cls(2), alpha=numpy.float64(0.5))
         assert model.zscores == expected.zscores
+
+    def test_prior_is_alpha_per_term_as_floats(self):
+        # A numpy alpha gives the same plain floats as a Python one.
+        for alpha in (0.5, numpy.float64(0.5)):
+            model = fw_model(worked_example_corpus(), by_cls(1), by_cls(2), alpha=alpha)
+            assert model.alpha == [0.5] * len(model.vocab)
+            assert all(type(a) is float for a in model.alpha)
+            assert model.alpha0 == 0.5 * len(model.vocab)
+            assert type(model.alpha0) is float
 
     @pytest.mark.parametrize("alpha", [0, -0.5, float("nan"), float("inf"), "0.1", True])
     def test_prior_must_be_positive_and_finite(self, alpha):
         with pytest.raises(ValueError, match="alpha must be a positive finite number"):
-            fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), alpha=alpha)
-        with pytest.raises(ValueError, match="alpha must be a positive finite number"):
             FightingWords(class1="cls=1", class2="cls=2", alpha=alpha)
-        with pytest.raises(ValueError, match="alpha_total must be a positive finite"):
-            fit_fw(worked_example_corpus(), by_cls(1), by_cls(2),
-                   background=worked_example_corpus(), alpha_total=alpha)
 
-    @pytest.mark.parametrize("background", [False, True])
-    def test_a_prior_whose_total_overflows_is_named(self, background):
-        # Uniform, the priors are finite and their fsum overflows; scaled to
-        # a background, each prior is already inf.
-        kwargs = {"background": worked_example_corpus()} if background else {}
+    def test_a_prior_whose_total_overflows_is_named(self):
+        # Each prior is finite; their total over the two terms is not.
         with pytest.raises(NumericOverflowError,
                            match=r"^alpha 1e\+308 overflows the prior total over 2 terms$"):
-            fit_fw(worked_example_corpus(), by_cls(1), by_cls(2), alpha=1e308, **kwargs)
+            fw_model(worked_example_corpus(), by_cls(1), by_cls(2), alpha=1e308)
+
+    def test_prior_total_is_the_sum_of_the_priors(self):
+        # alpha0 is alpha * len(vocab), one rounding of the real product, as
+        # math.fsum of the priors rounds their exact sum once; where that
+        # sum is beyond the float range the product is inf and fsum raises.
+        rng = random.Random("fw-prior-total")
+        cases = [(a, n) for a in (1e-300, 0.01, 0.1, 1 / 3, 1e307, 1e308)
+                 for n in (1, 2, 3, 7, 10, 17, 1000)]
+        cases += [(rng.uniform(1e-6, 10.0), rng.randint(1, 5000)) for _ in range(300)]
+        cases += [(10.0 ** rng.uniform(-300, 308), rng.randint(1, 5000)) for _ in range(300)]
+        for n in (1, 2, 3, 10, 1000):
+            # Products within a few ulps of the largest float.
+            edge = sys.float_info.max / n
+            cases += [(edge, n), (math.nextafter(edge, 0), n),
+                      (math.nextafter(edge, math.inf), n)]
+        overflows = 0
+        for a, n in cases:
+            for alpha in (a, numpy.float64(a)):
+                total = float(alpha) * n
+                assert type(total) is float
+                try:
+                    expected = math.fsum([alpha] * n)
+                except OverflowError:
+                    assert total == math.inf, (a, n)
+                    overflows += 1
+                else:
+                    assert total == expected, (a, n)
+        assert overflows >= 10
 
 
 def _close(actual, expected, rel=1e-12):
@@ -198,7 +222,8 @@ def _close(actual, expected, rel=1e-12):
 
 
 class TestMatchesReference:
-    """fit_fw against the numpy oracle on seeded random corpora and splits."""
+    """The stage's fit against the numpy oracle on seeded random corpora and
+    splits."""
 
     def _split(self, rng, corpus):
         ids = list(corpus.utterances)
@@ -209,27 +234,22 @@ class TestMatchesReference:
         return (lambda u, s=frozenset(in1): u.id in s,
                 lambda u, s=frozenset(in2): u.id in s)
 
-    @pytest.mark.parametrize("prior", ["uniform", "background", "background_total"])
     @pytest.mark.parametrize("ngram_max,min_count", [(1, 1), (2, 1), (1, 3), (2, 2)])
-    def test_random_corpora(self, prior, ngram_max, min_count):
-        rng = random.Random(f"fw-{prior}-{ngram_max}-{min_count}")
+    def test_random_corpora(self, ngram_max, min_count):
+        rng = random.Random(f"fw-uniform-{ngram_max}-{min_count}")
         fitted = 0
         for _ in range(40):
             corpus = random_corpus(rng, max_utterances=40)
             class1, class2 = self._split(rng, corpus)
             kwargs = {"ngram_max": ngram_max, "min_count": min_count,
                       "alpha": rng.choice([0.01, 0.5, 3.0])}
-            if prior != "uniform":
-                kwargs["background"] = random_corpus(rng, max_utterances=20)
-            if prior == "background_total":
-                kwargs["alpha_total"] = rng.uniform(0.05, 20.0)
             try:
                 expected = ref_fit_fw(corpus, class1, class2, **kwargs)
             except (EmptyClassError, EmptyVocabularyError) as exc:
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    fit_fw(corpus, class1, class2, **kwargs)
+                    fw_model(corpus, class1, class2, **kwargs)
                 continue
-            model = fit_fw(corpus, class1, class2, **kwargs)
+            model = fw_model(corpus, class1, class2, **kwargs)
             fitted += 1
             assert model.vocab == expected.vocab
             assert model.index == expected.index
@@ -291,7 +311,7 @@ class TestSummarize:
         assert table.rows[1][0] == "b"   # top class-2 term (negative z)
 
     def test_ranking_export_rows(self):
-        model = fit_fw(worked_example_corpus(), by_cls(1), by_cls(2))
+        model = fw_model(worked_example_corpus(), by_cls(1), by_cls(2))
         rows = model.ranking()
         assert rows[0][0] == "a" and rows[-1][0] == "b"
         assert rows[0][1:3] == (2, 0)
@@ -307,6 +327,12 @@ class TestTransformer:
         assert corpus.utterances["u2"].meta["fw_class"] == "class2"
         table = fw.summarize(corpus)
         assert table.rows[0][0] == "a"
+
+    def test_fit_with_predicates_leaves_the_corpus_unchanged(self):
+        corpus = worked_example_corpus()
+        stage = FightingWords(by_cls(1), by_cls(2)).fit(corpus)
+        assert stage.model.vocab == ["a", "b"]
+        assert corpus_equal_strict(corpus, worked_example_corpus())
 
     @pytest.mark.parametrize("class1,class2,message", [
         ("x", "cls=2", "bad filter clause 'x'; expected key=value"),
@@ -327,5 +353,5 @@ class TestTransformer:
     def test_overlapping_classes_warn(self, caplog):
         corpus = worked_example_corpus()
         with caplog.at_level("WARNING"):
-            fit_fw(corpus, lambda u: True, lambda u: True)
+            fw_model(corpus, lambda u: True, lambda u: True)
         assert any("both classes" in m for m in caplog.messages)

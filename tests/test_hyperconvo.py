@@ -2,6 +2,8 @@ import math
 import random
 from itertools import product
 
+import pytest
+
 from convoforge import (
     HyperConvo,
     ResponseGraph,
@@ -44,6 +46,13 @@ class TestBuildGraph:
         ])
         g = build_response_graph(corpus, "c0")
         assert g.edges == {("A", "A"): 1}
+
+    def test_add_edge_counts_one_reply_per_call(self):
+        g = graph_from("AB", [("A", "B"), ("A", "B"), ("B", "A")])
+        assert g.edges == {("A", "B"): 2, ("B", "A"): 1}
+        with pytest.raises(TypeError):
+            g.add_edge("A", "B", weight=3)
+        assert g.edges == {("A", "B"): 2, ("B", "A"): 1}
 
     def test_edge_weights_sum_to_replies(self):
         rng = random.Random(17)

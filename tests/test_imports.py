@@ -24,8 +24,8 @@ from helpers import child_env
 
 ML_NAMES = ["Classifier", "Forecaster", "LinearModel", "predict", "train_classifier"]
 
-# The parameter names of every public function, and of Pipeline.run: adding
-# or removing an option is an edit of this pin.
+# The parameter names of every public function, and of Pipeline.run and
+# ResponseGraph.add_edge: adding or removing an option is an edit of this pin.
 PUBLIC_PARAMETERS = {
     "build_corpus": ["utterances", "speakers", "corpus_meta"],
     "build_response_graph": ["corpus", "conversation_id"],
@@ -34,8 +34,6 @@ PUBLIC_PARAMETERS = {
     "export_tabular": ["corpus", "path", "delimiter", "meta_columns"],
     "extract_features": ["graph"],
     "extract_strategies": ["utterance"],
-    "fit_fw": ["corpus", "class1", "class2", "ngram_max", "min_count", "alpha", "background",
-               "alpha_total"],
     "identity_mapping": ["delimiter"],
     "import_tabular": ["path", "mapping"],
     "jensen_shannon": ["p", "q"],
@@ -48,6 +46,7 @@ PUBLIC_PARAMETERS = {
     "train_classifier": ["X", "y", "l2", "epochs", "learning_rate"],
     "traverse": ["corpus", "conversation_id", "order"],
     "Pipeline.run": ["self", "corpus"],
+    "ResponseGraph.add_edge": ["self", "source", "target"],
 }
 
 
@@ -75,6 +74,7 @@ class TestLazyNames:
         functions = {name: getattr(convoforge, name) for name in convoforge.__all__}
         functions = {name: f for name, f in functions.items() if inspect.isfunction(f)}
         functions["Pipeline.run"] = convoforge.Pipeline.run
+        functions["ResponseGraph.add_edge"] = convoforge.ResponseGraph.add_edge
         assert {name: list(inspect.signature(f).parameters)
                 for name, f in functions.items()} == PUBLIC_PARAMETERS
 
@@ -212,7 +212,7 @@ PUBLIC_NAMES = [
     "SpeakerDiversity", "SpeakerMixAnnotator", "SummaryTable", "TextCleaner",
     "Tokenizer", "Transformer", "Utterance", "Violation",
     "build_corpus", "build_response_graph", "check_integrity", "clean_text",
-    "errors", "export_tabular", "extract_features", "extract_strategies", "fit_fw",
+    "errors", "export_tabular", "extract_features", "extract_strategies",
     "identity_mapping", "import_tabular", "jensen_shannon", "load", "merge", "predict",
     "save", "speaker_history", "tokenize", "train_classifier", "traverse",
 ]

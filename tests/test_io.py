@@ -816,6 +816,21 @@ class TestAtomicSave:
         assert corpus_equal_strict(load(target), small_corpus())
         assert [p.name for p in tmp_path.iterdir()] == ["c"]
 
+    @pytest.mark.parametrize("owner, utterance", [
+        ("speaker 's\\ud800'", Utterance("u0", "s\ud800", "c0", "hi")),
+        ("conversation 'c\\ud800'", Utterance("u0", "s0", "c\ud800", "hi")),
+        ("utterance 'u\\ud800'", Utterance("u\ud800", "s0", "c0", "hi")),
+    ], ids=["speaker", "conversation", "utterance"])
+    def test_unsaveable_id_names_its_record_and_writes_nothing(self, tmp_path, owner,
+                                                               utterance):
+        target = self.saved(tmp_path)
+        with pytest.raises(UnserializableValueError) as err:
+            save(build_corpus([utterance]), target)
+        assert str(err.value) == (f"{owner} cannot be saved as JSON: "
+                                  "lone surrogate '\\ud800' cannot be encoded as UTF-8")
+        assert corpus_equal_strict(load(target), small_corpus())
+        assert [p.name for p in tmp_path.iterdir()] == ["c"]
+
     @pytest.mark.parametrize("owner, value", [
         ("corpus", float("nan")), ("speaker", float("inf")),
         ("conversation", [1.0, float("-inf")]), ("utterance", {"k": float("nan")}),

@@ -743,9 +743,16 @@ class TestClassifierTransformer:
         with pytest.raises(EmptySelectionError):
             Classifier(label_key="missing").fit(corpus)
 
-    def test_unknown_level_refused_by_the_constructor(self):
-        with pytest.raises(ValueError, match=r"^unknown level 'x'; expected one of "):
-            Classifier(label_key="doomed", level="x")
+    # A long value is spelled to its first 60 characters, as every refused value is.
+    @pytest.mark.parametrize("level, spelled", [
+        ("x", '"x"'), ("x" * 100, f'"{"x" * 59}...'), (None, "null"),
+        (["utterance"], '["utterance"]'), ("Utterance", '"Utterance"'),
+    ], ids=["short", "long", "null", "list", "case"])
+    def test_unknown_level_refused_by_the_constructor(self, level, spelled):
+        with pytest.raises(ValueError) as refused:
+            Classifier(label_key="doomed", level=level)
+        assert str(refused.value) == (
+            f"level must be one of ('utterance', 'conversation', 'speaker'), got {spelled}")
 
 
 class TestFitThenTransform:

@@ -208,10 +208,9 @@ class TestRegistry:
         assert stage.transform(corpus) is corpus
 
     def test_every_parameter_has_one_rule(self):
-        # A new constructor parameter cannot skip the contract; alpha_total
-        # is fit_fw's own.
+        # A new constructor parameter cannot skip the contract.
         names = {p for cls in REGISTRY.values() for p in inspect.signature(cls).parameters}
-        assert set(_PARAM_RULES) == names | {"alpha_total"}
+        assert set(_PARAM_RULES) == names
 
     def test_readme_table_names_every_rule(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
