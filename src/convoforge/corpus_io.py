@@ -27,7 +27,6 @@ reply_to is its parent's id when the parent's line came first. Loaded
 from __future__ import annotations
 
 import copy
-import csv
 import gc
 import json
 import logging
@@ -51,8 +50,8 @@ from .errors import (
     UnserializableValueError,
     UnsupportedVersionError,
 )
-from .model import (Conversation, Corpus, Speaker, Utterance, _field, _require_integrity,
-                    build_corpus)
+from .model import (Conversation, Corpus, Speaker, Utterance, _cells, _field, _records,
+                    _require_integrity, build_corpus)
 
 FORMAT_VERSION = "1.0"
 
@@ -182,7 +181,7 @@ MANDATORY_TABULAR_FIELDS = ("id", "speaker_id", "conversation_id", "text")
 
 
 def check_delimiter(delimiter: str) -> str:
-    """Return ``delimiter`` if model._field can write it and the csv module
+    """Return ``delimiter`` if model._field can write it and model._cells
     read it back: one character, and not the double quote or a line break
     that quoting relies on; raise ValueError otherwise."""
     if len(delimiter) != 1 or delimiter in '"\r\n':
@@ -504,61 +503,52 @@ def import_tabular(path: str | Path, mapping: ImportMapping) -> Corpus:
 
     Each row becomes one utterance, and a repeated id is a fault of its row.
     Without a reply_to mapping every row is its own conversation root.
-    Quoting follows RFC 4180 conventions.
+    Rows are read by model._records and model._cells, the inverse of export's quoting.
     """
     source = _require_file(Path(path))
+    data = source.read_bytes()
     utterances: dict[str, Utterance] = {}
-    # Latin-1 keeps every byte, so lines split where they would in UTF-8;
-    # each is then decoded on its own, and invalid UTF-8 is found at its line.
-    with open(source, encoding="latin-1", newline="") as fh:
-        reader = csv.reader((line.encode("latin-1").decode("utf-8") for line in fh),
-                            delimiter=mapping.delimiter)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError("empty file: no header row")
-            index: dict[str, int] = {}
-            for field_name, column in mapping.column_for.items():
-                if column not in header:
-                    raise MissingColumnError(
-                        f"{source}: column {column!r} (for {field_name}) not in header")
-                index[field_name] = header.index(column)
-            meta_index: dict[str, int] = {}
-            for column in mapping.meta_columns:
-                if column not in header:
-                    raise MissingColumnError(f"{source}: meta column {column!r} not in header")
-                meta_index[column] = header.index(column)
+    try:
+        records = _records(data.decode("utf-8"))
+        line, header = next(records, (1, None))
+        if header is None:
+            raise ValueError("empty file: no header row")
+        header = _cells(header, mapping.delimiter)
+        for field_name, column in mapping.column_for.items():
+            if column not in header:
+                raise MissingColumnError(
+                    f"{source}: column {column!r} (for {field_name}) not in header")
+        for column in mapping.meta_columns:
+            if column not in header:
+                raise MissingColumnError(f"{source}: meta column {column!r} not in header")
+        index = {name: header.index(column) for name, column in mapping.column_for.items()}
+        meta_index = {column: header.index(column) for column in mapping.meta_columns}
 
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                uid = row[index["id"]]
-                if not uid:
-                    raise ValueError("empty id cell")
-                if uid in utterances:
-                    raise ValueError(f"duplicate utterance id {uid!r}")
-                reply_to: Optional[str] = None
-                if "reply_to" in index and row[index["reply_to"]]:
-                    reply_to = row[index["reply_to"]]
-                timestamp: Optional[int] = None
-                if "timestamp" in index and row[index["timestamp"]]:
-                    try:
-                        timestamp = int(row[index["timestamp"]])
-                    except ValueError:
-                        raise ValueError("timestamp is not an integer") from None
-                utterances[uid] = Utterance(
-                    id=uid, speaker_id=row[index["speaker_id"]],
-                    conversation_id=row[index["conversation_id"]], text=row[index["text"]],
-                    reply_to=reply_to, timestamp=timestamp,
-                    meta={column: row[pos] for column, pos in meta_index.items()},
-                )
-        except (ValueError, csv.Error) as exc:
-            # A line that fails to decode follows the last one read; an empty file lacks line 1.
-            line_number = max(reader.line_num + isinstance(exc, UnicodeDecodeError), 1)
-            raise MalformedRecordError(f"{source} line {line_number}: {exc}",
-                                       line_number=line_number) from exc
+        for line, record in records:
+            if not record:
+                continue
+            row = _cells(record, mapping.delimiter)
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            cell = {name: row[pos] for name, pos in index.items()}
+            uid = cell["id"]
+            if not uid:
+                raise ValueError("empty id cell")
+            if uid in utterances:
+                raise ValueError(f"duplicate utterance id {uid!r}")
+            # Empty, or the JSON integer grammar that export writes, in ASCII.
+            stamp = cell.get("timestamp", "")
+            if stamp and not re.fullmatch("-?(0|[1-9][0-9]*)", stamp):
+                raise ValueError("timestamp is not an integer")
+            utterances[uid] = Utterance(
+                id=uid, speaker_id=cell["speaker_id"], conversation_id=cell["conversation_id"],
+                text=cell["text"], reply_to=cell.get("reply_to") or None,
+                timestamp=int(stamp) if stamp else None,
+                meta={column: row[pos] for column, pos in meta_index.items()})
+    except ValueError as exc:
+        if isinstance(exc, UnicodeDecodeError):  # the lines through its bad byte
+            line = len(data[:exc.start + 1].splitlines())
+        raise MalformedRecordError(f"{source} line {line}: {exc}", line_number=line) from exc
     try:
         return build_corpus(utterances.values())
     except IntegrityViolationError as exc:

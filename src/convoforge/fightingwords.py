@@ -160,8 +160,9 @@ class FightingWords(Transformer):
         deltas = []
         zscores = []
         for c1, c2 in zip(y1, y2):
-            delta = (math.log((c1 + a) / (n1 + alpha0 - c1 - a))
-                     - math.log((c2 + a) / (n2 + alpha0 - c2 - a)))
+            # Each rest mass, (n - c) + (alpha0 - a), is > 0; a ratio of them may underflow.
+            delta = (math.log(c1 + a) - math.log((n1 - c1) + (alpha0 - a))
+                     - math.log(c2 + a) + math.log((n2 - c2) + (alpha0 - a)))
             sigma2 = 1.0 / (c1 + a) + 1.0 / (c2 + a)
             deltas.append(delta)
             zscores.append(delta / math.sqrt(sigma2))

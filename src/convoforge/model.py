@@ -12,6 +12,7 @@ possible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -75,10 +76,33 @@ def _field(cell: str, delimiter: str) -> str:
     corpus_io.export_tabular): as it is, or, when it holds the delimiter, a
     double quote, CR or LF, quoted as RFC 4180 does, its quotes doubled. By
     hand, as the csv module's quoting of a lone CR varies with the Python
-    version, so the bytes are the same on every one."""
+    version, so the bytes are the same on every one; _cells reads it back."""
     if frozenset(delimiter + '"\r\n').isdisjoint(cell):
         return cell
     return '"' + cell.replace('"', '""') + '"'
+
+
+def _records(text: str):
+    """(line, record) for each record of a delimited text: the physical line (ended
+    by CRLF, LF or CR) where it ends, and its text without that break. A break ends
+    a record after an even count of double quotes, as does the end of the text."""
+    start = quotes = 0
+    for line, physical in enumerate(re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+\Z", text), 1):
+        quotes += physical[0].count('"')
+        if quotes % 2 == 0 or physical.end() == len(text):
+            yield line, text[start:physical.end()].rstrip("\r\n")
+            start = physical.end()
+
+
+def _cells(record: str, delimiter: str) -> list[str]:
+    """The inverse of _field over one record: its cells, split at the delimiter,
+    each bare (no delimiter, double quote, CR or LF) or quoted, quotes doubled."""
+    d = re.escape(delimiter)
+    cell = rf'"([^"]*(?:""[^"]*)*)"|([^"\r\n{d}]*)'
+    if not re.fullmatch(rf"(?:{cell})(?:{d}(?:{cell}))*", record):
+        raise ValueError("malformed quoting")
+    return [quoted.replace('""', '"') + bare
+            for quoted, bare in re.findall(rf"(?:^|{d})(?:{cell})", record)]
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from collections import Counter
 from dataclasses import dataclass, field
+from sys import float_info
 
 from .corpus_io import _refusal
 from .errors import MissingAnnotationError, NotFittedError, PipelineStageError
@@ -84,8 +84,8 @@ def _filter(value) -> bool:
 # registered stage's constructor. A bool is never a number.
 _PARAM_RULES = {name: rule for names, rule in (
     ("learning_rate alpha",
-     (lambda v: _real(v) and 0 < v < math.inf, "a positive finite number")),
-    ("l2", (lambda v: _real(v) and 0 <= v < math.inf, "a finite number of at least 0")),
+     (lambda v: _real(v) and 0 < v <= float_info.max, "a positive finite number")),
+    ("l2", (lambda v: _real(v) and 0 <= v <= float_info.max, "a finite number of at least 0")),
     ("epochs min_df ngram_max min_count top_k min_tokens_per_convo",
      (lambda v: type(v) is int and v >= 1, "a positive integer")),
     ("max_terms", (lambda v: v is None or type(v) is int and v >= 1,

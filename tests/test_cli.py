@@ -1377,8 +1377,8 @@ def _bad_pool(rng: random.Random, param: str) -> list:
     word = "".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(1, 8)))
     not_a_count = [-count, 0, count + 0.5, float(count), True, str(count), [count]]
     return {
-        "positive": [-number, 0, 0.0, -count, True, str(number), None, [number]],
-        "non-negative": [-number, -count, True, False, str(number), None],
+        "positive": [-number, 0, 0.0, -count, True, str(number), None, [number], 10 ** 400],
+        "non-negative": [-number, -count, True, False, str(number), None, 10 ** 400],
         "count": not_a_count + [None],
         "count or null": not_a_count,
         "key": ["", count, number, True, None, [word]],

@@ -182,6 +182,16 @@ class TestFit:
         with pytest.raises(ValueError, match="alpha must be a positive finite number"):
             FightingWords(class1="cls=1", class2="cls=2", alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [1e-300, 5e-324])
+    def test_a_tiny_prior_gives_finite_z(self, alpha):
+        # "b" is all of class 2's count, so its rest-of-vocabulary mass there
+        # is alpha alone: delta is log(1/2) - log(2/alpha) up to rounding.
+        model = fw_model(worked_example_corpus(), by_cls(1), by_cls(2), alpha=alpha)
+        assert all(math.isfinite(z) for z in model.deltas + model.zscores)
+        assert model.zscore("a") >= 0
+        assert model.zscore("b") == pytest.approx(
+            (math.log(alpha) - 2 * math.log(2)) / math.sqrt(1.5), rel=1e-12)
+
     def test_a_prior_whose_total_overflows_is_named(self):
         # Each prior is finite; their total over the two terms is not.
         with pytest.raises(NumericOverflowError,

@@ -14,6 +14,9 @@ for. It never raises. ``validate`` prints its violations on stdout instead.
 fuzz_corpora runs one kind on any seed and number of copies; CI runs more
 copies, on seeds tier-1 does not draw, by calling it from ``python -c``.
 
+The tabular half mutates an exported table byte by byte (fuzz_table): each
+copy either imports or raises a ConvoForgeError.
+
 The config half runs one ``run`` per value of every parameter of every
 registered stage, on the base corpus with boolean "derailed" labels on its
 conversations, under the same contract.
@@ -25,14 +28,17 @@ import json
 import random
 import re
 import shutil
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from convoforge import export_tabular, identity_mapping, import_tabular, load
 from convoforge.cli import main
 from convoforge.corpus_io import CORPUS_FILES
 from convoforge.datasets import toy_movie_path
+from convoforge.errors import ConvoForgeError
 
 COPIES = 200
 
@@ -275,3 +281,58 @@ def test_every_stage_parameter_keeps_the_contract(tmp_path, base):
     assert problems == []
     # A stage that fails on every value tests nothing.
     assert all(succeeded.values()), succeeded
+
+
+# The bytes that tabular quoting turns on, and one that is never UTF-8.
+TABLE_POOL = [b'"', b",", b"\r", b"\n", b"\xff"]
+
+
+def base_table(root: Path) -> bytes:
+    """The toy corpus exported as a table under ``root``, every third text
+    ending in a quoted phrase, a comma, CRLF, LF and CR, so that quoted
+    cells span lines."""
+    corpus = load(toy_movie_path())
+    for utt in list(corpus.utterances.values())[::3]:
+        utt.text += ' He said "no",\r\nthen\nleft\r.'
+    root.mkdir(parents=True, exist_ok=True)
+    export_tabular(corpus, root / "base.csv")
+    return (root / "base.csv").read_bytes()
+
+
+def fuzz_table(table: bytes, seed: str, copies: int, root: Path) -> Counter:
+    """Import ``copies`` copies of ``table`` through identity_mapping(), each
+    with 1-3 mutations drawn from random.Random(seed): a byte of TABLE_POOL
+    inserted anywhere, or one of the table's own TABLE_POOL bytes deleted or
+    replaced by one. AssertionError when anything but a ConvoForgeError
+    escapes, or when no copy imports or none is refused, since such a run
+    tests nothing; else the count of each outcome."""
+    rng = random.Random(seed)
+    path = root / "table.csv"
+    root.mkdir(parents=True, exist_ok=True)
+    outcomes, problems = Counter(), []
+    for copy in range(copies):
+        data, done = bytearray(table), []
+        for _ in range(rng.randint(1, 3)):
+            op, new = rng.choice(["insert", "delete", "replace"]), rng.choice(TABLE_POOL)
+            if op == "insert":
+                at = rng.randrange(len(data) + 1)
+                data[at:at] = new
+            else:
+                at = rng.choice([i for i, byte in enumerate(data) if bytes([byte]) in TABLE_POOL])
+                data[at:at + 1] = b"" if op == "delete" else new
+            done.append((op, at, new))
+        path.write_bytes(data)
+        try:
+            import_tabular(path, identity_mapping())
+            outcomes["imported"] += 1
+        except ConvoForgeError as exc:
+            outcomes[type(exc).__name__] += 1
+        except Exception as exc:
+            problems.append(f"copy {copy} {done}: raised {type(exc).__name__}: {exc}")
+    assert problems == []
+    assert outcomes["imported"] and len(outcomes) > 1, outcomes
+    return outcomes
+
+
+def test_tabular_import_refuses_or_imports_mutated_tables(tmp_path):
+    fuzz_table(base_table(tmp_path / "base"), "fuzz table", COPIES, tmp_path)
