@@ -555,31 +555,32 @@ def import_tabular(path: str | Path, mapping: ImportMapping) -> Corpus:
         raise IntegrityViolationError(f"{source}: {exc}", exc.violations) from None
 
 
-def _meta_cell(utt: Utterance, key: str) -> str:
-    value = utt.meta.get(key, "")
+def _json_cell(utt: Utterance, name: str, value) -> str:
     try:
         return value if isinstance(value, str) else _ONE_LINE.encode(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # an int too long for str() is a ValueError
         raise UnserializableValueError(
-            f"utterance {utt.id!r} meta key {key!r} cannot be exported as JSON: {exc}") from None
+            f"utterance {utt.id!r} {name} cannot be exported as JSON: {exc}") from None
 
 
 def export_tabular(corpus: Corpus, path: str | Path, delimiter: str = ",",
                    meta_columns: Optional[list[str]] = None) -> None:
     """Write utterances as one delimited row each, every cell through model._field
-    and every line ending in CRLF; None is an empty cell, any other value its str().
-    A meta cell holds a string as itself, any other value as the compact JSON text
-    utterances.jsonl holds, and nothing for a missing key. Inverse of import_tabular
-    under the identity mapping (meta columns import as strings). The file is rendered
-    before it is opened: text UTF-8 cannot encode, or a meta value JSON cannot hold,
-    raises UnserializableValueError and leaves no file."""
+    and every line ending in CRLF; None is an empty cell. A timestamp or meta cell
+    holds a string as itself, any other value as the compact JSON text
+    utterances.jsonl holds, and a meta cell nothing for a missing key. Inverse of
+    import_tabular under the identity mapping (meta columns import as strings). The
+    file is rendered before it is opened: text UTF-8 cannot encode, or a timestamp or
+    meta value JSON cannot hold, raises UnserializableValueError and leaves no file."""
     check_delimiter(delimiter)
     path = os.fspath(path)  # open() would take an int or bool as a file descriptor
     meta_columns = meta_columns or []
     rows = [[*TABULAR_FIELDS, *meta_columns]]
-    rows += ([utt.id, utt.speaker_id, utt.conversation_id, utt.reply_to, utt.timestamp, utt.text,
-              *(_meta_cell(utt, col) for col in meta_columns)]
-             for utt in corpus.utterances.values())
+    for utt in corpus.utterances.values():
+        stamp = None if utt.timestamp is None else _json_cell(utt, "timestamp", utt.timestamp)
+        rows.append([utt.id, utt.speaker_id, utt.conversation_id, utt.reply_to, stamp, utt.text,
+                     *(_json_cell(utt, f"meta key {col!r}", utt.meta.get(col, ""))
+                       for col in meta_columns)])
     text = "".join(delimiter.join(_field("" if cell is None else str(cell), delimiter)
                                   for cell in row) + "\r\n" for row in rows)
     try:

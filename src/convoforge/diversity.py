@@ -19,8 +19,6 @@ from .model import Corpus
 from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer
 
-ANNOTATION_KEY = "convo_diversity"
-
 LN2 = math.log(2.0)
 
 
@@ -98,7 +96,7 @@ class SpeakerDiversity(Transformer):
 
     name = "speaker_diversity"
     level = "speaker"
-    annotation_key = ANNOTATION_KEY
+    annotation_key = "convo_diversity"
 
     def __init__(self, min_tokens_per_convo: int = 1):
         self._set_params(min_tokens_per_convo=min_tokens_per_convo)

@@ -122,9 +122,5 @@ class DimensionMismatchError(ConvoForgeError):
     pass
 
 
-class MissingLabelError(ConvoForgeError):
-    pass
-
-
 class NumericOverflowError(ConvoForgeError):
     """A parameter so large that a training loss or a prior total overflows."""

@@ -16,8 +16,6 @@ from typing import Iterable
 from .model import Corpus
 from .transform import SummaryTable, Transformer
 
-ANNOTATION_KEY = "hyperconvo"
-
 FEATURE_NAMES = (
     "outdeg_max",
     "outdeg_mean",
@@ -121,7 +119,7 @@ class HyperConvo(Transformer):
 
     name = "hyperconvo"
     level = "conversation"
-    annotation_key = ANNOTATION_KEY
+    annotation_key = "hyperconvo"
 
     def _transform(self, corpus: Corpus) -> None:
         for convo in corpus.conversations.values():

@@ -35,7 +35,6 @@ from .errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
     EmptySelectionError,
-    MissingLabelError,
     NumericOverflowError,
 )
 from .model import Corpus, Utterance, _level_objects, _speaker_histories, traverse
@@ -326,8 +325,8 @@ def predict(model: LinearModel, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _LinearStage(Transformer):
-    """A stage that fits a vocabulary (min_df, max_terms) and a logistic
-    regression (l2, epochs, learning_rate) to the labels under label_key."""
+    """A stage that fits a vocabulary (min_df, max_terms) and a logistic regression
+    (l2, epochs, learning_rate) to its objects labelled under label_key (see _labelled)."""
 
     requires_fit = True
 
@@ -337,6 +336,19 @@ class _LinearStage(Transformer):
                          epochs=epochs, learning_rate=learning_rate)
         self.vocab: Optional[dict] = None  # {term: column}
         self.model: Optional[LinearModel] = None
+
+    def _labelled(self, objects: list) -> tuple[list, list[float]]:
+        """The objects whose label_key holds true or false, and those labels
+        as floats. A null or absent label leaves its object out."""
+        labelled, y = [], []
+        for obj in objects:
+            label = _read_foreign(obj, self.label_key, bool)
+            if label is not None:
+                labelled.append(obj)
+                y.append(float(label))
+        if not labelled:
+            raise EmptySelectionError(f"no {self.level}s carry label key {self.label_key!r}")
+        return labelled, y
 
 
 class Classifier(_LinearStage):
@@ -353,16 +365,7 @@ class Classifier(_LinearStage):
         super().__init__(label_key, min_df, max_terms, l2, epochs, learning_rate)
 
     def _fit(self, corpus: Corpus) -> None:
-        labelled, y = [], []
-        for obj in _level_objects(corpus, self.level):
-            label = _read_foreign(obj, self.label_key, bool)
-            if label is not None:  # a null label leaves its object unlabelled
-                labelled.append(obj)
-                y.append(float(label))
-        if not labelled:
-            raise EmptySelectionError(
-                f"no {self.level}s carry label key {self.label_key!r}"
-            )
+        labelled, y = self._labelled(_level_objects(corpus, self.level))
         self.vocab, rows = _bag_of_words(_documents(corpus, self.level, labelled), None,
                                          self.min_df, self.max_terms)
         self.model = train_classifier(rows, y, l2=self.l2, epochs=self.epochs,
@@ -388,30 +391,31 @@ class Forecaster(_LinearStage):
     """Scores, at every utterance, the probability that the conversation's
     terminal label is positive given only the utterances so far.
 
-    Training has one example per prefix of each labelled conversation:
-    the cumulative bag-of-words of its first k utterances in traversal
-    order, labelled with the conversation's terminal label. Each
-    utterance's bag-of-words, counted in the walk that fits the vocabulary,
-    is a sparse row, and the bias sits on each conversation's first row.
-    Training takes the running sums of the rows (see _fit), and scoring
-    those of their products with the weights, so the prefixes are never
-    scored one at a time.
+    Training has one example per prefix of each labelled conversation
+    (see _labelled): the cumulative bag-of-words of its first k utterances
+    in traversal order, labelled with the conversation's terminal label.
+    Scoring walks every conversation, so those it did not train on are
+    forecast too. Each utterance's bag-of-words, counted in the walk that
+    fits the vocabulary, is a sparse row, and the bias sits on each
+    conversation's first row. Training takes the running sums of the rows
+    (see _fit), and scoring those of their products with the weights, so
+    the prefixes are never scored one at a time.
     """
 
     name = "forecaster"
     level = "conversation"
     annotation_key = "forecast_final"
 
-    def _utterance_rows(self, corpus: Corpus, vocab: Optional[dict] = None
+    def _utterance_rows(self, corpus: Corpus, conversations: Iterable, vocab: Optional[dict] = None
                         ) -> tuple[list[Utterance], list[int], _Rows]:
-        """Every utterance, conversation by conversation in traversal order;
-        the conversations' lengths; and each utterance's own bag-of-words
-        row, with a bias column of 1.0 on each conversation's first row, so
-        that the running sums add it once to every prefix. Without a
-        vocabulary, self.vocab is first fitted to the same counts."""
+        """The utterances of `conversations`, each one's in traversal order;
+        their lengths; and each utterance's own bag-of-words row, with a
+        bias column of 1.0 on each conversation's first row, so that the
+        running sums add it once to every prefix. Without a vocabulary,
+        self.vocab is first fitted to the same counts."""
         utterances: list[Utterance] = []
         lengths = []
-        for convo in corpus.conversations.values():
+        for convo in conversations:
             walk = traverse(corpus, convo.id, "bfs")
             utterances.extend(walk)
             lengths.append(len(walk))
@@ -422,18 +426,9 @@ class Forecaster(_LinearStage):
         return utterances, lengths, rows.with_ones_column(first)
 
     def _fit(self, corpus: Corpus) -> None:
-        labels = {}
-        for convo in corpus.conversations.values():
-            label = _read_foreign(convo, self.label_key, bool)
-            if label is None:
-                raise MissingLabelError(
-                    f"conversation {convo.id!r} lacks label key {self.label_key!r}"
-                )
-            labels[convo.id] = float(label)
-        if not corpus.utterances:
-            raise EmptySelectionError("corpus has no utterances")
-        utterances, lengths, rows = self._utterance_rows(corpus)
-        y = _checked_labels([labels[utt.conversation_id] for utt in utterances])
+        conversations, labels = self._labelled(_level_objects(corpus, self.level))
+        _, lengths, rows = self._utterance_rows(corpus, conversations)
+        y = _checked_labels(np.repeat(labels, lengths))
         # The prefixes are a dense array, multiplied through BLAS: with the
         # default step on raw prefix counts training can diverge, and its
         # weights then amplify any change in the rounding of these products,
@@ -448,11 +443,12 @@ class Forecaster(_LinearStage):
                               self.learning_rate)
 
     def _transform(self, corpus: Corpus) -> None:
-        utterances, lengths, rows = self._utterance_rows(corpus, self.vocab)
+        conversations = corpus.conversations.values()
+        utterances, lengths, rows = self._utterance_rows(corpus, conversations, self.vocab)
         _, scores = _labelled_scores(_running_sums(rows @ self.model.weights, lengths))
         scores = scores.tolist()
         for utt, score in zip(utterances, scores):
             self._annotate(utt, score, key="forecast")
         # A conversation's final forecast is that of its last utterance in traversal order.
-        for convo, end in zip(corpus.conversations.values(), accumulate(lengths)):
+        for convo, end in zip(conversations, accumulate(lengths)):
             self._annotate(convo, scores[end - 1])

@@ -24,8 +24,6 @@ from .model import Corpus, Utterance
 from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer
 
-ANNOTATION_KEY = "politeness_strategies"
-
 
 @dataclass(frozen=True)
 class Strategy:
@@ -124,7 +122,7 @@ class PolitenessStrategies(Transformer):
     which must be annotated, and refuses a corpus with none."""
 
     name = "politeness"
-    annotation_key = ANNOTATION_KEY
+    annotation_key = "politeness_strategies"
 
     def _transform(self, corpus: Corpus) -> None:
         for utt in corpus.utterances.values():

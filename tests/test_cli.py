@@ -1152,10 +1152,10 @@ WORKLOAD_STAGES = {
 @pytest.mark.parametrize("literal", FOREIGN_VALUES)
 def test_label_is_a_boolean_or_missing(tmp_path, capsys, literal, spec):
     # The other objects alternate true and false, so both classes stay. A
-    # null label is missing: the classifier predicts as if the key were
-    # absent, and the forecaster, which needs every conversation's label,
-    # refuses it. Any other value that is not a bool is one stage error
-    # naming the object and the key.
+    # null label is missing, as an absent key is: the classifier and the
+    # forecaster alike leave that object out of training and still score
+    # it, so both runs write the same output. Any other value that is not a
+    # bool is one stage error naming the object and the key.
     level = spec["params"].get("level", "conversation")
     key = spec["params"]["label_key"]
     value = json.loads(literal)
@@ -1174,23 +1174,26 @@ def test_label_is_a_boolean_or_missing(tmp_path, capsys, literal, spec):
         return main(["--quiet", "--corpus", str(source), "run", str(config)])
 
     def predictions(name):
+        corpus = load(tmp_path / name)
+        if spec["name"] == "forecaster":
+            return ({u.id: u.meta["forecast"] for u in corpus.utterances.values()},
+                    {c.id: c.meta["forecast_final"] for c in corpus.conversations.values()})
         return {o.id: (o.meta["prediction"], o.meta["prediction_score"])
-                for o in _level_objects(load(tmp_path / name), level)}
+                for o in _level_objects(corpus, level)}
 
     target = random.Random(FOREIGN_VALUES.index(literal)).choice(
         sorted(json.loads((toy_movie_path() / f"{level}s.json").read_text())))
     code = run(lambda meta: meta.update({key: value}), "out")
     err = capsys.readouterr().err
-    if isinstance(value, bool) or (value is None and spec["name"] == "classifier"):
+    if isinstance(value, bool) or value is None:
         assert (code, err) == (0, "")
         if value is None:
             assert run(lambda meta: meta.pop(key), "absent") == 0
             assert predictions("out") == predictions("absent")
     else:
         assert code == 1
-        problem = (f"{level} {target!r} lacks label key {key!r}" if value is None
-                   else f"{level} {target!r}: {key!r} is not a boolean")
-        assert err.splitlines() == [f"error: stage 0 ({spec['name']}): {problem}"]
+        assert err.splitlines() == [
+            f"error: stage 0 ({spec['name']}): {level} {target!r}: {key!r} is not a boolean"]
         assert not (tmp_path / "out").exists()
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,10 @@ def small_corpus():
         corpus_meta={"title": "small"},
     )
 
+
+# An int of more digits than this Python's int-to-str limit has no text form.
+INT_STR_LIMIT = pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                                   reason="this Python has no int-to-str digit limit")
 
 NON_FINITE_LITERALS = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"]
 
@@ -1292,14 +1297,27 @@ class TestTabular:
                                "100000000000000000000"]
         assert rows[2][6:] == [""] * len(meta)  # keys the utterance lacks
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), {1, 2}],
-                             ids=["nan", "inf", "set"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), {1, 2},
+                                       pytest.param(10**5000, marks=INT_STR_LIMIT)],
+                             ids=["nan", "inf", "set", "long-int"])
     def test_export_refuses_a_meta_value_json_cannot_hold(self, tmp_path, value):
         corpus = small_corpus()
         corpus.utterances["u1"].meta["bad"] = value
         with pytest.raises(UnserializableValueError,
                            match=r"^utterance 'u1' meta key 'bad' cannot be exported as JSON"):
             export_tabular(corpus, tmp_path / "t.csv", meta_columns=["n", "bad"])
+        assert list(tmp_path.iterdir()) == []
+
+    @INT_STR_LIMIT
+    def test_export_refuses_a_timestamp_json_cannot_hold(self, tmp_path):
+        # As save does: the writer names the utterance, and no file is left.
+        corpus = build_corpus([Utterance("u0", "s", "c", "hi", None, 10**5000)])
+        with pytest.raises(UnserializableValueError,
+                           match=r"^utterance 'u0' timestamp cannot be exported as JSON: "):
+            export_tabular(corpus, tmp_path / "t.csv")
+        with pytest.raises(UnserializableValueError,
+                           match=r"^utterance 'u0' cannot be saved as JSON: "):
+            save(corpus, tmp_path / "saved")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("delimiter", [",", ";", "\t", "|", "x", " "])

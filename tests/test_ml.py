@@ -23,7 +23,6 @@ from convoforge.errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
     EmptySelectionError,
-    MissingLabelError,
     NotFittedError,
     NumericOverflowError,
 )
@@ -601,8 +600,8 @@ class TestPrefixArray:
         utterance_rows = Forecaster._utterance_rows
         descend = ml._descend
 
-        def rows_spy(stage, corpus, vocab=None):
-            utterances, lengths, rows = utterance_rows(stage, corpus, vocab)
+        def rows_spy(stage, corpus, conversations, vocab=None):
+            utterances, lengths, rows = utterance_rows(stage, corpus, conversations, vocab)
             refs.append(weakref.ref(rows))
             return utterances, lengths, rows
 
@@ -676,7 +675,8 @@ class TestForecaster:
         corpus = labelled_conversations()
         forecaster = Forecaster(label_key="doomed")
         forecaster.fit(corpus)
-        utterances, lengths, rows = forecaster._utterance_rows(corpus)
+        utterances, lengths, rows = forecaster._utterance_rows(corpus,
+                                                               corpus.conversations.values())
         assert rows.shape[0] == len(utterances) == sum(lengths) == len(corpus.utterances)
 
     def test_transform_of_an_empty_corpus(self):
@@ -686,11 +686,29 @@ class TestForecaster:
         forecaster.transform(empty)
         assert empty.utterances == {} and empty.conversations == {}
 
-    def test_missing_label(self):
+    def test_trains_on_the_labelled_conversations_and_forecasts_every_one(self):
+        # Labels true, false, null and absent: the fit is the fit on the
+        # corpus without the two unlabelled conversations, bit for bit, and
+        # every utterance and conversation is forecast.
         corpus = labelled_conversations()
+        corpus.conversations["p1"].meta["doomed"] = None
         del corpus.conversations["n1"].meta["doomed"]
-        with pytest.raises(MissingLabelError, match="n1"):
-            Forecaster(label_key="doomed").fit(corpus)
+        labelled = build_corpus([utt for utt in labelled_conversations().utterances.values()
+                                 if utt.conversation_id in ("p0", "n0")])
+        labelled.conversations["p0"].meta["doomed"] = True
+        labelled.conversations["n0"].meta["doomed"] = False
+        expected = copy.deepcopy(corpus)
+        partial, alone = Forecaster("doomed"), Forecaster("doomed")
+        partial.fit_transform(corpus)
+        alone.fit(labelled)
+        assert np.array_equal(partial.model.weights, alone.model.weights)
+        assert partial.vocab == alone.vocab
+        alone.transform(expected)
+        forecasts = {utt.id: utt.meta["forecast"] for utt in corpus.utterances.values()}
+        assert len(forecasts) == 10
+        assert forecasts == {utt.id: utt.meta["forecast"] for utt in expected.utterances.values()}
+        assert [c.meta["forecast_final"] for c in corpus.conversations.values()] == \
+            [c.meta["forecast_final"] for c in expected.conversations.values()]
 
     def test_transform_before_fit(self):
         with pytest.raises(NotFittedError):
@@ -789,14 +807,11 @@ class TestFitThenTransform:
     def test_empty_and_unlabelled_corpora(self):
         unlabelled = labelled_conversations()
         for corpus in (build_corpus([]), unlabelled):
-            for level in LEVELS:
+            for stage in [Classifier("label", level=level) for level in LEVELS] + \
+                    [Forecaster("label")]:
                 with pytest.raises(EmptySelectionError,
-                                   match=f"^no {level}s carry label key 'label'$"):
-                    Classifier("label", level=level).fit(corpus)
-        with pytest.raises(EmptySelectionError, match="^corpus has no utterances$"):
-            Forecaster("label").fit(build_corpus([]))
-        with pytest.raises(MissingLabelError, match="^conversation 'p0' lacks label key 'label'$"):
-            Forecaster("label").fit(unlabelled)
+                                   match=f"^no {stage.level}s carry label key 'label'$"):
+                    stage.fit(corpus)
 
 
 def test_forecaster_takes_the_classifier_parameters_but_level():
