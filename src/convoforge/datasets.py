@@ -11,14 +11,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .corpus_io import load
-from .model import Corpus
-
 
 def toy_movie_path() -> Path:
     """Directory of the bundled toy movie-dialog corpus."""
     return Path(str(resources.files("convoforge.data").joinpath("toy_movie")))
-
-
-def load_toy_movie() -> Corpus:
-    return load(toy_movie_path())

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain
+from sys import float_info
 from typing import Optional
 
 from .model import Corpus
 from .textprep import utterance_tokens
-from .transform import SummaryTable, Transformer
+from .transform import SummaryTable, Transformer, _real
 
 LN2 = math.log(2.0)
 
@@ -31,12 +32,25 @@ def jensen_shannon(p: dict[str, float], q: dict[str, float]) -> float:
     Fast path: every shared term is in the smaller map, so only it is
     walked; the larger map's one-sided mass is its total less its shared
     mass, or exactly 0 when all its terms are shared.
+
+    A mass is an int or float from 0 to the largest float, zero being as good
+    as absent; any other is a ValueError naming its term, as are masses of p
+    and q that total more than the largest float or lie too far apart in scale.
     """
-    return _jsd(_positive(p), _positive(q))
+    p, q = _positive(p, "p"), _positive(q, "q")
+    if p[1] + q[1] > float_info.max:
+        raise ValueError("the masses of p and q total more than the largest float")
+    try:
+        return _jsd(p, q)
+    except ValueError:  # a mass over its midpoint underflowed to 0
+        raise ValueError("p and q hold masses too far apart in scale") from None
 
 
-def _positive(dist: dict[str, float]) -> tuple[dict[str, float], float]:
+def _positive(dist: dict[str, float], name: str) -> tuple[dict[str, float], float]:
     # The positive entries of a distribution and their total mass.
+    for term, x in dist.items():
+        if not (_real(x) and 0 <= x <= float_info.max):
+            raise ValueError(f"{name}[{term!r}] is {x!r}, not a finite number of at least 0")
     kept = {term: x for term, x in dist.items() if x > 0.0}
     return kept, sum(kept.values())
 

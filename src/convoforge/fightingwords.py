@@ -1,17 +1,17 @@
 """Class-distinctive vocabulary via z-scored log-odds with a Dirichlet prior.
 
 Two utterance classes are compared term by term. For term w with class
-counts y1_w, y2_w, class totals n1, n2, per-term prior a_w and prior total
-a0 = sum(a_w):
+counts y1_w, y2_w, class totals n1, n2, the uniform prior a on every term
+of the vocabulary V and prior total a0 = a * |V|:
 
-    delta_w  = ln((y1_w + a_w) / (n1 + a0 - y1_w - a_w))
-             - ln((y2_w + a_w) / (n2 + a0 - y2_w - a_w))
-    sigma2_w = 1 / (y1_w + a_w) + 1 / (y2_w + a_w)
+    delta_w  = ln((y1_w + a) / (n1 + a0 - y1_w - a))
+             - ln((y2_w + a) / (n2 + a0 - y2_w - a))
+    sigma2_w = 1 / (y1_w + a) + 1 / (y2_w + a)
     z_w      = delta_w / sqrt(sigma2_w)
 
 Positive z marks class-1-associated terms. Natural logarithm throughout.
-The prior is uniform, a_w = alpha for every term, which keeps every z
-finite (Monroe, Colaresi & Quinn 2008).
+The prior a is the stage's alpha, which keeps every z finite (Monroe,
+Colaresi & Quinn 2008).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 from .errors import EmptyClassError, EmptyVocabularyError, NotFittedError, NumericOverflowError
@@ -54,15 +55,12 @@ def _ngrams(tokens: list[str], ngram_max: int) -> list[str]:
 
 @dataclass
 class FwModel:
-    """Fitted comparison state: aligned per-term lists over a sorted vocab."""
+    """A fitted comparison: each term's class counts (y1, y2), log-odds
+    (deltas) and z-scores, as lists aligned with a sorted vocab."""
 
     vocab: list[str]
     y1: list[float]
     y2: list[float]
-    n1: int
-    n2: int
-    alpha: list[float]
-    alpha0: float
     deltas: list[float]
     zscores: list[float]
 
@@ -84,10 +82,7 @@ class FwModel:
 
 
 def _count_class(utterances: list[Utterance], ngram_max: int) -> Counter:
-    counts: Counter = Counter()
-    for utt in utterances:
-        counts.update(_ngrams(_word_tokens(utt), ngram_max))
-    return counts
+    return Counter(chain.from_iterable(_ngrams(_word_tokens(u), ngram_max) for u in utterances))
 
 
 class FightingWords(Transformer):
@@ -132,22 +127,16 @@ class FightingWords(Transformer):
         for n, counts in enumerate((counts1, counts2), 1):
             if not counts:
                 raise EmptyClassError(f"class {n} selects utterances but no word tokens")
-        vocab = sorted(
-            term
-            for term in set(counts1) | set(counts2)
-            if counts1.get(term, 0) + counts2.get(term, 0) >= self.min_count
-        )
+        vocab = sorted(term for term in counts1.keys() | counts2.keys()
+                       if counts1[term] + counts2[term] >= self.min_count)
         if len(vocab) < 2:
             # With one term the rest-of-vocabulary mass is exactly zero and the
             # log-odds degenerate to +/-inf; there is nothing to contrast.
-            raise EmptyVocabularyError(
-                f"{len(vocab)} term(s) reach min_count; need at least two for a contrast"
-            )
+            raise EmptyVocabularyError(f"{len(vocab)} term(s) reach min_count; "
+                                       "need at least two for a contrast")
 
-        y1 = [float(counts1.get(t, 0)) for t in vocab]
-        y2 = [float(counts2.get(t, 0)) for t in vocab]
-        n1 = math.fsum(y1)
-        n2 = math.fsum(y2)
+        y1, y2 = ([float(counts[term]) for term in vocab] for counts in (counts1, counts2))
+        n1, n2 = math.fsum(y1), math.fsum(y2)
 
         a = float(self.alpha)
         # One rounding of the real product, as a sum of len(vocab) copies
@@ -157,8 +146,7 @@ class FightingWords(Transformer):
             raise NumericOverflowError(
                 f"alpha {self.alpha} overflows the prior total over {len(vocab)} terms")
 
-        deltas = []
-        zscores = []
+        deltas, zscores = [], []
         for c1, c2 in zip(y1, y2):
             # Each rest mass, (n - c) + (alpha0 - a), is > 0; a ratio of them may underflow.
             delta = (math.log(c1 + a) - math.log((n1 - c1) + (alpha0 - a))
@@ -167,10 +155,7 @@ class FightingWords(Transformer):
             deltas.append(delta)
             zscores.append(delta / math.sqrt(sigma2))
 
-        self.model = FwModel(
-            vocab=vocab, y1=y1, y2=y2, n1=int(n1), n2=int(n2),
-            alpha=[a] * len(vocab), alpha0=alpha0, deltas=deltas, zscores=zscores,
-        )
+        self.model = FwModel(vocab=vocab, y1=y1, y2=y2, deltas=deltas, zscores=zscores)
 
     def _transform(self, corpus: Corpus) -> None:
         class1, class2 = self._predicates(corpus)

@@ -256,9 +256,10 @@ def train_classifier(
 ) -> LinearModel:
     """Full-batch gradient descent from zero weights for a fixed number of
     epochs at a fixed learning rate. X is a 2-D numeric numpy array, one row
-    per label of y; l2, epochs and learning_rate obey the stages' rules for
-    them. Deterministic given the data and parameters. Records the loss
-    trace; a loss that overflows is a NumericOverflowError naming its epoch."""
+    per label of y, and a label that is not 0 or 1 (False or True) is a
+    DimensionMismatchError; l2, epochs and learning_rate obey the stages'
+    rules for them. Deterministic given the data and parameters. Records the
+    loss trace; a loss that overflows is a NumericOverflowError naming its epoch."""
     _check_params(l2=l2, epochs=epochs, learning_rate=learning_rate)
     y = _checked_labels(y)
     rows = _csr_rows(X)
@@ -271,8 +272,8 @@ def _checked_labels(y) -> np.ndarray:
         y = np.asarray(y)
     except ValueError:  # ragged, as [[0], [1, 2]]
         y = None
-    if y is None or y.ndim != 1 or y.dtype.kind not in "biuf" or not np.isfinite(y).all():
-        raise DimensionMismatchError("labels must be a flat sequence of finite numbers")
+    if y is None or y.ndim != 1 or y.dtype.kind not in "biuf" or not np.isin(y, (0, 1)).all():
+        raise DimensionMismatchError("labels must be a flat sequence of 0s and 1s")
     y = y.astype(float)
     if len(y) < 2:
         raise DegenerateLabelsError("need at least two training examples")
@@ -313,7 +314,8 @@ def predict(model: LinearModel, X) -> tuple[np.ndarray, np.ndarray]:
     numeric numpy array with the model's n_features columns.
 
     Scores are nudged off exact 0 and 1 so extreme activations cannot
-    saturate; downstream log-losses stay finite.
+    saturate; downstream log-losses stay finite. A row whose margin (its
+    product with the weights) overflows is a NumericOverflowError.
     """
     rows = _csr_rows(X)
     if rows.shape[1] != model.n_features:
@@ -321,7 +323,12 @@ def predict(model: LinearModel, X) -> tuple[np.ndarray, np.ndarray]:
             f"{rows.shape[1]} features vs model's {model.n_features}"
         )
     rows = rows.with_ones_column(np.ones(rows.shape[0], dtype=bool))
-    return _labelled_scores(rows @ model.weights)
+    with np.errstate(all="ignore"):
+        z = rows @ model.weights
+    unfit = np.flatnonzero(~np.isfinite(z))
+    if unfit.size:
+        raise NumericOverflowError(f"row {unfit[0]}'s margin overflows to {z[unfit[0]]}")
+    return _labelled_scores(z)
 
 
 class _LinearStage(Transformer):

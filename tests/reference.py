@@ -617,10 +617,7 @@ def ref_fit_fw(
     sigma2 = 1.0 / (y1 + alpha_vec) + 1.0 / (y2 + alpha_vec)
     zscores = deltas / np.sqrt(sigma2)
 
-    return FwModel(
-        vocab=vocab, y1=y1, y2=y2, n1=int(n1), n2=int(n2),
-        alpha=alpha_vec, alpha0=alpha0, deltas=deltas, zscores=zscores,
-    )
+    return FwModel(vocab=vocab, y1=y1, y2=y2, deltas=deltas, zscores=zscores)
 
 
 def ref_jensen_shannon(p: dict[str, float], q: dict[str, float]) -> float:

@@ -29,7 +29,7 @@ from convoforge import (
     traverse,
 )
 from convoforge.cli import main
-from convoforge.datasets import load_toy_movie, toy_movie_path
+from convoforge.datasets import toy_movie_path
 from convoforge.hyperconvo import extract_features
 from convoforge.ml import _csr_rows
 from convoforge.politeness import strategy_names
@@ -96,7 +96,7 @@ def test_tree_navigation_500_random_trees():
 
 
 def test_fighting_words_antisymmetry_and_golden():
-    corpus = load_toy_movie()
+    corpus = load(toy_movie_path())
     rng = random.Random(3)
     ids = list(corpus.utterances)
     for _ in range(100):

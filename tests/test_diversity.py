@@ -1,7 +1,9 @@
 import copy
 import math
 import random
+import re
 
+import numpy
 import pytest
 
 from convoforge import (
@@ -62,6 +64,40 @@ class TestJensenShannon:
                 return {t: w / total for t, w in zip(terms, weights)}
             value = jensen_shannon(dist(), dist())
             assert 0.0 <= value <= LN2 + 1e-12
+
+    @pytest.mark.parametrize("mass", [float("nan"), float("inf"), -float("inf"), -0.5, -1,
+                                      True, False, "x", "1.0", None, [1.0], numpy.int64(1),
+                                      pytest.param(10 ** 400, id="10**400")],
+                             ids=repr)
+    def test_a_mass_that_is_not_a_finite_int_or_float_at_least_zero_is_named(self, mass):
+        # Unchecked, NaN and negatives were dropped, True counted as 1, and
+        # inf and strings raised a bare "math domain error" or TypeError.
+        for p, q, named in (({"a": 1.0, "b": mass}, {"a": 1.0}, "p['b']"),
+                            ({"a": 1.0}, {"a": 0.5, "b": mass}, "q['b']")):
+            message = f"{named} is {mass!r}, not a finite number of at least 0"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                jensen_shannon(p, q)
+
+    @pytest.mark.parametrize("p,q", [
+        ({"a": 1e308, "b": 1e308}, {"a": 1.0}),  # unchecked, this returned inf
+        ({"a": 1e308}, {"b": 1e308}),
+        ({"a": 10 ** 308}, {"a": 10 ** 308}),
+    ])
+    def test_masses_whose_total_overflows_are_refused(self, p, q):
+        with pytest.raises(ValueError,
+                           match="^the masses of p and q total more than the largest float$"):
+            jensen_shannon(p, q)
+
+    def test_masses_too_far_apart_for_their_ratio_are_refused(self):
+        # 1e-20 / (1e308 / 2) underflows to 0, whose log was a bare
+        # "math domain error".
+        with pytest.raises(ValueError, match="^p and q hold masses too far apart in scale"):
+            jensen_shannon({"a": 1e-20}, {"a": 1e308})
+
+    def test_int_and_numpy_float_masses_are_numbers(self):
+        assert jensen_shannon({"a": 1}, {"b": 3}) == 2 * LN2
+        assert jensen_shannon({"a": numpy.float64(0.5), "b": 0}, {"a": 0.5}) == 0.0
+        assert math.isfinite(jensen_shannon({"a": 1e308}, {"a": 1.0, "b": 1e307}))
 
 
 class TestJensenShannonMatchesReference:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -43,8 +44,7 @@ class TestFit:
     def test_golden_worked_example(self):
         model = fw_model(worked_example_corpus(), by_cls(1), by_cls(2), alpha=0.01)
         assert model.vocab == ["a", "b"]
-        assert model.n1 == 3 and model.n2 == 2
-        assert model.alpha0 == pytest.approx(0.02, abs=1e-15)
+        assert sum(model.y1) == 3 and sum(model.y2) == 2
         assert model.deltas[0] == pytest.approx(GOLDEN_DELTA_A, abs=1e-9)
         assert model.zscore("a") == pytest.approx(GOLDEN_Z_A, abs=1e-9)
         assert model.zscore("b") == pytest.approx(GOLDEN_Z_B, abs=1e-9)
@@ -148,13 +148,13 @@ class TestFit:
 
     def test_fields_are_lists_of_float(self):
         model = fw_model(worked_example_corpus(), by_cls(1), by_cls(2))
-        for name in ("y1", "y2", "alpha", "deltas", "zscores"):
+        names = [field.name for field in dataclasses.fields(model)]
+        assert names == ["vocab", "y1", "y2", "deltas", "zscores"]
+        for name in names[1:]:
             values = getattr(model, name)
             assert type(values) is list, name
             assert len(values) == len(model.vocab), name
             assert all(type(v) is float for v in values), name
-        assert type(model.n1) is int and type(model.n2) is int
-        assert type(model.alpha0) is float
 
     @pytest.mark.parametrize("param", ["ngram_max", "min_count"])
     def test_count_below_one_is_refused_before_counting(self, param):
@@ -168,14 +168,14 @@ class TestFit:
         model = fw_model(worked_example_corpus(), by_cls(1), by_cls(2), alpha=numpy.float64(0.5))
         assert model.zscores == expected.zscores
 
-    def test_prior_is_alpha_per_term_as_floats(self):
-        # A numpy alpha gives the same plain floats as a Python one.
-        for alpha in (0.5, numpy.float64(0.5)):
-            model = fw_model(worked_example_corpus(), by_cls(1), by_cls(2), alpha=alpha)
-            assert model.alpha == [0.5] * len(model.vocab)
-            assert all(type(a) is float for a in model.alpha)
-            assert model.alpha0 == 0.5 * len(model.vocab)
-            assert type(model.alpha0) is float
+    def test_a_numpy_prior_gives_plain_floats(self):
+        # The stage's alpha is the one prior; a numpy one gives the plain
+        # floats that a Python one gives.
+        stage = FightingWords(by_cls(1), by_cls(2), alpha=numpy.float64(0.5))
+        model = stage.fit(worked_example_corpus()).model
+        assert stage.alpha == 0.5
+        for name in ("deltas", "zscores"):
+            assert all(type(v) is float for v in getattr(model, name)), name
 
     @pytest.mark.parametrize("alpha", [0, -0.5, float("nan"), float("inf"), "0.1", True])
     def test_prior_must_be_positive_and_finite(self, alpha):
@@ -263,11 +263,9 @@ class TestMatchesReference:
             fitted += 1
             assert model.vocab == expected.vocab
             assert model.index == expected.index
-            assert (model.n1, model.n2) == (expected.n1, expected.n2)
             assert model.y1 == expected.y1.tolist()
             assert model.y2 == expected.y2.tolist()
-            assert _close(model.alpha0, expected.alpha0)
-            for name in ("alpha", "deltas", "zscores"):
+            for name in ("deltas", "zscores"):
                 for got, want in zip(getattr(model, name), getattr(expected, name)):
                     assert _close(got, float(want)), (name, got, want)
         assert fitted >= 20

@@ -20,11 +20,16 @@ copy either imports or raises a ConvoForgeError.
 The config half runs one ``run`` per value of every parameter of every
 registered stage, on the base corpus with boolean "derailed" labels on its
 conversations, under the same contract.
+
+The kernel half (fuzz_kernels) calls the public kernels jensen_shannon,
+train_classifier and predict on drawn values: each call returns finite
+values or raises a ConvoForgeError or a ValueError.
 """
 
 import inspect
 import io
 import json
+import math
 import random
 import re
 import shutil
@@ -32,9 +37,11 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from convoforge import export_tabular, identity_mapping, import_tabular, load
+from convoforge import (LinearModel, export_tabular, identity_mapping, import_tabular,
+                        jensen_shannon, load, predict, train_classifier)
 from convoforge.cli import main
 from convoforge.corpus_io import CORPUS_FILES
 from convoforge.datasets import toy_movie_path
@@ -336,3 +343,80 @@ def fuzz_table(table: bytes, seed: str, copies: int, root: Path) -> Counter:
 
 def test_tabular_import_refuses_or_imports_mutated_tables(tmp_path):
     fuzz_table(base_table(tmp_path / "base"), "fuzz table", COPIES, tmp_path)
+
+
+# Values beyond the kernels' rules: negatives (for a mass or a label), the
+# largest and smallest doubles, NaN, infinities, bools, strings, None.
+KERNEL_EDGES = [-1, -0.5, 1e308, -1e308, 5e-324, float("nan"), float("inf"), -float("inf"),
+                True, False, "x", "1", None]
+
+
+def _draw(rng: random.Random, valid: list):
+    """One of KERNEL_EDGES one time in ten, else one of ``valid``."""
+    return rng.choice(KERNEL_EDGES) if rng.random() < 0.1 else rng.choice(valid)
+
+
+def _kernel_rows(rng: random.Random):
+    """0-4 rows of 1-3 values, one row a value longer or shorter at times:
+    a numpy array when they form one, else the lists; and the width."""
+    width = rng.randint(1, 3)
+    rows = [[_draw(rng, [0, 1, -1, 0.5, 3, -2.5]) for _ in range(width)]
+            for _ in range(rng.randint(0, 4))]
+    if rows and rng.random() < 0.1:
+        rows[rng.randrange(len(rows))] = [0.5] * rng.choice([0, width + 1])
+    try:
+        return np.array(rows), width
+    except ValueError:  # ragged
+        return rows, width
+
+
+def _kernel_calls(rng: random.Random):
+    """(kernel, call, its result's values that must be finite) for one drawn
+    input to each kernel."""
+    masses = [{f"t{i}": _draw(rng, [0, 0.5, 1, 3, 2.5]) for i in range(rng.randint(0, 4))}
+              for _ in range(2)]
+    yield "jensen_shannon", lambda: jensen_shannon(*masses), lambda jsd: [jsd]
+    X, width = _kernel_rows(rng)
+    n = len(X) if rng.random() < 0.8 else rng.randint(0, 4)
+    y = [_draw(rng, [0, 1, 0.0, 1.0]) for _ in range(n)]
+    if y and rng.random() < 0.05:
+        y[0] = [0, 1]  # ragged labels
+    params = {"epochs": rng.randint(1, 20), "learning_rate": rng.choice([0.1, 0.5, 1e308])}
+    yield ("train_classifier", lambda: train_classifier(X, y, **params),
+           lambda model: [*model.weights, *model.loss_trace])
+    model = LinearModel(weights=np.array([rng.uniform(-3, 3) for _ in range(width + 1)]))
+    yield "predict", lambda: predict(model, X), lambda result: result[1]
+
+
+def fuzz_kernels(seed: str, copies: int) -> Counter:
+    """Call each public kernel on ``copies`` inputs drawn from
+    random.Random(seed) through _draw: two maps of 0-4 masses for
+    jensen_shannon, and rows and labels for train_classifier and predict.
+    AssertionError when a call returns a value that is not finite or raises
+    anything but a ConvoForgeError or a ValueError, or when no call of a
+    kernel returns or none raises, since such a run tests nothing; else the
+    count of each kernel's outcomes."""
+    rng = random.Random(seed)
+    outcomes, problems = Counter(), []
+    for copy in range(copies):
+        for kernel, call, values in _kernel_calls(rng):
+            try:
+                result = call()
+            except (ConvoForgeError, ValueError) as exc:
+                outcomes[kernel, type(exc).__name__] += 1
+                continue
+            except Exception as exc:
+                problems.append(f"copy {copy} {kernel}: raised {type(exc).__name__}: {exc}")
+                continue
+            outcomes[kernel, "returned"] += 1
+            if not all(math.isfinite(value) for value in values(result)):
+                problems.append(f"copy {copy} {kernel}: returned {result!r}")
+    assert problems == []
+    for kernel in ("jensen_shannon", "train_classifier", "predict"):
+        kinds = {kind for name, kind in outcomes if name == kernel}
+        assert "returned" in kinds and len(kinds) > 1, outcomes
+    return outcomes
+
+
+def test_the_kernels_return_finite_values_or_refuse_their_input():
+    fuzz_kernels("fuzz kernels", COPIES)

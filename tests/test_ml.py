@@ -304,6 +304,9 @@ class TestTrainClassifier:
         assert all(np.isfinite(losses[:-1])) and not np.isfinite(losses[-1])
 
 
+LABEL_RULE = "^labels must be a flat sequence of 0s and 1s$"
+
+
 class TestInputFaults:
     """Rows and labels that cannot form a training set raise
     DimensionMismatchError naming the row or the labels, before any
@@ -319,9 +322,25 @@ class TestInputFaults:
 
     def test_labels_must_be_flat_and_finite(self):
         for y in ([[0], [1]], [0.0, float("nan")], [float("inf"), 0.0], 1.0):
-            with pytest.raises(DimensionMismatchError,
-                               match="^labels must be a flat sequence of finite numbers$"):
+            with pytest.raises(DimensionMismatchError, match=LABEL_RULE):
                 train_classifier(np.eye(2), y)
+
+    def test_labels_must_be_zero_or_one(self, no_training):
+        # Before this rule, [0, 1, 2] trained with the default parameters from
+        # a loss of 0.693 to -0.141: a cross-entropy below zero.
+        X = np.array([[1.0], [2.0], [3.0]])
+        for y in ([0, 1, 2], [0.0, 1.0, -1.0], [0.0, 0.5, 1.0], [0, 1, 1e308]):
+            with pytest.raises(DimensionMismatchError, match=LABEL_RULE):
+                train_classifier(X, y)
+
+    def test_bool_and_float_labels_train_as_their_ints(self):
+        X = np.array([[1.0], [2.0], [3.0]])
+        expected = train_classifier(X, [0, 1, 1])
+        for y in ([False, True, True], [0.0, 1.0, 1.0], [-0.0, 1.0, 1.0],
+                  np.array([0, 1, 1], dtype=np.int8)):
+            model = train_classifier(X, y)
+            assert np.array_equal(model.weights, expected.weights), y
+            assert model.loss_trace == expected.loss_trace, y
 
     @pytest.fixture
     def no_training(self, monkeypatch):
@@ -332,13 +351,11 @@ class TestInputFaults:
 
     def test_string_labels(self, no_training):
         for y in (["a", "b"], ["0", "1"]):
-            with pytest.raises(DimensionMismatchError,
-                               match="^labels must be a flat sequence of finite numbers$"):
+            with pytest.raises(DimensionMismatchError, match=LABEL_RULE):
                 train_classifier(np.eye(2), y)
 
     def test_ragged_labels(self, no_training):
-        with pytest.raises(DimensionMismatchError,
-                           match="^labels must be a flat sequence of finite numbers$"):
+        with pytest.raises(DimensionMismatchError, match=LABEL_RULE):
             train_classifier(np.eye(2), [[0], [1, 2]])
 
     def test_three_dimensional_rows_in_train_classifier(self, no_training):
@@ -377,6 +394,19 @@ class TestInputFaults:
                 train_classifier(X, [0.0, 1.0, 1.0])
             with pytest.raises(DimensionMismatchError, match=f"^row 2 holds {bad}, not a "):
                 predict(model, X)
+
+    @pytest.mark.parametrize("rows,row,margin", [
+        ([[1.0, 0.0], [1e308, 1e308]], 1, "nan"),  # inf - inf
+        ([[1e308, 0.0], [1.0, 0.0]], 0, "inf"),
+    ])
+    def test_a_margin_that_overflows_names_its_row(self, rows, row, margin):
+        # Before, predict warned of the overflow and scored the NaN margin NaN.
+        model = LinearModel(weights=np.array([3.0, -3.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError,
+                               match=f"^row {row}'s margin overflows to {margin}$"):
+                predict(model, np.array(rows))
 
 
 def assert_gradient_matches_finite_differences(w, Xb, y, l2):

@@ -11,10 +11,11 @@ from convoforge import (
     Violation,
     build_corpus,
     check_integrity,
+    load,
     speaker_history,
     traverse,
 )
-from convoforge.datasets import load_toy_movie
+from convoforge.datasets import toy_movie_path
 from convoforge.errors import (
     DuplicateIdError,
     IntegrityViolationError,
@@ -350,7 +351,7 @@ class TestCheckIntegrity:
     def test_utterance_also_listed_by_a_later_conversation(self):
         # m1 lists m1_0, so it is in its conversation; m2 listing it too is
         # a mismatch, and m1_0 is a second root among m2's members.
-        corpus = load_toy_movie()
+        corpus = load(toy_movie_path())
         corpus.conversations["m2"].utterance_ids.append("m1_0")
         violations = check_integrity(corpus)
         assert [(v.code, v.ids) for v in violations] == [

@@ -25,8 +25,9 @@ from convoforge import (
     Utterance,
     build_corpus,
     check_integrity,
+    load,
 )
-from convoforge.datasets import load_toy_movie
+from convoforge.datasets import toy_movie_path
 from convoforge.errors import (
     EmptySelectionError,
     MissingAnnotationError,
@@ -48,7 +49,7 @@ def two_class_corpus():
 def labelled_toy():
     """The toy corpus with "label" alternating at every level, in id order,
     and "side" alternating over the utterances."""
-    corpus = load_toy_movie()
+    corpus = load(toy_movie_path())
     for level in ("utterance", "conversation", "speaker"):
         for i, obj in enumerate(sorted(_level_objects(corpus, level), key=lambda o: o.id)):
             obj.meta["label"] = i % 2 == 0
@@ -135,7 +136,7 @@ class TestTransformerContract:
     (PolitenessStrategies(), "utterance", "politeness_strategies"),
 ], ids=lambda value: getattr(value, "name", None))
 def test_summarize_before_transform_names_object_and_key(transformer, owner, key):
-    corpus = load_toy_movie()
+    corpus = load(toy_movie_path())
     with pytest.raises(MissingAnnotationError, match=f"^{owner} '.*' lacks '{key}'"):
         transformer.summarize(corpus)
 
@@ -330,7 +331,7 @@ class TestPipeline:
             Pipeline([])
 
     def test_rerun_warns_once_per_stage(self, caplog):
-        corpus = load_toy_movie()
+        corpus = load(toy_movie_path())
         with caplog.at_level("WARNING"):
             Pipeline([TextCleaner(), Tokenizer()]).run(corpus)
         assert caplog.messages == []
@@ -342,7 +343,7 @@ class TestPipeline:
         ]
 
     def test_each_overwrite_logged_at_debug(self, caplog):
-        corpus = load_toy_movie()
+        corpus = load(toy_movie_path())
         TextCleaner().transform(corpus)
         with caplog.at_level("DEBUG", logger="convoforge.transform"):
             TextCleaner().transform(corpus)
@@ -352,7 +353,7 @@ class TestPipeline:
             for uid in corpus.utterances)
 
     def test_rerun_counts_every_key_each_stage_writes(self, caplog):
-        corpus = load_toy_movie()
+        corpus = load(toy_movie_path())
         for i, obj in enumerate(chain(corpus.utterances.values(),
                                       corpus.conversations.values(),
                                       corpus.speakers.values())):
@@ -390,7 +391,7 @@ class TestPipeline:
           for sid in ("rick", "ilsa", "sam", "vivian", "marla", "tyler")]),
     ], ids=lambda value: getattr(value, "name", None))
     def test_overwrite_names_its_owner_at_debug(self, caplog, stage, owners):
-        corpus = stage.transform(load_toy_movie())
+        corpus = stage.transform(load(toy_movie_path()))
         with caplog.at_level("DEBUG", logger="convoforge.transform"):
             stage.transform(corpus)
         debug = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
@@ -411,7 +412,7 @@ class TestPipeline:
 
 class TestSpeakerMix:
     def test_toy_corpus_mixed_flags(self):
-        corpus = load_toy_movie()
+        corpus = load(toy_movie_path())
         SpeakerMixAnnotator(speaker_key="gender").fit_transform(corpus)
         assert corpus.conversations["m1"].meta["mixed"] is True
         assert corpus.conversations["m2"].meta["mixed"] is True
