@@ -15,8 +15,10 @@ metadata keep their integer/float identity through the JSON round trip.
 Input faults follow one rule: the code that finds a fault raises ValueError
 saying what is wrong, and each reader has one boundary that turns it into
 MalformedRecordError naming the file, and the line or record where there is one;
-a file that is not there is MissingFileError (_require_file), and a tabular
-header without a mapped column is MissingColumnError naming the file.
+a file that is not there is MissingFileError (_require_file). No fault has a
+class of its own: a manifest version load() cannot read, or a count the payload
+does not bear out, is a MalformedRecordError naming manifest.json and the key,
+and a tabular header without a mapped column one naming the file and its line.
 
 load() keeps one str object per distinct id: an utterance's speaker_id and
 conversation_id are the objects its speaker and conversation hold, and its
@@ -40,20 +42,18 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .errors import (
-    CountMismatchError,
     IntegrityViolationError,
     IoFailureError,
     IrreconcilableCollisionError,
     MalformedRecordError,
-    MissingColumnError,
     MissingFileError,
     UnserializableValueError,
-    UnsupportedVersionError,
 )
 from .model import (Conversation, Corpus, Speaker, Utterance, _cells, _field, _records,
                     _require_integrity, build_corpus)
 
 FORMAT_VERSION = "1.0"
+_MAJOR = FORMAT_VERSION.split(".", 1)[0]  # the one major version load() reads
 
 MANIFEST_FILE = "manifest.json"
 UTTERANCES_FILE = "utterances.jsonl"
@@ -131,8 +131,8 @@ _INTEGER = ({int}, None, "an integer")
 # save() writes them. Every key is required, and a bool is never an integer.
 _FORMAT_RULES = {
     MANIFEST_FILE: {
-        "format_version": ({str}, re.compile("[0-9]+[.][0-9]+").fullmatch,
-                           "a string of the form <digits>.<digits>"),
+        "format_version": ({str}, re.compile(f"{_MAJOR}[.][0-9]+").fullmatch,
+                           f"a string of the form {_MAJOR}.<digits>"),
         "utterance_count": _INTEGER, "conversation_count": _INTEGER,
         "speaker_count": _INTEGER, "corpus_meta": _OBJECT},
     UTTERANCES_FILE: {
@@ -196,7 +196,8 @@ class ImportMapping:
 
     id, speaker_id, conversation_id, and text are mandatory; reply_to and
     timestamp are optional. ``meta_columns`` are copied into utterance
-    metadata as strings.
+    metadata as strings. A mapping that lacks a mandatory field or maps an
+    unknown one, or a delimiter that check_delimiter refuses, is a ValueError.
     """
 
     column_for: dict[str, str]
@@ -206,10 +207,10 @@ class ImportMapping:
     def __post_init__(self) -> None:
         for name in MANDATORY_TABULAR_FIELDS:
             if name not in self.column_for:
-                raise MissingColumnError(f"mapping for mandatory field {name!r} is missing")
+                raise ValueError(f"mapping for mandatory field {name!r} is missing")
         unknown = set(self.column_for) - set(TABULAR_FIELDS)
         if unknown:
-            raise MissingColumnError(f"unknown mapped fields: {sorted(unknown)}")
+            raise ValueError(f"unknown mapped fields: {sorted(unknown)}")
         check_delimiter(self.delimiter)
 
 
@@ -393,10 +394,6 @@ def _load(directory: Path) -> Corpus:
         raise MissingFileError(f"not a corpus directory: {directory}")
 
     manifest = _decode_object(directory / MANIFEST_FILE, MANIFEST_FILE)
-    version = manifest["format_version"]
-    if version.split(".", 1)[0] != FORMAT_VERSION.split(".", 1)[0]:
-        raise UnsupportedVersionError(f"unsupported corpus format version: {version!r}")
-
     corpus = Corpus(meta=manifest["corpus_meta"])
     for name, kind, objects in ((SPEAKERS_FILE, Speaker, corpus.speakers),
                                 (CONVERSATIONS_FILE, Conversation, corpus.conversations)):
@@ -429,13 +426,12 @@ def _load(directory: Path) -> Corpus:
             raise MalformedRecordError(f"{UTTERANCES_FILE} line {line_number}: {exc}",
                                        line_number=line_number) from exc
 
-    for label, actual in (("utterance", len(corpus.utterances)),
-                          ("conversation", len(corpus.conversations)),
-                          ("speaker", len(corpus.speakers))):
-        declared = manifest[f"{label}_count"]
-        if declared != actual:
-            raise CountMismatchError(
-                f"manifest declares {declared} {label}s but payload has {actual}")
+    for key, name, objects in (("utterance_count", UTTERANCES_FILE, corpus.utterances),
+                               ("conversation_count", CONVERSATIONS_FILE, corpus.conversations),
+                               ("speaker_count", SPEAKERS_FILE, corpus.speakers)):
+        if manifest[key] != len(objects):
+            raise MalformedRecordError(
+                f"{MANIFEST_FILE}: {key!r} is {manifest[key]}, but {name} holds {len(objects)}")
 
     _require_integrity(corpus, "loaded corpus")
     return corpus
@@ -516,11 +512,10 @@ def import_tabular(path: str | Path, mapping: ImportMapping) -> Corpus:
         header = _cells(header, mapping.delimiter)
         for field_name, column in mapping.column_for.items():
             if column not in header:
-                raise MissingColumnError(
-                    f"{source}: column {column!r} (for {field_name}) not in header")
+                raise ValueError(f"column {column!r} (for {field_name}) not in header")
         for column in mapping.meta_columns:
             if column not in header:
-                raise MissingColumnError(f"{source}: meta column {column!r} not in header")
+                raise ValueError(f"meta column {column!r} not in header")
         index = {name: header.index(column) for name, column in mapping.column_for.items()}
         meta_index = {column: header.index(column) for column in mapping.meta_columns}
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from itertools import chain
 from sys import float_info
 from typing import Optional
 
+from .corpus_io import _refusal
 from .model import Corpus
 from .textprep import utterance_tokens
 from .transform import SummaryTable, Transformer, _real
@@ -34,8 +36,9 @@ def jensen_shannon(p: dict[str, float], q: dict[str, float]) -> float:
     mass, or exactly 0 when all its terms are shared.
 
     A mass is an int or float from 0 to the largest float, zero being as good
-    as absent; any other is a ValueError naming its term, as are masses of p
-    and q that total more than the largest float or lie too far apart in scale.
+    as absent; any other is a ValueError naming its term, as are a p or q that
+    is not a mapping and masses of p and q that total more than the largest
+    float or lie too far apart in scale.
     """
     p, q = _positive(p, "p"), _positive(q, "q")
     if p[1] + q[1] > float_info.max:
@@ -48,6 +51,8 @@ def jensen_shannon(p: dict[str, float], q: dict[str, float]) -> float:
 
 def _positive(dist: dict[str, float], name: str) -> tuple[dict[str, float], float]:
     # The positive entries of a distribution and their total mass.
+    if not isinstance(dist, Mapping):
+        raise _refusal(name, "a mapping of terms to masses", dist)
     for term, x in dist.items():
         if not (_real(x) and 0 <= x <= float_info.max):
             raise ValueError(f"{name}[{term!r}] is {x!r}, not a finite number of at least 0")

@@ -6,8 +6,9 @@ errors; transformers raise contract errors. Everything derives from
 ConvoForgeError so callers can catch broadly.
 
 Each class declares its command-line exit code in ``exit_code``: 1 for a
-domain failure (the default), 2 for I/O or format (a missing or malformed
-file or column, a count or version mismatch).
+domain failure (the default), 2 for I/O or an input file: a missing one is
+MissingFileError, and every fault in one's content, a manifest version or
+count and a tabular header included, is MalformedRecordError naming the file.
 """
 
 
@@ -65,20 +66,8 @@ class MalformedRecordError(ConvoForgeError):
         self.line_number = line_number
 
 
-class CountMismatchError(ConvoForgeError):
-    exit_code = 2
-
-
-class UnsupportedVersionError(ConvoForgeError):
-    exit_code = 2
-
-
 class IrreconcilableCollisionError(ConvoForgeError):
     pass
-
-
-class MissingColumnError(ConvoForgeError):
-    exit_code = 2
 
 
 # -- transformer contract --------------------------------------------------
@@ -92,7 +81,7 @@ class MissingAnnotationError(ConvoForgeError):
 
 
 class EmptySelectionError(ConvoForgeError):
-    pass
+    """A stage's selection of objects that holds none, such as a fighting-words class."""
 
 
 class PipelineStageError(ConvoForgeError):
@@ -105,10 +94,6 @@ class PipelineStageError(ConvoForgeError):
 
 
 # -- analysis --------------------------------------------------------------
-
-class EmptyClassError(ConvoForgeError):
-    pass
-
 
 class EmptyVocabularyError(ConvoForgeError):
     pass

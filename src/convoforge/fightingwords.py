@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Optional
 
-from .errors import EmptyClassError, EmptyVocabularyError, NotFittedError, NumericOverflowError
+from .errors import EmptySelectionError, EmptyVocabularyError, NotFittedError, NumericOverflowError
 from .filters import build_meta_predicate
 from .model import Corpus, Utterance
 from .textprep import utterance_tokens
@@ -118,7 +118,7 @@ class FightingWords(Transformer):
                         for member in (class1, class2))
         for n, utts in enumerate((utts1, utts2), 1):
             if not utts:
-                raise EmptyClassError(f"class {n} selects no utterances")
+                raise EmptySelectionError(f"class {n} selects no utterances")
         overlap = {u.id for u in utts1} & {u.id for u in utts2}
         if overlap:
             logger.warning("fighting words: %d utterances fall in both classes", len(overlap))
@@ -126,7 +126,7 @@ class FightingWords(Transformer):
         counts1, counts2 = _count_class(utts1, self.ngram_max), _count_class(utts2, self.ngram_max)
         for n, counts in enumerate((counts1, counts2), 1):
             if not counts:
-                raise EmptyClassError(f"class {n} selects utterances but no word tokens")
+                raise EmptySelectionError(f"class {n} selects utterances but no word tokens")
         vocab = sorted(term for term in counts1.keys() | counts2.keys()
                        if counts1[term] + counts2[term] >= self.min_count)
         if len(vocab) < 2:

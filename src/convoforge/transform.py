@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from sys import float_info
 
-from .corpus_io import _refusal
+from .corpus_io import _refusal, check_delimiter
 from .errors import MissingAnnotationError, NotFittedError, PipelineStageError
 from .model import LEVELS, Corpus, _field, _level_objects
 
@@ -52,7 +52,9 @@ class SummaryTable:
     def to_delimited(self, delimiter: str = "\t") -> str:
         """The header row, then one row per label with its values rendered by
         format_value, joined by "\\n" with none after the last; each cell goes
-        through model._field, so one holding the delimiter is quoted."""
+        through model._field, so one holding the delimiter is quoted. A delimiter
+        that check_delimiter refuses is a ValueError."""
+        check_delimiter(delimiter)
         rows = [[self.label_header, *self.columns]] + [
             [label, *map(format_value, values)] for label, values in self.rows]
         return "\n".join(delimiter.join(_field(c, delimiter) for c in row) for row in rows)

@@ -46,7 +46,7 @@ from convoforge.errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
     DuplicateIdError,
-    EmptyClassError,
+    EmptySelectionError,
     EmptyVocabularyError,
     MalformedRecordError,
 )
@@ -577,9 +577,9 @@ def ref_fit_fw(
     utts1 = [u for u in corpus.utterances.values() if class1(u)]
     utts2 = [u for u in corpus.utterances.values() if class2(u)]
     if not utts1:
-        raise EmptyClassError("class 1 selects no utterances")
+        raise EmptySelectionError("class 1 selects no utterances")
     if not utts2:
-        raise EmptyClassError("class 2 selects no utterances")
+        raise EmptySelectionError("class 2 selects no utterances")
     overlap = {u.id for u in utts1} & {u.id for u in utts2}
     if overlap:
         logger.warning("fighting words: %d utterances fall in both classes", len(overlap))
@@ -587,9 +587,9 @@ def ref_fit_fw(
     counts1 = ref_count_class(utts1, ngram_max)
     counts2 = ref_count_class(utts2, ngram_max)
     if not counts1:
-        raise EmptyClassError("class 1 selects utterances but no word tokens")
+        raise EmptySelectionError("class 1 selects utterances but no word tokens")
     if not counts2:
-        raise EmptyClassError("class 2 selects utterances but no word tokens")
+        raise EmptySelectionError("class 2 selects utterances but no word tokens")
     vocab = sorted(
         term
         for term in set(counts1) | set(counts2)

@@ -1099,8 +1099,7 @@ def test_analyzer_command_prints_the_summary_of_its_run_config(speaker_mix_dir, 
         assert capsys.readouterr().out != expected
 
 
-USAGE_ERROR_NAMES = {"MissingFileError", "MalformedRecordError", "CountMismatchError",
-                     "UnsupportedVersionError", "IoFailureError", "MissingColumnError"}
+USAGE_ERROR_NAMES = {"MissingFileError", "MalformedRecordError", "IoFailureError"}
 
 
 def _error_classes():

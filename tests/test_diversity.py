@@ -2,6 +2,7 @@ import copy
 import math
 import random
 import re
+from types import MappingProxyType
 
 import numpy
 import pytest
@@ -77,6 +78,18 @@ class TestJensenShannon:
             message = f"{named} is {mass!r}, not a finite number of at least 0"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 jensen_shannon(p, q)
+
+    @pytest.mark.parametrize("value,spelled", [
+        ([("a", 1.0)], '[["a",1.0]]'), (None, "null"), ("ab", '"ab"'), (1.0, "1.0")], ids=repr)
+    def test_a_p_or_q_that_is_not_a_mapping_is_named(self, value, spelled):
+        # Unchecked, each let out a bare AttributeError: ... has no attribute 'items'.
+        for p, q, named in ((value, {"a": 1.0}, "p"), ({"a": 1.0}, value, "q")):
+            message = f"{named} must be a mapping of terms to masses, got {spelled}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                jensen_shannon(p, q)
+
+    def test_any_mapping_holds_masses(self):
+        assert jensen_shannon(MappingProxyType({"a": 1.0}), {"b": 1.0}) == LN2
 
     @pytest.mark.parametrize("p,q", [
         ({"a": 1e308, "b": 1e308}, {"a": 1.0}),  # unchecked, this returned inf

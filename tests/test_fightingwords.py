@@ -10,7 +10,7 @@ import numpy
 import pytest
 
 from convoforge import FightingWords, Utterance, build_corpus
-from convoforge.errors import (EmptyClassError, EmptyVocabularyError, NotFittedError,
+from convoforge.errors import (EmptySelectionError, EmptyVocabularyError, NotFittedError,
                                NumericOverflowError)
 from helpers import corpus_equal_strict, random_corpus
 from reference import ref_fit_fw
@@ -77,7 +77,7 @@ class TestFit:
             assert math.copysign(1, base.deltas[i]) == math.copysign(1, scaled.deltas[j])
 
     def test_empty_class(self):
-        with pytest.raises(EmptyClassError):
+        with pytest.raises(EmptySelectionError):
             fw_model(worked_example_corpus(), by_cls(1), by_cls(99))
 
     def test_class_with_only_punctuation_tokens(self):
@@ -85,7 +85,7 @@ class TestFit:
             Utterance("u1", "s", "c1", "words here", None, 1, {"cls": 1}),
             Utterance("u2", "s", "c2", "!!! ...", None, 2, {"cls": 2}),
         ])
-        with pytest.raises(EmptyClassError):
+        with pytest.raises(EmptySelectionError):
             fw_model(corpus, by_cls(1), by_cls(2))
 
     def test_empty_vocabulary_after_min_count(self):
@@ -159,7 +159,7 @@ class TestFit:
     @pytest.mark.parametrize("param", ["ngram_max", "min_count"])
     def test_count_below_one_is_refused_before_counting(self, param):
         # Refused before the corpus is read: an ngram_max of 0 would count no
-        # n-grams and fail later with EmptyClassError.
+        # n-grams and fail later with EmptySelectionError.
         with pytest.raises(ValueError, match=f"^{param} must be a positive integer, got 0$"):
             FightingWords(by_cls(1), by_cls(2), **{param: 0})
 
@@ -255,7 +255,7 @@ class TestMatchesReference:
                       "alpha": rng.choice([0.01, 0.5, 3.0])}
             try:
                 expected = ref_fit_fw(corpus, class1, class2, **kwargs)
-            except (EmptyClassError, EmptyVocabularyError) as exc:
+            except (EmptySelectionError, EmptyVocabularyError) as exc:
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
                     fw_model(corpus, class1, class2, **kwargs)
                 continue

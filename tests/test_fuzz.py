@@ -375,6 +375,8 @@ def _kernel_calls(rng: random.Random):
     input to each kernel."""
     masses = [{f"t{i}": _draw(rng, [0, 0.5, 1, 3, 2.5]) for i in range(rng.randint(0, 4))}
               for _ in range(2)]
+    if rng.random() < 0.1:  # p or q not a mapping
+        masses[rng.randrange(2)] = rng.choice([[*masses[0].items()], None, "ab", 1.0])
     yield "jensen_shannon", lambda: jensen_shannon(*masses), lambda jsd: [jsd]
     X, width = _kernel_rows(rng)
     n = len(X) if rng.random() < 0.8 else rng.randint(0, 4)
@@ -391,7 +393,8 @@ def _kernel_calls(rng: random.Random):
 def fuzz_kernels(seed: str, copies: int) -> Counter:
     """Call each public kernel on ``copies`` inputs drawn from
     random.Random(seed) through _draw: two maps of 0-4 masses for
-    jensen_shannon, and rows and labels for train_classifier and predict.
+    jensen_shannon, one at times not a mapping at all, and rows and labels
+    for train_classifier and predict.
     AssertionError when a call returns a value that is not finite or raises
     anything but a ConvoForgeError or a ValueError, or when no call of a
     kernel returns or none raises, since such a run tests nothing; else the

@@ -249,6 +249,17 @@ class TestSummaryTable:
         assert table.to_delimited(",") == (
             'row,v,"say ""hi"""\na\tb,"x,y","cr\rhere"\nplain,"line\nbreak",1.5')
 
+    @pytest.mark.parametrize("delimiter", ['"', "\r", "\n", "", ",,"], ids=repr)
+    def test_to_delimited_refuses_a_delimiter_its_cells_cannot_be_read_back_with(
+            self, delimiter):
+        table = SummaryTable(columns=["a"])
+        table.add_row("x", ['v"w'])
+        with pytest.raises(ValueError, match="^delimiter must be one character other than "):
+            table.to_delimited(delimiter)
+        # The delimiters the CLI passes write what they always wrote.
+        assert table.to_delimited() == 'item\ta\nx\t"v""w"'
+        assert table.to_delimited(",") == 'item,a\nx,"v""w"'
+
     @pytest.mark.parametrize("delimiter", ["\t", ",", ";", "|"],
                              ids=["tab", "comma", "semicolon", "pipe"])
     def test_to_delimited_reads_back_through_csv(self, delimiter):
